@@ -5,7 +5,8 @@ can also come from LIFTSPIN_* environment variables; explicit flags win.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (argparse or
 inconsistent flag combinations), 3 unsupported input (irrational
-eigenspace, genus or expansion caps, out-of-range evaluation points).
+eigenspace, eigenvalues outside Deligne's bound, genus, expansion,
+precision or prime-bound caps, out-of-range evaluation points).
 """
 
 from __future__ import annotations
@@ -19,10 +20,17 @@ from typing import Dict, List, Optional
 
 from . import identities
 from .beta import table as beta_table
-from .errors import OutOfConvergenceRegion, UnsupportedInput, UnsupportedWeight
+from .errors import (
+    InputTooLarge,
+    OutOfConvergenceRegion,
+    UnsupportedInput,
+    UnsupportedWeight,
+)
 from .euler import EXPANSION_DEGREE_CAP, LocalFactor
 from .qexp import (
     DEFAULT_PRECISION,
+    MAX_PRECISION,
+    MAX_PRIMES_UP_TO,
     EigenformData,
     eigenforms,
     hecke_eigenvalue,
@@ -175,6 +183,15 @@ def _numeric_pair(args, tables) -> tuple:
     f = _form_for("f", 2 * args.k, args.precision, tables)
     g = _form_for("g", args.k + args.n, args.precision, tables)
     return f, g
+
+
+def _check_size_caps(args):
+    """Reject size flags above their caps, whether given as flags or via
+    LIFTSPIN_* variables (both land in args)."""
+    for flag, value, cap in (("--precision", args.precision, MAX_PRECISION),
+                             ("--primes-up-to", args.primes_up_to, MAX_PRIMES_UP_TO)):
+        if value is not None and value > cap:
+            raise InputTooLarge(f"{flag} {value} exceeds the cap {cap}")
 
 
 def _primes_from(args) -> List[int]:
@@ -422,6 +439,7 @@ def main(argv=None) -> int:
         "verify": cmd_verify,
     }
     try:
+        _check_size_caps(args)
         return handlers[args.command](args)
     except UnsupportedInput as exc:
         print(f"liftspin: unsupported input: {exc}", file=sys.stderr)

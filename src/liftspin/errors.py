@@ -30,6 +30,14 @@ class NonPrime(UnsupportedInput):
     """A prime argument was not prime."""
 
 
+class DeligneBoundViolation(UnsupportedInput):
+    """A Hecke eigenvalue lies outside Deligne's bound for its weight and prime."""
+
+
+class InputTooLarge(UnsupportedInput):
+    """A size flag (precision, prime bound) exceeds its declared cap."""
+
+
 class GenusTooLarge(UnsupportedInput):
     """Genus (or derived degree) exceeds the supported cap."""
 

@@ -41,7 +41,7 @@ from .euler import (
     tensor_factor,
 )
 from .laurent import LaurentPoly
-from .qexp import EigenformData, hecke_eigenvalue, numeric_satake
+from .qexp import EigenformData, check_deligne_bound, hecke_eigenvalue, numeric_satake
 from .satake import SatakeParams, elliptic_satake, ikeda_satake, miyawaki_satake
 
 IDENTITY_IDS = (
@@ -151,17 +151,26 @@ def _structural_failure(identity_id: str, parameters: Dict,
 
 # -- numeric instantiation helpers --------------------------------------------
 
+def _satake_root(form: EigenformData, p: int) -> complex:
+    lam = hecke_eigenvalue(form, p)
+    check_deligne_bound(lam, form.weight, p)
+    return numeric_satake(lam, form.weight, p)[0]
+
+
 def satake_values(f: EigenformData, g: Optional[EigenformData],
                   n: int, k: int, p: int) -> Tuple[complex, complex]:
-    """(alpha, beta) at p from eigenvalue data; beta is 0j when g is absent."""
+    """(alpha, beta) at p from eigenvalue data; beta is 0j when g is absent.
+
+    Each eigenvalue is checked against Deligne's bound first, so data of
+    the wrong weight is rejected instead of yielding off-circle roots."""
     if f.weight != 2 * k:
         raise ValueError(f"f has weight {f.weight}, expected {2 * k}")
-    alpha = numeric_satake(hecke_eigenvalue(f, p), 2 * k, p)[0]
+    alpha = _satake_root(f, p)
     beta = 0j
     if g is not None:
         if g.weight != k + n:
             raise ValueError(f"g has weight {g.weight}, expected {k + n}")
-        beta = numeric_satake(hecke_eigenvalue(g, p), k + n, p)[0]
+        beta = _satake_root(g, p)
     return alpha, beta
 
 

@@ -1,10 +1,15 @@
 """Exact q-expansions of level-one modular forms and Hecke eigenvalue data.
 
-Everything here is rational arithmetic on truncated power series in
-q = e^(2 pi i tau): Eisenstein series from the divisor-sum formula, the
-discriminant cusp form both as (E4^3 - E6^2)/1728 and as the eta product
-(the two constructions cross-check each other), and the echelonized
-Victor Miller basis of cusp forms from monomials in E4 and E6.
+Truncated power series in q = e^(2 pi i tau) with exact coefficients:
+plain ints wherever a value is integral (E4, E6, their monomials, the
+Victor Miller basis, the eigenforms), Fraction only where it is not
+(Bernoulli numbers, -2k/B_k for k other than 4 and 6, eigenvalue tables,
+steps of the rational linear algebra); floats are refused.
+
+Contents: Eisenstein series from the divisor-sum formula, the discriminant
+cusp form both as (E4^3 - E6^2)/1728 and as the eta product (the two
+constructions cross-check each other), and the echelonized Victor Miller
+basis of cusp forms from monomials in E4 and E6.
 
 Eigenforms are supported at the weights whose cuspidal eigenspace is
 rational: in practice the one-dimensional weights 12, 16, 18, 20, 22, 26.
@@ -16,12 +21,15 @@ at level one from weight 24 on).
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
+from itertools import compress
 from math import comb, isqrt
+from numbers import Rational
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
+    DeligneBoundViolation,
     EmptySpace,
     InsufficientPrecision,
     IrrationalEigenspace,
@@ -33,27 +41,30 @@ from .errors import (
 SUPPORTED_WEIGHTS = (12, 16, 18, 20, 22, 26)
 
 DEFAULT_PRECISION = 200
+#: largest --precision the CLI accepts
+MAX_PRECISION = 2000
+#: largest --primes-up-to the CLI accepts
+MAX_PRIMES_UP_TO = 10 ** 6
 
 
 # -- primes ---------------------------------------------------------------
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    """Trial division by 2 and the odd numbers up to sqrt(n)."""
+    return n == 2 or (n > 2 and n % 2 == 1
+                      and all(n % d for d in range(3, isqrt(n) + 1, 2)))
 
 
 def primes_up_to(bound: int) -> List[int]:
-    return [p for p in range(2, bound + 1) if is_prime(p)]
+    """Primes p <= bound, by the sieve of Eratosthenes."""
+    if bound < 2:
+        return []
+    sieve = bytearray([1]) * (bound + 1)
+    sieve[:2] = b"\0\0"
+    for d in range(2, isqrt(bound) + 1):
+        if sieve[d]:
+            sieve[d * d::d] = bytes(len(range(d * d, bound + 1, d)))
+    return list(compress(range(bound + 1), sieve))
 
 
 # -- Bernoulli numbers ----------------------------------------------------
@@ -74,23 +85,33 @@ def bernoulli(m: int) -> Fraction:
 
 # -- q-expansions ---------------------------------------------------------
 
+def _exact(c):
+    """c as an int when it is integral, else as a Fraction; floats are refused."""
+    if type(c) is int:
+        return c
+    if not isinstance(c, Rational):
+        raise TypeError(f"q-expansion coefficients must be rational, got {c!r}")
+    return int(c) if c.denominator == 1 else Fraction(c)
+
+
 class QExpansion:
     """Truncated rational q-expansion of a modular form of a fixed weight.
 
-    coeffs[n] is the coefficient of q^n; precision is the last stored index.
+    coeffs[n] is the coefficient of q^n (an int when integral, else a
+    Fraction); precision is the last stored index.
     """
 
     __slots__ = ("weight", "coeffs")
 
     def __init__(self, weight: int, coeffs: Sequence):
         self.weight = weight
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
+        self.coeffs = tuple(map(_exact, coeffs))
 
     @property
     def precision(self) -> int:
         return len(self.coeffs) - 1
 
-    def __getitem__(self, n: int) -> Fraction:
+    def __getitem__(self, n: int):
         if n < 0 or n > self.precision:
             raise InsufficientPrecision(
                 f"coefficient {n} requested but expansion stops at {self.precision}")
@@ -107,30 +128,22 @@ class QExpansion:
     def __add__(self, other: "QExpansion") -> "QExpansion":
         if self.weight != other.weight:
             raise ValueError("cannot add expansions of different weights")
-        n = min(len(self.coeffs), len(other.coeffs))
-        return QExpansion(self.weight,
-                          [self.coeffs[i] + other.coeffs[i] for i in range(n)])
+        return QExpansion(self.weight, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other: "QExpansion") -> "QExpansion":
         if self.weight != other.weight:
             raise ValueError("cannot subtract expansions of different weights")
-        n = min(len(self.coeffs), len(other.coeffs))
-        return QExpansion(self.weight,
-                          [self.coeffs[i] - other.coeffs[i] for i in range(n)])
+        return QExpansion(self.weight, [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __mul__(self, other):
-        if isinstance(other, QExpansion):
-            n = min(len(self.coeffs), len(other.coeffs))
-            out = [Fraction(0)] * n
-            for i, ci in enumerate(self.coeffs[:n]):
-                if not ci:
-                    continue
-                for j in range(n - i):
-                    cj = other.coeffs[j]
-                    if cj:
-                        out[i + j] += ci * cj
-            return QExpansion(self.weight + other.weight, out)
-        return QExpansion(self.weight, [c * Fraction(other) for c in self.coeffs])
+        if not isinstance(other, QExpansion):
+            s = _exact(other)
+            return QExpansion(self.weight, [c * s for c in self.coeffs])
+        n = min(len(self.coeffs), len(other.coeffs))
+        a, rb = self.coeffs, other.coeffs[n - 1::-1]
+        # coefficient m is sum_i a[i] b[m - i]; rb[n-1-m:] is b[m], ..., b[0]
+        return QExpansion(self.weight + other.weight,
+                          [sum(map(mul, a[:m + 1], rb[n - 1 - m:])) for m in range(n)])
 
     __rmul__ = __mul__
 
@@ -141,7 +154,7 @@ class QExpansion:
     def __pow__(self, exponent: int) -> "QExpansion":
         if exponent < 0:
             raise ValueError("negative powers of q-expansions are not supported")
-        result = QExpansion(0, [Fraction(1)] + [Fraction(0)] * self.precision)
+        result = QExpansion(0, [1] + [0] * self.precision)
         base = self
         n = exponent
         while n:
@@ -166,9 +179,8 @@ def eisenstein(weight: int, precision: int) -> QExpansion:
         dk = d ** (weight - 1)
         for n in range(d, precision + 1, d):
             sigma[n] += dk
-    factor = Fraction(-2 * weight) / bernoulli(weight)
-    coeffs = [Fraction(1)] + [factor * s for s in sigma[1:]]
-    return QExpansion(weight, coeffs)
+    factor = _exact(Fraction(-2 * weight) / bernoulli(weight))
+    return QExpansion(weight, [1] + [factor * s for s in sigma[1:]])
 
 
 def delta(precision: int) -> QExpansion:
@@ -198,7 +210,7 @@ def delta_eta_product(precision: int) -> QExpansion:
             break
         j += 1
     p24 = QExpansion(0, euler) ** 24
-    return QExpansion(12, (Fraction(0),) + p24.coeffs[:precision])
+    return QExpansion(12, (0,) + p24.coeffs[:precision])
 
 
 def dim_modular_forms(weight: int) -> int:
@@ -213,8 +225,9 @@ def dim_cusp_forms(weight: int) -> int:
     return max(dim_modular_forms(weight) - 1, 0)
 
 
-def _echelonize(rows: List[List[Fraction]]) -> List[List[Fraction]]:
-    """Reduced row echelon form over the rationals, in place."""
+def _echelonize(rows: List[list]) -> List[list]:
+    """Reduced row echelon form over the rationals, in place; the pivot
+    inverse is an exact Fraction (1 / int would be a float)."""
     pivot_row = 0
     ncols = len(rows[0])
     for col in range(ncols):
@@ -224,7 +237,7 @@ def _echelonize(rows: List[List[Fraction]]) -> List[List[Fraction]]:
         if src is None:
             continue
         rows[pivot_row], rows[src] = rows[src], rows[pivot_row]
-        inv = 1 / rows[pivot_row][col]
+        inv = Fraction(1, rows[pivot_row][col])
         rows[pivot_row] = [c * inv for c in rows[pivot_row]]
         for r in range(len(rows)):
             if r != pivot_row and rows[r][col]:
@@ -266,32 +279,20 @@ def hecke_operator(form: QExpansion, p: int) -> QExpansion:
     """T_p on a level-one form of weight k: b(n) = a(np) + p^(k-1) a(n/p)."""
     if not is_prime(p):
         raise NonPrime(f"{p} is not prime")
-    limit = form.precision // p
-    pk = p ** (form.weight - 1)
-    out = []
-    for n in range(limit + 1):
-        c = form.coeffs[n * p]
-        if n % p == 0:
-            c += pk * form.coeffs[n // p]
-        out.append(c)
-    return QExpansion(form.weight, out)
+    a, pk = form.coeffs, p ** (form.weight - 1)
+    return QExpansion(form.weight, [a[n * p] + (0 if n % p else pk * a[n // p])
+                                    for n in range(form.precision // p + 1)])
 
 
 class EigenformData:
     """A normalized Hecke eigenform: weight, exact q-expansion, and a
-    write-once cache of eigenvalues (which equal the q-coefficients).
-
-    The cache is a plain dict: entries are deterministic, so concurrent
-    recomputation under the lock-free fast path would be benign; a lock
-    still guards the insert to keep the write-once contract literal.
-    """
+    write-once cache of eigenvalues (which equal the q-coefficients)."""
 
     def __init__(self, weight: int, qexp: Optional[QExpansion],
                  eigenvalues: Optional[Dict[int, Fraction]] = None):
         self.weight = weight
         self.qexp = qexp
         self.eigenvalues: Dict[int, Fraction] = dict(eigenvalues or {})
-        self._lock = threading.Lock()
 
     @classmethod
     def from_eigenvalue_table(cls, weight: int, table: Dict[int, Fraction]) -> "EigenformData":
@@ -303,7 +304,7 @@ class EigenformData:
         return f"EigenformData(weight={self.weight}, {src})"
 
 
-def hecke_eigenvalue(form: EigenformData, p: int) -> Fraction:
+def hecke_eigenvalue(form: EigenformData, p: int):
     """lambda(p) = p-th q-coefficient of the normalized eigenform."""
     if not is_prime(p):
         raise NonPrime(f"{p} is not prime")
@@ -315,10 +316,7 @@ def hecke_eigenvalue(form: EigenformData, p: int) -> Fraction:
     if p > form.qexp.precision:
         raise InsufficientPrecision(
             f"p={p} exceeds q-expansion precision {form.qexp.precision}")
-    value = form.qexp.coeffs[p]
-    with form._lock:
-        form.eigenvalues.setdefault(p, value)
-    return value
+    return form.eigenvalues.setdefault(p, form.qexp.coeffs[p])
 
 
 def _rational_roots(poly: List[Fraction]) -> List[Fraction]:
@@ -373,8 +371,7 @@ def eigenforms(weight: int, precision: int = DEFAULT_PRECISION) -> List[Eigenfor
     if d == 1:
         return [EigenformData(weight, basis[0])]
     # matrix of T_2: row i lists the first d coefficients of T_2(basis_i)
-    mat = [[hecke_operator(basis[i], 2).coeffs[j] for j in range(1, d + 1)]
-           for i in range(d)]
+    mat = [list(hecke_operator(form, 2).coeffs[1:d + 1]) for form in basis]
     charpoly = _charpoly(mat)
     roots = _rational_roots(charpoly)
     forms = []
@@ -383,7 +380,7 @@ def eigenforms(weight: int, precision: int = DEFAULT_PRECISION) -> List[Eigenfor
         if x[0] == 0:
             raise IrrationalEigenspace(
                 f"eigenvector for lambda={lam} is not a normalized eigenform")
-        x = [xi / x[0] for xi in x]
+        x = [Fraction(xi, x[0]) for xi in x]
         coeffs = [sum(x[i] * basis[i].coeffs[n] for i in range(d))
                   for n in range(precision + 1)]
         forms.append(EigenformData(weight, QExpansion(weight, coeffs)))
@@ -403,49 +400,43 @@ def eigenform(weight: int, precision: int = DEFAULT_PRECISION) -> EigenformData:
 def _charpoly(mat: List[List[Fraction]]) -> List[Fraction]:
     """det(xI - M) coefficients [c_0, ..., c_d] via Faddeev-LeVerrier."""
     d = len(mat)
-    coeffs = [Fraction(0)] * (d + 1)
-    coeffs[d] = Fraction(1)
-    m = [[Fraction(0)] * d for _ in range(d)]
+    coeffs = [0] * d + [1]
+    m = [[0] * d for _ in range(d)]
     for k in range(1, d + 1):
-        # M_k = M (M_{k-1} + c_{d-k+1} I)
-        shifted = [row[:] for row in m]
-        if k > 1:
-            for i in range(d):
-                shifted[i][i] += coeffs[d - k + 1]
-        m = [[sum(mat[i][l] * shifted[l][j] for l in range(d)) if k > 1 else mat[i][j]
-              for j in range(d)] for i in range(d)]
+        # M_k = M (M_{k-1} + c_{d-k+1} I), with M_0 = 0 so that M_1 = M
+        c = coeffs[d - k + 1]
+        shifted = [[v + (c if i == j else 0) for j, v in enumerate(row)]
+                   for i, row in enumerate(m)]
+        m = [[sum(mat[i][l] * shifted[l][j] for l in range(d)) for j in range(d)]
+             for i in range(d)]
         coeffs[d - k] = -Fraction(sum(m[i][i] for i in range(d)), k)
     return coeffs
 
 
-def _left_kernel_vector(mat: List[List[Fraction]], lam: Fraction) -> List[Fraction]:
+def _left_kernel_vector(mat: List[list], lam) -> List:
     """A nonzero x with x^T (M - lam I) = 0, i.e. kernel of the transpose."""
     d = len(mat)
-    a = [[mat[j][i] - (lam if i == j else 0) for j in range(d)] for i in range(d)]
-    pivots = {}
-    row = 0
-    for col in range(d):
-        src = next((r for r in range(row, d) if a[r][col]), None)
-        if src is None:
-            continue
-        a[row], a[src] = a[src], a[row]
-        inv = 1 / a[row][col]
-        a[row] = [c * inv for c in a[row]]
-        for r in range(d):
-            if r != row and a[r][col]:
-                f = a[r][col]
-                a[r] = [u - f * v for u, v in zip(a[r], a[row])]
-        pivots[col] = row
-        row += 1
+    rref = _echelonize([[mat[j][i] - (lam if i == j else 0) for j in range(d)]
+                        for i in range(d)])
+    pivots = {next(c for c, v in enumerate(row) if v): row for row in rref if any(row)}
     free = next(c for c in range(d) if c not in pivots)
-    x = [Fraction(0)] * d
-    x[free] = Fraction(1)
-    for col, r in pivots.items():
-        x[col] = -a[r][free]
+    x = [0] * d
+    x[free] = 1
+    for col, row in pivots.items():
+        x[col] = -row[free]
     return x
 
 
 # -- numeric Satake parameters ---------------------------------------------
+
+def check_deligne_bound(lam, weight: int, p: int) -> None:
+    """Reject lam outside Deligne's bound, compared exactly as
+    lam^2 <= 4 p^(weight-1) before any float conversion."""
+    if Fraction(lam) ** 2 > 4 * p ** (weight - 1):
+        raise DeligneBoundViolation(
+            f"lambda({p}) = {lam} violates Deligne's bound "
+            f"|lambda(p)| <= 2 p^(({weight}-1)/2) for weight {weight}")
+
 
 def numeric_satake(lam, weight: int, p: int) -> Tuple[complex, complex]:
     """Roots of X^2 - lam p^(-(weight-1)/2) X + 1, as an exact-reciprocal pair.

@@ -1,8 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from liftspin.cli import main
+from liftspin.qexp import MAX_PRECISION, MAX_PRIMES_UP_TO, eigenform, primes_up_to
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -279,3 +283,106 @@ def test_json_byte_stability(capsys):
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+# -- golden output: q-expansion changes must not move a single byte ------------
+
+GOLDEN_RUNS = {
+    "eigenvalues_w12_text.txt": ["eigenvalues", "--weight", "12", "--primes-up-to", "20",
+                                 "--format", "text"],
+    "lvalue_lhs.json": ["lvalue", "--side", "lhs", "--n", "2", "--k", "10", "--s", "25",
+                        "--primes-up-to", "100"],
+    "lvalue_rhs.json": ["lvalue", "--side", "rhs", "--n", "2", "--k", "10", "--s", "25",
+                        "--primes-up-to", "100"],
+    "verify_main_theorem_numeric.json": ["verify", "--identity", "main_theorem", "--n", "2",
+                                         "--k", "10", "--mode", "numeric",
+                                         "--primes-up-to", "199"],
+    "verify_ikeda_standard_numeric.json": ["verify", "--identity", "ikeda_standard",
+                                           "--n", "2", "--k", "10", "--mode", "numeric",
+                                           "--primes-up-to", "199"],
+    "euler_main_theorem_numeric_p97.json": ["euler", "--identity", "main_theorem",
+                                            "--side", "lhs", "--n", "2", "--k", "10",
+                                            "--mode", "numeric", "--prime", "97"],
+}
+GOLDEN_RUNS.update({f"eigenvalues_w{w}.json": ["eigenvalues", "--weight", str(w),
+                                               "--primes-up-to", "199"]
+                    for w in (12, 16, 18, 20, 22, 26)})
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_golden_output(capsys, name):
+    code, out, _ = run(capsys, *GOLDEN_RUNS[name])
+    assert code == 0
+    assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+# -- Deligne's bound at the input boundary -----------------------------------------
+
+@pytest.fixture(scope="module")
+def tables(tmp_path_factory):
+    """Genuine eigenvalue tables of weights 12 and 20 for every p <= 199."""
+    root = tmp_path_factory.mktemp("tables")
+    paths = {}
+    for weight in (12, 20):
+        coeffs = eigenform(weight).qexp.coeffs
+        paths[weight] = root / f"w{weight}.txt"
+        paths[weight].write_text("".join(f"{p} {coeffs[p]}\n" for p in primes_up_to(199)))
+    return paths
+
+
+@pytest.mark.parametrize("primes", [["--prime", "2"], ["--primes-up-to", "199"]])
+def test_verify_swapped_tables_exit3(capsys, tables, primes):
+    # weight-12 data as f (weight 20) and weight-20 data as g (weight 12)
+    code, out, err = run(capsys, "verify", "--identity", "main_theorem", "--n", "2",
+                         "--k", "10", "--mode", "numeric", *primes,
+                         "--eigenvalues-file", f"f={tables[12]}",
+                         "--eigenvalues-file", f"g={tables[20]}")
+    assert code == 3 and out == ""
+    assert "Deligne" in err and "lambda(2) = 456" in err
+
+
+def test_verify_genuine_tables_pass_every_prime(capsys, tables):
+    code, out, _ = run(capsys, "verify", "--identity", "main_theorem", "--n", "2",
+                       "--k", "10", "--mode", "numeric", "--primes-up-to", "199",
+                       "--eigenvalues-file", f"f={tables[20]}",
+                       "--eigenvalues-file", f"g={tables[12]}")
+    assert code == 0
+    data = json.loads(out)
+    assert len(data) == 46 and all(e["verdict"] == "pass" for e in data)
+
+
+def test_euler_and_lvalue_swapped_tables_exit3(capsys, tables):
+    swapped = ["--n", "2", "--k", "10", "--eigenvalues-file", f"f={tables[12]}",
+               "--eigenvalues-file", f"g={tables[20]}"]
+    code, _, err = run(capsys, "euler", "--identity", "main_theorem", "--side", "lhs",
+                       "--mode", "numeric", "--prime", "3", *swapped)
+    assert code == 3 and "Deligne" in err
+    code, _, err = run(capsys, "lvalue", "--side", "rhs", "--s", "25",
+                       "--primes-up-to", "199", *swapped)
+    assert code == 3 and "Deligne" in err
+
+
+# -- caps on the size flags ------------------------------------------------------------
+
+@pytest.mark.parametrize("flag,env,cap", [
+    ("--precision", "LIFTSPIN_PRECISION", MAX_PRECISION),
+    ("--primes-up-to", "LIFTSPIN_PRIMES_UP_TO", MAX_PRIMES_UP_TO),
+])
+def test_size_flag_caps(capsys, monkeypatch, flag, env, cap):
+    code, _, _ = run(capsys, "beta-table", "--n", "1", flag, str(cap))
+    assert code == 0
+    code, _, err = run(capsys, "beta-table", "--n", "1", flag, str(cap + 1))
+    assert code == 3 and f"{flag} {cap + 1} exceeds the cap {cap}" in err
+    monkeypatch.setenv(env, str(cap))
+    code, _, _ = run(capsys, "beta-table", "--n", "1")
+    assert code == 0
+    monkeypatch.setenv(env, str(cap + 1))
+    code, _, err = run(capsys, "beta-table", "--n", "1")
+    assert code == 3 and "exceeds the cap" in err
+
+
+def test_precision_at_cap_runs_eigenvalues(capsys, tables):
+    code, out, _ = run(capsys, "eigenvalues", "--weight", "12", "--prime", "2",
+                       "--precision", str(MAX_PRECISION),
+                       "--eigenvalues-file", str(tables[12]))
+    assert code == 0 and json.loads(out)["eigenvalues"] == [{"p": 2, "lambda": "-24"}]

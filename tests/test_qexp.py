@@ -1,8 +1,10 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
 from liftspin.errors import (
+    DeligneBoundViolation,
     EmptySpace,
     InsufficientPrecision,
     IrrationalEigenspace,
@@ -10,9 +12,12 @@ from liftspin.errors import (
     UnsupportedWeight,
 )
 from liftspin.qexp import (
+    MAX_PRIMES_UP_TO,
+    SUPPORTED_WEIGHTS,
     EigenformData,
     QExpansion,
     bernoulli,
+    check_deligne_bound,
     delta,
     delta_eta_product,
     dim_cusp_forms,
@@ -41,6 +46,15 @@ def test_primes():
     assert primes_up_to(20) == [2, 3, 5, 7, 11, 13, 17, 19]
     assert not is_prime(1)
     assert is_prime(199)
+
+
+def test_sieve_matches_trial_division():
+    assert primes_up_to(-5) == primes_up_to(0) == primes_up_to(1) == []
+    assert primes_up_to(2) == [2]
+    assert primes_up_to(2000) == [n for n in range(2001) if is_prime(n)]
+    # pi(10^6) = 78498, the largest bound the CLI accepts
+    primes = primes_up_to(MAX_PRIMES_UP_TO)
+    assert len(primes) == 78498 and primes[-1] == 999983
 
 
 def test_eisenstein_examples():
@@ -140,7 +154,7 @@ def test_eigenforms_match_eisenstein_delta_products():
     # explicit E4^a E6^b delta product with leading coefficient 1, so the
     # echelon construction must reproduce it term by term
     combos = {12: (0, 0), 16: (1, 0), 18: (0, 1), 20: (2, 0), 22: (1, 1), 26: (2, 1)}
-    prec = 60
+    prec = 200
     d = delta(prec)
     e4 = eisenstein(4, prec)
     e6 = eisenstein(6, prec)
@@ -151,6 +165,61 @@ def test_eigenforms_match_eisenstein_delta_products():
     # first eigenvalues that fall out of the products
     assert [eigenform(w, 10).qexp.coeffs[2] for w in (12, 16, 18, 20, 22, 26)] \
         == [-24, 216, -528, 456, -288, -48]
+
+
+def _plain_ints(series):
+    return all(type(c) is int for c in series.coeffs)
+
+
+def test_integral_expansions_hold_plain_ints():
+    # a float or Fraction here means the integer path was left somewhere,
+    # e.g. a pivot inverse computed as 1 / int
+    for series in (eisenstein(4, 200), eisenstein(6, 200), delta(200),
+                   delta_eta_product(200)):
+        assert _plain_ints(series)
+    for weight in (12, 16, 24, 26, 36):
+        assert all(_plain_ints(form) for form in victor_miller_basis(weight, 200))
+    for weight in SUPPORTED_WEIGHTS:
+        form = eigenform(weight, 200)
+        assert _plain_ints(form.qexp), weight
+        assert type(hecke_eigenvalue(form, 199)) is int
+    # a non-integral Eisenstein factor keeps its exact Fraction
+    assert eisenstein(12, 2).coeffs[1] == Fraction(65520, 691)
+
+
+def test_delta_oracles_independent_of_eisenstein_route():
+    d = delta(200)
+    assert d == delta_eta_product(200)
+    # Ramanujan's congruence tau(p) = 1 + p^11 (mod 691)
+    tau = eigenform(12, 200).qexp.coeffs
+    for p in primes_up_to(199):
+        assert (tau[p] - 1 - p ** 11) % 691 == 0, p
+        assert d.coeffs[p] == tau[p]
+
+
+def test_deligne_bound_is_exact():
+    # weight 3 at p = 2: |lambda| <= 2 * 2^1 = 4
+    check_deligne_bound(4, 3, 2)
+    check_deligne_bound(-4, 3, 2)
+    with pytest.raises(DeligneBoundViolation):
+        check_deligne_bound(Fraction(4001, 1000), 3, 2)
+    # one past the integer square root of 4 p^(w-1): a float comparison
+    # cannot tell these two apart, the exact one must
+    bound_sq = 4 * 199 ** 25
+    check_deligne_bound(isqrt(bound_sq), 26, 199)
+    with pytest.raises(DeligneBoundViolation):
+        check_deligne_bound(isqrt(bound_sq) + 1, 26, 199)
+
+
+def test_genuine_tables_satisfy_deligne_bound(tmp_path):
+    primes = primes_up_to(199)
+    for weight in SUPPORTED_WEIGHTS:
+        coeffs = eigenform(weight, 200).qexp.coeffs
+        path = tmp_path / f"w{weight}.txt"
+        path.write_text("".join(f"{p} {coeffs[p]}\n" for p in primes))
+        form = EigenformData.from_eigenvalue_table(weight, load_eigenvalue_table(str(path)))
+        for p in primes:
+            check_deligne_bound(hecke_eigenvalue(form, p), weight, p)
 
 
 def test_numeric_satake_examples():
@@ -196,6 +265,28 @@ def test_rational_split_machinery():
     with pytest.raises(IrrationalEigenspace):
         _rational_roots([Fraction(-2), Fraction(0), Fraction(1)])  # x^2 - 2
 
+    def left_kernel_ok(mat, lam, x):
+        d = len(mat)
+        return all(type(v) in (int, Fraction) for v in x) and any(x) and \
+            [sum(x[i] * (mat[i][j] - (lam if i == j else 0)) for i in range(d))
+             for j in range(d)] == [0] * d
+
+    # the same machinery on plain int matrices
+    assert _charpoly([[2, 1], [0, 3]]) == [6, -5, 1]
+    assert _rational_roots(_charpoly([[2, 1], [0, 3]])) == [2, 3]
+    assert _charpoly([[1, 2, 0], [0, 4, 0], [1, 0, -2]]) == [8, -6, -3, 1]
+    # non-unit pivots: the inverse must stay exact
+    m = [[4, 1], [2, 3]]
+    assert sorted(_rational_roots(_charpoly(m))) == [2, 5]
+    for lam in (2, 5):
+        assert left_kernel_ok(m, lam, _left_kernel_vector(m, lam))
+    # a pivot of 3 next to a 30-digit entry: 1/3 as a float would make
+    # x^T (M - lam I) miss zero
+    big = 10 ** 30 + 7
+    m = [[big, 3], [0, 7]]
+    x = _left_kernel_vector(m, big)
+    assert x == [Fraction(big - 7, 3), 1] and left_kernel_ok(m, big, x)
+
 
 def test_eigenvalue_table_round_trip(tmp_path):
     path = tmp_path / "lam.txt"
@@ -223,3 +314,14 @@ def test_qexpansion_guards():
         x[3]
     with pytest.raises(ValueError):
         x + QExpansion(10, [1, 1, 1])
+
+
+def test_qexpansion_normalizes_to_int():
+    two = QExpansion(12, [Fraction(6, 3)])
+    assert two == QExpansion(12, [2])
+    assert hash(two) == hash(QExpansion(12, [2]))
+    assert type(two.coeffs[0]) is int
+    assert type(QExpansion(12, [Fraction(1, 2)]).coeffs[0]) is Fraction
+    with pytest.raises(TypeError):
+        QExpansion(12, [0.5])
+
