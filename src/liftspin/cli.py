@@ -3,10 +3,10 @@
 Subcommands: eigenvalues, euler, beta-table, lvalue, verify.  Shared flags
 can also come from LIFTSPIN_* environment variables; explicit flags win.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error (argparse or
-inconsistent flag combinations), 3 unsupported input (irrational
-eigenspace, eigenvalues outside Deligne's bound, genus, expansion,
-precision or prime-bound caps, out-of-range evaluation points).
+Exit codes: 0 success, 1 verification failure, 2 usage error (argparse,
+inconsistent flags, malformed eigenvalue tables), 3 unsupported input
+(irrational eigenspace, Deligne's bound, genus, expansion, precision,
+prime-bound, --prime and table-prime caps, out-of-range evaluation points).
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from . import identities
@@ -26,7 +25,7 @@ from .errors import (
     UnsupportedInput,
     UnsupportedWeight,
 )
-from .euler import EXPANSION_DEGREE_CAP, LocalFactor
+from .euler import LocalFactor
 from .qexp import (
     DEFAULT_PRECISION,
     MAX_PRECISION,
@@ -38,28 +37,9 @@ from .qexp import (
     primes_up_to,
 )
 
-EULER_IDENTITIES = ("main_theorem", "ikeda_spinor", "ikeda_standard",
-                    "miyawaki_standard", "example_deg3", "example_deg5",
-                    "example_deg7")
+EULER_IDENTITIES = tuple(name for name, identity in identities.IDENTITIES.items()
+                         if identity.sides is not None)
 VERIFY_IDENTITIES = identities.IDENTITY_IDS + ("all",)
-
-
-@dataclass
-class RunConfig:
-    """Everything one invocation needs; numeric invariants checked up front."""
-    command: str
-    n: int = 2
-    k: int = 10
-    mode: str = "symbolic"
-    primes: List[int] = field(default_factory=list)
-    precision: int = DEFAULT_PRECISION
-    output: Optional[str] = None
-    format: str = "json"
-
-    def validate_numeric(self):
-        if self.mode == "numeric" and (self.k + self.n) % 2:
-            raise ValueError(
-                f"numeric mode needs k+n even, got k={self.k}, n={self.n}")
 
 
 def _env(name: str, fallback=None):
@@ -105,7 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--side", choices=("lhs", "rhs"), required=True)
     p.add_argument("--factored", action="store_true",
                    help="emit the root list instead of expanded coefficients")
-    p.add_argument("--expansion-cap", type=int, default=EXPANSION_DEGREE_CAP)
     shared(p)
 
     p = sub.add_parser("beta-table", help="dump the alpha/beta table for one n")
@@ -121,10 +100,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run identity verifications")
     p.add_argument("--identity", choices=VERIFY_IDENTITIES, default=None)
     p.add_argument("--all", action="store_true")
-    p.add_argument("--symbolic", action="store_true",
-                   help="shorthand for --mode symbolic")
-    p.add_argument("--numeric", action="store_true",
-                   help="shorthand for --mode numeric")
+    # either shorthand overrides --mode; giving both is a usage error
+    modes = p.add_mutually_exclusive_group()
+    for mode in ("symbolic", "numeric"):
+        modes.add_argument(f"--{mode}", dest="mode_flag", action="store_const",
+                           const=mode, help=f"shorthand for --mode {mode}")
     p.add_argument("--witness", action="store_true",
                    help="include the first differing coefficient on failure")
     p.add_argument("--negative-control", action="store_true",
@@ -176,20 +156,29 @@ def _form_for(role: str, weight: int, precision: int,
     return forms[0]
 
 
-def _numeric_pair(args, tables) -> tuple:
-    if "only" in tables:
+def _numeric_forms(args, needs_g: bool = True) -> tuple:
+    """(f, g) for numeric mode; g is None when the identity involves f only."""
+    tables = _parse_table_args(args)
+    if needs_g and "only" in tables:
         raise ValueError("two eigenforms are in play; tag tables as "
                          "--eigenvalues-file f=PATH / g=PATH")
     f = _form_for("f", 2 * args.k, args.precision, tables)
-    g = _form_for("g", args.k + args.n, args.precision, tables)
+    g = _form_for("g", args.k + args.n, args.precision, tables) if needs_g else None
     return f, g
+
+
+def _check_numeric_parity(args):
+    """g has weight k+n, so numeric runs of every identity need k+n even."""
+    if (args.k + args.n) % 2:
+        raise ValueError(f"numeric mode needs k+n even, got k={args.k}, n={args.n}")
 
 
 def _check_size_caps(args):
     """Reject size flags above their caps, whether given as flags or via
     LIFTSPIN_* variables (both land in args)."""
     for flag, value, cap in (("--precision", args.precision, MAX_PRECISION),
-                             ("--primes-up-to", args.primes_up_to, MAX_PRIMES_UP_TO)):
+                             ("--primes-up-to", args.primes_up_to, MAX_PRIMES_UP_TO),
+                             ("--prime", args.prime, MAX_PRIMES_UP_TO)):
         if value is not None and value > cap:
             raise InputTooLarge(f"{flag} {value} exceeds the cap {cap}")
 
@@ -224,50 +213,26 @@ def cmd_eigenvalues(args) -> int:
     return 0
 
 
-def _identity_sides(identity: str, n: int, k: int):
-    if identity == "main_theorem":
-        return (identities.miyawaki_spinor_lhs(n, k),
-                identities.main_theorem_rhs(n, k))
-    if identity == "ikeda_spinor":
-        return identities.ikeda_spinor_sides(n, k)
-    if identity == "ikeda_standard":
-        return identities.ikeda_standard_sides(n, k)
-    if identity == "miyawaki_standard":
-        return identities.miyawaki_standard_sides(n, k)
-    if identity.startswith("example_deg"):
-        wanted = {"example_deg3": 2, "example_deg5": 3, "example_deg7": 4}[identity]
-        if n != wanted:
-            raise ValueError(f"{identity} is the n={wanted} case, got --n {n}")
-        return (identities.miyawaki_spinor_lhs(n, k),
-                identities.example_display_rhs(n, k))
-    raise ValueError(f"euler does not support identity {identity!r}")
-
-
-def _identity_needs_g(identity: str) -> bool:
-    return identity not in ("ikeda_spinor", "ikeda_standard")
-
-
 def cmd_euler(args) -> int:
-    config = RunConfig("euler", args.n, args.k, args.mode,
-                       _primes_from(args), args.precision, args.output, args.format)
-    config.validate_numeric()
-    needs_g = _identity_needs_g(args.identity)
-    lhs, rhs = _identity_sides(args.identity, args.n, args.k)
+    if args.mode == "numeric":
+        _check_numeric_parity(args)
+    identity = identities.IDENTITIES[args.identity]
+    if identity.fixed_n not in (None, args.n):
+        raise ValueError(f"{args.identity} is the n={identity.fixed_n} case, got --n {args.n}")
+    lhs, rhs = identity.sides(args.n, args.k)
     factor = lhs if args.side == "lhs" else rhs
     # relabel side-independently: equal sides must serialize identically
     factor = LocalFactor(f"{args.identity}[n={args.n},k={args.k}]",
                          factor.roots, factor.mode, factor.prime)
     if args.mode == "numeric":
-        if len(config.primes) != 1:
+        primes = _primes_from(args)
+        if len(primes) != 1:
             raise ValueError("numeric euler needs exactly one --prime")
-        p = config.primes[0]
-        tables = _parse_table_args(args)
-        f = _form_for("f", 2 * args.k, args.precision, tables)
-        g = _form_for("g", args.k + args.n, args.precision, tables) if needs_g else None
+        p = primes[0]
+        f, g = _numeric_forms(args, identity.needs_g)
         alpha, beta = identities.satake_values(f, g, args.n, args.k, p)
         factor = factor.instantiate(alpha, beta, p ** 0.5, p)
-    data = factor.factored_json_dict() if args.factored \
-        else factor.to_json_dict(cap=args.expansion_cap)
+    data = factor.factored_json_dict() if args.factored else factor.to_json_dict()
 
     def as_text(d):
         lines = [f"label:  {d['label']}", f"degree: {d['degree']}"]
@@ -305,16 +270,14 @@ def cmd_lvalue(args) -> int:
     if s.real <= threshold:
         raise OutOfConvergenceRegion(
             f"Re(s) = {s.real} is not inside the half-plane Re(s) > {threshold}")
-    config = RunConfig("lvalue", n, k, "numeric", _primes_from(args),
-                       args.precision, args.output, args.format)
-    config.validate_numeric()
-    tables = _parse_table_args(args)
-    f, g = _numeric_pair(args, tables)
-    lhs, rhs = _identity_sides(args.identity, n, k)
+    _check_numeric_parity(args)
+    primes = _primes_from(args)
+    f, g = _numeric_forms(args)
+    lhs, rhs = identities.IDENTITIES[args.identity].sides(n, k)
     side = lhs if args.side == "lhs" else rhs
     value = 1 + 0j
     increment = 0.0
-    for p in config.primes:
+    for p in primes:
         alpha, beta = identities.satake_values(f, g, n, k, p)
         factor = side.instantiate(alpha, beta, p ** 0.5, p)
         before = value
@@ -325,7 +288,7 @@ def cmd_lvalue(args) -> int:
         "side": args.side,
         "n": n, "k": k,
         "s": [s.real, s.imag],
-        "primes_used": len(config.primes),
+        "primes_used": len(primes),
         "value": [value.real, value.imag],
         "last_prime_increment": increment,
         "note": "non-rigorous approximation (truncated Euler product, no tail bound)",
@@ -348,60 +311,23 @@ def _verify_reports(args) -> List[identities.VerificationReport]:
     n, k = args.n, args.k
     if args.negative_control:
         return identities.negative_control_reports(max(n, 2), k)
-    if args.all or args.identity in (None, "all"):
-        if args.mode == "numeric":
-            tables = _parse_table_args(args)
-            f, g = _numeric_pair(args, tables)
-            primes = _primes_from(args) or [2, 3, 5, 7, 11]
-            return [identities.verify_main_theorem(n, k, mode="numeric",
-                                                   prime=p, f=f, g=g)
-                    for p in primes]
-        return identities.full_symbolic_suite()
-    identity = args.identity
-    if identity == "main_theorem":
-        if args.mode == "numeric":
-            tables = _parse_table_args(args)
-            f, g = _numeric_pair(args, tables)
-            primes = _primes_from(args) or [2]
-            return [identities.verify_main_theorem(n, k, mode="numeric",
-                                                   prime=p, f=f, g=g)
-                    for p in primes]
-        return [identities.verify_main_theorem(n, k)]
-    if identity == "ikeda_standard":
-        if args.mode == "numeric":
-            tables = _parse_table_args(args)
-            f = _form_for("f", 2 * k, args.precision, tables)
-            primes = _primes_from(args) or [2]
-            return [identities.verify_ikeda_standard(n, k, mode="numeric",
-                                                     prime=p, f=f)
-                    for p in primes]
-        return [identities.verify_ikeda_standard(n, k)]
-    if args.mode == "numeric":
-        raise ValueError(f"identity {identity!r} supports symbolic mode only")
-    if identity == "ikeda_spinor":
-        return [identities.verify_ikeda_spinor(n, k)]
-    if identity == "miyawaki_standard":
-        return [identities.verify_miyawaki_standard(n, k)]
-    if identity == "c1_frobenius":
-        return [identities.verify_c1_frobenius(n, k)]
-    if identity == "beta_epsilon_match":
-        return [identities.verify_deg7_epsilons()]
-    if identity.startswith("example_deg"):
-        wanted = {"example_deg3": 2, "example_deg5": 3, "example_deg7": 4}[identity]
-        return [identities.verify_example_regroup(wanted, k)]
-    raise ValueError(f"unknown identity {identity!r}")
+    suite = args.all or args.identity in (None, "all")
+    if args.mode == "symbolic":
+        return identities.full_symbolic_suite() if suite else [identities.verify(args.identity, n, k)]
+    # numeric: the suite is the main identity at the first five primes
+    name = "main_theorem" if suite else args.identity
+    identity = identities.IDENTITIES[name]
+    if not identity.numeric_max_n:
+        raise ValueError(f"identity {name!r} supports symbolic mode only")
+    f, g = _numeric_forms(args, identity.needs_g)
+    primes = _primes_from(args) or ([2, 3, 5, 7, 11] if suite else [2])
+    return [identities.verify(name, n, k, "numeric", p, f, g) for p in primes]
 
 
 def cmd_verify(args) -> int:
-    if getattr(args, "symbolic", False) and getattr(args, "numeric", False):
-        raise ValueError("--symbolic and --numeric are mutually exclusive")
-    if getattr(args, "symbolic", False):
-        args.mode = "symbolic"
-    if getattr(args, "numeric", False):
-        args.mode = "numeric"
-    config = RunConfig("verify", args.n, args.k, args.mode,
-                       _primes_from(args), args.precision, args.output, args.format)
-    config.validate_numeric()
+    args.mode = args.mode_flag or args.mode
+    if args.mode == "numeric":
+        _check_numeric_parity(args)
     reports = _verify_reports(args)
     payload = []
     for rep in reports:

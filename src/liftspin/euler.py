@@ -110,21 +110,19 @@ class LocalFactor:
 
     def shift(self, c: int) -> "LocalFactor":
         """Replace T by q^c T, realizing the shift s -> s - c/2."""
-        if self.mode == "symbolic":
-            scale = LaurentPoly.monomial(e_q=c)
-            roots = tuple(r * scale for r in self.roots)
-        else:
-            scale = float(self.prime) ** (c / 2)
-            roots = tuple(r * scale for r in self.roots)
-        label = f"{self.label}@q^{c}" if c else self.label
-        return LocalFactor(label, roots, self.mode, self.prime)
+        if self.mode != "symbolic":
+            raise ValueError("can only shift symbolic factors; shift, then instantiate")
+        if not c:
+            return self
+        scale = LaurentPoly.monomial(e_q=c)
+        return LocalFactor(f"{self.label}@q^{c}", tuple(r * scale for r in self.roots))
 
-    def instantiate(self, alpha: complex, beta: complex, sqrt_p: float,
+    def instantiate(self, alpha: complex, beta: complex, q: float,
                     prime: int) -> "LocalFactor":
         """Numeric factor obtained by evaluating every symbolic root."""
         if self.mode != "symbolic":
             raise ValueError("can only instantiate symbolic factors")
-        roots = tuple(r.eval_complex(alpha, beta, sqrt_p, 0j) for r in self.roots)
+        roots = tuple(r.eval_complex(alpha, beta, q, 0j) for r in self.roots)
         return LocalFactor(f"{self.label}|p={prime}", roots, "numeric", prime)
 
     def evaluate(self, t: complex) -> complex:
@@ -217,26 +215,16 @@ def spinor_factor(params: SatakeParams, label: str = "") -> LocalFactor:
     roots = [params.mu0]
     for mu in params.mus:
         roots.extend(r * mu for r in list(roots))
-    mode = params.mode
-    prime = _prime_of(params)
-    return LocalFactor(label or f"spin[genus={params.genus}]", tuple(roots), mode, prime)
+    return LocalFactor(label or f"spin[genus={params.genus}]", tuple(roots))
 
 
 def standard_factor(params: SatakeParams, label: str = "") -> LocalFactor:
     """Degree-(2 genus + 1) factor: (1 - T) times the paired mu, 1/mu terms."""
-    one = LaurentPoly.one() if params.mode == "symbolic" else 1 + 0j
-    roots = [one]
+    roots = [LaurentPoly.one()]
     for mu in params.mus:
         roots.append(mu)
-        roots.append(mu.monomial_inverse() if params.mode == "symbolic" else 1 / mu)
-    return LocalFactor(label or f"st[genus={params.genus}]", tuple(roots),
-                       params.mode, _prime_of(params))
-
-
-def _prime_of(params: SatakeParams) -> Optional[int]:
-    if params.mode != "numeric":
-        return None
-    return round(params.sqrt_p ** 2)
+        roots.append(mu.monomial_inverse())
+    return LocalFactor(label or f"st[genus={params.genus}]", tuple(roots))
 
 
 # -- scalar constants of the pair lift ----------------------------------------
@@ -268,8 +256,6 @@ def c1_eigenvalue(n: int, k: int) -> LaurentPoly:
 
 def frobenius_eigenvalue(params: SatakeParams) -> LaurentPoly:
     """mu0 prod (1 + mu_i): the T(p)-eigenvalue read off the Satake set."""
-    if params.mode != "symbolic":
-        raise ValueError("frobenius_eigenvalue is symbolic-only")
     value = params.mu0
     for mu in params.mus:
         value = value * (1 + mu)

@@ -1,4 +1,9 @@
-"""Assembly of both sides of each factorization identity, and the verdicts.
+"""The identity registry: both sides of each factorization identity, and the verdicts.
+
+`IDENTITIES` holds one `Identity` per checkable statement: its two sides
+(or its check), where in n it applies, whether numeric mode and the second
+form g enter, and its suite grid.  `verify()` is the one verdict function;
+the CLI and the suites read the same table.
 
 Symbolic mode is the primary check: both sides of every identity in scope
 are products of linear terms (1 - root T) with unit-monomial roots, so two
@@ -7,25 +12,25 @@ That comparison is exact at every degree that occurs (8 up to 2048) and by
 unique factorization it is equivalent to expanding and comparing the
 coefficient lists, which stops being tractable around degree 128.
 
-When a symbolic comparison fails, the witness is the first differing
-T-coefficient, found by truncated expansion; for unit-monomial roots the
-degree-1 coefficient already encodes the whole root multiset, so the
-witness always shows up immediately.
+When a symbolic comparison fails, the witness is the T^1 coefficient of
+both sides.  Every root is a unit monomial with coefficient +1, so that
+coefficient (minus the root sum) already determines the root multiset and
+therefore differs whenever the multisets do.
 
 Numeric mode instantiates the same constructions at real eigenvalue data
 and compares expanded coefficients within a relative tolerance, after
-rescaling T on both sides by the common central q-power so that nothing
-leaves double-precision range.
+rescaling T on both sides by the mean q-power of the left side's roots so
+that nothing leaves double-precision range.
 
-The builders expose three mutation hooks (an alternative beta function, a
-shift bump on one factor, and replacement parameters for the left side)
-which the negative-control suite uses to confirm that single perturbations
-are detected.
+The spinor identities take three mutation hooks (an alternative beta
+function, a shift bump on one factor, and replacement parameters for the
+left side) which the negative-control suite uses to confirm that single
+perturbations are detected.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .beta import beta_value
@@ -44,26 +49,11 @@ from .laurent import LaurentPoly
 from .qexp import EigenformData, check_deligne_bound, hecke_eigenvalue, numeric_satake
 from .satake import SatakeParams, elliptic_satake, ikeda_satake, miyawaki_satake
 
-IDENTITY_IDS = (
-    "main_theorem",
-    "ikeda_spinor",
-    "ikeda_standard",
-    "miyawaki_standard",
-    "c1_frobenius",
-    "example_deg3",
-    "example_deg5",
-    "example_deg7",
-    "beta_epsilon_match",
-)
-
 NUMERIC_TOL = 1e-9
-MAIN_MAX_N = 6            # genus 11, degree 2048
-IKEDA_SPINOR_MAX_N = 4    # degree 256
-NUMERIC_MAIN_MAX_N = 3    # keeps partial sums inside double range
-STANDARD_MAX_N = 6
 
 BetaFn = Callable[[int, int, int], int]
 ShiftBump = Optional[Tuple[Tuple[int, int], int]]
+Sides = Tuple[LocalFactor, LocalFactor]
 
 
 class NegativeMultiplicity(ValueError):
@@ -92,37 +82,15 @@ class VerificationReport:
 
 # -- comparison ---------------------------------------------------------------
 
-def _symbolic_witness(lhs: LocalFactor, rhs: LocalFactor) -> Dict:
-    """First differing T-coefficient of two unequal symbolic factors.
-
-    For unit-monomial roots the degree-1 coefficient (minus the root sum)
-    already encodes the root multiset, so the first pass almost always
-    returns; the deepening loop only exists for defensive completeness and
-    never expands beyond where the difference sits.
-    """
-    zero = LaurentPoly.zero()
-    ceiling = min(max(lhs.degree, rhs.degree), 64)
-    checked = 0
-    top = 1
-    while checked < ceiling:
-        lc = lhs.truncated_coefficients(top)
-        rc = rhs.truncated_coefficients(top)
-        for d in range(checked + 1, top + 1):
-            lv = lc[d] if d < len(lc) else zero
-            rv = rc[d] if d < len(rc) else zero
-            if lv != rv:
-                return {"t_degree": d, "lhs": lv.to_json_dict(),
-                        "rhs": rv.to_json_dict()}
-        checked = top
-        top = min(top * 4, ceiling)
-    raise RuntimeError("root multisets differ but no coefficient does; "
-                       "this contradicts unique factorization")
-
-
 def compare_symbolic(lhs: LocalFactor, rhs: LocalFactor) -> Tuple[bool, Optional[Dict]]:
     if lhs.root_multiset() == rhs.root_multiset():
         return True, None
-    return False, _symbolic_witness(lhs, rhs)
+    # the T^1 coefficient is minus the sum of the +1-coefficient monomial
+    # roots, so it tells any two distinct root multisets apart
+    zero = LaurentPoly.zero()
+    lv, rv = ((side.truncated_coefficients(1) + [zero])[1] for side in (lhs, rhs))
+    assert lv != rv, "root multisets differ but their T^1 coefficients agree"
+    return False, {"t_degree": 1, "lhs": lv.to_json_dict(), "rhs": rv.to_json_dict()}
 
 
 def compare_numeric(lhs: LocalFactor, rhs: LocalFactor,
@@ -136,17 +104,6 @@ def compare_numeric(lhs: LocalFactor, rhs: LocalFactor,
             return False, {"t_degree": d, "lhs": [lv.real, lv.imag],
                            "rhs": [rv.real, rv.imag]}
     return True, None
-
-
-def _report(identity_id: str, parameters: Dict,
-            ok: bool, witness: Optional[Dict]) -> VerificationReport:
-    return VerificationReport(identity_id, parameters,
-                              "pass" if ok else "fail", witness)
-
-
-def _structural_failure(identity_id: str, parameters: Dict,
-                        reason: str) -> VerificationReport:
-    return VerificationReport(identity_id, parameters, "fail", {"reason": reason})
 
 
 # -- numeric instantiation helpers --------------------------------------------
@@ -174,12 +131,28 @@ def satake_values(f: EigenformData, g: Optional[EigenformData],
     return alpha, beta
 
 
-def _instantiate(factor: LocalFactor, alpha: complex, beta: complex,
-                 p: int) -> LocalFactor:
-    return factor.instantiate(alpha, beta, p ** 0.5, p)
+# -- the beta-weighted product sides ----------------------------------------------
 
+def _shifted_product(label: str, N: int, k: int, factor: Callable[[int], LocalFactor],
+                     beta_fn: BetaFn, shift_bump: ShiftBump) -> LocalFactor:
+    """prod over m = 0..N and r = -m(2N-m)..m(2N-m) (step 2) of factor(m)
+    shifted by q^(m(2k-1)-r), with multiplicity beta(r, m, N)."""
+    roots: list = []
+    for m in range(N + 1):
+        bound = m * (2 * N - m)
+        for r in range(-bound, bound + 1, 2):
+            e = beta_fn(r, m, N)
+            if e < 0:
+                raise NegativeMultiplicity(
+                    f"beta({r},{m},{N}) = {e} < 0: product side undefined")
+            if e == 0:
+                continue
+            c = m * (2 * k - 1) - r
+            if shift_bump is not None and shift_bump[0] == (m, r):
+                c += shift_bump[1]
+            roots.extend(factor(m).shift(c).roots * e)
+    return LocalFactor(label, tuple(roots))
 
-# -- the odd-genus pair-lift factorization ---------------------------------------
 
 def miyawaki_spinor_lhs(n: int, k: int,
                         params: Optional[SatakeParams] = None) -> LocalFactor:
@@ -189,114 +162,27 @@ def miyawaki_spinor_lhs(n: int, k: int,
 
 def main_theorem_rhs(n: int, k: int, beta_fn: BetaFn = beta_value,
                      shift_bump: ShiftBump = None) -> LocalFactor:
-    """Tensor-factor product side: the leading g x sym_(n-1) f factor times
-    the shifted g x sym_(n-m-1) f factors with exponents beta(r, m, n-1)."""
-    roots = list(tensor_factor(n, k, n).roots)
-    for m in range(1, n):
-        bound = m * (2 * n - m - 2)
-        for r in range(-bound, bound + 1, 2):
-            e = beta_fn(r, m, n - 1)
-            if e < 0:
-                raise NegativeMultiplicity(
-                    f"beta({r},{m},{n - 1}) = {e} < 0: product side undefined")
-            if e == 0:
-                continue
-            c = m * (2 * k - 1) - r
-            if shift_bump is not None and shift_bump[0] == (m, r):
-                c += shift_bump[1]
-            roots.extend(tensor_factor(n - m, k, n).shift(c).roots * e)
-    return LocalFactor(f"rhs[main n={n},k={k}]", tuple(roots))
+    """Tensor-factor product side: the g x sym_(n-m-1) f factors with
+    exponents beta(r, m, n-1); the m = 0 term is the leading unshifted one."""
+    return _shifted_product(f"rhs[main n={n},k={k}]", n - 1, k,
+                            lambda m: tensor_factor(n - m, k, n), beta_fn, shift_bump)
 
-
-def verify_main_theorem(n: int, k: int, mode: str = "symbolic",
-                        prime: Optional[int] = None,
-                        f: Optional[EigenformData] = None,
-                        g: Optional[EigenformData] = None,
-                        beta_fn: BetaFn = beta_value,
-                        shift_bump: ShiftBump = None,
-                        lhs_params: Optional[SatakeParams] = None,
-                        ) -> VerificationReport:
-    """Spinor factor of the pair lift against the tensor-factor product."""
-    parameters = {"n": n, "k": k, "mode": mode, "prime": prime}
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if mode == "symbolic":
-        if n > MAIN_MAX_N:
-            raise GenusTooLarge(f"symbolic main_theorem check capped at n = {MAIN_MAX_N}")
-        lhs = miyawaki_spinor_lhs(n, k, lhs_params)
-        try:
-            rhs = main_theorem_rhs(n, k, beta_fn, shift_bump)
-        except NegativeMultiplicity as exc:
-            return _structural_failure("main_theorem", parameters, str(exc))
-        ok, witness = compare_symbolic(lhs, rhs)
-        return _report("main_theorem", parameters, ok, witness)
-    if mode != "numeric":
-        raise ValueError(f"unknown mode {mode!r}")
-    if n > NUMERIC_MAIN_MAX_N:
-        raise GenusTooLarge(f"numeric main_theorem check capped at n = {NUMERIC_MAIN_MAX_N}")
-    if (k + n) % 2:
-        raise ValueError(f"numeric mode needs k+n even, got k={k}, n={n}")
-    if prime is None or f is None or g is None:
-        raise ValueError("numeric mode needs prime, f and g")
-    alpha, beta = satake_values(f, g, n, k, prime)
-    lhs = miyawaki_spinor_lhs(n, k, lhs_params)
-    try:
-        rhs = main_theorem_rhs(n, k, beta_fn, shift_bump)
-    except NegativeMultiplicity as exc:
-        return _structural_failure("main_theorem", parameters, str(exc))
-    # rescale T by the common central power so coefficients stay near unit size
-    center = (n - 1) * (2 * k - 1) + (k + n - 1)
-    lhs_num = _instantiate(lhs.shift(-center), alpha, beta, prime)
-    rhs_num = _instantiate(rhs.shift(-center), alpha, beta, prime)
-    ok, witness = compare_numeric(lhs_num, rhs_num)
-    return _report("main_theorem", parameters, ok, witness)
-
-
-# -- the genus-2n lift ----------------------------------------------------------
 
 def ikeda_spinor_sides(n: int, k: int, beta_fn: BetaFn = beta_value,
                        shift_bump: ShiftBump = None,
-                       lhs_params: Optional[SatakeParams] = None,
-                       ) -> Tuple[LocalFactor, LocalFactor]:
+                       lhs_params: Optional[SatakeParams] = None) -> Sides:
+    """Spinor factor of the genus-2n lift and its shifted symmetric powers."""
     params = lhs_params if lhs_params is not None else ikeda_satake(n, k)
     lhs = spinor_factor(params, label=f"spin[ikeda n={n},k={k}]")
-    roots: list = []
-    for m in range(0, n + 1):
-        bound = m * (2 * n - m)
-        for r in range(-bound, bound + 1, 2):
-            e = beta_fn(r, m, n)
-            if e < 0:
-                raise NegativeMultiplicity(
-                    f"beta({r},{m},{n}) = {e} < 0: product side undefined")
-            if e == 0:
-                continue
-            c = m * (2 * k - 1) - r
-            if shift_bump is not None and shift_bump[0] == (m, r):
-                c += shift_bump[1]
-            roots.extend(sym_power_factor(n - m, k).shift(c).roots * e)
-    rhs = LocalFactor(f"rhs[ikeda_spinor n={n},k={k}]", tuple(roots))
+    rhs = _shifted_product(f"rhs[ikeda_spinor n={n},k={k}]", n, k,
+                           lambda m: sym_power_factor(n - m, k), beta_fn, shift_bump)
     return lhs, rhs
 
 
-def verify_ikeda_spinor(n: int, k: int, beta_fn: BetaFn = beta_value,
-                        shift_bump: ShiftBump = None,
-                        lhs_params: Optional[SatakeParams] = None,
-                        ) -> VerificationReport:
-    """Spinor factor of the genus-2n lift against the shifted symmetric powers."""
-    parameters = {"n": n, "k": k, "mode": "symbolic", "prime": None}
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if n > IKEDA_SPINOR_MAX_N:
-        raise GenusTooLarge(f"symbolic genus-2n spinor check capped at n = {IKEDA_SPINOR_MAX_N}")
-    try:
-        lhs, rhs = ikeda_spinor_sides(n, k, beta_fn, shift_bump, lhs_params)
-    except NegativeMultiplicity as exc:
-        return _structural_failure("ikeda_spinor", parameters, str(exc))
-    ok, witness = compare_symbolic(lhs, rhs)
-    return _report("ikeda_spinor", parameters, ok, witness)
+# -- the standard factors ---------------------------------------------------------
 
-
-def ikeda_standard_sides(n: int, k: int) -> Tuple[LocalFactor, LocalFactor]:
+def ikeda_standard_sides(n: int, k: int) -> Sides:
+    """Standard factor of the genus-2n lift against zeta times shifted f factors."""
     lhs = standard_factor(ikeda_satake(n, k), label=f"st[ikeda n={n},k={k}]")
     roots = [LaurentPoly.one()]
     for i in range(1, 2 * n + 1):
@@ -305,30 +191,8 @@ def ikeda_standard_sides(n: int, k: int) -> Tuple[LocalFactor, LocalFactor]:
     return lhs, rhs
 
 
-def verify_ikeda_standard(n: int, k: int, mode: str = "symbolic",
-                          prime: Optional[int] = None,
-                          f: Optional[EigenformData] = None) -> VerificationReport:
-    """Standard factor of the genus-2n lift against zeta times shifted f factors."""
-    parameters = {"n": n, "k": k, "mode": mode, "prime": prime}
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if n > STANDARD_MAX_N:
-        raise GenusTooLarge(f"standard-factor checks capped at n = {STANDARD_MAX_N}")
-    lhs, rhs = ikeda_standard_sides(n, k)
-    if mode == "symbolic":
-        ok, witness = compare_symbolic(lhs, rhs)
-    elif mode == "numeric":
-        if prime is None or f is None:
-            raise ValueError("numeric mode needs prime and f")
-        alpha, _ = satake_values(f, None, n, k, prime)
-        ok, witness = compare_numeric(_instantiate(lhs, alpha, 0j, prime),
-                                      _instantiate(rhs, alpha, 0j, prime))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return _report("ikeda_standard", parameters, ok, witness)
-
-
-def miyawaki_standard_sides(n: int, k: int) -> Tuple[LocalFactor, LocalFactor]:
+def miyawaki_standard_sides(n: int, k: int) -> Sides:
+    """Standard factor of the pair lift against that of g times shifted f factors."""
     lhs = standard_factor(miyawaki_satake(n, k), label=f"st[miyawaki n={n},k={k}]")
     roots = list(standard_factor(elliptic_satake(k + n, "b")).roots)
     for i in range(1, 2 * n - 1):
@@ -337,67 +201,42 @@ def miyawaki_standard_sides(n: int, k: int) -> Tuple[LocalFactor, LocalFactor]:
     return lhs, rhs
 
 
-def verify_miyawaki_standard(n: int, k: int) -> VerificationReport:
-    """Standard factor of the pair lift against that of g times shifted f factors."""
-    parameters = {"n": n, "k": k, "mode": "symbolic", "prime": None}
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if n > STANDARD_MAX_N:
-        raise GenusTooLarge(f"pair-lift standard check capped at n = {STANDARD_MAX_N}")
-    lhs, rhs = miyawaki_standard_sides(n, k)
-    ok, witness = compare_symbolic(lhs, rhs)
-    return _report("miyawaki_standard", parameters, ok, witness)
+# -- checks that are not factor equalities ----------------------------------------
 
-
-# -- eigenvalue consistency -----------------------------------------------------
-
-def verify_c1_frobenius(n: int, k: int) -> VerificationReport:
+def _c1_frobenius_check(n: int, k: int) -> Tuple[bool, Optional[Dict]]:
     """The operator eigenvalue lambda_g(p) C1 against mu0 prod (1 + mu_i)."""
-    parameters = {"n": n, "k": k, "mode": "symbolic", "prime": None}
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
     lhs = c1_eigenvalue(n, k)
     rhs = frobenius_eigenvalue(miyawaki_satake(n, k))
-    ok = lhs == rhs
-    witness = None if ok else {"lhs": lhs.to_json_dict(), "rhs": rhs.to_json_dict()}
-    return _report("c1_frobenius", parameters, ok, witness)
+    if lhs == rhs:
+        return True, None
+    return False, {"lhs": lhs.to_json_dict(), "rhs": rhs.to_json_dict()}
 
-
-# -- hand-expanded low-degree cases ----------------------------------------------
 
 # expected exponent lists of the degree-7 factorization
 DEG7_EPS = {-3: 1, -2: 1, -1: 2, 0: 2, 1: 2, 2: 2, 3: 2, 4: 1, 5: 1}
 DEG7_EPS_PRIME = {-3: 1, -2: 1, -1: 1, 0: 2, 1: 2, 2: 2, 3: 2, 4: 1, 5: 1, 6: 1}
 
 
-def verify_deg7_epsilons() -> VerificationReport:
+def _deg7_epsilons_check(n: int, k: Optional[int]) -> Tuple[bool, Optional[Dict]]:
     """Recompute the degree-7 exponent lists from beta values.
 
     The reindexings are the unique affine ones compatible with the shifts
     s - 2k + i and s - 3k + i: eps_i = beta(2(i-1), 2, 3) and
     eps'_i = beta(2i-3, 3, 3); the m=1 row must be identically 1.
     """
-    parameters = {"n": 4, "k": None, "mode": "symbolic", "prime": None}
+    rows = (("eps", DEG7_EPS, lambda i: beta_value(2 * (i - 1), 2, 3)),
+            ("eps_prime", DEG7_EPS_PRIME, lambda i: beta_value(2 * i - 3, 3, 3)),
+            ("m=1 row", dict.fromkeys(range(-2, 4), 1), lambda i: beta_value(2 * i - 1, 1, 3)))
     mismatches = []
-    for i, expected in DEG7_EPS.items():
-        got = beta_value(2 * (i - 1), 2, 3)
-        if got != expected:
-            mismatches.append({"list": "eps", "i": i, "computed": got,
-                               "expected": expected})
-    for i, expected in DEG7_EPS_PRIME.items():
-        got = beta_value(2 * i - 3, 3, 3)
-        if got != expected:
-            mismatches.append({"list": "eps_prime", "i": i, "computed": got,
-                               "expected": expected})
-    for i in range(-2, 4):
-        got = beta_value(2 * i - 1, 1, 3)
-        if got != 1:
-            mismatches.append({"list": "m=1 row", "i": i, "computed": got,
-                               "expected": 1})
-    ok = not mismatches
-    return _report("beta_epsilon_match", parameters, ok,
-                   None if ok else {"mismatches": mismatches})
+    for name, expected, computed in rows:
+        for i, want in expected.items():
+            got = computed(i)
+            if got != want:
+                mismatches.append({"list": name, "i": i, "computed": got, "expected": want})
+    return not mismatches, {"mismatches": mismatches} if mismatches else None
 
+
+# -- hand-expanded low-degree cases ----------------------------------------------
 
 def example_display_rhs(n: int, k: int) -> LocalFactor:
     """The degree 3/5/7 product sides written out factor by factor."""
@@ -420,59 +259,145 @@ def example_display_rhs(n: int, k: int) -> LocalFactor:
             factors += [hecke_factor("g", k, n).shift(2 * (3 * k - i))] * eps
     else:
         raise ValueError(f"hand-expanded cases exist for n in (2, 3, 4), got {n}")
-    roots: list = []
-    for fac in factors:
-        roots.extend(fac.roots)
-    return LocalFactor(f"display[deg{2 * n - 1},k={k}]", tuple(roots))
+    roots = tuple(root for fac in factors for root in fac.roots)
+    return LocalFactor(f"display[deg{2 * n - 1},k={k}]", roots)
 
 
-def verify_example_regroup(n: int, k: int) -> VerificationReport:
+def _example_check(n: int, k: int) -> Tuple[bool, Optional[Dict]]:
     """The hand-expanded product equals both the general product side and
     the spinor factor itself."""
-    identity_id = f"example_deg{2 * n - 1}"
-    parameters = {"n": n, "k": k, "mode": "symbolic", "prime": None}
     display = example_display_rhs(n, k)
     ok1, witness1 = compare_symbolic(display, main_theorem_rhs(n, k))
     ok2, witness2 = compare_symbolic(display, miyawaki_spinor_lhs(n, k))
-    ok = ok1 and ok2
-    return _report(identity_id, parameters, ok, witness1 or witness2)
+    return ok1 and ok2, witness1 or witness2
+
+
+# -- the registry -------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Identity:
+    """One checkable statement and where it applies.
+
+    `sides(n, k, **hooks)` returns the two factors to compare; statements
+    that are not factor equalities give `check(n, k) -> (ok, witness)`
+    instead (the examples have both: `sides` for `euler`, `check` for the
+    verdict).  `n_range` is (smallest n, symbolic cap or None), and
+    `numeric_max_n` the numeric cap, 0 for symbolic only.  A `fixed_n`
+    identity is one case whatever n is asked for; one without `uses_k`
+    reports k as None.  `grid` lists its (n, k) in `full_symbolic_suite`.
+    """
+    sides: Optional[Callable[..., Sides]] = None
+    check: Optional[Callable[[int, Optional[int]], Tuple[bool, Optional[Dict]]]] = None
+    n_range: Tuple[int, Optional[int]] = (1, None)
+    numeric_max_n: int = 0
+    needs_g: bool = True
+    fixed_n: Optional[int] = None
+    uses_k: bool = True
+    grid: Tuple[Tuple[int, Optional[int]], ...] = ()
+
+
+# Public side builders are called through their module-level names rather
+# than stored as function objects, so anything rebinding those names (a
+# tracer, a test double) is honoured.
+IDENTITIES: Dict[str, Identity] = {
+    "main_theorem": Identity(
+        sides=lambda n, k, lhs_params=None, **hooks: (
+            miyawaki_spinor_lhs(n, k, lhs_params), main_theorem_rhs(n, k, **hooks)),
+        n_range=(2, 6), numeric_max_n=3,
+        grid=tuple((n, k) for k in (4, 10, 16) for n in range(2, 7))),
+    "ikeda_spinor": Identity(
+        sides=lambda n, k, **hooks: ikeda_spinor_sides(n, k, **hooks),
+        n_range=(1, 4), needs_g=False,
+        grid=tuple((n, k) for k in (4, 10) for n in range(1, 5))),
+    "ikeda_standard": Identity(
+        sides=lambda n, k: ikeda_standard_sides(n, k),
+        n_range=(1, 6), numeric_max_n=6, needs_g=False,
+        grid=tuple((n, 10) for n in range(1, 7))),
+    "miyawaki_standard": Identity(
+        sides=lambda n, k: miyawaki_standard_sides(n, k),
+        n_range=(2, 6), grid=tuple((n, 10) for n in range(2, 7))),
+    "c1_frobenius": Identity(
+        check=_c1_frobenius_check,
+        n_range=(2, None), grid=tuple((n, 10) for n in range(2, 7))),
+    **{f"example_deg{2 * n - 1}": Identity(
+        sides=lambda n, k: (miyawaki_spinor_lhs(n, k), example_display_rhs(n, k)),
+        check=_example_check,
+        fixed_n=n, grid=((n, 10),)) for n in (2, 3, 4)},
+    "beta_epsilon_match": Identity(
+        check=_deg7_epsilons_check,
+        fixed_n=4, uses_k=False, grid=((4, None),)),
+}
+
+IDENTITY_IDS = tuple(IDENTITIES)
+
+
+def verify(identity_id: str, n: int, k: int, mode: str = "symbolic",
+           prime: Optional[int] = None, f: Optional[EigenformData] = None,
+           g: Optional[EigenformData] = None, **hooks) -> VerificationReport:
+    """Verdict on one identity at (n, k): exact in symbolic mode, within
+    NUMERIC_TOL at `prime` from the eigenforms f (and g) in numeric mode.
+    The hooks (beta_fn, shift_bump, lhs_params) go to the side builders."""
+    identity = IDENTITIES[identity_id]
+    if identity.fixed_n is not None:
+        n = identity.fixed_n
+    if not identity.uses_k:
+        k = None
+    parameters = {"n": n, "k": k, "mode": mode, "prime": prime}
+    if mode not in ("symbolic", "numeric"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "numeric" and not identity.numeric_max_n:
+        raise ValueError(f"identity {identity_id!r} supports symbolic mode only")
+    low, cap = identity.n_range
+    if n < low:
+        raise ValueError(f"need n >= {low}, got {n}")
+    cap = cap if mode == "symbolic" else identity.numeric_max_n
+    if cap is not None and n > cap:
+        raise GenusTooLarge(f"{mode} {identity_id} check capped at n = {cap}")
+    if mode == "numeric":
+        if not identity.needs_g:
+            g = None
+        elif (k + n) % 2:
+            raise ValueError(f"numeric mode needs k+n even, got k={k}, n={n}")
+        if prime is None or f is None or (identity.needs_g and g is None):
+            needed = "prime, f and g" if identity.needs_g else "prime and f"
+            raise ValueError(f"numeric mode needs {needed}")
+        alpha, beta = satake_values(f, g, n, k, prime)
+    try:
+        if identity.check is not None:
+            ok, witness = identity.check(n, k, **hooks)
+        elif mode == "symbolic":
+            ok, witness = compare_symbolic(*identity.sides(n, k, **hooks))
+        else:
+            lhs, rhs = identity.sides(n, k, **hooks)
+            # rescale T by the mean q-power of the roots (for a spinor factor
+            # the q-power of mu0) so the coefficients stay near unit size
+            center = sum(r.single_term()[0][2] for r in lhs.roots) // lhs.degree
+            ok, witness = compare_numeric(
+                *(side.shift(-center).instantiate(alpha, beta, prime ** 0.5, prime)
+                  for side in (lhs, rhs)))
+    except NegativeMultiplicity as exc:
+        ok, witness = False, {"reason": str(exc)}
+    return VerificationReport(identity_id, parameters, "pass" if ok else "fail", witness)
 
 
 # -- suites -----------------------------------------------------------------------
 
-def full_symbolic_suite(k_values: Tuple[int, ...] = (4, 10, 16)) -> List[VerificationReport]:
-    """Every symbolic identity over the standard parameter grid."""
-    reports = []
-    for k in k_values:
-        for n in range(2, MAIN_MAX_N + 1):
-            reports.append(verify_main_theorem(n, k))
-    for k in (4, 10):
-        for n in range(1, IKEDA_SPINOR_MAX_N + 1):
-            reports.append(verify_ikeda_spinor(n, k))
-    for n in range(1, STANDARD_MAX_N + 1):
-        reports.append(verify_ikeda_standard(n, 10))
-    for n in range(2, STANDARD_MAX_N + 1):
-        reports.append(verify_miyawaki_standard(n, 10))
-    for n in range(2, STANDARD_MAX_N + 1):
-        reports.append(verify_c1_frobenius(n, 10))
-    for n in (2, 3, 4):
-        reports.append(verify_example_regroup(n, 10))
-    reports.append(verify_deg7_epsilons())
-    return reports
+def full_symbolic_suite() -> List[VerificationReport]:
+    """Every symbolic identity over its parameter grid."""
+    return [verify(identity_id, n, k) for identity_id, identity in IDENTITIES.items()
+            for n, k in identity.grid]
 
 
 def negative_control_reports(n: int = 2, k: int = 10) -> List[VerificationReport]:
     """Deliberately corrupted runs; every report here must FAIL with a witness."""
     # (r, m) = (1, 1) is enumerated for every n >= 2, so the bump always lands
     bumped = _bump_beta(1, 1, n - 1, +1)
-    reports = [verify_main_theorem(n, k, beta_fn=bumped)]
-    reports.append(verify_main_theorem(n, k, shift_bump=((1, 1), +1)))
+    reports = [verify("main_theorem", n, k, beta_fn=bumped)]
+    reports.append(verify("main_theorem", n, k, shift_bump=((1, 1), +1)))
     params = miyawaki_satake(n, k)
     mus = list(params.mus)
     mus[0] = mus[0] * LaurentPoly.monomial(e_q=1)
-    perturbed = SatakeParams(params.genus, params.mu0, tuple(mus),
-                             params.similitude_exponent)
-    reports.append(verify_main_theorem(n, k, lhs_params=perturbed))
+    reports.append(verify("main_theorem", n, k, lhs_params=replace(params, mus=tuple(mus))))
     return reports
 
 

@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import (
     DeligneBoundViolation,
     EmptySpace,
+    InputTooLarge,
     InsufficientPrecision,
     IrrationalEigenspace,
     NonPrime,
@@ -43,7 +44,7 @@ SUPPORTED_WEIGHTS = (12, 16, 18, 20, 22, 26)
 DEFAULT_PRECISION = 200
 #: largest --precision the CLI accepts
 MAX_PRECISION = 2000
-#: largest --primes-up-to the CLI accepts
+#: largest --primes-up-to, --prime and eigenvalue-table prime the CLI accepts
 MAX_PRIMES_UP_TO = 10 ** 6
 
 
@@ -463,7 +464,8 @@ def numeric_satake(lam, weight: int, p: int) -> Tuple[complex, complex]:
 def load_eigenvalue_table(path: str) -> Dict[int, Fraction]:
     """Parse a '<p> <numerator>[/<denominator>]' file, one prime per line.
 
-    Blank lines and lines starting with '#' are ignored.
+    Blank lines and lines starting with '#' are ignored.  Primes above
+    MAX_PRIMES_UP_TO (checked before primality) and repeated primes are errors.
     """
     table: Dict[int, Fraction] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -475,6 +477,11 @@ def load_eigenvalue_table(path: str) -> Dict[int, Fraction]:
             if len(fields) != 2:
                 raise ValueError(f"{path}:{lineno}: expected '<p> <value>', got {line!r}")
             p = int(fields[0])
+            if p > MAX_PRIMES_UP_TO:
+                raise InputTooLarge(
+                    f"{path}:{lineno}: prime {p} exceeds the cap {MAX_PRIMES_UP_TO}")
+            if p in table:
+                raise ValueError(f"{path}:{lineno}: duplicate prime {p}")
             if not is_prime(p):
                 raise NonPrime(f"{path}:{lineno}: {p} is not prime")
             table[p] = Fraction(fields[1])

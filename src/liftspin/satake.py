@@ -1,10 +1,11 @@
 """Satake parameter sets of the two lift families, and the Weyl action.
 
 A parameter set is (mu0, mu1, ..., mu_g) together with the exponent e of
-the similitude constraint mu0^2 mu1 ... mu_g = q^e (recall q^2 = p).  In
-symbolic mode every entry is a single unit monomial in a, b, q, which is
-what makes the Weyl generators (monomial inversion) exact; numeric mode
-carries complex numbers instead and checks the constraint to 1e-10.
+the similitude constraint mu0^2 mu1 ... mu_g = q^e (recall q^2 = p).  Every
+entry is a single unit monomial in a, b, q, which makes the Weyl generators
+(monomial inversion) and the similitude check exact.  Numeric work
+instantiates the finished local factors instead (`LocalFactor.instantiate`);
+the similitude, exact in the ring, holds there for every alpha and beta.
 
 Constructors cover the genus-2n lift of f, the genus-(2n-1) lift of the
 pair (f, g), and the degenerate genus-1 set of an elliptic eigenform.
@@ -16,82 +17,51 @@ not mathematical content.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple, Union
+from typing import Sequence, Tuple
 
 from .laurent import LaurentPoly
-
-Param = Union[LaurentPoly, complex]
-
-NUMERIC_SIMILITUDE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class SatakeParams:
     genus: int
-    mu0: Param
-    mus: Tuple[Param, ...]
+    mu0: LaurentPoly
+    mus: Tuple[LaurentPoly, ...]
     similitude_exponent: int
-    mode: str = "symbolic"
-    # value of q for numeric parameter sets; None in symbolic mode
-    sqrt_p: Optional[float] = None
 
     def __post_init__(self):
         if self.genus < 1 or len(self.mus) != self.genus:
             raise ValueError(f"genus {self.genus} does not match {len(self.mus)} parameters")
-        if self.mode not in ("symbolic", "numeric"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "symbolic":
-            for mu in (self.mu0, *self.mus):
-                if not isinstance(mu, LaurentPoly) or not mu.is_monomial():
-                    raise ValueError(f"symbolic Satake parameters must be monomials, got {mu!r}")
-        elif self.sqrt_p is None:
-            raise ValueError("numeric parameters need sqrt_p")
+        for mu in (self.mu0, *self.mus):
+            if not isinstance(mu, LaurentPoly) or not mu.is_monomial():
+                raise ValueError(f"Satake parameters must be monomials, got {mu!r}")
 
     # -- invariants -----------------------------------------------------
 
-    def similitude_holds(self, tol: float = NUMERIC_SIMILITUDE_TOL) -> bool:
-        """mu0^2 prod(mus) == q^similitude_exponent, exact or within tol."""
-        if self.mode == "symbolic":
-            product = self.mu0 * self.mu0
-            for mu in self.mus:
-                product = product * mu
-            return product == LaurentPoly.monomial(e_q=self.similitude_exponent)
-        # divide q^(e/2) into mu0 before multiplying so nothing overflows
-        scaled0 = self.mu0 / self.sqrt_p ** (self.similitude_exponent / 2)
-        product = scaled0 * scaled0
+    def similitude_holds(self) -> bool:
+        """mu0^2 prod(mus) == q^similitude_exponent, exactly."""
+        product = self.mu0 * self.mu0
         for mu in self.mus:
             product = product * mu
-        return abs(product - 1) <= tol
+        return product == LaurentPoly.monomial(e_q=self.similitude_exponent)
 
     # -- serialization --------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        def encode(mu):
-            if isinstance(mu, LaurentPoly):
-                return mu.to_json_dict()
-            return [mu.real, mu.imag]
         return {
             "genus": self.genus,
-            "mode": self.mode,
-            "mu0": encode(self.mu0),
-            "mus": [encode(mu) for mu in self.mus],
+            "mu0": self.mu0.to_json_dict(),
+            "mus": [mu.to_json_dict() for mu in self.mus],
             "similitude_exponent": self.similitude_exponent,
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict, sqrt_p: Optional[float] = None) -> "SatakeParams":
-        def decode(obj, mode):
-            if mode == "symbolic":
-                return LaurentPoly.from_json_dict(obj)
-            return complex(obj[0], obj[1])
-        mode = data["mode"]
+    def from_json_dict(cls, data: dict) -> "SatakeParams":
         return cls(
             genus=data["genus"],
-            mu0=decode(data["mu0"], mode),
-            mus=tuple(decode(mu, mode) for mu in data["mus"]),
+            mu0=LaurentPoly.from_json_dict(data["mu0"]),
+            mus=tuple(LaurentPoly.from_json_dict(mu) for mu in data["mus"]),
             similitude_exponent=data["similitude_exponent"],
-            mode=mode,
-            sqrt_p=sqrt_p,
         )
 
 
@@ -150,19 +120,13 @@ def elliptic_satake(weight: int, variable: str = "b") -> SatakeParams:
 
 # -- Weyl group action ------------------------------------------------------
 
-def _invert(mu: Param) -> Param:
-    if isinstance(mu, LaurentPoly):
-        return mu.monomial_inverse()
-    return 1 / mu
-
-
 def weyl_sigma(params: SatakeParams, i: int) -> SatakeParams:
     """Generator sigma_i: mu0 -> mu0 mu_i, mu_i -> mu_i^-1, rest fixed."""
     if not 1 <= i <= params.genus:
         raise IndexError(f"sigma index {i} out of range 1..{params.genus}")
     mus = list(params.mus)
     mu0 = params.mu0 * mus[i - 1]
-    mus[i - 1] = _invert(mus[i - 1])
+    mus[i - 1] = mus[i - 1].monomial_inverse()
     return replace(params, mu0=mu0, mus=tuple(mus))
 
 
@@ -205,23 +169,3 @@ def miyawaki_inverse_mu_check(n: int, k: int) -> bool:
 
     return reduced(flipped, negate_mu0=False) == reduced(params, negate_mu0=True)
 
-
-# -- numeric instantiation ---------------------------------------------------
-
-def instantiate(params: SatakeParams, alpha: complex, beta: complex,
-                sqrt_p: float) -> SatakeParams:
-    """Substitute numeric values for a, b, q in a symbolic parameter set."""
-    if params.mode != "symbolic":
-        raise ValueError("can only instantiate symbolic parameters")
-
-    def value(mu: LaurentPoly) -> complex:
-        return mu.eval_complex(alpha, beta, sqrt_p, 0j)
-
-    return SatakeParams(
-        genus=params.genus,
-        mu0=value(params.mu0),
-        mus=tuple(value(mu) for mu in params.mus),
-        similitude_exponent=params.similitude_exponent,
-        mode="numeric",
-        sqrt_p=sqrt_p,
-    )

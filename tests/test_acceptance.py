@@ -18,13 +18,7 @@ from liftspin.beta import (
 from liftspin.identities import (
     DEG7_EPS,
     DEG7_EPS_PRIME,
-    verify_c1_frobenius,
-    verify_deg7_epsilons,
-    verify_example_regroup,
-    verify_ikeda_spinor,
-    verify_ikeda_standard,
-    verify_main_theorem,
-    verify_miyawaki_standard,
+    verify,
 )
 from liftspin.laurent import LaurentPoly
 from liftspin.qexp import delta, delta_eta_product, eigenform, primes_up_to
@@ -56,7 +50,7 @@ def test_criterion_1_main_theorem_symbolic_grid():
         for n in range(2, 7):
             assert spinor_factor(miyawaki_satake(n, 4)).degree == 2 ** (2 * n - 1)
             for k in (4, 10, 16):
-                report = verify_main_theorem(n, k)
+                report = verify("main_theorem", n, k)
                 assert report.passed, (n, k, report.witness)
         assert time.monotonic() - started < 60
 
@@ -66,7 +60,7 @@ def test_criterion_2_ikeda_spinor_factorization():
         started = time.monotonic()
         for n in range(1, 5):
             for k in (4, 10):
-                report = verify_ikeda_spinor(n, k)
+                report = verify("ikeda_spinor", n, k)
                 assert report.passed, (n, k, report.witness)
         assert time.monotonic() - started < 30
 
@@ -76,9 +70,9 @@ def test_criterion_3_standard_identities():
         started = time.monotonic()
         for k in (4, 10, 16):
             for n in range(1, 7):
-                assert verify_ikeda_standard(n, k).passed, (n, k)
+                assert verify("ikeda_standard", n, k).passed, (n, k)
             for n in range(2, 7):
-                assert verify_miyawaki_standard(n, k).passed, (n, k)
+                assert verify("miyawaki_standard", n, k).passed, (n, k)
         assert time.monotonic() - started < 5
 
 
@@ -86,14 +80,14 @@ def test_criterion_4_c1_frobenius_consistency():
     with criterion(4, "C1 eigenvalue equals mu0 prod(1+mu_i), n=2..6"):
         for n in range(2, 7):
             for k in (4, 10, 16):
-                assert verify_c1_frobenius(n, k).passed, (n, k)
+                assert verify("c1_frobenius", n, k).passed, (n, k)
 
 
 def test_criterion_5_degree_examples_and_epsilons():
     with criterion(5, "degree-3/5/7 regrouping and expected epsilon lists"):
         for n, k in [(2, 10), (3, 10), (4, 10), (2, 4), (3, 4), (4, 4)]:
-            assert verify_example_regroup(n, k).passed, (n, k)
-        assert verify_deg7_epsilons().passed
+            assert verify(f"example_deg{2 * n - 1}", n, k).passed, (n, k)
+        assert verify("beta_epsilon_match", 4, None).passed
         # the expected exponent lists, verbatim
         assert DEG7_EPS == {-3: 1, -2: 1, -1: 2, 0: 2, 1: 2, 2: 2, 3: 2, 4: 1, 5: 1}
         assert DEG7_EPS_PRIME == {-3: 1, -2: 1, -1: 1, 0: 2, 1: 2, 2: 2, 3: 2,
@@ -132,7 +126,7 @@ def test_criterion_7_numeric_instantiation():
         f = eigenform(20)
         g = eigenform(12)
         for p in primes_up_to(199):
-            report = verify_main_theorem(2, 10, mode="numeric", prime=p, f=f, g=g)
+            report = verify("main_theorem", 2, 10, mode="numeric", prime=p, f=f, g=g)
             assert report.passed, (p, report.witness)
         assert time.monotonic() - started < 10
 
@@ -207,11 +201,11 @@ def test_criterion_10_negative_controls():
                 bound = m * (2 * n - m - 2)
                 for r in range(-bound, bound + 1, 2):
                     for delta in (+1, -1):
-                        report = verify_main_theorem(n, 10, beta_fn=bumped(r, m, delta))
+                        report = verify("main_theorem", n, 10, beta_fn=bumped(r, m, delta))
                         assert not report.passed, (n, m, r, delta)
                         assert report.witness is not None
         # one ikeda-side beta bump as well
-        report = verify_ikeda_spinor(2, 10, beta_fn=bumped(0, 2, +1))
+        report = verify("ikeda_spinor", 2, 10, beta_fn=bumped(0, 2, +1))
         assert not report.passed and report.witness["t_degree"] == 1
 
         # Satake exponent perturbations: every slot of mu0..mu_genus, both signs
@@ -219,12 +213,12 @@ def test_criterion_10_negative_controls():
             params = miyawaki_satake(n, 10)
             for index in range(0, params.genus + 1):
                 for delta in (+1, -1):
-                    report = verify_main_theorem(
+                    report = verify("main_theorem", 
                         n, 10, lhs_params=_perturbed_params(params, index, delta))
                     assert not report.passed, (n, index, delta)
                     assert report.witness["t_degree"] == 1
         ik = ikeda_satake(2, 10)
-        report = verify_ikeda_spinor(2, 10, lhs_params=_perturbed_params(ik, 1, +1))
+        report = verify("ikeda_spinor", 2, 10, lhs_params=_perturbed_params(ik, 1, +1))
         assert not report.passed and report.witness is not None
 
         # shift perturbations on every factor of the product side, both signs
@@ -233,7 +227,7 @@ def test_criterion_10_negative_controls():
                 bound = m * (2 * n - m - 2)
                 for r in range(-bound, bound + 1, 2):
                     for delta in (+1, -1):
-                        report = verify_main_theorem(n, 10,
+                        report = verify("main_theorem", n, 10,
                                                      shift_bump=((m, r), delta))
                         assert not report.passed, (n, m, r, delta)
                         assert report.witness["t_degree"] == 1

@@ -367,6 +367,7 @@ def test_euler_and_lvalue_swapped_tables_exit3(capsys, tables):
 @pytest.mark.parametrize("flag,env,cap", [
     ("--precision", "LIFTSPIN_PRECISION", MAX_PRECISION),
     ("--primes-up-to", "LIFTSPIN_PRIMES_UP_TO", MAX_PRIMES_UP_TO),
+    ("--prime", "LIFTSPIN_PRIME", MAX_PRIMES_UP_TO),
 ])
 def test_size_flag_caps(capsys, monkeypatch, flag, env, cap):
     code, _, _ = run(capsys, "beta-table", "--n", "1", flag, str(cap))
@@ -386,3 +387,40 @@ def test_precision_at_cap_runs_eigenvalues(capsys, tables):
                        "--precision", str(MAX_PRECISION),
                        "--eigenvalues-file", str(tables[12]))
     assert code == 0 and json.loads(out)["eigenvalues"] == [{"p": 2, "lambda": "-24"}]
+
+
+def test_duplicate_table_prime_exit2(capsys, tmp_path):
+    table = tmp_path / "t.txt"
+    table.write_text("2 -24\n2 456\n")
+    code, out, err = run(capsys, "eigenvalues", "--weight", "12", "--prime", "2",
+                         "--eigenvalues-file", str(table))
+    assert code == 2 and out == "" and "t.txt:2: duplicate prime 2" in err
+
+
+def test_identity_choices_come_from_the_registry():
+    from liftspin import identities
+    from liftspin.cli import build_parser
+
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command").choices
+    choices = {name: next(a for a in subparsers[name]._actions if a.dest == "identity").choices
+               for name in ("euler", "verify")}
+    assert tuple(choices["euler"]) == tuple(
+        name for name, i in identities.IDENTITIES.items() if i.sides is not None)
+    assert tuple(choices["euler"]) == ("main_theorem", "ikeda_spinor", "ikeda_standard",
+                                       "miyawaki_standard", "example_deg3", "example_deg5",
+                                       "example_deg7")
+    assert tuple(choices["verify"]) == identities.IDENTITY_IDS + ("all",)
+
+
+def test_euler_bare_table_only_for_one_form(capsys, tmp_path):
+    table = tmp_path / "t.txt"
+    table.write_text("2 456\n")
+    numeric = ["--n", "2", "--k", "10", "--mode", "numeric", "--prime", "2",
+               "--eigenvalues-file", str(table)]
+    # f and g both enter the main identity: an untagged table is ambiguous
+    code, _, err = run(capsys, "euler", "--identity", "main_theorem", "--side", "lhs",
+                       *numeric)
+    assert code == 2 and "f=PATH" in err
+    code, out, _ = run(capsys, "euler", "--identity", "ikeda_standard", "--side", "lhs",
+                       *numeric)
+    assert code == 0 and json.loads(out)["degree"] == 9

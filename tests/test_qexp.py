@@ -6,6 +6,7 @@ import pytest
 from liftspin.errors import (
     DeligneBoundViolation,
     EmptySpace,
+    InputTooLarge,
     InsufficientPrecision,
     IrrationalEigenspace,
     NonPrime,
@@ -307,6 +308,28 @@ def test_eigenvalue_table_round_trip(tmp_path):
     with pytest.raises(ValueError):
         load_eigenvalue_table(str(bad))
 
+
+
+def test_eigenvalue_table_prime_cap(tmp_path):
+    path = tmp_path / "lam.txt"
+    path.write_text("999983 1\n")  # the largest prime below the cap loads
+    assert load_eigenvalue_table(str(path)) == {999983: 1}
+    path.write_text(f"{MAX_PRIMES_UP_TO} 1\n")  # at the cap: primality decides
+    with pytest.raises(NonPrime):
+        load_eigenvalue_table(str(path))
+    for p in (MAX_PRIMES_UP_TO + 1, 100000000000000000039):
+        # rejected before trial division, which would run for minutes on the latter
+        path.write_text(f"2 -24\n{p} 5\n")
+        with pytest.raises(InputTooLarge, match=f"lam.txt:2: prime {p} exceeds the cap"):
+            load_eigenvalue_table(str(path))
+
+
+def test_eigenvalue_table_duplicate_prime(tmp_path):
+    path = tmp_path / "lam.txt"
+    path.write_text("2 -24\n3 252\n2 456\n")
+    with pytest.raises(ValueError, match="lam.txt:3: duplicate prime 2") as exc:
+        load_eigenvalue_table(str(path))
+    assert not isinstance(exc.value, NonPrime)
 
 def test_qexpansion_guards():
     x = QExpansion(12, [0, 1, 2])
