@@ -5,8 +5,9 @@ can also come from LIFTSPIN_* environment variables; explicit flags win.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (argparse,
 inconsistent flags, malformed eigenvalue tables), 3 unsupported input
-(irrational eigenspace, Deligne's bound, genus, expansion, precision,
-prime-bound, --prime and table-prime caps, out-of-range evaluation points).
+(a weight whose cusp space is not one-dimensional, Deligne's bound, genus,
+expansion, --n, precision, prime-bound, --prime and table-prime caps,
+out-of-range evaluation points).
 """
 
 from __future__ import annotations
@@ -19,19 +20,14 @@ from typing import Dict, List, Optional
 
 from . import identities
 from .beta import table as beta_table
-from .errors import (
-    InputTooLarge,
-    OutOfConvergenceRegion,
-    UnsupportedInput,
-    UnsupportedWeight,
-)
+from .errors import InputTooLarge, OutOfConvergenceRegion, UnsupportedInput
 from .euler import LocalFactor
 from .qexp import (
     DEFAULT_PRECISION,
     MAX_PRECISION,
     MAX_PRIMES_UP_TO,
     EigenformData,
-    eigenforms,
+    eigenform,
     hecke_eigenvalue,
     load_eigenvalue_table,
     primes_up_to,
@@ -40,6 +36,8 @@ from .qexp import (
 EULER_IDENTITIES = tuple(name for name, identity in identities.IDENTITIES.items()
                          if identity.sides is not None)
 VERIFY_IDENTITIES = identities.IDENTITY_IDS + ("all",)
+#: largest --n the CLI accepts (verify c1_frobenius grows about as n^4)
+MAX_N = 32
 
 
 def _env(name: str, fallback=None):
@@ -148,12 +146,7 @@ def _form_for(role: str, weight: int, precision: int,
     path = tables.get(role) or tables.get("only")
     if path:
         return EigenformData.from_eigenvalue_table(weight, load_eigenvalue_table(path))
-    forms = eigenforms(weight, precision)
-    if len(forms) != 1:
-        raise UnsupportedWeight(
-            f"weight {weight} has {len(forms)} rational eigenforms; "
-            f"pick one via --eigenvalues-file")
-    return forms[0]
+    return eigenform(weight, precision)
 
 
 def _numeric_forms(args, needs_g: bool = True) -> tuple:
@@ -176,7 +169,8 @@ def _check_numeric_parity(args):
 def _check_size_caps(args):
     """Reject size flags above their caps, whether given as flags or via
     LIFTSPIN_* variables (both land in args)."""
-    for flag, value, cap in (("--precision", args.precision, MAX_PRECISION),
+    for flag, value, cap in (("--n", args.n, MAX_N),
+                             ("--precision", args.precision, MAX_PRECISION),
                              ("--primes-up-to", args.primes_up_to, MAX_PRIMES_UP_TO),
                              ("--prime", args.prime, MAX_PRIMES_UP_TO)):
         if value is not None and value > cap:

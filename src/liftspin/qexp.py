@@ -11,12 +11,12 @@ cusp form both as (E4^3 - E6^2)/1728 and as the eta product (the two
 constructions cross-check each other), and the echelonized Victor Miller
 basis of cusp forms from monomials in E4 and E6.
 
-Eigenforms are supported at the weights whose cuspidal eigenspace is
-rational: in practice the one-dimensional weights 12, 16, 18, 20, 22, 26.
-Higher-dimensional spaces are handled generically by splitting the T_2
-matrix over the rationals and rejected with IrrationalEigenspace when the
-characteristic polynomial does not split (which is what actually happens
-at level one from weight 24 on).
+Eigenforms exist here only at the one-dimensional cuspidal weights 12, 16,
+18, 20, 22 and 26, where the single Victor Miller basis element is the
+normalized eigenform.  Every level-one cusp space of dimension 2 or more
+has irrational Hecke eigenvalues (Maeda's conjecture, verified up to
+weight 14,000), so those weights raise IrrationalEigenspace before any
+series is built.
 """
 
 from __future__ import annotations
@@ -320,112 +320,18 @@ def hecke_eigenvalue(form: EigenformData, p: int):
     return form.eigenvalues.setdefault(p, form.qexp.coeffs[p])
 
 
-def _rational_roots(poly: List[Fraction]) -> List[Fraction]:
-    """Rational roots (with multiplicity) of a monic integer polynomial,
-    given as [c_0, ..., c_d] with c_d = 1.  Raises IrrationalEigenspace
-    if the polynomial does not split completely over Q."""
-    if any(c.denominator != 1 for c in poly):
-        raise UnsupportedWeight("Hecke matrix is not integral on this basis")
-    coeffs = [int(c) for c in poly]
-    roots: List[Fraction] = []
-    while len(coeffs) > 1:
-        c0 = coeffs[0]
-        if c0 == 0:
-            root = 0
-        else:
-            root = None
-            for cand in _divisors_signed(abs(c0)):
-                if sum(c * cand ** i for i, c in enumerate(coeffs)) == 0:
-                    root = cand
-                    break
-            if root is None:
-                raise IrrationalEigenspace(
-                    "T_2 characteristic polynomial has an irrational factor")
-        roots.append(Fraction(root))
-        # synthetic division by (x - root)
-        new = [0] * (len(coeffs) - 1)
-        carry = coeffs[-1]
-        for i in range(len(coeffs) - 2, -1, -1):
-            new[i] = carry
-            carry = coeffs[i] + carry * root
-        assert carry == 0
-        coeffs = new
-    return roots
-
-
-def _divisors_signed(n: int) -> List[int]:
-    divs = set()
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            divs.update((d, n // d, -d, -(n // d)))
-    return sorted(divs, key=abs)
-
-
-def eigenforms(weight: int, precision: int = DEFAULT_PRECISION) -> List[EigenformData]:
-    """All normalized eigenforms of the given weight with rational eigenvalues.
-
-    The T_2 matrix on the Victor Miller basis is split over Q; any
-    irrational factor rejects the whole weight.
-    """
-    basis = victor_miller_basis(weight, precision)
-    d = len(basis)
-    if d == 1:
-        return [EigenformData(weight, basis[0])]
-    # matrix of T_2: row i lists the first d coefficients of T_2(basis_i)
-    mat = [list(hecke_operator(form, 2).coeffs[1:d + 1]) for form in basis]
-    charpoly = _charpoly(mat)
-    roots = _rational_roots(charpoly)
-    forms = []
-    for lam in sorted(set(roots)):
-        x = _left_kernel_vector(mat, lam)
-        if x[0] == 0:
-            raise IrrationalEigenspace(
-                f"eigenvector for lambda={lam} is not a normalized eigenform")
-        x = [Fraction(xi, x[0]) for xi in x]
-        coeffs = [sum(x[i] * basis[i].coeffs[n] for i in range(d))
-                  for n in range(precision + 1)]
-        forms.append(EigenformData(weight, QExpansion(weight, coeffs)))
-    return forms
-
-
 def eigenform(weight: int, precision: int = DEFAULT_PRECISION) -> EigenformData:
-    """The unique normalized eigenform of a one-dimensional cuspidal weight."""
-    if dim_cusp_forms(weight) != 1:
-        if dim_cusp_forms(weight) == 0:
-            raise EmptySpace(f"S_{weight} is zero-dimensional")
-        raise UnsupportedWeight(
-            f"S_{weight} has dimension {dim_cusp_forms(weight)}; use eigenforms()")
-    return eigenforms(weight, precision)[0]
-
-
-def _charpoly(mat: List[List[Fraction]]) -> List[Fraction]:
-    """det(xI - M) coefficients [c_0, ..., c_d] via Faddeev-LeVerrier."""
-    d = len(mat)
-    coeffs = [0] * d + [1]
-    m = [[0] * d for _ in range(d)]
-    for k in range(1, d + 1):
-        # M_k = M (M_{k-1} + c_{d-k+1} I), with M_0 = 0 so that M_1 = M
-        c = coeffs[d - k + 1]
-        shifted = [[v + (c if i == j else 0) for j, v in enumerate(row)]
-                   for i, row in enumerate(m)]
-        m = [[sum(mat[i][l] * shifted[l][j] for l in range(d)) for j in range(d)]
-             for i in range(d)]
-        coeffs[d - k] = -Fraction(sum(m[i][i] for i in range(d)), k)
-    return coeffs
-
-
-def _left_kernel_vector(mat: List[list], lam) -> List:
-    """A nonzero x with x^T (M - lam I) = 0, i.e. kernel of the transpose."""
-    d = len(mat)
-    rref = _echelonize([[mat[j][i] - (lam if i == j else 0) for j in range(d)]
-                        for i in range(d)])
-    pivots = {next(c for c, v in enumerate(row) if v): row for row in rref if any(row)}
-    free = next(c for c in range(d) if c not in pivots)
-    x = [0] * d
-    x[free] = 1
-    for col, row in pivots.items():
-        x[col] = -row[free]
-    return x
+    """The normalized eigenform of a one-dimensional cuspidal weight: the
+    single Victor Miller basis element."""
+    d = dim_cusp_forms(weight)
+    if d == 0:
+        raise EmptySpace(f"S_{weight} is zero-dimensional")
+    if d > 1:
+        raise IrrationalEigenspace(
+            f"S_{weight} has dimension {d} and irrational Hecke eigenvalues; "
+            f"eigenforms are built only for the one-dimensional weights "
+            f"{SUPPORTED_WEIGHTS}")
+    return EigenformData(weight, victor_miller_basis(weight, precision)[0])
 
 
 # -- numeric Satake parameters ---------------------------------------------

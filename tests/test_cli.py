@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from liftspin.cli import main
+from liftspin.cli import MAX_N, main
 from liftspin.qexp import MAX_PRECISION, MAX_PRIMES_UP_TO, eigenform, primes_up_to
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -365,20 +365,23 @@ def test_euler_and_lvalue_swapped_tables_exit3(capsys, tables):
 # -- caps on the size flags ------------------------------------------------------------
 
 @pytest.mark.parametrize("flag,env,cap", [
+    ("--n", "LIFTSPIN_N", MAX_N),
     ("--precision", "LIFTSPIN_PRECISION", MAX_PRECISION),
     ("--primes-up-to", "LIFTSPIN_PRIMES_UP_TO", MAX_PRIMES_UP_TO),
     ("--prime", "LIFTSPIN_PRIME", MAX_PRIMES_UP_TO),
 ])
 def test_size_flag_caps(capsys, monkeypatch, flag, env, cap):
-    code, _, _ = run(capsys, "beta-table", "--n", "1", flag, str(cap))
+    # beta-table runs at the default n unless the row under test sets it, so
+    # no fixed --n can override the --n flag or LIFTSPIN_N
+    code, _, _ = run(capsys, "beta-table", flag, str(cap))
     assert code == 0
-    code, _, err = run(capsys, "beta-table", "--n", "1", flag, str(cap + 1))
+    code, _, err = run(capsys, "beta-table", flag, str(cap + 1))
     assert code == 3 and f"{flag} {cap + 1} exceeds the cap {cap}" in err
     monkeypatch.setenv(env, str(cap))
-    code, _, _ = run(capsys, "beta-table", "--n", "1")
+    code, _, _ = run(capsys, "beta-table")
     assert code == 0
     monkeypatch.setenv(env, str(cap + 1))
-    code, _, err = run(capsys, "beta-table", "--n", "1")
+    code, _, err = run(capsys, "beta-table")
     assert code == 3 and "exceeds the cap" in err
 
 

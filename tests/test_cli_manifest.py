@@ -5,9 +5,13 @@ the per-identity dispatch, so any change in what a command prints (or how it
 exits) shows up here.  The two degree-32 expansions (about 12 MB each) are
 left out; the `expand` benchmark checks those against independent references.
 
-Regenerate the manifest (only when an output change is intended) with
+New argvs are pinned from the current code with
 
     PYTHONPATH=src python tests/test_cli_manifest.py
+
+which writes entries only for argvs missing from the manifest and never
+touches an existing one.  To re-pin an entry on purpose (an intended output
+change), delete it from the JSON by hand first.
 """
 
 import hashlib
@@ -127,6 +131,13 @@ def _argv_list():
         "lvalue --side rhs --n 2 --k 10 --s 25+2j --primes-up-to 50 --format text",
         "lvalue --side lhs --n 2 --k 10 --s 16 --primes-up-to 10",
         "lvalue --side lhs --n 3 --k 10 --s 40 --primes-up-to 10",
+        # weights whose cusp space is not one-dimensional, and --n above its cap
+        "eigenvalues --weight 40 --prime 2",
+        "eigenvalues --weight 60 --prime 2",
+        "verify --identity main_theorem --n 2 --k 20 --numeric",
+        "euler --identity ikeda_standard --side lhs --n 2 --k 20 --mode numeric --prime 2",
+        "beta-table --n 33",
+        "verify --identity c1_frobenius --n 33",
     ]
     return out
 
@@ -166,6 +177,9 @@ def test_cli_output_matches_manifest(manifest, argv):
 
 
 if __name__ == "__main__":
-    data = {argv: _entry(*run_argv(argv)) for argv in ARGVS}
+    pinned = json.loads(MANIFEST.read_text(encoding="utf-8")) if MANIFEST.exists() else {}
+    missing = [argv for argv in ARGVS if argv not in pinned]
+    pinned.update((argv, _entry(*run_argv(argv))) for argv in missing)
+    data = {argv: pinned[argv] for argv in ARGVS}
     MANIFEST.write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {len(data)} entries to {MANIFEST}", file=sys.stderr)
+    print(f"pinned {len(missing)} new of {len(data)} entries in {MANIFEST}", file=sys.stderr)

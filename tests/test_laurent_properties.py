@@ -1,0 +1,47 @@
+"""JSON wire format of LaurentPoly on random polynomials: 30-digit
+coefficients and negative a, b and q exponents."""
+
+import json
+
+import pytest
+
+from liftspin.laurent import LaurentPoly
+
+pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+_BIG = 10 ** 30
+_exponents = st.tuples(st.integers(-40, 40), st.integers(-40, 40),
+                       st.integers(-40, 40), st.integers(0, 12))
+_coeff = st.integers(-_BIG, _BIG).filter(bool)
+_term_maps = st.dictionaries(_exponents, _coeff, max_size=25)
+_NEGATIVE = {(-3, -1, -7, 0): _BIG - 1, (2, -5, -1, 4): -(_BIG + 7), (0, 0, 0, 0): 1}
+
+
+def _encode(poly):
+    return json.dumps(poly.to_json_dict()).encode("utf-8")
+
+
+@settings(max_examples=60, deadline=None)
+@given(_term_maps)
+@example(_NEGATIVE)
+def test_json_round_trip(terms):
+    poly = LaurentPoly(terms)
+    back = LaurentPoly.from_json_dict(json.loads(_encode(poly)))
+    assert back == poly
+    assert dict(back.terms) == terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_exponents, _coeff), max_size=25).flatmap(
+    lambda items: st.tuples(st.just(items), st.permutations(items))))
+@example((list(_NEGATIVE.items()), list(reversed(_NEGATIVE.items()))))
+def test_encoding_ignores_insertion_order(orders):
+    # repeated exponents are allowed: their coefficients add up, cancelling
+    # terms included, and the bytes must not see the order of the additions
+    items, shuffled = orders
+    encoded = _encode(LaurentPoly(items))
+    assert _encode(LaurentPoly(shuffled)) == encoded
+    summed = sum((LaurentPoly.monomial(*e, coeff=c) for e, c in shuffled), LaurentPoly.zero())
+    assert _encode(summed) == encoded

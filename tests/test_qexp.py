@@ -23,7 +23,6 @@ from liftspin.qexp import (
     delta_eta_product,
     dim_cusp_forms,
     eigenform,
-    eigenforms,
     eisenstein,
     hecke_eigenvalue,
     hecke_operator,
@@ -135,11 +134,34 @@ def test_multiplicativity(weight):
                 assert coeffs[p] * coeffs[q] == coeffs[p * q]
 
 
-def test_eigenform_unsupported_weights():
-    with pytest.raises(IrrationalEigenspace):
-        eigenforms(24, 60)
-    with pytest.raises(EmptySpace):
-        eigenform(8)
+def test_eigenform_unsupported_weights(monkeypatch):
+    from liftspin import qexp
+
+    built = []
+    real_eisenstein = qexp.eisenstein
+
+    def counting_eisenstein(weight, precision):
+        built.append(weight)
+        return real_eisenstein(weight, precision)
+
+    monkeypatch.setattr(qexp, "eisenstein", counting_eisenstein)
+    one_dimensional = []
+    for weight in range(4, 201, 2):
+        d = dim_cusp_forms(weight)
+        if d == 1:
+            form = eigenform(weight, 60)
+            assert form.weight == weight and form.qexp.precision == 60
+            assert form.qexp.coeffs[:2] == (0, 1)
+            one_dimensional.append(weight)
+            continue
+        built.clear()
+        with pytest.raises(IrrationalEigenspace if d else EmptySpace) as exc:
+            eigenform(weight, 60)
+        if d:
+            assert f"dimension {d}" in str(exc.value) and str(SUPPORTED_WEIGHTS) in str(exc.value)
+        # rejected weights fail before any series is built
+        assert built == [], weight
+    assert tuple(one_dimensional) == SUPPORTED_WEIGHTS
     with pytest.raises(UnsupportedWeight):
         eigenform(24, 60)
 
@@ -243,50 +265,6 @@ def test_numeric_satake_examples():
 
     with pytest.raises(NonPrime):
         numeric_satake(1, 12, 6)
-
-
-def test_rational_split_machinery():
-    # the generic path (never taken at level one, where no space of
-    # dimension >= 2 splits rationally) checked on synthetic matrices
-    from liftspin.qexp import _charpoly, _left_kernel_vector, _rational_roots
-
-    m = [[Fraction(2), Fraction(1)], [Fraction(0), Fraction(3)]]
-    assert _charpoly(m) == [Fraction(6), Fraction(-5), Fraction(1)]
-    assert _rational_roots(_charpoly(m)) == [Fraction(2), Fraction(3)]
-    x = _left_kernel_vector(m, Fraction(2))
-    assert [sum(x[i] * (m[i][j] - (2 if i == j else 0)) for i in range(2))
-            for j in range(2)] == [0, 0]
-
-    m3 = [[Fraction(1), Fraction(2), Fraction(0)],
-          [Fraction(0), Fraction(4), Fraction(0)],
-          [Fraction(1), Fraction(0), Fraction(-2)]]
-    assert _charpoly(m3) == [Fraction(8), Fraction(-6), Fraction(-3), Fraction(1)]
-    assert sorted(_rational_roots(_charpoly(m3))) == [-2, 1, 4]
-
-    with pytest.raises(IrrationalEigenspace):
-        _rational_roots([Fraction(-2), Fraction(0), Fraction(1)])  # x^2 - 2
-
-    def left_kernel_ok(mat, lam, x):
-        d = len(mat)
-        return all(type(v) in (int, Fraction) for v in x) and any(x) and \
-            [sum(x[i] * (mat[i][j] - (lam if i == j else 0)) for i in range(d))
-             for j in range(d)] == [0] * d
-
-    # the same machinery on plain int matrices
-    assert _charpoly([[2, 1], [0, 3]]) == [6, -5, 1]
-    assert _rational_roots(_charpoly([[2, 1], [0, 3]])) == [2, 3]
-    assert _charpoly([[1, 2, 0], [0, 4, 0], [1, 0, -2]]) == [8, -6, -3, 1]
-    # non-unit pivots: the inverse must stay exact
-    m = [[4, 1], [2, 3]]
-    assert sorted(_rational_roots(_charpoly(m))) == [2, 5]
-    for lam in (2, 5):
-        assert left_kernel_ok(m, lam, _left_kernel_vector(m, lam))
-    # a pivot of 3 next to a 30-digit entry: 1/3 as a float would make
-    # x^T (M - lam I) miss zero
-    big = 10 ** 30 + 7
-    m = [[big, 3], [0, 7]]
-    x = _left_kernel_vector(m, big)
-    assert x == [Fraction(big - 7, 3), 1] and left_kernel_ok(m, big, x)
 
 
 def test_eigenvalue_table_round_trip(tmp_path):
