@@ -208,6 +208,7 @@ def cmd_eigenvalues(args) -> int:
 
 
 def cmd_euler(args) -> int:
+    """A raw factor dump: the genus, expansion and --n caps apply, not n_range."""
     if args.mode == "numeric":
         _check_numeric_parity(args)
     identity = identities.IDENTITIES[args.identity]
@@ -216,8 +217,7 @@ def cmd_euler(args) -> int:
     lhs, rhs = identity.sides(args.n, args.k)
     factor = lhs if args.side == "lhs" else rhs
     # relabel side-independently: equal sides must serialize identically
-    factor = LocalFactor(f"{args.identity}[n={args.n},k={args.k}]",
-                         factor.roots, factor.mode, factor.prime)
+    factor = LocalFactor(f"{args.identity}[n={args.n},k={args.k}]", factor.roots)
     if args.mode == "numeric":
         primes = _primes_from(args)
         if len(primes) != 1:
@@ -225,7 +225,7 @@ def cmd_euler(args) -> int:
         p = primes[0]
         f, g = _numeric_forms(args, identity.needs_g)
         alpha, beta = identities.satake_values(f, g, args.n, args.k, p)
-        factor = factor.instantiate(alpha, beta, p ** 0.5, p)
+        factor = factor.instantiate(alpha, beta, p)
     data = factor.factored_json_dict() if args.factored else factor.to_json_dict()
 
     def as_text(d):
@@ -273,7 +273,7 @@ def cmd_lvalue(args) -> int:
     increment = 0.0
     for p in primes:
         alpha, beta = identities.satake_values(f, g, n, k, p)
-        factor = side.instantiate(alpha, beta, p ** 0.5, p)
+        factor = side.instantiate(alpha, beta, p)
         before = value
         value /= factor.evaluate(p ** (-s))
         increment = abs(value - before)
@@ -310,10 +310,7 @@ def _verify_reports(args) -> List[identities.VerificationReport]:
         return identities.full_symbolic_suite() if suite else [identities.verify(args.identity, n, k)]
     # numeric: the suite is the main identity at the first five primes
     name = "main_theorem" if suite else args.identity
-    identity = identities.IDENTITIES[name]
-    if not identity.numeric_max_n:
-        raise ValueError(f"identity {name!r} supports symbolic mode only")
-    f, g = _numeric_forms(args, identity.needs_g)
+    f, g = _numeric_forms(args, identities.IDENTITIES[name].needs_g)
     primes = _primes_from(args) or ([2, 3, 5, 7, 11] if suite else [2])
     return [identities.verify(name, n, k, "numeric", p, f, g) for p in primes]
 

@@ -4,19 +4,19 @@ Every L-function in scope has a local factor that splits completely into
 linear terms whose roots are unit monomials in a, b, q (symbolically) or
 complex numbers (numerically).  The factored form is therefore the primary
 representation: it is exact at every genus, and two factors are equal as
-polynomials if and only if their root multisets agree, so the heavy
-identity checks never need the expanded coefficients.
+polynomials if and only if their root multisets agree, so no identity
+check, symbolic or numeric, needs the expanded coefficients.
 
-Expanded coefficient lists (index = T-degree) are computed on demand and
-cached.  Symbolic expansion cost explodes combinatorially with the degree:
-dict-based expansion is subsecond up to degree 64 and out of reach by 128,
-hence the default cap; numeric expansion is quadratic and effectively
-unlimited.
+Expanded coefficient lists (index = T-degree) exist for output only, and
+are computed on demand and cached.  Symbolic expansion cost explodes
+combinatorially with the degree: dict-based expansion is subsecond up to
+degree 64 and out of reach by 128, hence EXPANSION_DEGREE_CAP; numeric
+expansion is quadratic and not capped.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 from .errors import ExpansionTooLarge, GenusTooLarge
 from .laurent import LaurentPoly
@@ -24,7 +24,7 @@ from .satake import SatakeParams
 
 Root = Union[LaurentPoly, complex]
 
-#: largest degree expanded symbolically unless the caller raises the cap
+#: largest degree expanded symbolically
 EXPANSION_DEGREE_CAP = 64
 
 #: spinor factors above this genus (degree 2^12) are refused outright
@@ -38,10 +38,9 @@ class LocalFactor:
     construction.  Instances are immutable apart from the cached expansion.
     """
 
-    __slots__ = ("label", "roots", "mode", "prime", "_coeffs")
+    __slots__ = ("label", "roots", "mode", "_coeffs")
 
-    def __init__(self, label: str, roots: Sequence[Root], mode: str = "symbolic",
-                 prime: Optional[int] = None):
+    def __init__(self, label: str, roots: Sequence[Root], mode: str = "symbolic"):
         if mode not in ("symbolic", "numeric"):
             raise ValueError(f"unknown mode {mode!r}")
         if mode == "symbolic":
@@ -50,12 +49,9 @@ class LocalFactor:
                     raise ValueError(f"symbolic roots must be monomials, got {r!r}")
         else:
             roots = [complex(r) for r in roots]
-            if prime is None:
-                raise ValueError("numeric factors need the prime")
         self.label = label
         self.roots = tuple(roots)
         self.mode = mode
-        self.prime = prime
         self._coeffs = None
 
     @property
@@ -64,45 +60,33 @@ class LocalFactor:
 
     # -- expansion --------------------------------------------------------
 
-    def coefficients(self, cap: Optional[int] = EXPANSION_DEGREE_CAP) -> Tuple:
-        """Coefficient list in T, from degree 0 (always 1) to self.degree.
-
-        Symbolic expansion above the cap raises ExpansionTooLarge; pass
-        cap=None to force it anyway.
-        """
+    def coefficients(self) -> Tuple:
+        """Coefficients of T^0 (always 1) to T^degree, symbolic ones only
+        up to degree EXPANSION_DEGREE_CAP (above it ExpansionTooLarge)."""
         if self._coeffs is None:
-            if self.mode == "symbolic" and cap is not None and self.degree > cap:
+            if self.mode == "symbolic" and self.degree > EXPANSION_DEGREE_CAP:
                 raise ExpansionTooLarge(
-                    f"degree {self.degree} exceeds the symbolic expansion cap {cap}; "
-                    f"use the factored form instead")
-            self._coeffs = tuple(self._expand(self.degree))
+                    f"degree {self.degree} exceeds the symbolic expansion cap "
+                    f"{EXPANSION_DEGREE_CAP}; use the factored form instead")
+            self._coeffs = tuple(self._expand())
         return self._coeffs
 
-    def truncated_coefficients(self, max_degree: int) -> List:
-        """Coefficients of T^0..T^max_degree without expanding the rest."""
-        if self._coeffs is not None:
-            return list(self._coeffs[:max_degree + 1])
-        return self._expand(min(max_degree, self.degree))
-
-    def _expand(self, max_degree: int) -> List:
+    def _expand(self) -> List:
         one, zero = (LaurentPoly.one(), LaurentPoly.zero()) \
             if self.mode == "symbolic" else (1 + 0j, 0j)
         coeffs = [one]
         for root in self.roots:
-            limit = min(len(coeffs), max_degree)
-            nxt = coeffs[:1]
-            for d in range(1, limit + 1):
-                upper = coeffs[d] if d < len(coeffs) else zero
-                nxt.append(upper - root * coeffs[d - 1])
-            coeffs = nxt
+            # new coefficient d is old d minus root times old d-1
+            coeffs = coeffs[:1] + [upper - root * lower
+                                   for upper, lower in zip(coeffs[1:] + [zero], coeffs)]
         return coeffs
 
-    def as_poly(self, cap: Optional[int] = EXPANSION_DEGREE_CAP) -> LaurentPoly:
+    def as_poly(self) -> LaurentPoly:
         """The expanded factor as a single Laurent polynomial in T."""
         if self.mode != "symbolic":
             raise ValueError("as_poly is only defined for symbolic factors")
         total = LaurentPoly.zero()
-        for d, coeff in enumerate(self.coefficients(cap)):
+        for d, coeff in enumerate(self.coefficients()):
             total = total + coeff * LaurentPoly.monomial(e_T=d)
         return total
 
@@ -117,13 +101,13 @@ class LocalFactor:
         scale = LaurentPoly.monomial(e_q=c)
         return LocalFactor(f"{self.label}@q^{c}", tuple(r * scale for r in self.roots))
 
-    def instantiate(self, alpha: complex, beta: complex, q: float,
-                    prime: int) -> "LocalFactor":
-        """Numeric factor obtained by evaluating every symbolic root."""
+    def instantiate(self, alpha: complex, beta: complex, prime: int) -> "LocalFactor":
+        """Numeric factor: every root at a = alpha, b = beta, q = sqrt(prime)."""
         if self.mode != "symbolic":
             raise ValueError("can only instantiate symbolic factors")
+        q = prime ** 0.5
         roots = tuple(r.eval_complex(alpha, beta, q, 0j) for r in self.roots)
-        return LocalFactor(f"{self.label}|p={prime}", roots, "numeric", prime)
+        return LocalFactor(f"{self.label}|p={prime}", roots, "numeric")
 
     def evaluate(self, t: complex) -> complex:
         """Value of the factor at T = t, as the stable product of linear terms."""
@@ -137,16 +121,14 @@ class LocalFactor:
     # -- comparison and serialization ---------------------------------------
 
     def root_multiset(self) -> Tuple:
-        """Sorted root key tuple; equal multisets mean equal polynomials."""
-        if self.mode == "symbolic":
-            return tuple(sorted(r.single_term() for r in self.roots))
-        return tuple(sorted((r.real, r.imag) for r in self.roots))
+        """Sorted root keys of a symbolic factor; equal keys, equal polynomials."""
+        return tuple(sorted(r.single_term() for r in self.roots))
 
-    def to_json_dict(self, cap: Optional[int] = EXPANSION_DEGREE_CAP) -> dict:
+    def to_json_dict(self) -> dict:
         if self.mode == "symbolic":
-            coeffs = [c.to_json_dict() for c in self.coefficients(cap)]
+            coeffs = [c.to_json_dict() for c in self.coefficients()]
         else:
-            coeffs = [[c.real, c.imag] for c in self.coefficients(cap)]
+            coeffs = [[c.real, c.imag] for c in self.coefficients()]
         return {"label": self.label, "degree": self.degree, "coeffs": coeffs}
 
     def factored_json_dict(self) -> dict:

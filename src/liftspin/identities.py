@@ -17,10 +17,10 @@ both sides.  Every root is a unit monomial with coefficient +1, so that
 coefficient (minus the root sum) already determines the root multiset and
 therefore differs whenever the multisets do.
 
-Numeric mode instantiates the same constructions at real eigenvalue data
-and compares expanded coefficients within a relative tolerance, after
-rescaling T on both sides by the mean q-power of the left side's roots so
-that nothing leaves double-precision range.
+Numeric mode checks the same factor equalities at real eigenvalue data and
+every n symbolic mode covers, comparing sum log(1 - r t) over the roots r
+of both sides at three points t: nothing is expanded, so double precision
+holds up to degree 2048.
 
 The spinor identities take three mutation hooks (an alternative beta
 function, a shift bump on one factor, and replacement parameters for the
@@ -30,6 +30,8 @@ perturbations are detected.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -87,21 +89,34 @@ def compare_symbolic(lhs: LocalFactor, rhs: LocalFactor) -> Tuple[bool, Optional
         return True, None
     # the T^1 coefficient is minus the sum of the +1-coefficient monomial
     # roots, so it tells any two distinct root multisets apart
-    zero = LaurentPoly.zero()
-    lv, rv = ((side.truncated_coefficients(1) + [zero])[1] for side in (lhs, rhs))
+    lv, rv = (-sum(side.roots, LaurentPoly.zero()) for side in (lhs, rhs))
     assert lv != rv, "root multisets differ but their T^1 coefficients agree"
     return False, {"t_degree": 1, "lhs": lv.to_json_dict(), "rhs": rv.to_json_dict()}
 
 
-def compare_numeric(lhs: LocalFactor, rhs: LocalFactor,
-                    tol: float = NUMERIC_TOL) -> Tuple[bool, Optional[Dict]]:
-    lc = lhs.coefficients(cap=None)
-    rc = rhs.coefficients(cap=None)
-    for d in range(max(len(lc), len(rc))):
-        lv = lc[d] if d < len(lc) else 0j
-        rv = rc[d] if d < len(rc) else 0j
-        if abs(lv - rv) > tol * max(abs(lv), abs(rv), 1.0):
-            return False, {"t_degree": d, "lhs": [lv.real, lv.imag],
+def _log_sum(scaled: List[complex], rotation: complex) -> complex:
+    """Exactly rounded sum of log(1 - w rotation): equal multisets, equal sums."""
+    logs = [cmath.log(1 - w * rotation) for w in scaled]
+    return complex(math.fsum(z.real for z in logs), math.fsum(z.imag for z in logs))
+
+
+def compare_numeric(lhs: LocalFactor, rhs: LocalFactor, alpha: complex, beta: complex,
+                    prime: int, tol: float = NUMERIC_TOL) -> Tuple[bool, Optional[Dict]]:
+    """Both sides at a = alpha, b = beta, q = sqrt(prime), compared through sum
+    log(1 - r t) at t = p^(-c/2) e^(i theta), theta = 1, 2, 3, c the mean
+    q-exponent of the left side's roots."""
+    c = sum(root.single_term()[0][2] for root in lhs.roots) / lhs.degree
+    # r t = a^i b^j p^((e - c)/2) e^(i theta) stays in double range for any q^e
+    scaled = [[coeff * alpha ** e_a * beta ** e_b * prime ** ((e_q - c) / 2)
+               for (e_a, e_b, e_q, _), coeff in map(LaurentPoly.single_term, side.roots)]
+              for side in (lhs, rhs)]
+    for theta in (1.0, 2.0, 3.0):
+        rotation = cmath.exp(1j * theta)
+        lv, rv = (_log_sum(roots, rotation) for roots in scaled)
+        # written so that a NaN on either side fails
+        if not abs(lv - rv) <= tol * max(abs(lv), abs(rv), 1.0):
+            t = prime ** (-c / 2) * rotation
+            return False, {"t": [t.real, t.imag], "lhs": [lv.real, lv.imag],
                            "rhs": [rv.real, rv.imag]}
     return True, None
 
@@ -281,15 +296,14 @@ class Identity:
     `sides(n, k, **hooks)` returns the two factors to compare; statements
     that are not factor equalities give `check(n, k) -> (ok, witness)`
     instead (the examples have both: `sides` for `euler`, `check` for the
-    verdict).  `n_range` is (smallest n, symbolic cap or None), and
-    `numeric_max_n` the numeric cap, 0 for symbolic only.  A `fixed_n`
-    identity is one case whatever n is asked for; one without `uses_k`
-    reports k as None.  `grid` lists its (n, k) in `full_symbolic_suite`.
+    verdict); numeric mode takes exactly those without a `check`.  `n_range`
+    is (smallest n, largest n or None) in both modes.  A `fixed_n` identity
+    is one case whatever n is asked for; one without `uses_k` reports k as
+    None.  `grid` lists its (n, k) in `full_symbolic_suite`.
     """
     sides: Optional[Callable[..., Sides]] = None
     check: Optional[Callable[[int, Optional[int]], Tuple[bool, Optional[Dict]]]] = None
     n_range: Tuple[int, Optional[int]] = (1, None)
-    numeric_max_n: int = 0
     needs_g: bool = True
     fixed_n: Optional[int] = None
     uses_k: bool = True
@@ -303,7 +317,7 @@ IDENTITIES: Dict[str, Identity] = {
     "main_theorem": Identity(
         sides=lambda n, k, lhs_params=None, **hooks: (
             miyawaki_spinor_lhs(n, k, lhs_params), main_theorem_rhs(n, k, **hooks)),
-        n_range=(2, 6), numeric_max_n=3,
+        n_range=(2, 6),
         grid=tuple((n, k) for k in (4, 10, 16) for n in range(2, 7))),
     "ikeda_spinor": Identity(
         sides=lambda n, k, **hooks: ikeda_spinor_sides(n, k, **hooks),
@@ -311,7 +325,7 @@ IDENTITIES: Dict[str, Identity] = {
         grid=tuple((n, k) for k in (4, 10) for n in range(1, 5))),
     "ikeda_standard": Identity(
         sides=lambda n, k: ikeda_standard_sides(n, k),
-        n_range=(1, 6), numeric_max_n=6, needs_g=False,
+        n_range=(1, 6), needs_g=False,
         grid=tuple((n, 10) for n in range(1, 7))),
     "miyawaki_standard": Identity(
         sides=lambda n, k: miyawaki_standard_sides(n, k),
@@ -345,12 +359,11 @@ def verify(identity_id: str, n: int, k: int, mode: str = "symbolic",
     parameters = {"n": n, "k": k, "mode": mode, "prime": prime}
     if mode not in ("symbolic", "numeric"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "numeric" and not identity.numeric_max_n:
+    if mode == "numeric" and identity.check is not None:
         raise ValueError(f"identity {identity_id!r} supports symbolic mode only")
     low, cap = identity.n_range
     if n < low:
         raise ValueError(f"need n >= {low}, got {n}")
-    cap = cap if mode == "symbolic" else identity.numeric_max_n
     if cap is not None and n > cap:
         raise GenusTooLarge(f"{mode} {identity_id} check capped at n = {cap}")
     if mode == "numeric":
@@ -368,13 +381,8 @@ def verify(identity_id: str, n: int, k: int, mode: str = "symbolic",
         elif mode == "symbolic":
             ok, witness = compare_symbolic(*identity.sides(n, k, **hooks))
         else:
-            lhs, rhs = identity.sides(n, k, **hooks)
-            # rescale T by the mean q-power of the roots (for a spinor factor
-            # the q-power of mu0) so the coefficients stay near unit size
-            center = sum(r.single_term()[0][2] for r in lhs.roots) // lhs.degree
-            ok, witness = compare_numeric(
-                *(side.shift(-center).instantiate(alpha, beta, prime ** 0.5, prime)
-                  for side in (lhs, rhs)))
+            ok, witness = compare_numeric(*identity.sides(n, k, **hooks),
+                                          alpha, beta, prime)
     except NegativeMultiplicity as exc:
         ok, witness = False, {"reason": str(exc)}
     return VerificationReport(identity_id, parameters, "pass" if ok else "fail", witness)
@@ -388,23 +396,18 @@ def full_symbolic_suite() -> List[VerificationReport]:
             for n, k in identity.grid]
 
 
+def negative_control_hooks(n: int, k: int) -> List[Dict]:
+    """Three single perturbations of main_theorem at (n, k), as verify() hooks."""
+    # (r, m) = (1, 1) is enumerated for every n >= 2, so both bumps always land
+    def bumped(r: int, m: int, N: int) -> int:
+        return beta_value(r, m, N) + ((r, m, N) == (1, 1, n - 1))
+
+    params = miyawaki_satake(n, k)
+    mus = (params.mus[0] * LaurentPoly.monomial(e_q=1),) + params.mus[1:]
+    return [{"beta_fn": bumped}, {"shift_bump": ((1, 1), +1)},
+            {"lhs_params": replace(params, mus=mus)}]
+
+
 def negative_control_reports(n: int = 2, k: int = 10) -> List[VerificationReport]:
     """Deliberately corrupted runs; every report here must FAIL with a witness."""
-    # (r, m) = (1, 1) is enumerated for every n >= 2, so the bump always lands
-    bumped = _bump_beta(1, 1, n - 1, +1)
-    reports = [verify("main_theorem", n, k, beta_fn=bumped)]
-    reports.append(verify("main_theorem", n, k, shift_bump=((1, 1), +1)))
-    params = miyawaki_satake(n, k)
-    mus = list(params.mus)
-    mus[0] = mus[0] * LaurentPoly.monomial(e_q=1)
-    reports.append(verify("main_theorem", n, k, lhs_params=replace(params, mus=tuple(mus))))
-    return reports
-
-
-def _bump_beta(r0: int, m0: int, n0: int, delta: int) -> BetaFn:
-    def bumped(r: int, m: int, n: int) -> int:
-        base = beta_value(r, m, n)
-        if (r, m, n) == (r0, m0, n0):
-            return base + delta
-        return base
-    return bumped
+    return [verify("main_theorem", n, k, **hooks) for hooks in negative_control_hooks(n, k)]

@@ -21,6 +21,7 @@ series is built.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import compress
 from math import comb, isqrt
@@ -359,6 +360,9 @@ def numeric_satake(lam, weight: int, p: int) -> Tuple[complex, complex]:
     import cmath
     normalized = float(Fraction(lam) / p ** ((weight - 2) // 2)) / p ** 0.5
     disc = cmath.sqrt(complex(normalized * normalized - 4))
+    if normalized < -2:  # (normalized + disc) / 2 would cancel to nothing
+        large = (normalized - disc) / 2
+        return 1 / large, large
     r1 = (normalized + disc) / 2
     r2 = (normalized - disc) / 2
     first = max(r1, r2, key=lambda z: (z.imag, z.real))
@@ -370,7 +374,8 @@ def numeric_satake(lam, weight: int, p: int) -> Tuple[complex, complex]:
 def load_eigenvalue_table(path: str) -> Dict[int, Fraction]:
     """Parse a '<p> <numerator>[/<denominator>]' file, one prime per line.
 
-    Blank lines and lines starting with '#' are ignored.  Primes above
+    Blank lines and lines starting with '#' are ignored.  Values that are not
+    integers or quotients with a nonzero denominator, primes above
     MAX_PRIMES_UP_TO (checked before primality) and repeated primes are errors.
     """
     table: Dict[int, Fraction] = {}
@@ -382,7 +387,14 @@ def load_eigenvalue_table(path: str) -> Dict[int, Fraction]:
             fields = line.split()
             if len(fields) != 2:
                 raise ValueError(f"{path}:{lineno}: expected '<p> <value>', got {line!r}")
-            p = int(fields[0])
+            value = re.fullmatch(r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?", fields[1])
+            try:
+                if value is None:
+                    raise ValueError(f"expected '<num>[/<den>]' in integers, den nonzero, "
+                                     f"got {fields[1]!r}")
+                p, num, den = int(fields[0]), int(value[1]), int(value[2] or 1)
+            except ValueError as exc:  # also a prime that is no integer, or too many digits
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
             if p > MAX_PRIMES_UP_TO:
                 raise InputTooLarge(
                     f"{path}:{lineno}: prime {p} exceeds the cap {MAX_PRIMES_UP_TO}")
@@ -390,5 +402,5 @@ def load_eigenvalue_table(path: str) -> Dict[int, Fraction]:
                 raise ValueError(f"{path}:{lineno}: duplicate prime {p}")
             if not is_prime(p):
                 raise NonPrime(f"{path}:{lineno}: {p} is not prime")
-            table[p] = Fraction(fields[1])
+            table[p] = Fraction(num, den)
     return table

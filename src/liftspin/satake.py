@@ -45,25 +45,6 @@ class SatakeParams:
             product = product * mu
         return product == LaurentPoly.monomial(e_q=self.similitude_exponent)
 
-    # -- serialization --------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "genus": self.genus,
-            "mu0": self.mu0.to_json_dict(),
-            "mus": [mu.to_json_dict() for mu in self.mus],
-            "similitude_exponent": self.similitude_exponent,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SatakeParams":
-        return cls(
-            genus=data["genus"],
-            mu0=LaurentPoly.from_json_dict(data["mu0"]),
-            mus=tuple(LaurentPoly.from_json_dict(mu) for mu in data["mus"]),
-            similitude_exponent=data["similitude_exponent"],
-        )
-
 
 def _triangle(n: int) -> int:
     return n * (n + 1) // 2

@@ -400,6 +400,18 @@ def test_duplicate_table_prime_exit2(capsys, tmp_path):
     assert code == 2 and out == "" and "t.txt:2: duplicate prime 2" in err
 
 
+@pytest.mark.parametrize("value,message", [("1/0", "t.txt:2: expected '<num>[/<den>]'"),
+                                           ("0.5", "t.txt:2: expected '<num>[/<den>]'"),
+                                           ("1e10000000", "t.txt:2: expected")])
+def test_malformed_table_value_exit2(capsys, tmp_path, value, message):
+    # a usage error, not the verification-failure exit 1 or a long Fraction parse
+    table = tmp_path / "t.txt"
+    table.write_text(f"3 252\n2 {value}\n")
+    code, out, err = run(capsys, "eigenvalues", "--weight", "12", "--prime", "2",
+                         "--eigenvalues-file", str(table))
+    assert code == 2 and out == "" and message in err
+
+
 def test_identity_choices_come_from_the_registry():
     from liftspin import identities
     from liftspin.cli import build_parser

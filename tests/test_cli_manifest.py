@@ -138,6 +138,12 @@ def _argv_list():
         "euler --identity ikeda_standard --side lhs --n 2 --k 20 --mode numeric --prime 2",
         "beta-table --n 33",
         "verify --identity c1_frobenius --n 33",
+        # numeric verdicts at the top n of each factor equality
+        "verify --identity main_theorem --n 6 --k 10 --mode numeric --prime 2",
+        "verify --identity main_theorem --n 5 --k 11 --mode numeric --prime 199",
+        "verify --identity ikeda_spinor --n 4 --k 10 --mode numeric --prime 199",
+        "verify --identity miyawaki_standard --n 6 --k 10 --numeric",
+        "verify --identity example_deg3 --n 2 --k 10 --mode numeric --prime 2",
     ]
     return out
 

@@ -60,7 +60,7 @@ def test_hecke_factor_numeric_delta_pattern(g12):
     # 1 + 24 * 2^-s + 2^(11-2s): coefficients (1, 24, 2048)
     p = 2
     beta = numeric_satake(hecke_eigenvalue(g12, p), 12, p)[0]
-    fac = hecke_factor("g", 10, 2).instantiate(0j, beta, p ** 0.5, p)
+    fac = hecke_factor("g", 10, 2).instantiate(0j, beta, p)
     c0, c1, c2 = fac.coefficients()
     assert c0 == pytest.approx(1.0)
     assert c1 == pytest.approx(24.0, rel=1e-12)
@@ -227,12 +227,6 @@ def test_shift_matches_substitution():
     assert fac.shift(0).as_poly() == fac.as_poly()
 
 
-def test_truncated_matches_full():
-    fac = spinor_factor(miyawaki_satake(2, 4))
-    full = fac.coefficients()
-    assert tuple(fac.truncated_coefficients(3)) == full[:4]
-
-
 def test_expansion_cap():
     fac = spinor_factor(ikeda_satake(4, 4))  # degree 256
     with pytest.raises(ExpansionTooLarge):
@@ -247,7 +241,7 @@ def test_eval_cross_pipeline_oracle(f20, g12):
     alpha = numeric_satake(hecke_eigenvalue(f20, p), 20, p)[0]
     beta = numeric_satake(hecke_eigenvalue(g12, p), 12, p)[0]
     symbolic = spinor_factor(miyawaki_satake(n, k)).shift(-(3 * k))
-    numeric = symbolic.instantiate(alpha, beta, p ** 0.5, p)
+    numeric = symbolic.instantiate(alpha, beta, p)
     sq = p ** 0.5
     for sym_c, num_c in zip(symbolic.coefficients(), numeric.coefficients()):
         value = sym_c.eval_complex(alpha, beta, sq, 0j)
@@ -263,7 +257,7 @@ def test_symbolic_eval_matches_numeric_on_convergence_circle(f20, g12):
     alpha = numeric_satake(hecke_eigenvalue(f20, p), 20, p)[0]
     beta = numeric_satake(hecke_eigenvalue(g12, p), 12, p)[0]
     symbolic = spinor_factor(miyawaki_satake(n, k))
-    numeric = symbolic.instantiate(alpha, beta, p ** 0.5, p)
+    numeric = symbolic.instantiate(alpha, beta, p)
     poly = symbolic.as_poly()
     radius = float(p) ** (-(n - 0.5) * k - 2)
     for _ in range(10):
@@ -276,7 +270,7 @@ def test_symbolic_eval_matches_numeric_on_convergence_circle(f20, g12):
 def test_numeric_evaluate_matches_expansion(g12):
     p = 3
     beta = numeric_satake(hecke_eigenvalue(g12, p), 12, p)[0]
-    fac = hecke_factor("g", 10, 2).instantiate(0.3 + 0.2j, beta, p ** 0.5, p)
+    fac = hecke_factor("g", 10, 2).instantiate(0.3 + 0.2j, beta, p)
     t = 0.01 + 0.003j
     horner = sum(c * t ** d for d, c in enumerate(fac.coefficients()))
     assert fac.evaluate(t) == pytest.approx(horner, rel=1e-12)
@@ -286,7 +280,7 @@ def test_local_factor_validation():
     with pytest.raises(ValueError):
         LocalFactor("bad", (LaurentPoly.one() + LaurentPoly.monomial(e_a=1),))
     with pytest.raises(ValueError):
-        LocalFactor("bad", (1 + 0j,), mode="numeric")  # missing prime
+        LocalFactor("bad", (1 + 0j,), mode="bogus")
 
 
 def test_to_json_dict():

@@ -4,6 +4,8 @@ from liftspin.beta import beta_value
 from liftspin.errors import GenusTooLarge
 from liftspin.identities import (
     IDENTITIES,
+    NUMERIC_TOL,
+    compare_numeric,
     compare_symbolic,
     example_display_rhs,
     full_symbolic_suite,
@@ -12,10 +14,12 @@ from liftspin.identities import (
     main_theorem_rhs,
     miyawaki_spinor_lhs,
     miyawaki_standard_sides,
+    negative_control_hooks,
     negative_control_reports,
     verify,
 )
 from liftspin.laurent import LaurentPoly
+from liftspin.qexp import EigenformData, eigenform
 from liftspin.satake import SatakeParams, miyawaki_satake
 
 
@@ -137,9 +141,9 @@ def test_numeric_invariant_under_root_swap(f20, g12):
     p = 5
     alpha, beta = satake_values(f20, g12, 2, 10, p)
     base = miyawaki_spinor_lhs(2, 10).shift(-30)
-    reference = base.instantiate(alpha, beta, p ** 0.5, p).coefficients()
+    reference = base.instantiate(alpha, beta, p).coefficients()
     for a, b in ((1 / alpha, beta), (alpha, 1 / beta), (1 / alpha, 1 / beta)):
-        swapped = base.instantiate(a, b, p ** 0.5, p).coefficients()
+        swapped = base.instantiate(a, b, p).coefficients()
         for x, y in zip(reference, swapped):
             assert abs(x - y) <= 1e-9 * max(abs(x), abs(y), 1.0)
 
@@ -245,9 +249,55 @@ def test_registry_fixed_n_and_unused_k():
 
 
 def test_symbolic_only_identities_refuse_numeric(f20, g12):
-    for name, identity in IDENTITIES.items():
-        if not identity.numeric_max_n:
-            with pytest.raises(ValueError, match="symbolic mode only"):
-                verify(name, 2, 10, mode="numeric", prime=2, f=f20, g=g12)
-    assert {name for name, i in IDENTITIES.items() if i.numeric_max_n} \
-        == {"main_theorem", "ikeda_standard"}
+    # numeric mode is offered exactly for the factor equalities
+    refused = {"c1_frobenius", "example_deg3", "example_deg5", "example_deg7",
+               "beta_epsilon_match"}
+    for name in refused:
+        with pytest.raises(ValueError, match="symbolic mode only"):
+            verify(name, 2, 10, mode="numeric", prime=2, f=f20, g=g12)
+    assert {name for name, i in IDENTITIES.items() if i.check is not None} == refused
+
+
+@pytest.fixture(scope="module")
+def forms():
+    return {w: eigenform(w) for w in (12, 16, 18, 20, 22)}
+
+
+@pytest.mark.parametrize("p", [2, 199])
+@pytest.mark.parametrize("name,n", [("main_theorem", 6), ("ikeda_spinor", 4),
+                                    ("ikeda_standard", 6), ("miyawaki_standard", 6)])
+def test_factor_equalities_pass_numerically_at_top_n(forms, name, n, p):
+    # degree 2048 for main_theorem: far past where expanded coefficients
+    # lose double precision
+    assert IDENTITIES[name].n_range[1] == n
+    g = forms[10 + n] if IDENTITIES[name].needs_g else None
+    report = verify(name, n, 10, mode="numeric", prime=p, f=forms[20], g=g)
+    assert report.passed, report.witness
+
+
+def test_numeric_comparison_stays_in_double_range():
+    # at the largest table prime the roots of the degree-2048 sides reach
+    # p^67, past double range; the comparison scales them by p^(-c/2) first
+    p = 999983
+    f, g = (EigenformData.from_eigenvalue_table(w, {p: 0}) for w in (20, 16))
+    report = verify("main_theorem", 6, 10, mode="numeric", prime=p, f=f, g=g)
+    assert report.passed, report.witness
+
+
+def test_numeric_comparison_fails_on_nan():
+    lhs = miyawaki_spinor_lhs(2, 10)
+    ok, witness = compare_numeric(lhs, lhs, float("nan"), 1j, 2)
+    assert not ok and set(witness) == {"t", "lhs", "rhs"}
+
+
+@pytest.mark.parametrize("n,k", [(2, 10), (3, 9), (4, 8), (5, 11), (6, 10)])
+def test_negative_controls_fail_numerically(forms, n, k):
+    for p in (2, 199):
+        for hooks in negative_control_hooks(n, k):
+            report = verify("main_theorem", n, k, mode="numeric", prime=p,
+                            f=forms[2 * k], g=forms[k + n], **hooks)
+            assert not report.passed, (p, hooks)
+            assert set(report.witness) == {"t", "lhs", "rhs"}
+            lhs, rhs = (complex(*report.witness[side]) for side in ("lhs", "rhs"))
+            # missed by far more than the tolerance, not by rounding
+            assert abs(lhs - rhs) > 1000 * NUMERIC_TOL * max(abs(lhs), abs(rhs), 1.0)

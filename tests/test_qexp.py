@@ -10,6 +10,7 @@ from liftspin.errors import (
     InsufficientPrecision,
     IrrationalEigenspace,
     NonPrime,
+    UnsupportedInput,
     UnsupportedWeight,
 )
 from liftspin.qexp import (
@@ -267,6 +268,16 @@ def test_numeric_satake_examples():
         numeric_satake(1, 12, 6)
 
 
+@pytest.mark.parametrize("lam", [10 ** 9, -10 ** 9, 10 ** 12, -10 ** 12])
+def test_numeric_satake_far_outside_the_bound(lam):
+    # the root of larger size comes first in the arithmetic, so the other
+    # one does not cancel to zero (or to 1/0) below -2
+    first, second = numeric_satake(lam, 12, 2)
+    normalized = lam / 2 ** 5 / 2 ** 0.5
+    assert abs(first * second - 1) <= 1e-12
+    assert abs(first + second - normalized) <= 1e-12 * abs(normalized)
+
+
 def test_eigenvalue_table_round_trip(tmp_path):
     path = tmp_path / "lam.txt"
     path.write_text("# weight 12\n2 -24\n3 252\n5 4830/1\n\n")
@@ -308,6 +319,27 @@ def test_eigenvalue_table_duplicate_prime(tmp_path):
     with pytest.raises(ValueError, match="lam.txt:3: duplicate prime 2") as exc:
         load_eigenvalue_table(str(path))
     assert not isinstance(exc.value, NonPrime)
+
+
+@pytest.mark.parametrize("value", ["0.5", "1e3", "1e10000000", "1/0", "-7/0", "1/-2",
+                                   "2/", "/2", "1_000", "0x10", "nan", "1" * 5000])
+def test_eigenvalue_table_value_is_strict(tmp_path, value):
+    # decimal integers or quotients of them only: no floats, exponents (which
+    # Fraction would expand digit by digit), zero denominators or digit limits
+    path = tmp_path / "lam.txt"
+    path.write_text(f"2 -24\n3 {value}\n")
+    with pytest.raises(ValueError, match="lam.txt:2: ") as exc:
+        load_eigenvalue_table(str(path))
+    assert not isinstance(exc.value, UnsupportedInput)
+
+
+def test_eigenvalue_table_value_forms(tmp_path):
+    path = tmp_path / "lam.txt"
+    path.write_text("2 +24\n3 -252/1\n5 10/4\n")
+    assert load_eigenvalue_table(str(path)) == {2: 24, 3: -252, 5: Fraction(5, 2)}
+    path.write_text("2.0 -24\n")
+    with pytest.raises(ValueError, match="lam.txt:1: "):
+        load_eigenvalue_table(str(path))
 
 def test_qexpansion_guards():
     x = QExpansion(12, [0, 1, 2])

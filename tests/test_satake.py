@@ -110,10 +110,3 @@ def test_weyl_permute():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_miyawaki_inverse_mu_check(n):
     assert miyawaki_inverse_mu_check(n, 10)
-
-
-def test_json_round_trip():
-    params = miyawaki_satake(3, 4)
-    data = params.to_json_dict()
-    assert data["genus"] == 5 and len(data["mus"]) == 5
-    assert SatakeParams.from_json_dict(data) == params
