@@ -7,7 +7,8 @@ Exit codes: 0 success, 1 verification failure, 2 usage error (argparse,
 inconsistent flags, malformed eigenvalue tables), 3 unsupported input
 (a weight whose cusp space is not one-dimensional, Deligne's bound, genus,
 expansion, --n, precision, prime-bound, --prime and table-prime caps,
-out-of-range evaluation points).
+out-of-range evaluation points, numeric roots past double range at a
+prime).
 """
 
 from __future__ import annotations
@@ -226,6 +227,9 @@ def cmd_euler(args) -> int:
         f, g = _numeric_forms(args, identity.needs_g)
         alpha, beta = identities.satake_values(f, g, args.n, args.k, p)
         factor = factor.instantiate(alpha, beta, p)
+    if args.format == "json" and not args.factored:
+        _emit(factor.to_json(), args.output)
+        return 0
     data = factor.factored_json_dict() if args.factored else factor.to_json_dict()
 
     def as_text(d):
@@ -312,7 +316,7 @@ def _verify_reports(args) -> List[identities.VerificationReport]:
     name = "main_theorem" if suite else args.identity
     f, g = _numeric_forms(args, identities.IDENTITIES[name].needs_g)
     primes = _primes_from(args) or ([2, 3, 5, 7, 11] if suite else [2])
-    return [identities.verify(name, n, k, "numeric", p, f, g) for p in primes]
+    return identities.verify_at_primes(name, n, k, "numeric", primes, f, g)
 
 
 def cmd_verify(args) -> int:

@@ -48,3 +48,7 @@ class ExpansionTooLarge(UnsupportedInput):
 
 class OutOfConvergenceRegion(UnsupportedInput):
     """Evaluation point lies outside the stated half-plane of convergence."""
+
+
+class NumericOverflow(UnsupportedInput):
+    """An instantiated root overflows double range at the requested prime."""

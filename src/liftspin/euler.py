@@ -7,18 +7,23 @@ representation: it is exact at every genus, and two factors are equal as
 polynomials if and only if their root multisets agree, so no identity
 check, symbolic or numeric, needs the expanded coefficients.
 
-Expanded coefficient lists (index = T-degree) exist for output only, and
-are computed on demand and cached.  Symbolic expansion cost explodes
-combinatorially with the degree: dict-based expansion is subsecond up to
-degree 64 and out of reach by 128, hence EXPANSION_DEGREE_CAP; numeric
+Expanded coefficient lists (index = T-degree) exist for output only.  A
+symbolic coefficient is a dict keyed by one int (e_a S + e_b) S + e_q whose
+balanced digits cannot overflow, S being 2 sum over roots of max |e| + 1:
+multiplying by a root adds one int per term, and sorted keys are in the
+canonical (e_a, e_b, e_q) order.  `to_json` writes the indent-2 JSON of
+`to_json_dict` straight from those dicts.  The term count explodes with
+the degree (201,695 terms, 28.5 MB of JSON and about 1 s at degree 64;
+degree 128 is out of reach), hence EXPANSION_DEGREE_CAP; numeric
 expansion is quadratic and not capped.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple, Union
+import json
+from typing import Iterator, List, Sequence, Tuple, Union
 
-from .errors import ExpansionTooLarge, GenusTooLarge
+from .errors import ExpansionTooLarge, GenusTooLarge, NumericOverflow
 from .laurent import LaurentPoly
 from .satake import SatakeParams
 
@@ -30,29 +35,41 @@ EXPANSION_DEGREE_CAP = 64
 #: spinor factors above this genus (degree 2^12) are refused outright
 SPINOR_GENUS_CAP = 12
 
+# the indent-2 layout of LocalFactor.to_json_dict(), filled in by to_json
+_JSON_FACTOR = '{\n  "label": %s,\n  "degree": %d,\n  "coeffs": [\n%s\n  ]\n}'
+_JSON_COEFF = '    {\n      "terms": [\n%s\n      ]\n    }'
+_JSON_NO_TERMS = '    {\n      "terms": []\n    }'
+_JSON_TERM = ('        {\n          "e": [\n            %d,\n            %d,\n'
+              '            %d,\n            0\n          ],\n          "c": "%d"\n        }')
+
+
+class _Packed(dict):
+    """One expanded symbolic coefficient: packed key -> integer coefficient.
+
+    `_terms` is the same map under LaurentPoly's name for it, so code that
+    counts terms (perfbench's tracer) reads both kinds of coefficient."""
+    _terms = property(lambda self: self)
+
 
 class LocalFactor:
     """One Euler factor at one prime: prod over roots of (1 - root T).
 
     The constant term is 1 and the degree equals the number of roots by
-    construction.  Instances are immutable apart from the cached expansion.
+    construction.  Instances are immutable.
     """
 
-    __slots__ = ("label", "roots", "mode", "_coeffs")
+    __slots__ = ("label", "roots", "mode")
 
     def __init__(self, label: str, roots: Sequence[Root], mode: str = "symbolic"):
         if mode not in ("symbolic", "numeric"):
             raise ValueError(f"unknown mode {mode!r}")
         if mode == "symbolic":
-            for r in roots:
-                if not isinstance(r, LaurentPoly) or not r.is_monomial():
-                    raise ValueError(f"symbolic roots must be monomials, got {r!r}")
+            LaurentPoly.check_monomials(roots, "symbolic roots")
         else:
             roots = [complex(r) for r in roots]
         self.label = label
         self.roots = tuple(roots)
         self.mode = mode
-        self._coeffs = None
 
     @property
     def degree(self) -> int:
@@ -63,32 +80,59 @@ class LocalFactor:
     def coefficients(self) -> Tuple:
         """Coefficients of T^0 (always 1) to T^degree, symbolic ones only
         up to degree EXPANSION_DEGREE_CAP (above it ExpansionTooLarge)."""
-        if self._coeffs is None:
-            if self.mode == "symbolic" and self.degree > EXPANSION_DEGREE_CAP:
-                raise ExpansionTooLarge(
-                    f"degree {self.degree} exceeds the symbolic expansion cap "
-                    f"{EXPANSION_DEGREE_CAP}; use the factored form instead")
-            self._coeffs = tuple(self._expand())
-        return self._coeffs
+        if self.mode == "numeric":
+            return tuple(self._expand())
+        return tuple(LaurentPoly(((e_a, e_b, e_q, 0), c) for e_a, e_b, e_q, c in terms)
+                     for terms in self._sorted_terms())
+
+    def _radix(self) -> int:
+        """S with |e| <= S // 2 for every exponent of every root product."""
+        return 2 * sum(max(map(abs, r.single_term()[0][:3])) for r in self.roots) + 1
 
     def _expand(self) -> List:
-        one, zero = (LaurentPoly.one(), LaurentPoly.zero()) \
-            if self.mode == "symbolic" else (1 + 0j, 0j)
-        coeffs = [one]
-        for root in self.roots:
-            # new coefficient d is old d minus root times old d-1
-            coeffs = coeffs[:1] + [upper - root * lower
-                                   for upper, lower in zip(coeffs[1:] + [zero], coeffs)]
+        """Complex coefficients, or one _Packed dict per symbolic coefficient."""
+        if self.mode == "numeric":
+            coeffs = [1 + 0j]
+            for root in self.roots:
+                # new coefficient d is old d minus root times old d-1
+                coeffs = coeffs[:1] + [upper - root * lower
+                                       for upper, lower in zip(coeffs[1:] + [0j], coeffs)]
+            return coeffs
+        if self.degree > EXPANSION_DEGREE_CAP:
+            raise ExpansionTooLarge(
+                f"degree {self.degree} exceeds the symbolic expansion cap "
+                f"{EXPANSION_DEGREE_CAP}; use the factored form instead")
+        radix = self._radix()
+        coeffs = [_Packed({0: 1})]
+        for (e_a, e_b, e_q, _), c in map(LaurentPoly.single_term, self.roots):
+            shift = (e_a * radix + e_b) * radix + e_q
+            coeffs.append(_Packed())
+            # the same recurrence in place, from the top down so that old
+            # d-1 is still unchanged when d is updated
+            for d in range(len(coeffs) - 1, 0, -1):
+                target = coeffs[d]
+                get = target.get
+                for key, value in coeffs[d - 1].items():
+                    key += shift
+                    value = get(key, 0) - c * value
+                    if value:
+                        target[key] = value
+                    else:
+                        del target[key]
         return coeffs
 
-    def as_poly(self) -> LaurentPoly:
-        """The expanded factor as a single Laurent polynomial in T."""
-        if self.mode != "symbolic":
-            raise ValueError("as_poly is only defined for symbolic factors")
-        total = LaurentPoly.zero()
-        for d, coeff in enumerate(self.coefficients()):
-            total = total + coeff * LaurentPoly.monomial(e_T=d)
-        return total
+    def _sorted_terms(self) -> Iterator[List[Tuple[int, int, int, int]]]:
+        """Per symbolic coefficient, its (e_a, e_b, e_q, c) in canonical order."""
+        coeffs, radix = self._expand(), self._radix()
+        half = radix // 2
+        offset = half * (radix * radix + radix + 1)  # every digit nonnegative
+        for packed in coeffs:
+            terms = []
+            for key in sorted(packed):
+                rest, e_q = divmod(key + offset, radix)
+                e_a, e_b = divmod(rest, radix)
+                terms.append((e_a - half, e_b - half, e_q - half, packed[key]))
+            yield terms
 
     # -- transformations ---------------------------------------------------
 
@@ -102,11 +146,16 @@ class LocalFactor:
         return LocalFactor(f"{self.label}@q^{c}", tuple(r * scale for r in self.roots))
 
     def instantiate(self, alpha: complex, beta: complex, prime: int) -> "LocalFactor":
-        """Numeric factor: every root at a = alpha, b = beta, q = sqrt(prime)."""
+        """Numeric factor: every root at a = alpha, b = beta, q = sqrt(prime);
+        NumericOverflow if a root overflows double range there."""
         if self.mode != "symbolic":
             raise ValueError("can only instantiate symbolic factors")
         q = prime ** 0.5
-        roots = tuple(r.eval_complex(alpha, beta, q, 0j) for r in self.roots)
+        try:
+            roots = tuple(r.eval_complex(alpha, beta, q, 0j) for r in self.roots)
+        except OverflowError:
+            raise NumericOverflow(
+                f"a root of {self.label} leaves double range at p = {prime}") from None
         return LocalFactor(f"{self.label}|p={prime}", roots, "numeric")
 
     def evaluate(self, t: complex) -> complex:
@@ -126,10 +175,21 @@ class LocalFactor:
 
     def to_json_dict(self) -> dict:
         if self.mode == "symbolic":
-            coeffs = [c.to_json_dict() for c in self.coefficients()]
+            coeffs = [{"terms": [{"e": [e_a, e_b, e_q, 0], "c": str(c)}
+                                 for e_a, e_b, e_q, c in terms]}
+                      for terms in self._sorted_terms()]
         else:
-            coeffs = [[c.real, c.imag] for c in self.coefficients()]
+            coeffs = [[c.real, c.imag] for c in self._expand()]
         return {"label": self.label, "degree": self.degree, "coeffs": coeffs}
+
+    def to_json(self) -> str:
+        """json.dumps(self.to_json_dict(), indent=2), written straight from
+        the packed terms for a symbolic factor."""
+        if self.mode == "numeric":
+            return json.dumps(self.to_json_dict(), indent=2)
+        coeffs = [_JSON_COEFF % ",\n".join([_JSON_TERM % term for term in terms])
+                  if terms else _JSON_NO_TERMS for terms in self._sorted_terms()]
+        return _JSON_FACTOR % (json.dumps(self.label), self.degree, ",\n".join(coeffs))
 
     def factored_json_dict(self) -> dict:
         """Root-list encoding, available at any degree; roots come out in

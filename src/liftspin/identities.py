@@ -2,8 +2,9 @@
 
 `IDENTITIES` holds one `Identity` per checkable statement: its two sides
 (or its check), where in n it applies, whether numeric mode and the second
-form g enter, and its suite grid.  `verify()` is the one verdict function;
-the CLI and the suites read the same table.
+form g enter, and its suite grid.  `verify()` gives one verdict and
+`verify_at_primes()` one per prime from sides built once; the CLI and the
+suites read the same table.
 
 Symbolic mode is the primary check: both sides of every identity in scope
 are products of linear terms (1 - root T) with unit-monomial roots, so two
@@ -33,7 +34,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .beta import beta_value
 from .errors import GenusTooLarge
@@ -351,12 +352,18 @@ def verify(identity_id: str, n: int, k: int, mode: str = "symbolic",
     """Verdict on one identity at (n, k): exact in symbolic mode, within
     NUMERIC_TOL at `prime` from the eigenforms f (and g) in numeric mode.
     The hooks (beta_fn, shift_bump, lhs_params) go to the side builders."""
+    return verify_at_primes(identity_id, n, k, mode, (prime,), f, g, **hooks)[0]
+
+
+def verify_at_primes(identity_id: str, n: int, k: int, mode: str,
+                     primes: Sequence[Optional[int]], f: Optional[EigenformData] = None,
+                     g: Optional[EigenformData] = None, **hooks) -> List[VerificationReport]:
+    """verify() at each of `primes` in turn, building the two sides once."""
     identity = IDENTITIES[identity_id]
     if identity.fixed_n is not None:
         n = identity.fixed_n
     if not identity.uses_k:
         k = None
-    parameters = {"n": n, "k": k, "mode": mode, "prime": prime}
     if mode not in ("symbolic", "numeric"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "numeric" and identity.check is not None:
@@ -371,21 +378,26 @@ def verify(identity_id: str, n: int, k: int, mode: str = "symbolic",
             g = None
         elif (k + n) % 2:
             raise ValueError(f"numeric mode needs k+n even, got k={k}, n={n}")
-        if prime is None or f is None or (identity.needs_g and g is None):
+        if None in primes or f is None or (identity.needs_g and g is None):
             needed = "prime, f and g" if identity.needs_g else "prime and f"
             raise ValueError(f"numeric mode needs {needed}")
-        alpha, beta = satake_values(f, g, n, k, prime)
-    try:
-        if identity.check is not None:
-            ok, witness = identity.check(n, k, **hooks)
-        elif mode == "symbolic":
-            ok, witness = compare_symbolic(*identity.sides(n, k, **hooks))
-        else:
-            ok, witness = compare_numeric(*identity.sides(n, k, **hooks),
-                                          alpha, beta, prime)
-    except NegativeMultiplicity as exc:
-        ok, witness = False, {"reason": str(exc)}
-    return VerificationReport(identity_id, parameters, "pass" if ok else "fail", witness)
+    reports, sides = [], None
+    for prime in primes:
+        if mode == "numeric":
+            alpha, beta = satake_values(f, g, n, k, prime)
+        try:
+            if identity.check is not None:
+                ok, witness = identity.check(n, k, **hooks)
+            else:
+                sides = sides or identity.sides(n, k, **hooks)
+                ok, witness = compare_symbolic(*sides) if mode == "symbolic" \
+                    else compare_numeric(*sides, alpha, beta, prime)
+        except NegativeMultiplicity as exc:
+            ok, witness = False, {"reason": str(exc)}
+        parameters = {"n": n, "k": k, "mode": mode, "prime": prime}
+        reports.append(VerificationReport(identity_id, parameters,
+                                          "pass" if ok else "fail", witness))
+    return reports
 
 
 # -- suites -----------------------------------------------------------------------

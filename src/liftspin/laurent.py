@@ -91,9 +91,13 @@ class LaurentPoly:
     def is_one(self) -> bool:
         return self._terms == {(0, 0, 0, 0): 1}
 
-    def is_monomial(self) -> bool:
-        """True for a single-term polynomial (any nonzero coefficient)."""
-        return len(self._terms) == 1
+    @staticmethod
+    def check_monomials(polys: Iterable, what: str) -> None:
+        """ValueError unless each item is one term without T (any nonzero
+        coefficient), as Satake parameters and the roots of (1 - root T) are."""
+        for p in polys:
+            if not isinstance(p, LaurentPoly) or len(p._terms) != 1 or next(iter(p._terms))[3]:
+                raise ValueError(f"{what} must be monomials in a, b, q, got {p!r}")
 
     def single_term(self) -> Tuple[Exponents, int]:
         if len(self._terms) != 1:

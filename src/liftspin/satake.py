@@ -32,9 +32,7 @@ class SatakeParams:
     def __post_init__(self):
         if self.genus < 1 or len(self.mus) != self.genus:
             raise ValueError(f"genus {self.genus} does not match {len(self.mus)} parameters")
-        for mu in (self.mu0, *self.mus):
-            if not isinstance(mu, LaurentPoly) or not mu.is_monomial():
-                raise ValueError(f"Satake parameters must be monomials, got {mu!r}")
+        LaurentPoly.check_monomials((self.mu0, *self.mus), "Satake parameters")
 
     # -- invariants -----------------------------------------------------
 

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from liftspin import identities
 from liftspin.cli import MAX_N, main
 from liftspin.qexp import MAX_PRECISION, MAX_PRIMES_UP_TO, eigenform, primes_up_to
 
@@ -360,6 +361,33 @@ def test_euler_and_lvalue_swapped_tables_exit3(capsys, tables):
     code, _, err = run(capsys, "lvalue", "--side", "rhs", "--s", "25",
                        "--primes-up-to", "199", *swapped)
     assert code == 3 and "Deligne" in err
+
+
+def test_roots_past_double_range_exit3(capsys):
+    # q^135 at p = 999983 is past double range: exit 3 naming the prime
+    zero = GOLDEN / "zero_p999983.txt"
+    shared = ["--n", "6", "--k", "10", "--prime", "999983",
+              "--eigenvalues-file", f"f={zero}", "--eigenvalues-file", f"g={zero}"]
+    for argv in (["euler", "--identity", "main_theorem", "--side", "lhs",
+                  "--mode", "numeric", "--factored"],
+                 ["lvalue", "--side", "lhs", "--s", "200"]):
+        code, out, err = run(capsys, *argv, *shared)
+        assert code == 3 and out == ""
+        assert "leaves double range at p = 999983" in err
+
+
+def test_numeric_verify_builds_the_sides_once(capsys, tables, monkeypatch):
+    built = []
+    rhs = identities.main_theorem_rhs
+    monkeypatch.setattr(identities, "main_theorem_rhs",
+                        lambda n, k, **hooks: built.append((n, k)) or rhs(n, k, **hooks))
+    code, out, _ = run(capsys, "verify", "--identity", "main_theorem", "--n", "2",
+                       "--k", "10", "--mode", "numeric", "--primes-up-to", "30",
+                       "--eigenvalues-file", f"f={tables[20]}",
+                       "--eigenvalues-file", f"g={tables[12]}")
+    assert code == 0
+    assert [e["parameters"]["prime"] for e in json.loads(out)] == primes_up_to(30)
+    assert built == [(2, 10)]
 
 
 # -- caps on the size flags ------------------------------------------------------------

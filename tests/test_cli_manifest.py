@@ -2,8 +2,7 @@
 
 `golden/cli_sha256.json` was captured before the identity registry replaced
 the per-identity dispatch, so any change in what a command prints (or how it
-exits) shows up here.  The two degree-32 expansions (about 12 MB each) are
-left out; the `expand` benchmark checks those against independent references.
+exits) shows up here.
 
 New argvs are pinned from the current code with
 
@@ -23,7 +22,8 @@ from pathlib import Path
 
 import pytest
 
-MANIFEST = Path(__file__).parent / "golden" / "cli_sha256.json"
+GOLDEN = Path(__file__).parent / "golden"
+MANIFEST = GOLDEN / "cli_sha256.json"
 
 _EULER_EXPANDED = [
     ("main_theorem", 2, 10), ("main_theorem", 2, 4), ("main_theorem", 4, 10),
@@ -144,6 +144,20 @@ def _argv_list():
         "verify --identity ikeda_spinor --n 4 --k 10 --mode numeric --prime 199",
         "verify --identity miyawaki_standard --n 6 --k 10 --numeric",
         "verify --identity example_deg3 --n 2 --k 10 --mode numeric --prime 2",
+        # the big expansions: degree 32 on both sides, degree 64 in both
+        # formats, and degree 32 with q-exponents far beyond 2^64
+        "euler --identity main_theorem --side lhs --n 3 --k 10",
+        "euler --identity main_theorem --side rhs --n 3 --k 10",
+        "euler --identity ikeda_spinor --side lhs --n 3 --k 10",
+        "euler --identity ikeda_spinor --side lhs --n 3 --k 10 --format text",
+        "euler --identity main_theorem --side lhs --n 3 --k 1000000000000000000000",
+        # roots past double range at p = 999983 (tables "999983 0" for f and g)
+        "euler --identity main_theorem --side lhs --n 6 --k 10 --mode numeric --prime 999983 "
+        "--factored --eigenvalues-file f={golden}/zero_p999983.txt "
+        "--eigenvalues-file g={golden}/zero_p999983.txt",
+        "lvalue --side lhs --n 6 --k 10 --s 200 --prime 999983 "
+        "--eigenvalues-file f={golden}/zero_p999983.txt "
+        "--eigenvalues-file g={golden}/zero_p999983.txt",
     ]
     return out
 
@@ -152,13 +166,14 @@ ARGVS = _argv_list()
 
 
 def run_argv(argv: str):
-    """(exit code, stdout bytes) of one in-process CLI run."""
+    """(exit code, stdout bytes) of one in-process CLI run; `{golden}` in
+    an argv stands for the directory of the golden files."""
     from liftspin.cli import main
 
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
-            code = main(argv.split())
+            code = main([arg.replace("{golden}", str(GOLDEN)) for arg in argv.split()])
         except SystemExit as exc:  # argparse usage errors
             code = exc.code
     return code, out.getvalue().encode("utf-8")

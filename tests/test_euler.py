@@ -29,6 +29,14 @@ def mono(e_a=0, e_b=0, e_q=0, coeff=1):
     return LaurentPoly.monomial(e_a, e_b, e_q, 0, coeff)
 
 
+def as_poly(factor):
+    """The expanded factor as a single Laurent polynomial in T."""
+    total = LaurentPoly.zero()
+    for d, coeff in enumerate(factor.coefficients()):
+        total = total + coeff * LaurentPoly.monomial(e_T=d)
+    return total
+
+
 def map_exponent(poly, index, flip):
     """Apply e[index] -> flip(e[index]) to every term (test-side helper)."""
     out = LaurentPoly.zero()
@@ -128,7 +136,7 @@ def test_tensor_factor_determinant_oracle(m):
     matrix = [[(LaurentPoly.one() if i == j else LaurentPoly.zero())
                - product[i][j] * scale
                for j in range(2 * m)] for i in range(2 * m)]
-    assert cofactor_det(matrix) == tensor_factor(m, k, n).as_poly()
+    assert cofactor_det(matrix) == as_poly(tensor_factor(m, k, n))
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
@@ -138,7 +146,7 @@ def test_sym_power_determinant_oracle(m):
     matrix = [[(LaurentPoly.one() if i == j else LaurentPoly.zero())
                - (mono(e_a=m - 2 * i) * scale if i == j else LaurentPoly.zero())
                for j in range(m + 1)] for i in range(m + 1)]
-    assert cofactor_det(matrix) == sym_power_factor(m, k).as_poly()
+    assert cofactor_det(matrix) == as_poly(sym_power_factor(m, k))
 
 
 def test_spinor_factor_genus1_is_hecke():
@@ -193,11 +201,11 @@ def test_weyl_invariance_of_factors():
 def test_ikeda_standard_polynomial_identity():
     # genus-2 standard factor equals (1 - T) times the two shifted f factors
     n, k = 1, 4
-    lhs = standard_factor(ikeda_satake(n, k)).as_poly()
+    lhs = as_poly(standard_factor(ikeda_satake(n, k)))
     rhs = LaurentPoly.one() - LaurentPoly.monomial(e_T=1)
     for i in (1, 2):
         shifted = hecke_factor("f", k, n).shift(-2 * (k + n - i))
-        rhs = rhs * shifted.as_poly()
+        rhs = rhs * as_poly(shifted)
     assert lhs == rhs
 
 
@@ -223,8 +231,8 @@ def test_c1_eigenvalue():
 
 def test_shift_matches_substitution():
     fac = tensor_factor(2, 4, 3)
-    assert fac.shift(5).as_poly() == fac.as_poly().substitute_T_scale(5)
-    assert fac.shift(0).as_poly() == fac.as_poly()
+    assert as_poly(fac.shift(5)) == as_poly(fac).substitute_T_scale(5)
+    assert as_poly(fac.shift(0)) == as_poly(fac)
 
 
 def test_expansion_cap():
@@ -258,7 +266,7 @@ def test_symbolic_eval_matches_numeric_on_convergence_circle(f20, g12):
     beta = numeric_satake(hecke_eigenvalue(g12, p), 12, p)[0]
     symbolic = spinor_factor(miyawaki_satake(n, k))
     numeric = symbolic.instantiate(alpha, beta, p)
-    poly = symbolic.as_poly()
+    poly = as_poly(symbolic)
     radius = float(p) ** (-(n - 0.5) * k - 2)
     for _ in range(10):
         t = radius * cmath.exp(1j * rng.uniform(0, 2 * cmath.pi))
@@ -279,6 +287,9 @@ def test_numeric_evaluate_matches_expansion(g12):
 def test_local_factor_validation():
     with pytest.raises(ValueError):
         LocalFactor("bad", (LaurentPoly.one() + LaurentPoly.monomial(e_a=1),))
+    # a root with T is no linear factor 1 - root T
+    with pytest.raises(ValueError):
+        LocalFactor("bad", (LaurentPoly.monomial(e_a=1, e_T=1),))
     with pytest.raises(ValueError):
         LocalFactor("bad", (1 + 0j,), mode="bogus")
 
