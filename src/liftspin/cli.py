@@ -132,20 +132,25 @@ def _dump(data, fmt: str, as_text) -> str:
 # -- eigenform data ------------------------------------------------------------
 
 def _parse_table_args(args) -> Dict[str, str]:
+    """Table path per role: "f", "g" or "untagged"; a role given twice, or a
+    tagged table for eigenvalues, is a usage error."""
     tables: Dict[str, str] = {}
     for entry in args.eigenvalues_file or ():
         role, sep, path = entry.partition("=")
-        if sep and role in ("f", "g"):
-            tables[role] = path
-        else:
-            tables["only"] = entry
+        if not (sep and role in ("f", "g")):
+            role, path = "untagged", entry
+        elif args.command == "eigenvalues":
+            raise ValueError("eigenvalues reads one form; give its table untagged")
+        if role in tables:
+            raise ValueError(f"more than one {role} eigenvalue table")
+        tables[role] = path
     return tables
 
 
 def _form_for(role: str, weight: int, precision: int,
               tables: Dict[str, str]) -> EigenformData:
-    path = tables.get(role) or tables.get("only")
-    if path:
+    path = tables.get(role, tables.get("untagged"))
+    if path is not None:
         return EigenformData.from_eigenvalue_table(weight, load_eigenvalue_table(path))
     return eigenform(weight, precision)
 
@@ -153,7 +158,7 @@ def _form_for(role: str, weight: int, precision: int,
 def _numeric_forms(args, needs_g: bool = True) -> tuple:
     """(f, g) for numeric mode; g is None when the identity involves f only."""
     tables = _parse_table_args(args)
-    if needs_g and "only" in tables:
+    if needs_g and "untagged" in tables:
         raise ValueError("two eigenforms are in play; tag tables as "
                          "--eigenvalues-file f=PATH / g=PATH")
     f = _form_for("f", 2 * args.k, args.precision, tables)
@@ -194,7 +199,7 @@ def cmd_eigenvalues(args) -> int:
     if not primes:
         raise ValueError("eigenvalues needs --prime or --primes-up-to")
     tables = _parse_table_args(args)
-    form = _form_for("only", weight, args.precision, tables)
+    form = _form_for("untagged", weight, args.precision, tables)
     rows = [{"p": p, "lambda": str(hecke_eigenvalue(form, p))} for p in primes]
     data = {"weight": weight, "eigenvalues": rows}
 

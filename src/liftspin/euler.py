@@ -1,8 +1,9 @@
 """Local Euler factors, stored as products of linear terms (1 - root T).
 
 Every L-function in scope has a local factor that splits completely into
-linear terms whose roots are unit monomials in a, b, q (symbolically) or
-complex numbers (numerically).  The factored form is therefore the primary
+linear terms whose roots are unit monomials a^i b^j q^e, stored as the
+exponent triples (i, j, e) of `satake` (symbolic mode), or complex numbers
+(numeric mode).  The factored form is therefore the primary
 representation: it is exact at every genus, and two factors are equal as
 polynomials if and only if their root multisets agree, so no identity
 check, symbolic or numeric, needs the expanded coefficients.
@@ -11,9 +12,11 @@ Expanded coefficient lists (index = T-degree) exist for output only.  A
 symbolic coefficient is a dict keyed by one int (e_a S + e_b) S + e_q whose
 balanced digits cannot overflow, S being 2 sum over roots of max |e| + 1:
 multiplying by a root adds one int per term, and sorted keys are in the
-canonical (e_a, e_b, e_q) order.  `to_json` writes the indent-2 JSON of
-`to_json_dict` straight from those dicts.  The term count explodes with
-the degree (201,695 terms, 28.5 MB of JSON and about 1 s at degree 64;
+canonical (e_a, e_b, e_q) order.  Every term of the T^d coefficient has
+the sign (-1)^d, so no term ever cancels.  `to_json` writes the indent-2
+JSON of `to_json_dict` straight from those dicts, and `coefficients()`
+returns them as `LaurentPoly` values.  The term count explodes with the
+degree (201,695 terms, 28.5 MB of JSON and about 1 s at degree 64;
 degree 128 is out of reach), hence EXPANSION_DEGREE_CAP; numeric
 expansion is quadratic and not capped.
 """
@@ -25,9 +28,9 @@ from typing import Iterator, List, Sequence, Tuple, Union
 
 from .errors import ExpansionTooLarge, GenusTooLarge, NumericOverflow
 from .laurent import LaurentPoly
-from .satake import SatakeParams
+from .satake import Monomial, SatakeParams, check_units, mono_inv
 
-Root = Union[LaurentPoly, complex]
+Root = Union[Monomial, complex]
 
 #: largest degree expanded symbolically
 EXPANSION_DEGREE_CAP = 64
@@ -38,7 +41,6 @@ SPINOR_GENUS_CAP = 12
 # the indent-2 layout of LocalFactor.to_json_dict(), filled in by to_json
 _JSON_FACTOR = '{\n  "label": %s,\n  "degree": %d,\n  "coeffs": [\n%s\n  ]\n}'
 _JSON_COEFF = '    {\n      "terms": [\n%s\n      ]\n    }'
-_JSON_NO_TERMS = '    {\n      "terms": []\n    }'
 _JSON_TERM = ('        {\n          "e": [\n            %d,\n            %d,\n'
               '            %d,\n            0\n          ],\n          "c": "%d"\n        }')
 
@@ -64,7 +66,7 @@ class LocalFactor:
         if mode not in ("symbolic", "numeric"):
             raise ValueError(f"unknown mode {mode!r}")
         if mode == "symbolic":
-            LaurentPoly.check_monomials(roots, "symbolic roots")
+            check_units(roots, "symbolic roots")
         else:
             roots = [complex(r) for r in roots]
         self.label = label
@@ -87,7 +89,7 @@ class LocalFactor:
 
     def _radix(self) -> int:
         """S with |e| <= S // 2 for every exponent of every root product."""
-        return 2 * sum(max(map(abs, r.single_term()[0][:3])) for r in self.roots) + 1
+        return 2 * sum(max(map(abs, r)) for r in self.roots) + 1
 
     def _expand(self) -> List:
         """Complex coefficients, or one _Packed dict per symbolic coefficient."""
@@ -104,7 +106,7 @@ class LocalFactor:
                 f"{EXPANSION_DEGREE_CAP}; use the factored form instead")
         radix = self._radix()
         coeffs = [_Packed({0: 1})]
-        for (e_a, e_b, e_q, _), c in map(LaurentPoly.single_term, self.roots):
+        for e_a, e_b, e_q in self.roots:
             shift = (e_a * radix + e_b) * radix + e_q
             coeffs.append(_Packed())
             # the same recurrence in place, from the top down so that old
@@ -114,11 +116,7 @@ class LocalFactor:
                 get = target.get
                 for key, value in coeffs[d - 1].items():
                     key += shift
-                    value = get(key, 0) - c * value
-                    if value:
-                        target[key] = value
-                    else:
-                        del target[key]
+                    target[key] = get(key, 0) - value
         return coeffs
 
     def _sorted_terms(self) -> Iterator[List[Tuple[int, int, int, int]]]:
@@ -142,17 +140,17 @@ class LocalFactor:
             raise ValueError("can only shift symbolic factors; shift, then instantiate")
         if not c:
             return self
-        scale = LaurentPoly.monomial(e_q=c)
-        return LocalFactor(f"{self.label}@q^{c}", tuple(r * scale for r in self.roots))
+        return LocalFactor(f"{self.label}@q^{c}",
+                           tuple((e_a, e_b, e_q + c) for e_a, e_b, e_q in self.roots))
 
     def instantiate(self, alpha: complex, beta: complex, prime: int) -> "LocalFactor":
         """Numeric factor: every root at a = alpha, b = beta, q = sqrt(prime);
         NumericOverflow if a root overflows double range there."""
         if self.mode != "symbolic":
             raise ValueError("can only instantiate symbolic factors")
-        q = prime ** 0.5
+        a, b, q = complex(alpha), complex(beta), complex(prime ** 0.5)
         try:
-            roots = tuple(r.eval_complex(alpha, beta, q, 0j) for r in self.roots)
+            roots = tuple(a ** e_a * b ** e_b * q ** e_q for e_a, e_b, e_q in self.roots)
         except OverflowError:
             raise NumericOverflow(
                 f"a root of {self.label} leaves double range at p = {prime}") from None
@@ -170,8 +168,8 @@ class LocalFactor:
     # -- comparison and serialization ---------------------------------------
 
     def root_multiset(self) -> Tuple:
-        """Sorted root keys of a symbolic factor; equal keys, equal polynomials."""
-        return tuple(sorted(r.single_term() for r in self.roots))
+        """Sorted root triples of a symbolic factor; equal tuples, equal polynomials."""
+        return tuple(sorted(self.roots))
 
     def to_json_dict(self) -> dict:
         if self.mode == "symbolic":
@@ -188,15 +186,14 @@ class LocalFactor:
         if self.mode == "numeric":
             return json.dumps(self.to_json_dict(), indent=2)
         coeffs = [_JSON_COEFF % ",\n".join([_JSON_TERM % term for term in terms])
-                  if terms else _JSON_NO_TERMS for terms in self._sorted_terms()]
+                  for terms in self._sorted_terms()]
         return _JSON_FACTOR % (json.dumps(self.label), self.degree, ",\n".join(coeffs))
 
     def factored_json_dict(self) -> dict:
         """Root-list encoding, available at any degree; roots come out in
         canonical order so equal factors serialize identically."""
         if self.mode == "symbolic":
-            roots = [r.to_json_dict()
-                     for r in sorted(self.roots, key=lambda r: r.single_term())]
+            roots = [{"terms": [{"e": [*r, 0], "c": "1"}]} for r in sorted(self.roots)]
         else:
             roots = [[r.real, r.imag]
                      for r in sorted(self.roots, key=lambda r: (r.real, r.imag))]
@@ -217,14 +214,10 @@ def hecke_factor(role: str, k: int, n: int) -> LocalFactor:
     """
     if role == "f":
         e = 2 * k - 1
-        roots = (LaurentPoly.monomial(e_a=1, e_q=e),
-                 LaurentPoly.monomial(e_a=-1, e_q=e))
-        return LocalFactor(f"hecke[f,k={k}]", roots)
+        return LocalFactor(f"hecke[f,k={k}]", ((1, 0, e), (-1, 0, e)))
     if role == "g":
         e = k + n - 1
-        roots = (LaurentPoly.monomial(e_b=1, e_q=e),
-                 LaurentPoly.monomial(e_b=-1, e_q=e))
-        return LocalFactor(f"hecke[g,k={k},n={n}]", roots)
+        return LocalFactor(f"hecke[g,k={k},n={n}]", ((0, 1, e), (0, -1, e)))
     raise ValueError(f"role must be 'f' or 'g', got {role!r}")
 
 
@@ -233,7 +226,7 @@ def sym_power_factor(m: int, k: int) -> LocalFactor:
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
     e = m * (2 * k - 1)
-    roots = tuple(LaurentPoly.monomial(e_a=m - 2 * j, e_q=e) for j in range(m + 1))
+    roots = tuple((m - 2 * j, 0, e) for j in range(m + 1))
     return LocalFactor(f"sym^{m}[f,k={k}]", roots)
 
 
@@ -242,8 +235,7 @@ def tensor_factor(m: int, k: int, n: int) -> LocalFactor:
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
     e = (m - 1) * (2 * k - 1) + (k + n - 1)
-    roots = tuple(LaurentPoly.monomial(e_a=m - 1 - 2 * j, e_b=eps, e_q=e)
-                  for j in range(m) for eps in (1, -1))
+    roots = tuple((m - 1 - 2 * j, eps, e) for j in range(m) for eps in (1, -1))
     return LocalFactor(f"tensor[g*sym^{m - 1}f,k={k},n={n}]", roots)
 
 
@@ -255,17 +247,16 @@ def spinor_factor(params: SatakeParams, label: str = "") -> LocalFactor:
             f"genus {params.genus} spinor factor has degree 2^{params.genus}; "
             f"cap is {SPINOR_GENUS_CAP}")
     roots = [params.mu0]
-    for mu in params.mus:
-        roots.extend(r * mu for r in list(roots))
+    for i, j, e in params.mus:
+        roots.extend([(a + i, b + j, c + e) for a, b, c in roots])
     return LocalFactor(label or f"spin[genus={params.genus}]", tuple(roots))
 
 
 def standard_factor(params: SatakeParams, label: str = "") -> LocalFactor:
     """Degree-(2 genus + 1) factor: (1 - T) times the paired mu, 1/mu terms."""
-    roots = [LaurentPoly.one()]
+    roots = [(0, 0, 0)]
     for mu in params.mus:
-        roots.append(mu)
-        roots.append(mu.monomial_inverse())
+        roots += (mu, mono_inv(mu))
     return LocalFactor(label or f"st[genus={params.genus}]", tuple(roots))
 
 
@@ -298,7 +289,7 @@ def c1_eigenvalue(n: int, k: int) -> LaurentPoly:
 
 def frobenius_eigenvalue(params: SatakeParams) -> LaurentPoly:
     """mu0 prod (1 + mu_i): the T(p)-eigenvalue read off the Satake set."""
-    value = params.mu0
+    value = LaurentPoly.monomial(*params.mu0)
     for mu in params.mus:
-        value = value * (1 + mu)
+        value = value * (1 + LaurentPoly.monomial(*mu))
     return value

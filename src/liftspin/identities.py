@@ -7,14 +7,15 @@ form g enter, and its suite grid.  `verify()` gives one verdict and
 suites read the same table.
 
 Symbolic mode is the primary check: both sides of every identity in scope
-are products of linear terms (1 - root T) with unit-monomial roots, so two
-sides are equal as polynomials exactly when their root multisets coincide.
+are products of linear terms (1 - root T) whose roots are unit monomials,
+stored as exponent triples (see `satake`), so two sides are equal as
+polynomials exactly when their sorted root tuples coincide.
 That comparison is exact at every degree that occurs (8 up to 2048) and by
 unique factorization it is equivalent to expanding and comparing the
 coefficient lists, which stops being tractable around degree 128.
 
 When a symbolic comparison fails, the witness is the T^1 coefficient of
-both sides.  Every root is a unit monomial with coefficient +1, so that
+both sides.  Every root has the implicit coefficient +1, so that
 coefficient (minus the root sum) already determines the root multiset and
 therefore differs whenever the multisets do.
 
@@ -50,7 +51,7 @@ from .euler import (
 )
 from .laurent import LaurentPoly
 from .qexp import EigenformData, check_deligne_bound, hecke_eigenvalue, numeric_satake
-from .satake import SatakeParams, elliptic_satake, ikeda_satake, miyawaki_satake
+from .satake import SatakeParams, elliptic_satake, ikeda_satake, miyawaki_satake, mono_mul
 
 NUMERIC_TOL = 1e-9
 
@@ -88,10 +89,8 @@ class VerificationReport:
 def compare_symbolic(lhs: LocalFactor, rhs: LocalFactor) -> Tuple[bool, Optional[Dict]]:
     if lhs.root_multiset() == rhs.root_multiset():
         return True, None
-    # the T^1 coefficient is minus the sum of the +1-coefficient monomial
-    # roots, so it tells any two distinct root multisets apart
-    lv, rv = (-sum(side.roots, LaurentPoly.zero()) for side in (lhs, rhs))
-    assert lv != rv, "root multisets differ but their T^1 coefficients agree"
+    # the T^1 coefficient, minus the root sum, tells any two multisets apart
+    lv, rv = (LaurentPoly(((*r, 0), -1) for r in side.roots) for side in (lhs, rhs))
     return False, {"t_degree": 1, "lhs": lv.to_json_dict(), "rhs": rv.to_json_dict()}
 
 
@@ -106,11 +105,10 @@ def compare_numeric(lhs: LocalFactor, rhs: LocalFactor, alpha: complex, beta: co
     """Both sides at a = alpha, b = beta, q = sqrt(prime), compared through sum
     log(1 - r t) at t = p^(-c/2) e^(i theta), theta = 1, 2, 3, c the mean
     q-exponent of the left side's roots."""
-    c = sum(root.single_term()[0][2] for root in lhs.roots) / lhs.degree
+    c = sum(e_q for _, _, e_q in lhs.roots) / lhs.degree
     # r t = a^i b^j p^((e - c)/2) e^(i theta) stays in double range for any q^e
-    scaled = [[coeff * alpha ** e_a * beta ** e_b * prime ** ((e_q - c) / 2)
-               for (e_a, e_b, e_q, _), coeff in map(LaurentPoly.single_term, side.roots)]
-              for side in (lhs, rhs)]
+    scaled = [[alpha ** e_a * beta ** e_b * prime ** ((e_q - c) / 2)
+               for e_a, e_b, e_q in side.roots] for side in (lhs, rhs)]
     for theta in (1.0, 2.0, 3.0):
         rotation = cmath.exp(1j * theta)
         lv, rv = (_log_sum(roots, rotation) for roots in scaled)
@@ -200,7 +198,7 @@ def ikeda_spinor_sides(n: int, k: int, beta_fn: BetaFn = beta_value,
 def ikeda_standard_sides(n: int, k: int) -> Sides:
     """Standard factor of the genus-2n lift against zeta times shifted f factors."""
     lhs = standard_factor(ikeda_satake(n, k), label=f"st[ikeda n={n},k={k}]")
-    roots = [LaurentPoly.one()]
+    roots = [(0, 0, 0)]
     for i in range(1, 2 * n + 1):
         roots.extend(hecke_factor("f", k, n).shift(-2 * (k + n - i)).roots)
     rhs = LocalFactor(f"rhs[ikeda_standard n={n},k={k}]", tuple(roots))
@@ -415,7 +413,7 @@ def negative_control_hooks(n: int, k: int) -> List[Dict]:
         return beta_value(r, m, N) + ((r, m, N) == (1, 1, n - 1))
 
     params = miyawaki_satake(n, k)
-    mus = (params.mus[0] * LaurentPoly.monomial(e_q=1),) + params.mus[1:]
+    mus = (mono_mul(params.mus[0], (0, 0, 1)),) + params.mus[1:]
     return [{"beta_fn": bumped}, {"shift_bump": ((1, 1), +1)},
             {"lhs_params": replace(params, mus=mus)}]
 

@@ -1,5 +1,10 @@
 """Exact Laurent-polynomial arithmetic in the four formal variables a, b, q, T.
 
+It holds the values that really are polynomials: expanded Euler factor
+coefficients, the T^1 witness of a failed comparison, the eigenvalue
+constants of `euler`, and their JSON wire format.  Roots and Satake
+parameters are unit monomials, kept as exponent triples (see `satake`).
+
 A polynomial is a finite map from exponent vectors (e_a, e_b, e_q, e_T) to
 nonzero arbitrary-precision integer coefficients.  The variables stand for,
 in this order: the two unit parameters a and b attached to the elliptic
@@ -85,28 +90,8 @@ class LaurentPoly:
         """Terms in canonical order, lexicographic on (e_T, e_a, e_b, e_q)."""
         return tuple(sorted(self._terms.items(), key=lambda kv: _canonical_key(kv[0])))
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def is_one(self) -> bool:
         return self._terms == {(0, 0, 0, 0): 1}
-
-    @staticmethod
-    def check_monomials(polys: Iterable, what: str) -> None:
-        """ValueError unless each item is one term without T (any nonzero
-        coefficient), as Satake parameters and the roots of (1 - root T) are."""
-        for p in polys:
-            if not isinstance(p, LaurentPoly) or len(p._terms) != 1 or next(iter(p._terms))[3]:
-                raise ValueError(f"{what} must be monomials in a, b, q, got {p!r}")
-
-    def single_term(self) -> Tuple[Exponents, int]:
-        if len(self._terms) != 1:
-            raise ValueError(f"not a monomial: {self}")
-        return next(iter(self._terms.items()))
-
-    def t_degree(self) -> int:
-        """Largest T-exponent, -1 for the zero polynomial."""
-        return max((e[3] for e in self._terms), default=-1)
 
     # -- ring operations ------------------------------------------------
 
@@ -165,41 +150,11 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "LaurentPoly":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError(f"exponent must be a nonnegative integer, got {exponent!r}")
-        result = _ONE
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
-    def monomial_inverse(self) -> "LaurentPoly":
-        """Inverse of a unit monomial (coefficient +-1, no T part)."""
-        (e, c) = self.single_term()
-        if abs(c) != 1:
-            raise ValueError(f"monomial with coefficient {c} is not invertible over Z")
-        if e[3] != 0:
-            raise ValueError("cannot invert a monomial containing T")
-        return LaurentPoly.monomial(-e[0], -e[1], -e[2], 0, coeff=c)
-
-    # -- specialisations ------------------------------------------------
-
-    def substitute_T_scale(self, c: int) -> "LaurentPoly":
-        """Replace T by q^c * T; realizes the half-integer shift s -> s - c/2."""
-        if not isinstance(c, int):
-            raise ValueError(f"scale exponent must be an integer, got {c!r}")
-        if c == 0:
-            return self
-        return _raw({(e[0], e[1], e[2] + c * e[3], e[3]): v
-                     for e, v in self._terms.items()})
+    # -- evaluation -----------------------------------------------------
 
     def eval_complex(self, a: complex, b: complex, q: complex, t: complex) -> complex:
-        """Evaluate at complex arguments, Horner in T.
+        """Evaluate at complex arguments, Horner in T; the reference that the
+        roots of `LocalFactor.instantiate` are tested against bit for bit.
 
         Raises ZeroDivisionError when a, b or q is zero and occurs with a
         negative exponent.

@@ -1,11 +1,16 @@
-"""Satake parameter sets of the two lift families, and the Weyl action.
+"""Satake parameter sets of the two lift families, the Weyl action, and
+the unit monomials they are made of.
 
 A parameter set is (mu0, mu1, ..., mu_g) together with the exponent e of
 the similitude constraint mu0^2 mu1 ... mu_g = q^e (recall q^2 = p).  Every
-entry is a single unit monomial in a, b, q, which makes the Weyl generators
-(monomial inversion) and the similitude check exact.  Numeric work
-instantiates the finished local factors instead (`LocalFactor.instantiate`);
-the similitude, exact in the ring, holds there for every alpha and beta.
+entry is a unit monomial a^i b^j q^e, stored as its exponent triple
+(i, j, e) of ints with implicit coefficient 1.  So is every root of every
+Euler factor in scope, which is why the monomial algebra lives here: the
+product and the inverse are exponent sums and negations, which makes the
+Weyl generators and the similitude check exact, and `check_units` is the
+one place that says what a monomial is.  Numeric work instantiates the
+finished local factors instead (`LocalFactor.instantiate`); the
+similitude, exact in the ring, holds there for every alpha and beta.
 
 Constructors cover the genus-2n lift of f, the genus-(2n-1) lift of the
 pair (f, g), and the degenerate genus-1 set of an elliptic eigenform.
@@ -17,31 +22,49 @@ not mathematical content.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
-from .laurent import LaurentPoly
+#: a^i b^j q^e as (i, j, e)
+Monomial = Tuple[int, int, int]
+
+
+def mono_mul(x: Monomial, y: Monomial) -> Monomial:
+    return (x[0] + y[0], x[1] + y[1], x[2] + y[2])
+
+
+def mono_inv(x: Monomial) -> Monomial:
+    return (-x[0], -x[1], -x[2])
+
+
+def check_units(items: Iterable, what: str) -> None:
+    """ValueError unless each item is an exponent triple of ints (no bools)."""
+    for x in items:
+        if not (type(x) is tuple and len(x) == 3 and type(x[0]) is int
+                and type(x[1]) is int and type(x[2]) is int):
+            raise ValueError(f"{what} must be exponent triples (i, j, e) of "
+                             f"unit monomials a^i b^j q^e, got {x!r}")
 
 
 @dataclass(frozen=True)
 class SatakeParams:
     genus: int
-    mu0: LaurentPoly
-    mus: Tuple[LaurentPoly, ...]
+    mu0: Monomial
+    mus: Tuple[Monomial, ...]
     similitude_exponent: int
 
     def __post_init__(self):
         if self.genus < 1 or len(self.mus) != self.genus:
             raise ValueError(f"genus {self.genus} does not match {len(self.mus)} parameters")
-        LaurentPoly.check_monomials((self.mu0, *self.mus), "Satake parameters")
+        check_units((self.mu0, *self.mus), "Satake parameters")
 
     # -- invariants -----------------------------------------------------
 
     def similitude_holds(self) -> bool:
         """mu0^2 prod(mus) == q^similitude_exponent, exactly."""
-        product = self.mu0 * self.mu0
+        product = mono_mul(self.mu0, self.mu0)
         for mu in self.mus:
-            product = product * mu
-        return product == LaurentPoly.monomial(e_q=self.similitude_exponent)
+            product = mono_mul(product, mu)
+        return product == (0, 0, self.similitude_exponent)
 
 
 def _triangle(n: int) -> int:
@@ -57,9 +80,8 @@ def ikeda_satake(n: int, k: int) -> SatakeParams:
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
     genus = 2 * n
-    mu0 = LaurentPoly.monomial(e_a=-n, e_q=n * (2 * k - 1))
-    mus = tuple(LaurentPoly.monomial(e_a=1, e_q=2 * i - 2 * n - 1)
-                for i in range(1, genus + 1))
+    mu0 = (-n, 0, n * (2 * k - 1))
+    mus = tuple((1, 0, 2 * i - 2 * n - 1) for i in range(1, genus + 1))
     exponent = 2 * (genus * (k + n) - _triangle(genus))
     return SatakeParams(genus, mu0, mus, exponent)
 
@@ -76,10 +98,8 @@ def miyawaki_satake(n: int, k: int) -> SatakeParams:
     if k < 1:
         raise ValueError(f"need k >= 1, got k={k}")
     genus = 2 * n - 1
-    mu0 = LaurentPoly.monomial(e_a=-(n - 1), e_b=-1,
-                               e_q=(n - 1) * (2 * k - 1) + (k + n - 1))
-    mus = tuple(LaurentPoly.monomial(e_a=1, e_q=2 * i - 2 * n + 1)
-                for i in range(1, genus)) + (LaurentPoly.monomial(e_b=2),)
+    mu0 = (-(n - 1), -1, (n - 1) * (2 * k - 1) + (k + n - 1))
+    mus = tuple((1, 0, 2 * i - 2 * n + 1) for i in range(1, genus)) + ((0, 2, 0),)
     exponent = 2 * (genus * (k + n) - _triangle(genus))
     return SatakeParams(genus, mu0, mus, exponent)
 
@@ -87,14 +107,10 @@ def miyawaki_satake(n: int, k: int) -> SatakeParams:
 def elliptic_satake(weight: int, variable: str = "b") -> SatakeParams:
     """Genus-1 parameters of an elliptic eigenform of the given weight:
     mu0 = v^-1 q^(weight-1), mu1 = v^2, where v is 'a' or 'b'."""
-    if variable == "a":
-        v = LaurentPoly.monomial(e_a=1)
-    elif variable == "b":
-        v = LaurentPoly.monomial(e_b=1)
-    else:
+    if variable not in ("a", "b"):
         raise ValueError(f"variable must be 'a' or 'b', got {variable!r}")
-    mu0 = v.monomial_inverse() * LaurentPoly.monomial(e_q=weight - 1)
-    return SatakeParams(1, mu0, (v * v,), 2 * (weight - 1))
+    i, j = (1, 0) if variable == "a" else (0, 1)
+    return SatakeParams(1, (-i, -j, weight - 1), ((2 * i, 2 * j, 0),), 2 * (weight - 1))
 
 
 # -- Weyl group action ------------------------------------------------------
@@ -104,8 +120,8 @@ def weyl_sigma(params: SatakeParams, i: int) -> SatakeParams:
     if not 1 <= i <= params.genus:
         raise IndexError(f"sigma index {i} out of range 1..{params.genus}")
     mus = list(params.mus)
-    mu0 = params.mu0 * mus[i - 1]
-    mus[i - 1] = mus[i - 1].monomial_inverse()
+    mu0 = mono_mul(params.mu0, mus[i - 1])
+    mus[i - 1] = mono_inv(mus[i - 1])
     return replace(params, mu0=mu0, mus=tuple(mus))
 
 
@@ -117,14 +133,11 @@ def weyl_permute(params: SatakeParams, perm: Sequence[int]) -> SatakeParams:
     return replace(params, mus=mus)
 
 
-def _reduce_b_squared_to_minus_one(poly: LaurentPoly) -> LaurentPoly:
-    """Formally set b^2 = -1: b^e becomes (-1)^floor(e/2) b^(e mod 2)."""
-    out = LaurentPoly.zero()
-    for e, c in poly.terms:
-        quot, rem = divmod(e[1], 2)
-        sign = -1 if quot % 2 else 1
-        out = out + LaurentPoly.monomial(e[0], rem, e[2], e[3], coeff=sign * c)
-    return out
+def _reduce_b_squared_to_minus_one(mu: Monomial) -> Tuple[int, Monomial]:
+    """Formally set b^2 = -1: a^i b^j q^e becomes (-1)^floor(j/2) a^i b^(j mod 2)
+    q^e, returned as (sign, monomial)."""
+    quot, rem = divmod(mu[1], 2)
+    return (-1 if quot % 2 else 1), (mu[0], rem, mu[2])
 
 
 def miyawaki_inverse_mu_check(n: int, k: int) -> bool:
@@ -139,12 +152,9 @@ def miyawaki_inverse_mu_check(n: int, k: int) -> bool:
     flipped = weyl_sigma(params, params.genus)
 
     def reduced(p: SatakeParams, negate_mu0: bool):
-        mu0 = _reduce_b_squared_to_minus_one(p.mu0)
-        if negate_mu0:
-            mu0 = -mu0
-        mus = sorted((_reduce_b_squared_to_minus_one(mu) for mu in p.mus),
-                     key=lambda m: m.terms)
-        return mu0, mus
+        sign, mu0 = _reduce_b_squared_to_minus_one(p.mu0)
+        mus = sorted(map(_reduce_b_squared_to_minus_one, p.mus))
+        return (-sign if negate_mu0 else sign, mu0), mus
 
     return reduced(flipped, negate_mu0=False) == reduced(params, negate_mu0=True)
 

@@ -20,12 +20,12 @@ from liftspin.identities import (
     DEG7_EPS_PRIME,
     verify,
 )
-from liftspin.laurent import LaurentPoly
 from liftspin.qexp import delta, delta_eta_product, eigenform, primes_up_to
 from liftspin.satake import (
     SatakeParams,
     ikeda_satake,
     miyawaki_satake,
+    mono_mul,
     weyl_permute,
     weyl_sigma,
 )
@@ -179,11 +179,11 @@ def test_criterion_9_weyl_invariance_100_random_elements():
 
 def _perturbed_params(params, index, delta):
     if index == 0:
-        mu0 = params.mu0 * LaurentPoly.monomial(e_q=delta)
+        mu0 = mono_mul(params.mu0, (0, 0, delta))
         return SatakeParams(params.genus, mu0, params.mus,
                             params.similitude_exponent)
     mus = list(params.mus)
-    mus[index - 1] = mus[index - 1] * LaurentPoly.monomial(e_q=delta)
+    mus[index - 1] = mono_mul(mus[index - 1], (0, 0, delta))
     return SatakeParams(params.genus, params.mu0, tuple(mus),
                         params.similitude_exponent)
 

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -64,6 +66,43 @@ def test_eigenvalues_from_file(capsys, tmp_path):
                        "--eigenvalues-file", str(table))
     assert code == 0
     assert json.loads(out)["eigenvalues"] == [{"p": 3, "lambda": "252"}]
+
+
+@pytest.mark.parametrize("role", ["f", "g"])
+def test_eigenvalues_rejects_role_tagged_table(capsys, tmp_path, role):
+    # the tagged table used to be ignored: lambda(2) came out -24, not 999
+    table = tmp_path / "t.txt"
+    table.write_text("2 999\n")
+    code, out, err = run(capsys, "eigenvalues", "--weight", "12", "--prime", "2",
+                         "--eigenvalues-file", f"{role}={table}")
+    assert code == 2 and out == "" and "untagged" in err
+
+
+_TWO_FORMS = [["verify", "--identity", "main_theorem", "--n", "2", "--k", "10", "--numeric"],
+              ["lvalue", "--side", "lhs", "--n", "2", "--k", "10", "--s", "25", "--prime", "2"]]
+_F_ONLY = ["verify", "--identity", "ikeda_standard", "--n", "2", "--k", "10", "--numeric"]
+_EIGENVALUES = ["eigenvalues", "--weight", "12", "--prime", "2"]
+_REPEATS = [(command, role) for command in _TWO_FORMS for role in ("f=", "g=", "")] \
+    + [(_F_ONLY, "f="), (_F_ONLY, ""), (_EIGENVALUES, "")]
+
+
+@pytest.mark.parametrize("command, role", _REPEATS)
+def test_repeated_table_role_exit2(capsys, tmp_path, command, role):
+    # the last of two tables for one role used to win silently
+    first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+    first.write_text("2 -24\n")
+    second.write_text("2 456\n")
+    code, out, err = run(capsys, *command, "--eigenvalues-file", f"{role}{first}",
+                         "--eigenvalues-file", f"{role}{second}")
+    assert code == 2 and out == "" and "more than one" in err
+
+
+@pytest.mark.parametrize("entry", ["", "f="])
+def test_empty_table_path_exit2(capsys, entry):
+    # an empty path used to fall back to q-expansions without a word
+    code, out, _ = run(capsys, "verify", "--identity", "ikeda_standard", "--n", "2",
+                       "--k", "10", "--numeric", "--prime", "2", "--eigenvalues-file", entry)
+    assert code == 2 and out == ""
 
 
 def test_euler_sides_identical(capsys):
@@ -467,3 +506,17 @@ def test_euler_bare_table_only_for_one_form(capsys, tmp_path):
     code, out, _ = run(capsys, "euler", "--identity", "ikeda_standard", "--side", "lhs",
                        *numeric)
     assert code == 0 and json.loads(out)["degree"] == 9
+
+
+def test_symbolic_suite_needs_only_the_standard_library():
+    # -I ignores PYTHON* variables and the user site, -S skips site-packages:
+    # only the standard library and src/ can be imported
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = ("import sys; sys.path.insert(0, sys.argv[1]); import liftspin.cli; "
+              "sys.exit(liftspin.cli.main(['verify', '--all', '--symbolic']))")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", script, str(src)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    reports = json.loads(proc.stdout)
+    assert len(reports) == sum(len(i.grid) for i in identities.IDENTITIES.values())
+    assert all(r["verdict"] == "pass" for r in reports)

@@ -158,6 +158,11 @@ def _argv_list():
         "lvalue --side lhs --n 6 --k 10 --s 200 --prime 999983 "
         "--eigenvalues-file f={golden}/zero_p999983.txt "
         "--eigenvalues-file g={golden}/zero_p999983.txt",
+        # a role-tagged table for eigenvalues, and one role given twice
+        "eigenvalues --weight 12 --prime 2 --eigenvalues-file f={golden}/zero_p999983.txt",
+        "verify --identity ikeda_standard --n 2 --k 10 --numeric --prime 999983 "
+        "--eigenvalues-file f={golden}/zero_p999983.txt "
+        "--eigenvalues-file f={golden}/zero_p999983.txt",
     ]
     return out
 

@@ -80,7 +80,7 @@ def test_sym_power_factor():
     assert sym_power_factor(0, k).coefficients() == (LaurentPoly.one(), -LaurentPoly.one())
     assert sym_power_factor(1, k).root_multiset() == hecke_factor("f", k, 0).root_multiset()
     roots = set(sym_power_factor(2, k).roots)
-    assert roots == {mono(e_a=2, e_q=38), mono(e_q=38), mono(e_a=-2, e_q=38)}
+    assert roots == {(2, 0, 38), (0, 0, 38), (-2, 0, 38)}
     with pytest.raises(ValueError):
         sym_power_factor(-1, k)
 
@@ -91,7 +91,7 @@ def test_tensor_factor():
     fac = tensor_factor(2, k, n)
     assert fac.degree == 4
     # b -> 1/b leaves the factor invariant
-    flipped = sorted(map_exponent(r, 1, lambda e: -e).single_term() for r in fac.roots)
+    flipped = sorted((e_a, -e_b, e_q) for e_a, e_b, e_q in fac.roots)
     assert flipped == sorted(fac.root_multiset())
     with pytest.raises(ValueError):
         tensor_factor(0, k, n)
@@ -166,9 +166,7 @@ def test_spinor_factor_degree_and_cap():
 
 def test_standard_factor_genus1():
     fac = standard_factor(elliptic_satake(12, "b"))
-    assert sorted(fac.root_multiset()) == sorted(
-        f.single_term() for f in
-        (LaurentPoly.one(), mono(e_b=2), mono(e_b=-2)))
+    assert sorted(fac.root_multiset()) == [(0, -2, 0), (0, 0, 0), (0, 2, 0)]
 
 
 def test_standard_factor_inverse_invariance():
@@ -231,7 +229,10 @@ def test_c1_eigenvalue():
 
 def test_shift_matches_substitution():
     fac = tensor_factor(2, 4, 3)
-    assert as_poly(fac.shift(5)) == as_poly(fac).substitute_T_scale(5)
+    # T -> q^5 T, term by term on the expanded factor
+    substituted = LaurentPoly(((e_a, e_b, e_q + 5 * e_T, e_T), c)
+                              for (e_a, e_b, e_q, e_T), c in as_poly(fac).terms)
+    assert as_poly(fac.shift(5)) == substituted
     assert as_poly(fac.shift(0)) == as_poly(fac)
 
 
@@ -284,12 +285,18 @@ def test_numeric_evaluate_matches_expansion(g12):
     assert fac.evaluate(t) == pytest.approx(horner, rel=1e-12)
 
 
+# a general polynomial, a 4-vector (with T or without), a float and a bool
+NOT_ROOTS = [LaurentPoly.one() + LaurentPoly.monomial(e_a=1), LaurentPoly.monomial(e_a=1),
+             (1, 0, 0, 1), (1, 0, 0, 0), 1.5, (0.5, 0, 0), True, (0, False, 0)]
+
+
+@pytest.mark.parametrize("bad", NOT_ROOTS)
+def test_local_factor_rejects_non_triples(bad):
+    with pytest.raises(ValueError, match="exponent triples"):
+        LocalFactor("bad", ((1, 0, 0), bad))
+
+
 def test_local_factor_validation():
-    with pytest.raises(ValueError):
-        LocalFactor("bad", (LaurentPoly.one() + LaurentPoly.monomial(e_a=1),))
-    # a root with T is no linear factor 1 - root T
-    with pytest.raises(ValueError):
-        LocalFactor("bad", (LaurentPoly.monomial(e_a=1, e_T=1),))
     with pytest.raises(ValueError):
         LocalFactor("bad", (1 + 0j,), mode="bogus")
 
@@ -300,3 +307,22 @@ def test_to_json_dict():
     assert data["degree"] == 2
     assert len(data["coeffs"]) == 3
     assert data["coeffs"][0] == {"terms": [{"e": [0, 0, 0, 0], "c": "1"}]}
+
+
+@pytest.mark.parametrize("p", [2, 199])
+def test_instantiate_bit_identical_to_eval_complex(p, f20, g12):
+    # every root of both sides of the four factor equalities over their
+    # suite grids, against the polynomial evaluator as the reference
+    from liftspin.identities import IDENTITIES
+
+    alpha = numeric_satake(hecke_eigenvalue(f20, p), 20, p)[0]
+    beta = numeric_satake(hecke_eigenvalue(g12, p), 12, p)[0]
+    roots = sorted({root for name in ("main_theorem", "ikeda_spinor", "ikeda_standard",
+                                      "miyawaki_standard")
+                    for n, k in IDENTITIES[name].grid
+                    for side in IDENTITIES[name].sides(n, k) for root in side.roots})
+    got = LocalFactor("all", roots).instantiate(alpha, beta, p).roots
+    for root, value in zip(roots, got):
+        want = LaurentPoly.monomial(*root).eval_complex(alpha, beta, p ** 0.5, 0j)
+        assert (value.real.hex(), value.imag.hex()) == (want.real.hex(), want.imag.hex()), root
+    assert len(got) == len(roots) > 1000

@@ -2,6 +2,7 @@ import pytest
 
 from liftspin.beta import beta_value
 from liftspin.errors import GenusTooLarge
+from liftspin.euler import LocalFactor
 from liftspin.identities import (
     IDENTITIES,
     NUMERIC_TOL,
@@ -18,9 +19,8 @@ from liftspin.identities import (
     negative_control_reports,
     verify,
 )
-from liftspin.laurent import LaurentPoly
 from liftspin.qexp import EigenformData, eigenform
-from liftspin.satake import SatakeParams, miyawaki_satake
+from liftspin.satake import SatakeParams, miyawaki_satake, mono_mul
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -188,7 +188,7 @@ def test_shift_bump_fails():
 def test_perturbed_satake_fails():
     params = miyawaki_satake(2, 10)
     mus = list(params.mus)
-    mus[1] = mus[1] * LaurentPoly.monomial(e_q=1)
+    mus[1] = mono_mul(mus[1], (0, 0, 1))
     perturbed = SatakeParams(params.genus, params.mu0, tuple(mus),
                              params.similitude_exponent)
     report = verify("main_theorem", 2, 10, lhs_params=perturbed)
@@ -201,6 +201,16 @@ def test_no_numeric_only_pass(f20, g12):
     numeric = verify("main_theorem", 2, 10, mode="numeric", prime=5, f=f20, g=g12,
                                   beta_fn=bumped_beta(1, 1, +1))
     assert not symbolic.passed and not numeric.passed
+
+
+def test_symbolic_witness_counts_repeated_roots():
+    # a twice against a and b: the T^1 coefficients are -2a and -a - b
+    lhs = LocalFactor("l", ((1, 0, 0), (1, 0, 0)))
+    ok, witness = compare_symbolic(lhs, LocalFactor("r", ((1, 0, 0), (0, 1, 0))))
+    assert not ok and witness == {
+        "t_degree": 1, "lhs": {"terms": [{"e": [1, 0, 0, 0], "c": "-2"}]},
+        "rhs": {"terms": [{"e": [0, 1, 0, 0], "c": "-1"}, {"e": [1, 0, 0, 0], "c": "-1"}]}}
+    assert compare_symbolic(lhs, LocalFactor("r", lhs.roots)) == (True, None)
 
 
 def test_negative_control_reports():

@@ -11,8 +11,7 @@ import pytest
 
 from liftspin.beta import beta_value
 from liftspin.identities import verify
-from liftspin.laurent import LaurentPoly
-from liftspin.satake import SatakeParams, ikeda_satake, miyawaki_satake
+from liftspin.satake import SatakeParams, ikeda_satake, miyawaki_satake, mono_mul
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -51,11 +50,11 @@ def perturbations(draw):
     else:
         params = satake(n, 10)
         index = draw(st.integers(0, params.genus))
-        bump = LaurentPoly.monomial(e_q=delta)
+        bump = (0, 0, delta)
         mus = list(params.mus)
-        mu0 = params.mu0 * bump if index == 0 else params.mu0
+        mu0 = mono_mul(params.mu0, bump) if index == 0 else params.mu0
         if index:
-            mus[index - 1] = mus[index - 1] * bump
+            mus[index - 1] = mono_mul(mus[index - 1], bump)
         hooks = {"lhs_params": SatakeParams(params.genus, mu0, tuple(mus),
                                             params.similitude_exponent)}
     return identity, n, hooks

@@ -9,13 +9,15 @@ from liftspin.satake import (
     ikeda_satake,
     miyawaki_inverse_mu_check,
     miyawaki_satake,
+    mono_inv,
+    mono_mul,
     weyl_permute,
     weyl_sigma,
 )
 
 
-def mono(e_a=0, e_b=0, e_q=0, coeff=1):
-    return LaurentPoly.monomial(e_a, e_b, e_q, 0, coeff)
+def mono(e_a=0, e_b=0, e_q=0):
+    return (e_a, e_b, e_q)
 
 
 def test_ikeda_n1_parameters():
@@ -31,9 +33,9 @@ def test_ikeda_similitude_exponent():
     assert p.similitude_exponent == 76  # 2 (4*12 - 10)
     assert p.similitude_holds()
     # q-exponents of the mus are symmetric around zero
-    product = LaurentPoly.one()
+    product = mono()
     for mu in p.mus:
-        product = product * mu
+        product = mono_mul(product, mu)
     assert product == mono(e_a=4)
 
 
@@ -53,7 +55,7 @@ def test_miyawaki_similitude(n, k):
     # mu0^2 in closed form
     expected = mono(e_a=-2 * (n - 1), e_b=-2,
                     e_q=2 * (n - 1) * (2 * k - 1) + 2 * (k + n - 1))
-    assert p.mu0 * p.mu0 == expected
+    assert mono_mul(p.mu0, p.mu0) == expected
 
 
 def test_elliptic_satake():
@@ -72,8 +74,25 @@ def test_constructor_validation():
         miyawaki_satake(1, 10)
     with pytest.raises(ValueError):
         SatakeParams(2, mono(), (mono(),), 0)  # genus mismatch
-    with pytest.raises(ValueError):
-        SatakeParams(1, mono() + mono(e_a=1), (mono(),), 0)  # not a monomial
+
+
+def test_monomial_algebra():
+    x = mono(2, -1, 3)
+    assert mono_mul(x, mono_inv(x)) == mono()
+    assert mono_mul(x, mono(e_q=-3)) == mono(2, -1, 0)
+
+
+# a general polynomial, a 4-vector with T, a float and a bool are no roots
+NOT_MONOMIALS = [LaurentPoly.monomial(e_a=1) + LaurentPoly.monomial(e_b=1),
+                 LaurentPoly.monomial(e_a=1), (1, 0, 0, 0), 1.5, (1.0, 0, 0), True, (True, 0, 0)]
+
+
+@pytest.mark.parametrize("bad", NOT_MONOMIALS)
+def test_satake_params_reject_non_triples(bad):
+    with pytest.raises(ValueError, match="exponent triples"):
+        SatakeParams(1, bad, (mono(e_b=2),), 0)
+    with pytest.raises(ValueError, match="exponent triples"):
+        SatakeParams(1, mono(e_b=-1), (bad,), 0)
 
 
 def test_weyl_sigma_involution_and_similitude():
@@ -100,8 +119,7 @@ def test_weyl_permute():
     params = miyawaki_satake(2, 10)
     assert weyl_permute(params, [1, 2, 3]) == params
     shuffled = weyl_permute(params, [3, 1, 2])
-    assert sorted(m.single_term() for m in shuffled.mus) \
-        == sorted(m.single_term() for m in params.mus)
+    assert sorted(shuffled.mus) == sorted(params.mus)
     assert shuffled.mu0 == params.mu0
     with pytest.raises(ValueError):
         weyl_permute(params, [1, 1, 2])
