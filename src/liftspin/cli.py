@@ -4,20 +4,22 @@ Subcommands: eigenvalues, euler, beta-table, lvalue, verify.  Shared flags
 can also come from LIFTSPIN_* environment variables; explicit flags win.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (argparse,
-inconsistent flags, malformed eigenvalue tables), 3 unsupported input
-(a weight whose cusp space is not one-dimensional, Deligne's bound, genus,
-expansion, --n, precision, prime-bound, --prime and table-prime caps,
-out-of-range evaluation points, numeric roots past double range at a
-prime).
+inconsistent flags, a prime bound below 2, malformed eigenvalue tables),
+3 unsupported input (a weight whose cusp space is not one-dimensional,
+Deligne's bound, genus, expansion, --n, precision, prime-bound, --prime
+and table-prime caps, a non-finite or out-of-range --s, numeric roots past
+double range at a prime).
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import os
 import sys
-from typing import Dict, List, Optional
+from contextlib import nullcontext
+from typing import Dict, Iterator, List, Optional
 
 from . import identities
 from .beta import table as beta_table
@@ -115,18 +117,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 # -- output plumbing -----------------------------------------------------------
 
-def _emit(text: str, output: Optional[str]):
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
+def _emit(chunks: Iterator[str], output: Optional[str]):
+    """Write the chunks and a newline to --output or stdout; --output is
+    opened after the first chunk, so a command failing before it leaves none."""
+    first = next(chunks)
+    with open(output, "w", encoding="utf-8") if output else nullcontext(sys.stdout) as fh:
+        fh.write(first)
+        fh.writelines(chunks)
+        fh.write("\n")
 
 
-def _dump(data, fmt: str, as_text) -> str:
-    if fmt == "json":
-        return json.dumps(data, indent=2)
-    return as_text(data)
+def _dump(data, fmt: str, as_text) -> Iterator[str]:
+    yield json.dumps(data, indent=2) if fmt == "json" else as_text(data)
 
 
 # -- eigenform data ------------------------------------------------------------
@@ -186,9 +188,10 @@ def _check_size_caps(args):
 def _primes_from(args) -> List[int]:
     if args.prime is not None:
         return [args.prime]
-    if args.primes_up_to is not None:
-        return primes_up_to(args.primes_up_to)
-    return []
+    primes = primes_up_to(args.primes_up_to or 0)
+    if args.primes_up_to is not None and not primes:
+        raise ValueError(f"--primes-up-to {args.primes_up_to} includes no prime")
+    return primes
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -233,7 +236,7 @@ def cmd_euler(args) -> int:
         alpha, beta = identities.satake_values(f, g, args.n, args.k, p)
         factor = factor.instantiate(alpha, beta, p)
     if args.format == "json" and not args.factored:
-        _emit(factor.to_json(), args.output)
+        _emit(factor.json_chunks(), args.output)
         return 0
     data = factor.factored_json_dict() if args.factored else factor.to_json_dict()
 
@@ -268,6 +271,8 @@ def cmd_lvalue(args) -> int:
         s = complex(args.s)
     except ValueError:
         raise ValueError(f"cannot parse --s {args.s!r} as a complex number")
+    if not cmath.isfinite(s):
+        raise OutOfConvergenceRegion(f"--s {args.s} is not a finite complex number")
     n, k = args.n, args.k
     threshold = (n - 0.5) * k + 1
     if s.real <= threshold:

@@ -13,12 +13,16 @@ symbolic coefficient is a dict keyed by one int (e_a S + e_b) S + e_q whose
 balanced digits cannot overflow, S being 2 sum over roots of max |e| + 1:
 multiplying by a root adds one int per term, and sorted keys are in the
 canonical (e_a, e_b, e_q) order.  Every term of the T^d coefficient has
-the sign (-1)^d, so no term ever cancels.  `to_json` writes the indent-2
-JSON of `to_json_dict` straight from those dicts, and `coefficients()`
-returns them as `LaurentPoly` values.  The term count explodes with the
-degree (201,695 terms, 28.5 MB of JSON and about 1 s at degree 64;
-degree 128 is out of reach), hence EXPANSION_DEGREE_CAP; numeric
-expansion is quadratic and not capped.
+the sign (-1)^d, so no term ever cancels.  Only T^0 to T^(N/2) of a degree-N
+factor are expanded.  The rest follow from the local functional equation,
+which holds for any N unit roots with product P: the T^(N-d) coefficient is
+(-1)^N P times the T^d one with every exponent negated, and the negation
+reverses the canonical order.  `json_chunks` streams the indent-2 JSON of
+`to_json_dict` one coefficient at a time, and `coefficients()` returns them
+as `LaurentPoly` values.  The term count explodes with the degree (201,695
+terms, 28.5 MB of JSON and about 0.6 s at degree 64; degree 128 is out of
+reach), hence EXPANSION_DEGREE_CAP; numeric expansion is quadratic and not
+capped.
 """
 
 from __future__ import annotations
@@ -38,8 +42,8 @@ EXPANSION_DEGREE_CAP = 64
 #: spinor factors above this genus (degree 2^12) are refused outright
 SPINOR_GENUS_CAP = 12
 
-# the indent-2 layout of LocalFactor.to_json_dict(), filled in by to_json
-_JSON_FACTOR = '{\n  "label": %s,\n  "degree": %d,\n  "coeffs": [\n%s\n  ]\n}'
+# the indent-2 layout of LocalFactor.to_json_dict(), filled in by json_chunks
+_JSON_HEAD = '{\n  "label": %s,\n  "degree": %d,\n  "coeffs": [\n'
 _JSON_COEFF = '    {\n      "terms": [\n%s\n      ]\n    }'
 _JSON_TERM = ('        {\n          "e": [\n            %d,\n            %d,\n'
               '            %d,\n            0\n          ],\n          "c": "%d"\n        }')
@@ -92,7 +96,7 @@ class LocalFactor:
         return 2 * sum(max(map(abs, r)) for r in self.roots) + 1
 
     def _expand(self) -> List:
-        """Complex coefficients, or one _Packed dict per symbolic coefficient."""
+        """Complex coefficients, or _Packed dicts of T^0 to T^(degree // 2)."""
         if self.mode == "numeric":
             coeffs = [1 + 0j]
             for root in self.roots:
@@ -106,9 +110,11 @@ class LocalFactor:
                 f"{EXPANSION_DEGREE_CAP}; use the factored form instead")
         radix = self._radix()
         coeffs = [_Packed({0: 1})]
-        for e_a, e_b, e_q in self.roots:
+        # sorted: equal root multisets do equal work, in fewer inner-loop steps
+        for e_a, e_b, e_q in sorted(self.roots):
             shift = (e_a * radix + e_b) * radix + e_q
-            coeffs.append(_Packed())
+            if len(coeffs) <= self.degree // 2:
+                coeffs.append(_Packed())
             # the same recurrence in place, from the top down so that old
             # d-1 is still unchanged when d is updated
             for d in range(len(coeffs) - 1, 0, -1):
@@ -121,16 +127,22 @@ class LocalFactor:
 
     def _sorted_terms(self) -> Iterator[List[Tuple[int, int, int, int]]]:
         """Per symbolic coefficient, its (e_a, e_b, e_q, c) in canonical order."""
-        coeffs, radix = self._expand(), self._radix()
+        radix = self._radix()
         half = radix // 2
         offset = half * (radix * radix + radix + 1)  # every digit nonnegative
-        for packed in coeffs:
+        low = []
+        for packed in self._expand():
             terms = []
             for key in sorted(packed):
                 rest, e_q = divmod(key + offset, radix)
                 e_a, e_b = divmod(rest, radix)
                 terms.append((e_a - half, e_b - half, e_q - half, packed[key]))
+            low.append(terms)
             yield terms
+        p_a, p_b, p_q = map(sum, zip((0, 0, 0), *self.roots))
+        sign = (-1) ** self.degree
+        for terms in reversed(low[:self.degree + 1 - len(low)]):
+            yield [(p_a - a, p_b - b, p_q - q, sign * c) for a, b, q, c in reversed(terms)]
 
     # -- transformations ---------------------------------------------------
 
@@ -180,14 +192,17 @@ class LocalFactor:
             coeffs = [[c.real, c.imag] for c in self._expand()]
         return {"label": self.label, "degree": self.degree, "coeffs": coeffs}
 
-    def to_json(self) -> str:
-        """json.dumps(self.to_json_dict(), indent=2), written straight from
-        the packed terms for a symbolic factor."""
+    def json_chunks(self) -> Iterator[str]:
+        """json.dumps(self.to_json_dict(), indent=2) in one piece per symbolic
+        coefficient; ExpansionTooLarge comes before the first piece."""
         if self.mode == "numeric":
-            return json.dumps(self.to_json_dict(), indent=2)
-        coeffs = [_JSON_COEFF % ",\n".join([_JSON_TERM % term for term in terms])
-                  for terms in self._sorted_terms()]
-        return _JSON_FACTOR % (json.dumps(self.label), self.degree, ",\n".join(coeffs))
+            yield json.dumps(self.to_json_dict(), indent=2)
+            return
+        head = _JSON_HEAD % (json.dumps(self.label), self.degree)
+        for terms in self._sorted_terms():
+            yield head + _JSON_COEFF % ",\n".join([_JSON_TERM % term for term in terms])
+            head = ",\n"
+        yield "\n  ]\n}"
 
     def factored_json_dict(self) -> dict:
         """Root-list encoding, available at any degree; roots come out in

@@ -168,11 +168,24 @@ def test_lvalue_sides_agree(capsys):
 
 
 def test_lvalue_empty_product(capsys):
-    code, out, _ = run(capsys, "lvalue", "--side", "lhs", "--n", "2", "--k", "10",
-                       "--s", "25", "--primes-up-to", "0", "--precision", "10")
-    assert code == 0
-    data = json.loads(out)
-    assert data["value"] == [1.0, 0.0] and data["primes_used"] == 0
+    # a --primes-up-to bound below 2 names no prime: a usage error, not L = 1
+    code, out, err = run(capsys, "lvalue", "--side", "lhs", "--n", "2", "--k", "10",
+                         "--s", "25", "--primes-up-to", "0", "--precision", "10")
+    assert code == 2 and out == "" and "includes no prime" in err
+
+
+def test_verify_numeric_empty_prime_bound_exit2(capsys):
+    # the defaults (p = 2) must not stand in for a bound that names no prime
+    code, out, err = run(capsys, "verify", "--identity", "main_theorem", "--n", "2",
+                         "--k", "10", "--numeric", "--primes-up-to", "1")
+    assert code == 2 and out == "" and "includes no prime" in err
+
+
+@pytest.mark.parametrize("s", ["nan", "inf", "25+nanj", "25+infj", "-inf"])
+def test_lvalue_non_finite_s_exit3(capsys, s):
+    code, out, err = run(capsys, "lvalue", "--side", "lhs", "--n", "2", "--k", "10",
+                         f"--s={s}", "--primes-up-to", "10")
+    assert code == 3 and out == "" and "not a finite" in err
 
 
 def test_lvalue_convergence_region(capsys):
@@ -303,6 +316,24 @@ def test_output_file(capsys, tmp_path):
     code, out, _ = run(capsys, "beta-table", "--n", "1", "--output", str(target))
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["n"] == 1
+
+
+def test_streamed_output_file_matches_stdout(capsys, tmp_path):
+    argv = ["euler", "--identity", "main_theorem", "--side", "lhs", "--n", "3", "--k", "10"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["degree"] == 32
+    target = tmp_path / "out.json"
+    code, out_to_file, _ = run(capsys, *argv, "--output", str(target))
+    assert code == 0 and out_to_file == ""
+    assert target.read_bytes() == out.encode("utf-8")
+
+
+def test_expansion_cap_leaves_no_output_file(capsys, tmp_path):
+    target = tmp_path / "out.json"
+    code, out, err = run(capsys, "euler", "--identity", "main_theorem", "--side", "lhs",
+                         "--n", "4", "--k", "10", "--output", str(target))
+    assert code == 3 and out == "" and "expansion cap" in err
+    assert not target.exists()
 
 
 def test_env_defaults_and_flag_precedence(capsys, monkeypatch):

@@ -163,6 +163,12 @@ def _argv_list():
         "verify --identity ikeda_standard --n 2 --k 10 --numeric --prime 999983 "
         "--eigenvalues-file f={golden}/zero_p999983.txt "
         "--eigenvalues-file f={golden}/zero_p999983.txt",
+        # a non-finite --s, and a --primes-up-to bound that names no prime
+        "lvalue --side lhs --n 2 --k 10 --s nan --primes-up-to 10",
+        "lvalue --side lhs --n 2 --k 10 --s inf --primes-up-to 10",
+        "lvalue --side lhs --n 2 --k 10 --s 25+nanj --primes-up-to 10",
+        "verify --identity main_theorem --n 2 --k 10 --numeric --primes-up-to 1",
+        "lvalue --side lhs --n 2 --k 10 --s 25 --primes-up-to 0",
     ]
     return out
 

@@ -243,6 +243,18 @@ def test_expansion_cap():
     assert fac.factored_json_dict()["degree"] == 256
 
 
+def test_expansion_of_equal_root_multisets_is_equal():
+    # the roots are expanded in sorted order, so the two sides of an identity
+    # build the same packed dicts, key for key in the same order, and only
+    # up to degree 32 // 2
+    from liftspin.identities import IDENTITIES
+    lhs, rhs = IDENTITIES["main_theorem"].sides(3, 10)
+    assert lhs.roots != rhs.roots and lhs.degree == 32
+    low, rhs_low = lhs._expand(), rhs._expand()
+    assert len(low) == 17 and low == rhs_low
+    assert [list(c) for c in low] == [list(c) for c in rhs_low]
+
+
 def test_eval_cross_pipeline_oracle(f20, g12):
     # expanded symbolic genus-3 factor, evaluated at Satake data, matches
     # the numerically built factor coefficient by coefficient

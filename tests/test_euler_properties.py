@@ -1,7 +1,8 @@
-"""Packed expansion and the direct indent-2 encoder of LocalFactor, against
-a tuple-keyed reference expansion and json.dumps on random unit-monomial
+"""Packed expansion of the low half, the reflected top half and the
+streamed indent-2 encoder of LocalFactor, against a tuple-keyed reference
+expansion of every coefficient and json.dumps on random unit-monomial
 roots: exponent triples past 2^64 of either sign, repeated roots, and
-degree 0."""
+degrees 0 to 9."""
 
 import json
 
@@ -17,7 +18,7 @@ from hypothesis import strategies as st  # noqa: E402
 _HUGE = 2 ** 70
 _exponent = st.one_of(st.integers(-6, 6), st.integers(-_HUGE, _HUGE))
 _root = st.tuples(_exponent, _exponent, _exponent)
-_roots = st.lists(_root, max_size=7)
+_roots = st.lists(_root, max_size=9)
 
 
 def reference_coefficients(roots):
@@ -38,6 +39,7 @@ def reference_coefficients(roots):
 @settings(max_examples=80, deadline=None)
 @given(_roots)
 @example([])
+@example([(2, -1, 3)])
 @example([(_HUGE, -_HUGE, 2 ** 64 + 1), (-_HUGE, _HUGE, -(2 ** 64))])
 @example([(1, 0, 5), (1, 0, 5), (-1, 0, 5)])
 def test_packed_expansion_matches_reference(roots):
@@ -46,7 +48,9 @@ def test_packed_expansion_matches_reference(roots):
     data = {"label": factor.label, "degree": len(roots), "coeffs": [
         {"terms": [{"e": [*key, 0], "c": str(value)} for key, value in sorted(coeff.items())]}
         for coeff in reference]}
-    assert factor.to_json() == json.dumps(data, indent=2)
+    assert "".join(factor.json_chunks()) == json.dumps(data, indent=2)
+    # only degrees 0 to degree // 2 are expanded; the rest is reflected
+    assert len(factor._expand()) == len(roots) // 2 + 1
     assert factor.to_json_dict() == data
     expected = tuple(LaurentPoly((((*key, 0), value) for key, value in coeff.items()))
                      for coeff in reference)
