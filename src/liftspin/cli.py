@@ -4,9 +4,10 @@ Subcommands: eigenvalues, euler, beta-table, lvalue, verify.  Shared flags
 can also come from LIFTSPIN_* environment variables; explicit flags win.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (argparse,
-inconsistent flags, a prime bound below 2, malformed eigenvalue tables),
-3 unsupported input (a weight whose cusp space is not one-dimensional,
-Deligne's bound, genus, expansion, --n, precision, prime-bound, --prime
+inconsistent flags, no prime flag where one is needed, a prime bound
+below 2, malformed eigenvalue tables), 3 unsupported input (a weight
+whose cusp space is not one-dimensional, an eigenvalue outside Deligne's
+bound or not an integer, genus, expansion, --n, precision, prime-bound, --prime
 and table-prime caps, a non-finite or out-of-range --s, numeric roots past
 double range at a prime).
 """
@@ -185,11 +186,17 @@ def _check_size_caps(args):
             raise InputTooLarge(f"{flag} {value} exceeds the cap {cap}")
 
 
-def _primes_from(args) -> List[int]:
+def _primes_from(args, default: Optional[List[int]] = None) -> List[int]:
+    """--prime, else the primes up to --primes-up-to, else `default`; a usage
+    error when that names no prime."""
     if args.prime is not None:
         return [args.prime]
-    primes = primes_up_to(args.primes_up_to or 0)
-    if args.primes_up_to is not None and not primes:
+    if args.primes_up_to is None:
+        if default is None:
+            raise ValueError(f"{args.command} needs --prime or --primes-up-to")
+        return default
+    primes = primes_up_to(args.primes_up_to)
+    if not primes:
         raise ValueError(f"--primes-up-to {args.primes_up_to} includes no prime")
     return primes
 
@@ -199,8 +206,6 @@ def _primes_from(args) -> List[int]:
 def cmd_eigenvalues(args) -> int:
     weight = args.weight
     primes = _primes_from(args)
-    if not primes:
-        raise ValueError("eigenvalues needs --prime or --primes-up-to")
     tables = _parse_table_args(args)
     form = _form_for("untagged", weight, args.precision, tables)
     rows = [{"p": p, "lambda": str(hecke_eigenvalue(form, p))} for p in primes]
@@ -325,7 +330,7 @@ def _verify_reports(args) -> List[identities.VerificationReport]:
     # numeric: the suite is the main identity at the first five primes
     name = "main_theorem" if suite else args.identity
     f, g = _numeric_forms(args, identities.IDENTITIES[name].needs_g)
-    primes = _primes_from(args) or ([2, 3, 5, 7, 11] if suite else [2])
+    primes = _primes_from(args, [2, 3, 5, 7, 11] if suite else [2])
     return identities.verify_at_primes(name, n, k, "numeric", primes, f, g)
 
 

@@ -34,6 +34,11 @@ class DeligneBoundViolation(UnsupportedInput):
     """A Hecke eigenvalue lies outside Deligne's bound for its weight and prime."""
 
 
+class NonIntegralEigenvalue(UnsupportedInput):
+    """A Hecke eigenvalue of a level-one eigenform with rational eigenvalues
+    is not an integer."""
+
+
 class InputTooLarge(UnsupportedInput):
     """A size flag (precision, prime bound) exceeds its declared cap."""
 

@@ -8,26 +8,44 @@ representation: it is exact at every genus, and two factors are equal as
 polynomials if and only if their root multisets agree, so no identity
 check, symbolic or numeric, needs the expanded coefficients.
 
-Expanded coefficient lists (index = T-degree) exist for output only.  A
-symbolic coefficient is a dict keyed by one int (e_a S + e_b) S + e_q whose
-balanced digits cannot overflow, S being 2 sum over roots of max |e| + 1:
-multiplying by a root adds one int per term, and sorted keys are in the
-canonical (e_a, e_b, e_q) order.  Every term of the T^d coefficient has
-the sign (-1)^d, so no term ever cancels.  Only T^0 to T^(N/2) of a degree-N
-factor are expanded.  The rest follow from the local functional equation,
-which holds for any N unit roots with product P: the T^(N-d) coefficient is
-(-1)^N P times the T^d one with every exponent negated, and the negation
-reverses the canonical order.  `json_chunks` streams the indent-2 JSON of
-`to_json_dict` one coefficient at a time, and `coefficients()` returns them
-as `LaurentPoly` values.  The term count explodes with the degree (201,695
-terms, 28.5 MB of JSON and about 0.6 s at degree 64; degree 128 is out of
-reach), hence EXPANSION_DEGREE_CAP; numeric expansion is quadratic and not
-capped.
+Expanded coefficient lists (index = T-degree) exist for output only.
+Every term of the T^d coefficient has the sign (-1)^d, so no term ever
+cancels.  Only T^0 to T^(N/2) of a degree-N factor are expanded.  The rest
+follow from the local functional equation, which holds for any N unit
+roots with product P: the T^(N-d) coefficient is (-1)^N P times the T^d one
+with every exponent negated, and the negation reverses the canonical order.
+
+Each of T^0 to T^(N/2) is expanded as one nonnegative int of W-bit slots
+(Kronecker substitution, one box per T-degree).  Per exponent component x,
+the x-exponents of products of d distinct roots lie between lo_x(d) and
+hi_x(d), the sums of the d smallest and the d largest, in steps of g_x,
+the gcd of the roots' differences in x.  The box of the widest degree,
+N/2, sets the radix R_x of each component, and a term of degree d sits at
+slot ((a - lo_a(d))/g_a R_b + (b - lo_b(d))/g_b) R_q + (q - lo_q(d))/g_q,
+which increases in the canonical (e_a, e_b, e_q) order.  Multiplying by a
+root shifts a whole coefficient by a number of slots.  A slot holds
+|c| <= C(N, d) < 2^N, so W is 32 bits up to degree 32 and 64 bits up to
+degree 64.  Decoding reads the slots through a memoryview, one row per
+(e_a, e_b), with no sort.  Roots whose box has more than PACKED_SLOT_CAP
+slots (exponents far apart with no common step, e.g. random triples near
+2^70) are expanded over dicts keyed by exponent triples instead.  No side
+of the identity registry comes near the cap: the widest has 164,883 slots
+(miyawaki_standard, n = 16, degree 63), and no side's box changes with k.
+
+`json_chunks` streams the indent-2 JSON of `to_json_dict` one coefficient
+at a time, and `coefficients()` returns them as `LaurentPoly` values.  The
+term count explodes with the degree (201,695 terms, 28.5 MB of JSON and
+about 0.4 s at degree 64; degree 128 is out of reach), hence
+EXPANSION_DEGREE_CAP; numeric expansion is quadratic and not capped.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import sys
+from itertools import accumulate, compress, repeat
+from operator import neg
 from typing import Iterator, List, Sequence, Tuple, Union
 
 from .errors import ExpansionTooLarge, GenusTooLarge, NumericOverflow
@@ -39,6 +57,9 @@ Root = Union[Monomial, complex]
 #: largest degree expanded symbolically
 EXPANSION_DEGREE_CAP = 64
 
+#: widest box, in slots of one coefficient, that the packed expansion uses
+PACKED_SLOT_CAP = 2 ** 20
+
 #: spinor factors above this genus (degree 2^12) are refused outright
 SPINOR_GENUS_CAP = 12
 
@@ -49,12 +70,83 @@ _JSON_TERM = ('        {\n          "e": [\n            %d,\n            %d,\n'
               '            %d,\n            0\n          ],\n          "c": "%d"\n        }')
 
 
-class _Packed(dict):
-    """One expanded symbolic coefficient: packed key -> integer coefficient.
-
-    `_terms` is the same map under LaurentPoly's name for it, so code that
+class _Terms(list):
+    """One expanded symbolic coefficient: its (e_a, e_b, e_q, c) in canonical
+    order.  `_terms` is LaurentPoly's name for its term map, so code that
     counts terms (perfbench's tracer) reads both kinds of coefficient."""
     _terms = property(lambda self: self)
+
+
+def _box(roots: Sequence[Monomial], half: int):
+    """(sorted exponents, gcd step, slot stride) per component of the packed
+    expansion of T^0 to T^half, or None when its box has more than
+    PACKED_SLOT_CAP slots."""
+    cols = [sorted(root[i] for root in roots) for i in range(3)]
+    steps = [math.gcd(*(x - col[0] for x in col)) or 1 for col in cols]
+    # the widest span of d-subset sums, in steps, is the one at d = half
+    spans = [(sum(col[len(col) - half:]) - sum(col[:half])) // g + 1
+             for col, g in zip(cols, steps)]
+    if spans[0] * spans[1] * spans[2] > PACKED_SLOT_CAP:
+        return None
+    return cols, steps, (spans[1] * spans[2], spans[2], 1)
+
+
+def _expand_packed(roots: Sequence[Monomial], half: int, cols, steps, strides) -> List[_Terms]:
+    """T^0 to T^half as one int of W-bit slots each, holding |c| at slot
+    sum_x (e_x - lo_x(d)) / step_x * stride_x, lo_x(d) the sum of the d
+    smallest x-exponents."""
+    fmt, size = ("I", 4) if len(roots) <= 32 else ("Q", 8)  # |c| <= C(N, d) < 2^N
+    width = 8 * size
+
+    def index(triple) -> int:
+        return sum((x - col[0]) // g * s for x, col, g, s in zip(triple, cols, steps, strides))
+
+    # a term of degree d-1 times a root moves by index(root) minus the index
+    # of the d-th smallest exponents; slots a right shift drops are zero,
+    # since every product of d distinct roots lies in the degree-d box
+    dth = [index(smallest) for smallest in zip(*cols)]
+    packed = [1] + [0] * half
+    for m, root in enumerate(roots, 1):
+        at = index(root)
+        for d in range(min(m, half), 0, -1):
+            shift = (at - dth[d - 1]) * width
+            lower = packed[d - 1]
+            packed[d] += lower << shift if shift >= 0 else lower >> -shift
+    coeffs = []
+    (g_a, g_b, g_q), (s_a, s_b, _) = steps, strides
+    lows = zip(*(accumulate(col[:half], initial=0) for col in cols))
+    for d, (value, (l_a, l_b, l_q)) in enumerate(zip(packed, lows)):
+        slots = memoryview(value.to_bytes(-(-value.bit_length() // width) * size,
+                                          sys.byteorder)).cast(fmt)
+        e_q = range(l_q, l_q + g_q * s_b, g_q)
+        terms = _Terms()
+        # one row of slots per (e_a, e_b), its nonzero slots picked out in C
+        for start in range(0, len(slots), s_b):
+            a, b = divmod(start, s_a)
+            row = slots[start:start + s_b]
+            c = filter(None, row)
+            terms += zip(repeat(l_a + g_a * a), repeat(l_b + g_b * (b // s_b)),
+                         compress(e_q, row), map(neg, c) if d % 2 else c)
+        coeffs.append(terms)
+    return coeffs
+
+
+def _expand_dict(roots: Sequence[Monomial], half: int) -> List[_Terms]:
+    """The same coefficients over dicts keyed by exponent triples, for roots
+    whose packed box is too wide."""
+    coeffs = [{(0, 0, 0): 1}]
+    for r_a, r_b, r_q in roots:
+        if len(coeffs) <= half:
+            coeffs.append({})
+        # in place, from the top down, so that old d-1 is unchanged when d is updated
+        for d in range(len(coeffs) - 1, 0, -1):
+            target = coeffs[d]
+            get = target.get
+            for (e_a, e_b, e_q), value in coeffs[d - 1].items():
+                key = (e_a + r_a, e_b + r_b, e_q + r_q)
+                target[key] = get(key, 0) + value
+    return [_Terms((*key, -value if d % 2 else value) for key, value in sorted(coeff.items()))
+            for d, coeff in enumerate(coeffs)]
 
 
 class LocalFactor:
@@ -91,12 +183,8 @@ class LocalFactor:
         return tuple(LaurentPoly(((e_a, e_b, e_q, 0), c) for e_a, e_b, e_q, c in terms)
                      for terms in self._sorted_terms())
 
-    def _radix(self) -> int:
-        """S with |e| <= S // 2 for every exponent of every root product."""
-        return 2 * sum(max(map(abs, r)) for r in self.roots) + 1
-
     def _expand(self) -> List:
-        """Complex coefficients, or _Packed dicts of T^0 to T^(degree // 2)."""
+        """Complex coefficients, or _Terms of T^0 to T^(degree // 2)."""
         if self.mode == "numeric":
             coeffs = [1 + 0j]
             for root in self.roots:
@@ -108,37 +196,15 @@ class LocalFactor:
             raise ExpansionTooLarge(
                 f"degree {self.degree} exceeds the symbolic expansion cap "
                 f"{EXPANSION_DEGREE_CAP}; use the factored form instead")
-        radix = self._radix()
-        coeffs = [_Packed({0: 1})]
-        # sorted: equal root multisets do equal work, in fewer inner-loop steps
-        for e_a, e_b, e_q in sorted(self.roots):
-            shift = (e_a * radix + e_b) * radix + e_q
-            if len(coeffs) <= self.degree // 2:
-                coeffs.append(_Packed())
-            # the same recurrence in place, from the top down so that old
-            # d-1 is still unchanged when d is updated
-            for d in range(len(coeffs) - 1, 0, -1):
-                target = coeffs[d]
-                get = target.get
-                for key, value in coeffs[d - 1].items():
-                    key += shift
-                    target[key] = get(key, 0) - value
-        return coeffs
+        # sorted: equal root multisets do equal work
+        roots, half = sorted(self.roots), self.degree // 2
+        box = _box(roots, half)
+        return _expand_dict(roots, half) if box is None else _expand_packed(roots, half, *box)
 
     def _sorted_terms(self) -> Iterator[List[Tuple[int, int, int, int]]]:
         """Per symbolic coefficient, its (e_a, e_b, e_q, c) in canonical order."""
-        radix = self._radix()
-        half = radix // 2
-        offset = half * (radix * radix + radix + 1)  # every digit nonnegative
-        low = []
-        for packed in self._expand():
-            terms = []
-            for key in sorted(packed):
-                rest, e_q = divmod(key + offset, radix)
-                e_a, e_b = divmod(rest, radix)
-                terms.append((e_a - half, e_b - half, e_q - half, packed[key]))
-            low.append(terms)
-            yield terms
+        low = self._expand()
+        yield from low
         p_a, p_b, p_q = map(sum, zip((0, 0, 0), *self.roots))
         sign = (-1) ** self.degree
         for terms in reversed(low[:self.degree + 1 - len(low)]):

@@ -50,7 +50,7 @@ from .euler import (
     tensor_factor,
 )
 from .laurent import LaurentPoly
-from .qexp import EigenformData, check_deligne_bound, hecke_eigenvalue, numeric_satake
+from .qexp import EigenformData, check_eigenvalue, hecke_eigenvalue, numeric_satake
 from .satake import SatakeParams, elliptic_satake, ikeda_satake, miyawaki_satake, mono_mul
 
 NUMERIC_TOL = 1e-9
@@ -124,7 +124,7 @@ def compare_numeric(lhs: LocalFactor, rhs: LocalFactor, alpha: complex, beta: co
 
 def _satake_root(form: EigenformData, p: int) -> complex:
     lam = hecke_eigenvalue(form, p)
-    check_deligne_bound(lam, form.weight, p)
+    check_eigenvalue(lam, form.weight, p)
     return numeric_satake(lam, form.weight, p)[0]
 
 
@@ -132,8 +132,8 @@ def satake_values(f: EigenformData, g: Optional[EigenformData],
                   n: int, k: int, p: int) -> Tuple[complex, complex]:
     """(alpha, beta) at p from eigenvalue data; beta is 0j when g is absent.
 
-    Each eigenvalue is checked against Deligne's bound first, so data of
-    the wrong weight is rejected instead of yielding off-circle roots."""
+    Each eigenvalue is checked first (Deligne's bound, integrality), so data
+    of the wrong weight is rejected instead of yielding off-circle roots."""
     if f.weight != 2 * k:
         raise ValueError(f"f has weight {f.weight}, expected {2 * k}")
     alpha = _satake_root(f, p)

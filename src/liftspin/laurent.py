@@ -90,9 +90,6 @@ class LaurentPoly:
         """Terms in canonical order, lexicographic on (e_T, e_a, e_b, e_q)."""
         return tuple(sorted(self._terms.items(), key=lambda kv: _canonical_key(kv[0])))
 
-    def is_one(self) -> bool:
-        return self._terms == {(0, 0, 0, 0): 1}
-
     # -- ring operations ------------------------------------------------
 
     @staticmethod
@@ -189,10 +186,6 @@ class LaurentPoly:
         """Spec wire format; coefficients go out as decimal strings."""
         return {"terms": [{"e": list(e), "c": str(c)} for e, c in self.terms]}
 
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "LaurentPoly":
-        return cls((tuple(item["e"]), int(item["c"])) for item in data["terms"])
-
     # -- dunder plumbing ------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -238,9 +231,3 @@ def _raw(data: dict) -> LaurentPoly:
 
 _ZERO = _raw({})
 _ONE = _raw({(0, 0, 0, 0): 1})
-
-# the four generators
-A = LaurentPoly.monomial(e_a=1)
-B = LaurentPoly.monomial(e_b=1)
-Q = LaurentPoly.monomial(e_q=1)
-T = LaurentPoly.monomial(e_T=1)

@@ -35,6 +35,7 @@ from .errors import (
     InputTooLarge,
     InsufficientPrecision,
     IrrationalEigenspace,
+    NonIntegralEigenvalue,
     NonPrime,
     UnsupportedWeight,
 )
@@ -337,13 +338,19 @@ def eigenform(weight: int, precision: int = DEFAULT_PRECISION) -> EigenformData:
 
 # -- numeric Satake parameters ---------------------------------------------
 
-def check_deligne_bound(lam, weight: int, p: int) -> None:
+def check_eigenvalue(lam, weight: int, p: int) -> None:
     """Reject lam outside Deligne's bound, compared exactly as
-    lam^2 <= 4 p^(weight-1) before any float conversion."""
-    if Fraction(lam) ** 2 > 4 * p ** (weight - 1):
+    lam^2 <= 4 p^(weight-1) before any float conversion, and a lam that is
+    not an integer, as no level-one eigenform with rational eigenvalues has."""
+    lam = Fraction(lam)
+    if lam ** 2 > 4 * p ** (weight - 1):
         raise DeligneBoundViolation(
             f"lambda({p}) = {lam} violates Deligne's bound "
             f"|lambda(p)| <= 2 p^(({weight}-1)/2) for weight {weight}")
+    if lam.denominator != 1:
+        raise NonIntegralEigenvalue(
+            f"lambda({p}) = {lam} is not an integer; the level-one eigenform "
+            f"of weight {weight} has integer eigenvalues")
 
 
 def numeric_satake(lam, weight: int, p: int) -> Tuple[complex, complex]:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from liftspin import identities
+from liftspin import cli, identities
 from liftspin.cli import MAX_N, main
 from liftspin.qexp import MAX_PRECISION, MAX_PRIMES_UP_TO, eigenform, primes_up_to
 
@@ -52,11 +52,6 @@ def test_eigenvalues_weight20(capsys, f20):
 def test_eigenvalues_nonprime_exit3(capsys):
     code, _, err = run(capsys, "eigenvalues", "--weight", "12", "--prime", "1")
     assert code == 3 and "not prime" in err
-
-
-def test_eigenvalues_needs_primes(capsys):
-    code, _, err = run(capsys, "eigenvalues", "--weight", "12")
-    assert code == 2
 
 
 def test_eigenvalues_from_file(capsys, tmp_path):
@@ -172,6 +167,19 @@ def test_lvalue_empty_product(capsys):
     code, out, err = run(capsys, "lvalue", "--side", "lhs", "--n", "2", "--k", "10",
                          "--s", "25", "--primes-up-to", "0", "--precision", "10")
     assert code == 2 and out == "" and "includes no prime" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eigenvalues", "--weight", "12"],
+    ["lvalue", "--side", "lhs", "--n", "2", "--k", "10", "--s", "25"],
+    ["euler", "--identity", "main_theorem", "--side", "lhs", "--mode", "numeric"],
+])
+def test_missing_prime_flag_exit2(capsys, monkeypatch, argv):
+    # refused before any eigenform is built; lvalue printed L = 1 from no primes
+    monkeypatch.setattr(cli, "eigenform", lambda *args: pytest.fail("built a form"))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"{argv[0]} needs --prime or --primes-up-to" in err
 
 
 def test_verify_numeric_empty_prime_bound_exit2(capsys):
@@ -431,6 +439,26 @@ def test_euler_and_lvalue_swapped_tables_exit3(capsys, tables):
     code, _, err = run(capsys, "lvalue", "--side", "rhs", "--s", "25",
                        "--primes-up-to", "199", *swapped)
     assert code == 3 and "Deligne" in err
+
+
+def test_non_integral_table_eigenvalue_exit3(capsys, tables, tmp_path):
+    # tau(3) = 252 replaced by 505/2: inside Deligne's bound, not an integer
+    g = tmp_path / "g.txt"
+    g.write_text(tables[12].read_text().replace("\n3 252\n", "\n3 505/2\n"))
+    shared = ["--n", "2", "--k", "10", "--eigenvalues-file", f"f={tables[20]}",
+              "--eigenvalues-file", f"g={g}"]
+    for argv in (["verify", "--identity", "main_theorem", "--numeric", "--primes-up-to", "199"],
+                 ["euler", "--identity", "main_theorem", "--side", "lhs",
+                  "--mode", "numeric", "--prime", "3"],
+                 ["lvalue", "--side", "rhs", "--s", "25", "--primes-up-to", "199"]):
+        code, out, err = run(capsys, *argv, *shared)
+        assert code == 3 and out == ""
+        assert "lambda(3) = 505/2 is not an integer" in err
+    # the same value written as an integer quotient passes
+    g.write_text(tables[12].read_text().replace("\n3 252\n", "\n3 504/2\n"))
+    code, out, _ = run(capsys, "verify", "--identity", "main_theorem", "--numeric",
+                       "--primes-up-to", "199", *shared)
+    assert code == 0 and len(json.loads(out)) == 46
 
 
 def test_roots_past_double_range_exit3(capsys):

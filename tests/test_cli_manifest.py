@@ -169,6 +169,11 @@ def _argv_list():
         "lvalue --side lhs --n 2 --k 10 --s 25+nanj --primes-up-to 10",
         "verify --identity main_theorem --n 2 --k 10 --numeric --primes-up-to 1",
         "lvalue --side lhs --n 2 --k 10 --s 25 --primes-up-to 0",
+        # no prime flag for lvalue, and a table value inside Deligne's bound
+        # that is not an integer
+        "lvalue --side lhs --n 2 --k 10 --s 25",
+        "verify --identity main_theorem --n 2 --k 10 --numeric --prime 3 "
+        "--eigenvalues-file g={golden}/half_p3.txt",
     ]
     return out
 

@@ -2,9 +2,13 @@ import random
 
 import pytest
 
+from liftspin import euler
+from liftspin.cli import MAX_N
 from liftspin.errors import ExpansionTooLarge, GenusTooLarge
 from liftspin.euler import (
+    EXPANSION_DEGREE_CAP,
     LocalFactor,
+    _box,
     c1_eigenvalue,
     frobenius_eigenvalue,
     gp_constant,
@@ -14,6 +18,7 @@ from liftspin.euler import (
     sym_power_factor,
     tensor_factor,
 )
+from liftspin.identities import IDENTITIES
 from liftspin.laurent import LaurentPoly
 from liftspin.qexp import hecke_eigenvalue, numeric_satake
 from liftspin.satake import (
@@ -243,16 +248,35 @@ def test_expansion_cap():
     assert fac.factored_json_dict()["degree"] == 256
 
 
-def test_expansion_of_equal_root_multisets_is_equal():
-    # the roots are expanded in sorted order, so the two sides of an identity
-    # build the same packed dicts, key for key in the same order, and only
-    # up to degree 32 // 2
-    from liftspin.identities import IDENTITIES
+def test_expansion_of_equal_root_multisets_is_equal(monkeypatch):
+    # both sides of an identity give the same terms in the same order, only
+    # up to degree 32 // 2, and both on the packed path
+    monkeypatch.setattr(euler, "_expand_dict", lambda *args: pytest.fail("dict path"))
     lhs, rhs = IDENTITIES["main_theorem"].sides(3, 10)
     assert lhs.roots != rhs.roots and lhs.degree == 32
     low, rhs_low = lhs._expand(), rhs._expand()
     assert len(low) == 17 and low == rhs_low
     assert [list(c) for c in low] == [list(c) for c in rhs_low]
+
+
+@pytest.mark.parametrize("k", [1, 10, 10 ** 21])
+def test_registry_sides_take_the_packed_path(k):
+    # every side `euler` can expand, at every --n and these --k, has a packed
+    # box within PACKED_SLOT_CAP; the gcd steps keep the boxes the same at any k
+    checked = 0
+    for name, identity in IDENTITIES.items():
+        for n in range(MAX_N + 1):
+            if identity.sides is None or identity.fixed_n not in (None, n):
+                continue
+            try:
+                sides = identity.sides(n, k)
+            except ValueError:  # n outside the identity, or the genus cap
+                continue
+            for side in sides:
+                if side.degree <= EXPANSION_DEGREE_CAP:
+                    assert _box(sorted(side.roots), side.degree // 2), (name, n, side.label)
+                    checked += 1
+    assert checked == 74
 
 
 def test_eval_cross_pipeline_oracle(f20, g12):

@@ -2,13 +2,13 @@
 streamed indent-2 encoder of LocalFactor, against a tuple-keyed reference
 expansion of every coefficient and json.dumps on random unit-monomial
 roots: exponent triples past 2^64 of either sign, repeated roots, and
-degrees 0 to 9."""
+degrees 0 to 9, plus explicit degree-32 and degree-64 examples."""
 
 import json
 
 import pytest
 
-from liftspin.euler import LocalFactor
+from liftspin.euler import LocalFactor, _box
 from liftspin.laurent import LaurentPoly
 
 pytest.importorskip("hypothesis")
@@ -19,6 +19,16 @@ _HUGE = 2 ** 70
 _exponent = st.one_of(st.integers(-6, 6), st.integers(-_HUGE, _HUGE))
 _root = st.tuples(_exponent, _exponent, _exponent)
 _roots = st.lists(_root, max_size=9)
+
+# one root 32 and 64 times: the box is one slot, and the middle coefficients
+# C(32, 16) and C(64, 32) fill 29.2 of its 32 and 60.7 of its 64 bits
+_COPIES_32 = [(1, -2, 3)] * 32
+_COPIES_64 = [(1, -2, 3)] * 64
+# sorted, the second root has e_b = -1 below the second-smallest e_b = 0, so
+# its step from degree 1 to 2 is a right shift
+_NEGATIVE_SHIFT = [(-1, 1, 1), (0, -1, 1), (0, 1, 1), (1, 0, 1)]
+# e_a spans 2^21 + 1 steps of 1: past PACKED_SLOT_CAP, so the dict recurrence
+_TOO_WIDE = [(0, 0, 0), (1, 0, 0), (2 ** 21, 0, 0)]
 
 
 def reference_coefficients(roots):
@@ -42,6 +52,10 @@ def reference_coefficients(roots):
 @example([(2, -1, 3)])
 @example([(_HUGE, -_HUGE, 2 ** 64 + 1), (-_HUGE, _HUGE, -(2 ** 64))])
 @example([(1, 0, 5), (1, 0, 5), (-1, 0, 5)])
+@example(_COPIES_32)
+@example(_COPIES_64)
+@example(_NEGATIVE_SHIFT)
+@example(_TOO_WIDE)
 def test_packed_expansion_matches_reference(roots):
     factor = LocalFactor("ref[\"x\"]é", tuple(roots))
     reference = reference_coefficients(roots)
@@ -61,3 +75,12 @@ def test_packed_expansion_matches_reference(roots):
     # no coefficient of the product is ever empty
     for d, coeff in enumerate(got):
         assert coeff.terms and all((c > 0) == (d % 2 == 0) for _, c in coeff.terms)
+
+
+def test_examples_take_the_path_they_name():
+    for roots in (_COPIES_32, _COPIES_64):
+        assert _box(roots, len(roots) // 2)[2] == (1, 1, 1)
+    assert _box(sorted(_NEGATIVE_SHIFT), 2) is not None
+    assert _box(_TOO_WIDE, 1) is None
+    # exponents near 2^70 that share a step still pack: 2 slots per component
+    assert _box(sorted([(_HUGE, -_HUGE, 2 ** 64 + 1), (-_HUGE, _HUGE, -(2 ** 64))]), 1)

@@ -9,6 +9,7 @@ from liftspin.errors import (
     InputTooLarge,
     InsufficientPrecision,
     IrrationalEigenspace,
+    NonIntegralEigenvalue,
     NonPrime,
     UnsupportedInput,
     UnsupportedWeight,
@@ -19,7 +20,7 @@ from liftspin.qexp import (
     EigenformData,
     QExpansion,
     bernoulli,
-    check_deligne_bound,
+    check_eigenvalue,
     delta,
     delta_eta_product,
     dim_cusp_forms,
@@ -223,16 +224,26 @@ def test_delta_oracles_independent_of_eisenstein_route():
 
 def test_deligne_bound_is_exact():
     # weight 3 at p = 2: |lambda| <= 2 * 2^1 = 4
-    check_deligne_bound(4, 3, 2)
-    check_deligne_bound(-4, 3, 2)
+    check_eigenvalue(4, 3, 2)
+    check_eigenvalue(-4, 3, 2)
     with pytest.raises(DeligneBoundViolation):
-        check_deligne_bound(Fraction(4001, 1000), 3, 2)
+        check_eigenvalue(Fraction(4001, 1000), 3, 2)
     # one past the integer square root of 4 p^(w-1): a float comparison
     # cannot tell these two apart, the exact one must
     bound_sq = 4 * 199 ** 25
-    check_deligne_bound(isqrt(bound_sq), 26, 199)
+    check_eigenvalue(isqrt(bound_sq), 26, 199)
     with pytest.raises(DeligneBoundViolation):
-        check_deligne_bound(isqrt(bound_sq) + 1, 26, 199)
+        check_eigenvalue(isqrt(bound_sq) + 1, 26, 199)
+
+
+def test_eigenvalue_must_be_an_integer():
+    # tau(3) = 252; 505/2 lies inside Deligne's bound for weight 12 at p = 3
+    # but is no level-one eigenvalue; an integer written as a quotient is one
+    assert Fraction(505, 2) ** 2 <= 4 * 3 ** 11
+    with pytest.raises(NonIntegralEigenvalue, match=r"lambda\(3\) = 505/2"):
+        check_eigenvalue(Fraction(505, 2), 12, 3)
+    check_eigenvalue(Fraction(504, 2), 12, 3)
+    check_eigenvalue(252, 12, 3)
 
 
 def test_genuine_tables_satisfy_deligne_bound(tmp_path):
@@ -243,7 +254,7 @@ def test_genuine_tables_satisfy_deligne_bound(tmp_path):
         path.write_text("".join(f"{p} {coeffs[p]}\n" for p in primes))
         form = EigenformData.from_eigenvalue_table(weight, load_eigenvalue_table(str(path)))
         for p in primes:
-            check_deligne_bound(hecke_eigenvalue(form, p), weight, p)
+            check_eigenvalue(hecke_eigenvalue(form, p), weight, p)
 
 
 def test_numeric_satake_examples():
