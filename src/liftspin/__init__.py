@@ -7,7 +7,6 @@ verifies the factorization identities among them both symbolically and
 from real eigenvalue data.
 """
 
-from .laurent import LaurentPoly
 from .satake import SatakeParams, elliptic_satake, ikeda_satake, miyawaki_satake
 from .euler import LocalFactor
 from .qexp import EigenformData, QExpansion, eigenform
@@ -16,7 +15,6 @@ from .identities import VerificationReport
 __version__ = "0.1.0"
 
 __all__ = [
-    "LaurentPoly",
     "SatakeParams",
     "LocalFactor",
     "QExpansion",

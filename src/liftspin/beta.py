@@ -7,13 +7,11 @@ exponents with which the shifted symmetric-power and tensor factors occur
 in the lift factorizations, so everything downstream leans on this module.
 
 alpha is computed once per n by dynamic programming over the 2n elements
-(subset-sum counting) and memoized; a literal itertools enumeration is kept
-alongside as an independent oracle for the test suite.
+(subset-sum counting) and memoized.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Dict, Iterator, Tuple
 
 
@@ -77,47 +75,6 @@ def alpha_count(r: int, m: int, n: int) -> int:
     return table(n).alpha(r, m)
 
 
-def alpha_count_bruteforce(r: int, m: int, n: int) -> int:
-    """Literal enumeration over combinations; oracle for alpha_count."""
-    if m < 0 or m > 2 * n:
-        return 0
-    return sum(1 for c in combinations(symmetric_odd_set(n), m) if sum(c) == r)
-
-
 def beta_value(r: int, m: int, n: int) -> int:
     """alpha(r, m, n) - alpha(r, m-2, n), with alpha at negative m taken as 0."""
     return table(n).beta(r, m)
-
-
-def degree_audit_ikeda(n: int) -> bool:
-    """Check that the beta-weighted symmetric-power degrees add up to 2^(2n).
-
-    Each factor attached to (r, m) has degree n - m + 1, so the total degree
-    of the factored side must equal the genus-2n spinor degree.
-    """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    total = 0
-    tab = table(n)
-    for m in range(0, n + 1):
-        bound = m * (2 * n - m)
-        for r in range(-bound, bound + 1, 2):
-            total += tab.beta(r, m) * (n - m + 1)
-    return total == 4 ** n
-
-
-def degree_audit_miyawaki(n: int) -> bool:
-    """Check that the tensor-factor degrees add up to 2^(2n-1).
-
-    The leading tensor factor has degree 2n; the (r, m) factor for
-    1 <= m <= n-1 has degree 2(n - m) and exponent beta(r, m, n-1).
-    """
-    if n < 2:
-        raise ValueError(f"n must be at least 2, got {n}")
-    total = 2 * n
-    tab = table(n - 1)
-    for m in range(1, n):
-        bound = m * (2 * n - m - 2)
-        for r in range(-bound, bound + 1, 2):
-            total += tab.beta(r, m) * 2 * (n - m)
-    return total == 2 ** (2 * n - 1)

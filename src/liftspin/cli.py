@@ -31,6 +31,7 @@ from .qexp import (
     MAX_PRECISION,
     MAX_PRIMES_UP_TO,
     EigenformData,
+    check_eigenvalue,
     eigenform,
     hecke_eigenvalue,
     load_eigenvalue_table,
@@ -208,7 +209,12 @@ def cmd_eigenvalues(args) -> int:
     primes = _primes_from(args)
     tables = _parse_table_args(args)
     form = _form_for("untagged", weight, args.precision, tables)
-    rows = [{"p": p, "lambda": str(hecke_eigenvalue(form, p))} for p in primes]
+    rows = []
+    for p in primes:
+        lam = hecke_eigenvalue(form, p)
+        # the boundary check of numeric runs: no value prints that they reject
+        check_eigenvalue(lam, weight, p)
+        rows.append({"p": p, "lambda": str(lam)})
     data = {"weight": weight, "eigenvalues": rows}
 
     def as_text(d):

@@ -26,17 +26,19 @@ which increases in the canonical (e_a, e_b, e_q) order.  Multiplying by a
 root shifts a whole coefficient by a number of slots.  A slot holds
 |c| <= C(N, d) < 2^N, so W is 32 bits up to degree 32 and 64 bits up to
 degree 64.  Decoding reads the slots through a memoryview, one row per
-(e_a, e_b), with no sort.  Roots whose box has more than PACKED_SLOT_CAP
-slots (exponents far apart with no common step, e.g. random triples near
-2^70) are expanded over dicts keyed by exponent triples instead.  No side
-of the identity registry comes near the cap: the widest has 164,883 slots
-(miyawaki_standard, n = 16, degree 63), and no side's box changes with k.
+(e_a, e_b), with no sort.  This is the only symbolic expansion: roots
+whose box has more than PACKED_SLOT_CAP slots (exponents far apart with no
+common step, e.g. random triples near 2^70) raise ExpansionTooLarge, which
+the CLI maps to exit 3.  No side of the identity registry comes near the
+cap: the widest has 164,883 slots (miyawaki_standard, n = 16, degree 63),
+and no side's box changes with k.
 
 `json_chunks` streams the indent-2 JSON of `to_json_dict` one coefficient
-at a time, and `coefficients()` returns them as `LaurentPoly` values.  The
-term count explodes with the degree (201,695 terms, 28.5 MB of JSON and
-about 0.4 s at degree 64; degree 128 is out of reach), hence
-EXPANSION_DEGREE_CAP; numeric expansion is quadratic and not capped.
+at a time, and `coefficients()` returns them as lists of (e_a, e_b, e_q, c)
+in canonical order; `laurent` writes the terms.  The term count explodes
+with the degree (201,695 terms, 28.5 MB of JSON and about 0.4 s at degree
+64; degree 128 is out of reach), hence EXPANSION_DEGREE_CAP; numeric
+expansion is quadratic and not capped.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ from itertools import accumulate, compress, repeat
 from operator import neg
 from typing import Iterator, List, Sequence, Tuple, Union
 
+from . import laurent
 from .errors import ExpansionTooLarge, GenusTooLarge, NumericOverflow
-from .laurent import LaurentPoly
 from .satake import Monomial, SatakeParams, check_units, mono_inv
 
 Root = Union[Monomial, complex]
@@ -63,17 +65,13 @@ PACKED_SLOT_CAP = 2 ** 20
 #: spinor factors above this genus (degree 2^12) are refused outright
 SPINOR_GENUS_CAP = 12
 
-# the indent-2 layout of LocalFactor.to_json_dict(), filled in by json_chunks
+# the indent-2 layout of LocalFactor.to_json_dict() up to its first coefficient
 _JSON_HEAD = '{\n  "label": %s,\n  "degree": %d,\n  "coeffs": [\n'
-_JSON_COEFF = '    {\n      "terms": [\n%s\n      ]\n    }'
-_JSON_TERM = ('        {\n          "e": [\n            %d,\n            %d,\n'
-              '            %d,\n            0\n          ],\n          "c": "%d"\n        }')
 
 
 class _Terms(list):
     """One expanded symbolic coefficient: its (e_a, e_b, e_q, c) in canonical
-    order.  `_terms` is LaurentPoly's name for its term map, so code that
-    counts terms (perfbench's tracer) reads both kinds of coefficient."""
+    order.  `_terms` is the name perfbench's tracer counts terms by."""
     _terms = property(lambda self: self)
 
 
@@ -131,24 +129,6 @@ def _expand_packed(roots: Sequence[Monomial], half: int, cols, steps, strides) -
     return coeffs
 
 
-def _expand_dict(roots: Sequence[Monomial], half: int) -> List[_Terms]:
-    """The same coefficients over dicts keyed by exponent triples, for roots
-    whose packed box is too wide."""
-    coeffs = [{(0, 0, 0): 1}]
-    for r_a, r_b, r_q in roots:
-        if len(coeffs) <= half:
-            coeffs.append({})
-        # in place, from the top down, so that old d-1 is unchanged when d is updated
-        for d in range(len(coeffs) - 1, 0, -1):
-            target = coeffs[d]
-            get = target.get
-            for (e_a, e_b, e_q), value in coeffs[d - 1].items():
-                key = (e_a + r_a, e_b + r_b, e_q + r_q)
-                target[key] = get(key, 0) + value
-    return [_Terms((*key, -value if d % 2 else value) for key, value in sorted(coeff.items()))
-            for d, coeff in enumerate(coeffs)]
-
-
 class LocalFactor:
     """One Euler factor at one prime: prod over roots of (1 - root T).
 
@@ -176,12 +156,11 @@ class LocalFactor:
     # -- expansion --------------------------------------------------------
 
     def coefficients(self) -> Tuple:
-        """Coefficients of T^0 (always 1) to T^degree, symbolic ones only
-        up to degree EXPANSION_DEGREE_CAP (above it ExpansionTooLarge)."""
-        if self.mode == "numeric":
-            return tuple(self._expand())
-        return tuple(LaurentPoly(((e_a, e_b, e_q, 0), c) for e_a, e_b, e_q, c in terms)
-                     for terms in self._sorted_terms())
+        """Coefficients of T^0 (always 1) to T^degree: complex numbers, or
+        lists of terms (e_a, e_b, e_q, c) in canonical order, only up to
+        degree EXPANSION_DEGREE_CAP and within PACKED_SLOT_CAP (else
+        ExpansionTooLarge)."""
+        return tuple(self._expand() if self.mode == "numeric" else self._sorted_terms())
 
     def _expand(self) -> List:
         """Complex coefficients, or _Terms of T^0 to T^(degree // 2)."""
@@ -199,7 +178,11 @@ class LocalFactor:
         # sorted: equal root multisets do equal work
         roots, half = sorted(self.roots), self.degree // 2
         box = _box(roots, half)
-        return _expand_dict(roots, half) if box is None else _expand_packed(roots, half, *box)
+        if box is None:
+            raise ExpansionTooLarge(
+                f"the expansion of {self.label} needs more than {PACKED_SLOT_CAP} "
+                f"slots per coefficient; use the factored form instead")
+        return _expand_packed(roots, half, *box)
 
     def _sorted_terms(self) -> Iterator[List[Tuple[int, int, int, int]]]:
         """Per symbolic coefficient, its (e_a, e_b, e_q, c) in canonical order."""
@@ -251,9 +234,7 @@ class LocalFactor:
 
     def to_json_dict(self) -> dict:
         if self.mode == "symbolic":
-            coeffs = [{"terms": [{"e": [e_a, e_b, e_q, 0], "c": str(c)}
-                                 for e_a, e_b, e_q, c in terms]}
-                      for terms in self._sorted_terms()]
+            coeffs = [laurent.json_dict(terms) for terms in self._sorted_terms()]
         else:
             coeffs = [[c.real, c.imag] for c in self._expand()]
         return {"label": self.label, "degree": self.degree, "coeffs": coeffs}
@@ -266,7 +247,7 @@ class LocalFactor:
             return
         head = _JSON_HEAD % (json.dumps(self.label), self.degree)
         for terms in self._sorted_terms():
-            yield head + _JSON_COEFF % ",\n".join([_JSON_TERM % term for term in terms])
+            yield head + laurent.indented_json(terms)
             head = ",\n"
         yield "\n  ]\n}"
 
@@ -274,7 +255,7 @@ class LocalFactor:
         """Root-list encoding, available at any degree; roots come out in
         canonical order so equal factors serialize identically."""
         if self.mode == "symbolic":
-            roots = [{"terms": [{"e": [*r, 0], "c": "1"}]} for r in sorted(self.roots)]
+            roots = [laurent.json_dict([(*r, 1)]) for r in sorted(self.roots)]
         else:
             roots = [[r.real, r.imag]
                      for r in sorted(self.roots, key=lambda r: (r.real, r.imag))]
@@ -339,38 +320,3 @@ def standard_factor(params: SatakeParams, label: str = "") -> LocalFactor:
     for mu in params.mus:
         roots += (mu, mono_inv(mu))
     return LocalFactor(label or f"st[genus={params.genus}]", tuple(roots))
-
-
-# -- scalar constants of the pair lift ----------------------------------------
-
-def gp_constant(n: int) -> LaurentPoly:
-    """Denominator D of the Fourier-Jacobi normalization constant G = 1/D:
-    D = prod over i = 1..n-1 of (1 + a q^(1-2i))(1 + 1/a q^(1-2i)); 1 if n = 1."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    product = LaurentPoly.one()
-    for i in range(1, n):
-        e = 1 - 2 * i
-        product = product * (1 + LaurentPoly.monomial(e_a=1, e_q=e))
-        product = product * (1 + LaurentPoly.monomial(e_a=-1, e_q=e))
-    return product
-
-
-def c1_eigenvalue(n: int, k: int) -> LaurentPoly:
-    """The full T(p)-eigenvalue of the genus-(2n-1) pair lift:
-    lambda_g(p) times the scalar C1 = p^(-(n-1)(n+2)/2) p^((n-1)(k+n)) D(a, q),
-    with lambda_g(p) = (b + 1/b) q^(k+n-1)."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    lam_g = (LaurentPoly.monomial(e_b=1) + LaurentPoly.monomial(e_b=-1)) \
-        * LaurentPoly.monomial(e_q=k + n - 1)
-    scale = LaurentPoly.monomial(e_q=-(n - 1) * (n + 2) + 2 * (n - 1) * (k + n))
-    return lam_g * scale * gp_constant(n)
-
-
-def frobenius_eigenvalue(params: SatakeParams) -> LaurentPoly:
-    """mu0 prod (1 + mu_i): the T(p)-eigenvalue read off the Satake set."""
-    value = LaurentPoly.monomial(*params.mu0)
-    for mu in params.mus:
-        value = value * (1 + LaurentPoly.monomial(*mu))
-    return value

@@ -19,6 +19,10 @@ both sides.  Every root has the implicit coefficient +1, so that
 coefficient (minus the root sum) already determines the root multiset and
 therefore differs whenever the multisets do.
 
+The eigenvalue constants of `c1_frobenius` are not factors in T but
+products m prod (1 + u) of unit monomials, compared just as exactly in the
+canonical form of `_factored_form`, at every n up to the CLI cap.
+
 Numeric mode checks the same factor equalities at real eigenvalue data and
 every n symbolic mode covers, comparing sum log(1 - r t) over the roots r
 of both sides at three points t: nothing is expanded, so double precision
@@ -34,30 +38,39 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from . import laurent
 from .beta import beta_value
 from .errors import GenusTooLarge
 from .euler import (
     LocalFactor,
-    c1_eigenvalue,
-    frobenius_eigenvalue,
     hecke_factor,
     spinor_factor,
     standard_factor,
     sym_power_factor,
     tensor_factor,
 )
-from .laurent import LaurentPoly
 from .qexp import EigenformData, check_eigenvalue, hecke_eigenvalue, numeric_satake
-from .satake import SatakeParams, elliptic_satake, ikeda_satake, miyawaki_satake, mono_mul
+from .satake import (
+    Monomial,
+    SatakeParams,
+    elliptic_satake,
+    ikeda_satake,
+    miyawaki_satake,
+    mono_inv,
+    mono_mul,
+)
 
 NUMERIC_TOL = 1e-9
 
 BetaFn = Callable[[int, int, int], int]
 ShiftBump = Optional[Tuple[Tuple[int, int], int]]
 Sides = Tuple[LocalFactor, LocalFactor]
+#: monomial times prod (1 + u) over the unit monomials u
+Factored = Tuple[Monomial, Sequence[Monomial]]
 
 
 class NegativeMultiplicity(ValueError):
@@ -90,8 +103,44 @@ def compare_symbolic(lhs: LocalFactor, rhs: LocalFactor) -> Tuple[bool, Optional
     if lhs.root_multiset() == rhs.root_multiset():
         return True, None
     # the T^1 coefficient, minus the root sum, tells any two multisets apart
-    lv, rv = (LaurentPoly(((*r, 0), -1) for r in side.roots) for side in (lhs, rhs))
-    return False, {"t_degree": 1, "lhs": lv.to_json_dict(), "rhs": rv.to_json_dict()}
+    def t1(side: LocalFactor) -> dict:
+        return laurent.json_dict((*root, -m) for root, m in sorted(Counter(side.roots).items()))
+
+    return False, {"t_degree": 1, "lhs": t1(lhs), "rhs": t1(rhs)}
+
+
+def _factored_form(monomial: Monomial,
+                   units: Sequence[Monomial]) -> Tuple[Monomial, List[Monomial]]:
+    """Canonical form of m prod (1 + u): each unit u below (0, 0, 0) in lex
+    order becomes u^-1 and multiplies m, as 1 + u = u (1 + u^-1); then the
+    units are sorted.
+
+    Two values are equal as Laurent polynomials exactly when their forms
+    are.  Substitute a = x^(N^2), b = x^N, q = x with N above twice every
+    exponent in sight: that is injective on the monomials of both forms and
+    turns each unit into x^e with e > 0.  As 1 + x^e is the product of the
+    cyclotomic Phi_d(x) over d | 2e with d not dividing e, Phi_(2E) for the
+    largest e = E divides 1 + x^e only when e = E, so both sides hold the
+    same number of units of exponent E.  Cancel them and induct; what is
+    left is the monomial.  A unit u = (0, 0, 0) is the constant 2, which
+    Gauss's lemma (each 1 + x^e is primitive) counts apart.
+    """
+    units = list(units)
+    for i, unit in enumerate(units):
+        if unit < (0, 0, 0):
+            monomial, units[i] = mono_mul(monomial, unit), mono_inv(unit)
+    return monomial, sorted(units)
+
+
+def compare_factored(lhs: Factored, rhs: Factored) -> Tuple[bool, Optional[Dict]]:
+    """Exact equality of two factored values; the witness is both forms."""
+    lf, rf = _factored_form(*lhs), _factored_form(*rhs)
+    if lf == rf:
+        return True, None
+    lv, rv = ({"monomial": laurent.json_dict([(*monomial, 1)]),
+               "units": [laurent.json_dict([(*unit, 1)]) for unit in units]}
+              for monomial, units in (lf, rf))
+    return False, {"lhs": lv, "rhs": rv}
 
 
 def _log_sum(scaled: List[complex], rotation: complex) -> complex:
@@ -217,13 +266,22 @@ def miyawaki_standard_sides(n: int, k: int) -> Sides:
 
 # -- checks that are not factor equalities ----------------------------------------
 
+def _c1_eigenvalue(n: int, k: int) -> Factored:
+    """The T(p)-eigenvalue lambda_g(p) C1 of the genus-(2n-1) pair lift, with
+    lambda_g(p) = (b + 1/b) q^(k+n-1) and C1 = p^(-(n-1)(n+2)/2) p^((n-1)(k+n))
+    prod over i = 1..n-1 of (1 + a q^(1-2i))(1 + 1/a q^(1-2i)), factored as
+    b^-1 q^s (1 + b^2) prod (1 + a q^(1-2i))(1 + 1/a q^(1-2i))."""
+    s = (k + n - 1) - (n - 1) * (n + 2) + 2 * (n - 1) * (k + n)
+    units = [(0, 2, 0)]
+    for i in range(1, n):
+        units += ((1, 0, 1 - 2 * i), (-1, 0, 1 - 2 * i))
+    return (0, -1, s), units
+
+
 def _c1_frobenius_check(n: int, k: int) -> Tuple[bool, Optional[Dict]]:
     """The operator eigenvalue lambda_g(p) C1 against mu0 prod (1 + mu_i)."""
-    lhs = c1_eigenvalue(n, k)
-    rhs = frobenius_eigenvalue(miyawaki_satake(n, k))
-    if lhs == rhs:
-        return True, None
-    return False, {"lhs": lhs.to_json_dict(), "rhs": rhs.to_json_dict()}
+    params = miyawaki_satake(n, k)
+    return compare_factored(_c1_eigenvalue(n, k), (params.mu0, params.mus))
 
 
 # expected exponent lists of the degree-7 factorization

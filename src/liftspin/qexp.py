@@ -6,10 +6,8 @@ Victor Miller basis, the eigenforms), Fraction only where it is not
 (Bernoulli numbers, -2k/B_k for k other than 4 and 6, eigenvalue tables,
 steps of the rational linear algebra); floats are refused.
 
-Contents: Eisenstein series from the divisor-sum formula, the discriminant
-cusp form both as (E4^3 - E6^2)/1728 and as the eta product (the two
-constructions cross-check each other), and the echelonized Victor Miller
-basis of cusp forms from monomials in E4 and E6.
+Contents: Eisenstein series from the divisor-sum formula and the
+echelonized Victor Miller basis of cusp forms from monomials in E4 and E6.
 
 Eigenforms exist here only at the one-dimensional cuspidal weights 12, 16,
 18, 20, 22 and 26, where the single Victor Miller basis element is the
@@ -186,36 +184,6 @@ def eisenstein(weight: int, precision: int) -> QExpansion:
     return QExpansion(weight, [1] + [factor * s for s in sigma[1:]])
 
 
-def delta(precision: int) -> QExpansion:
-    """The weight-12 cusp eigenform, built as (E4^3 - E6^2)/1728."""
-    if precision < 1:
-        raise ValueError("precision must be at least 1")
-    e4 = eisenstein(4, precision)
-    e6 = eisenstein(6, precision)
-    return (e4 ** 3 - e6 ** 2) / 1728
-
-
-def delta_eta_product(precision: int) -> QExpansion:
-    """Independent construction of delta: q times the 24th power of
-    prod (1 - q^n), the latter expanded by the pentagonal number theorem."""
-    if precision < 1:
-        raise ValueError("precision must be at least 1")
-    euler = [0] * precision
-    euler[0] = 1
-    j = 1
-    while True:
-        placed = False
-        for e in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2):
-            if e < precision:
-                euler[e] += (-1) ** j
-                placed = True
-        if not placed:
-            break
-        j += 1
-    p24 = QExpansion(0, euler) ** 24
-    return QExpansion(12, (0,) + p24.coeffs[:precision])
-
-
 def dim_modular_forms(weight: int) -> int:
     if weight < 0 or weight % 2:
         return 0
@@ -277,15 +245,6 @@ def victor_miller_basis(weight: int, precision: int) -> List[QExpansion]:
 
 
 # -- Hecke action and eigenforms -------------------------------------------
-
-def hecke_operator(form: QExpansion, p: int) -> QExpansion:
-    """T_p on a level-one form of weight k: b(n) = a(np) + p^(k-1) a(n/p)."""
-    if not is_prime(p):
-        raise NonPrime(f"{p} is not prime")
-    a, pk = form.coeffs, p ** (form.weight - 1)
-    return QExpansion(form.weight, [a[n * p] + (0 if n % p else pk * a[n // p])
-                                    for n in range(form.precision // p + 1)])
-
 
 class EigenformData:
     """A normalized Hecke eigenform: weight, exact q-expansion, and a

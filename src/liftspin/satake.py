@@ -1,16 +1,15 @@
-"""Satake parameter sets of the two lift families, the Weyl action, and
-the unit monomials they are made of.
+"""Satake parameter sets of the two lift families and the unit monomials
+they are made of.
 
 A parameter set is (mu0, mu1, ..., mu_g) together with the exponent e of
 the similitude constraint mu0^2 mu1 ... mu_g = q^e (recall q^2 = p).  Every
 entry is a unit monomial a^i b^j q^e, stored as its exponent triple
 (i, j, e) of ints with implicit coefficient 1.  So is every root of every
 Euler factor in scope, which is why the monomial algebra lives here: the
-product and the inverse are exponent sums and negations, which makes the
-Weyl generators and the similitude check exact, and `check_units` is the
-one place that says what a monomial is.  Numeric work instantiates the
-finished local factors instead (`LocalFactor.instantiate`); the
-similitude, exact in the ring, holds there for every alpha and beta.
+product and the inverse are exponent sums and negations, so everything
+built from them is exact, and `check_units` is the one place that says
+what a monomial is.  Numeric work instantiates the finished local factors
+instead (`LocalFactor.instantiate`).
 
 Constructors cover the genus-2n lift of f, the genus-(2n-1) lift of the
 pair (f, g), and the degenerate genus-1 set of an elliptic eigenform.
@@ -21,8 +20,8 @@ not mathematical content.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterable, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterable, Tuple
 
 #: a^i b^j q^e as (i, j, e)
 Monomial = Tuple[int, int, int]
@@ -57,14 +56,6 @@ class SatakeParams:
             raise ValueError(f"genus {self.genus} does not match {len(self.mus)} parameters")
         check_units((self.mu0, *self.mus), "Satake parameters")
 
-    # -- invariants -----------------------------------------------------
-
-    def similitude_holds(self) -> bool:
-        """mu0^2 prod(mus) == q^similitude_exponent, exactly."""
-        product = mono_mul(self.mu0, self.mu0)
-        for mu in self.mus:
-            product = mono_mul(product, mu)
-        return product == (0, 0, self.similitude_exponent)
 
 
 def _triangle(n: int) -> int:
@@ -111,50 +102,3 @@ def elliptic_satake(weight: int, variable: str = "b") -> SatakeParams:
         raise ValueError(f"variable must be 'a' or 'b', got {variable!r}")
     i, j = (1, 0) if variable == "a" else (0, 1)
     return SatakeParams(1, (-i, -j, weight - 1), ((2 * i, 2 * j, 0),), 2 * (weight - 1))
-
-
-# -- Weyl group action ------------------------------------------------------
-
-def weyl_sigma(params: SatakeParams, i: int) -> SatakeParams:
-    """Generator sigma_i: mu0 -> mu0 mu_i, mu_i -> mu_i^-1, rest fixed."""
-    if not 1 <= i <= params.genus:
-        raise IndexError(f"sigma index {i} out of range 1..{params.genus}")
-    mus = list(params.mus)
-    mu0 = mono_mul(params.mu0, mus[i - 1])
-    mus[i - 1] = mono_inv(mus[i - 1])
-    return replace(params, mu0=mu0, mus=tuple(mus))
-
-
-def weyl_permute(params: SatakeParams, perm: Sequence[int]) -> SatakeParams:
-    """Reorder mu_1..mu_g by a permutation given as the image list of 1..g."""
-    if sorted(perm) != list(range(1, params.genus + 1)):
-        raise ValueError(f"{perm!r} is not a permutation of 1..{params.genus}")
-    mus = tuple(params.mus[j - 1] for j in perm)
-    return replace(params, mus=mus)
-
-
-def _reduce_b_squared_to_minus_one(mu: Monomial) -> Tuple[int, Monomial]:
-    """Formally set b^2 = -1: a^i b^j q^e becomes (-1)^floor(j/2) a^i b^(j mod 2)
-    q^e, returned as (sign, monomial)."""
-    quot, rem = divmod(mu[1], 2)
-    return (-1 if quot % 2 else 1), (mu[0], rem, mu[2])
-
-
-def miyawaki_inverse_mu_check(n: int, k: int) -> bool:
-    """Consistency of the sign ambiguity when b^2 = -1.
-
-    Applying sigma at the b^2 slot and then reducing b^2 to -1 must land on
-    the parameter set with mu0 negated (reduced the same way): the two
-    candidate normalizations are Weyl-equivalent, so the choice of mu0 in
-    the pair-lift construction is well defined even in this edge case.
-    """
-    params = miyawaki_satake(n, k)
-    flipped = weyl_sigma(params, params.genus)
-
-    def reduced(p: SatakeParams, negate_mu0: bool):
-        sign, mu0 = _reduce_b_squared_to_minus_one(p.mu0)
-        mus = sorted(map(_reduce_b_squared_to_minus_one, p.mus))
-        return (-sign if negate_mu0 else sign, mu0), mus
-
-    return reduced(flipped, negate_mu0=False) == reduced(params, negate_mu0=True)
-

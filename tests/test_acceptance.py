@@ -8,28 +8,24 @@ import random
 import time
 from contextlib import contextmanager
 
-from liftspin.beta import (
-    alpha_count,
-    alpha_count_bruteforce,
-    beta_value,
-    degree_audit_ikeda,
-    degree_audit_miyawaki,
-)
+from liftspin.beta import alpha_count, beta_value
 from liftspin.identities import (
     DEG7_EPS,
     DEG7_EPS_PRIME,
     verify,
 )
-from liftspin.qexp import delta, delta_eta_product, eigenform, primes_up_to
-from liftspin.satake import (
-    SatakeParams,
-    ikeda_satake,
-    miyawaki_satake,
-    mono_mul,
+from liftspin.qexp import eigenform, primes_up_to
+from liftspin.satake import SatakeParams, ikeda_satake, miyawaki_satake, mono_mul
+from liftspin.euler import spinor_factor, standard_factor
+from oracles import (
+    alpha_count_bruteforce,
+    degree_audit_ikeda,
+    degree_audit_miyawaki,
+    delta,
+    delta_eta_product,
     weyl_permute,
     weyl_sigma,
 )
-from liftspin.euler import spinor_factor, standard_factor
 
 
 @contextmanager

@@ -1,15 +1,7 @@
 import pytest
 
-from liftspin.beta import (
-    BetaTable,
-    alpha_count,
-    alpha_count_bruteforce,
-    beta_value,
-    degree_audit_ikeda,
-    degree_audit_miyawaki,
-    symmetric_odd_set,
-    table,
-)
+from liftspin.beta import BetaTable, alpha_count, beta_value, symmetric_odd_set, table
+from oracles import alpha_count_bruteforce, degree_audit_ikeda, degree_audit_miyawaki
 
 
 def test_symmetric_odd_set():

@@ -461,6 +461,15 @@ def test_non_integral_table_eigenvalue_exit3(capsys, tables, tmp_path):
     assert code == 0 and len(json.loads(out)) == 46
 
 
+@pytest.mark.parametrize("table, message", [("half_p3.txt", "lambda(3) = 505/2 is not an integer"),
+                                            ("huge_p3.txt", "lambda(3) = 99999999 violates")])
+def test_eigenvalues_checks_what_it_prints_exit3(capsys, table, message):
+    # the values every numeric run rejects are not printed either
+    code, out, err = run(capsys, "eigenvalues", "--weight", "12", "--prime", "3",
+                         "--eigenvalues-file", str(GOLDEN / table))
+    assert code == 3 and out == "" and message in err
+
+
 def test_roots_past_double_range_exit3(capsys):
     # q^135 at p = 999983 is past double range: exit 3 naming the prime
     zero = GOLDEN / "zero_p999983.txt"

@@ -174,6 +174,12 @@ def _argv_list():
         "lvalue --side lhs --n 2 --k 10 --s 25",
         "verify --identity main_theorem --n 2 --k 10 --numeric --prime 3 "
         "--eigenvalues-file g={golden}/half_p3.txt",
+        # the eigenvalue constants at the --n cap
+        "verify --identity c1_frobenius --n 32 --k 10",
+        # eigenvalues checks the table values it prints: one not an integer,
+        # one outside Deligne's bound
+        "eigenvalues --weight 12 --prime 3 --eigenvalues-file {golden}/half_p3.txt",
+        "eigenvalues --weight 12 --prime 3 --eigenvalues-file {golden}/huge_p3.txt",
     ]
     return out
 

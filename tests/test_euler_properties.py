@@ -2,14 +2,16 @@
 streamed indent-2 encoder of LocalFactor, against a tuple-keyed reference
 expansion of every coefficient and json.dumps on random unit-monomial
 roots: exponent triples past 2^64 of either sign, repeated roots, and
-degrees 0 to 9, plus explicit degree-32 and degree-64 examples."""
+degrees 0 to 9, plus explicit degree-32 and degree-64 examples.  Roots
+whose packed box is over PACKED_SLOT_CAP must raise ExpansionTooLarge
+before the first piece of output."""
 
 import json
 
 import pytest
 
+from liftspin.errors import ExpansionTooLarge
 from liftspin.euler import LocalFactor, _box
-from liftspin.laurent import LaurentPoly
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
@@ -27,7 +29,7 @@ _COPIES_64 = [(1, -2, 3)] * 64
 # sorted, the second root has e_b = -1 below the second-smallest e_b = 0, so
 # its step from degree 1 to 2 is a right shift
 _NEGATIVE_SHIFT = [(-1, 1, 1), (0, -1, 1), (0, 1, 1), (1, 0, 1)]
-# e_a spans 2^21 + 1 steps of 1: past PACKED_SLOT_CAP, so the dict recurrence
+# e_a spans 2^21 + 1 steps of 1: past PACKED_SLOT_CAP, so ExpansionTooLarge
 _TOO_WIDE = [(0, 0, 0), (1, 0, 0), (2 ** 21, 0, 0)]
 
 
@@ -46,7 +48,7 @@ def reference_coefficients(roots):
     return coeffs
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(_roots)
 @example([])
 @example([(2, -1, 3)])
@@ -58,6 +60,12 @@ def reference_coefficients(roots):
 @example(_TOO_WIDE)
 def test_packed_expansion_matches_reference(roots):
     factor = LocalFactor("ref[\"x\"]é", tuple(roots))
+    if _box(sorted(roots), len(roots) // 2) is None:
+        chunks = factor.json_chunks()
+        for expand in (lambda: next(chunks), factor.coefficients, factor.to_json_dict):
+            with pytest.raises(ExpansionTooLarge, match="factored form"):
+                expand()
+        return
     reference = reference_coefficients(roots)
     data = {"label": factor.label, "degree": len(roots), "coeffs": [
         {"terms": [{"e": [*key, 0], "c": str(value)} for key, value in sorted(coeff.items())]}
@@ -66,15 +74,13 @@ def test_packed_expansion_matches_reference(roots):
     # only degrees 0 to degree // 2 are expanded; the rest is reflected
     assert len(factor._expand()) == len(roots) // 2 + 1
     assert factor.to_json_dict() == data
-    expected = tuple(LaurentPoly((((*key, 0), value) for key, value in coeff.items()))
-                     for coeff in reference)
     got = factor.coefficients()
-    assert got == expected
-    assert [c.terms for c in got] == [c.terms for c in expected]
+    assert got == tuple([(*key, value) for key, value in sorted(coeff.items())]
+                        for coeff in reference)
     # unit roots: every term of the T^d coefficient has the sign (-1)^d, so
     # no coefficient of the product is ever empty
     for d, coeff in enumerate(got):
-        assert coeff.terms and all((c > 0) == (d % 2 == 0) for _, c in coeff.terms)
+        assert coeff and all((c > 0) == (d % 2 == 0) for *_, c in coeff)
 
 
 def test_examples_take_the_path_they_name():

@@ -1,3 +1,6 @@
+import time
+from dataclasses import replace
+
 import pytest
 
 from liftspin.beta import beta_value
@@ -6,6 +9,8 @@ from liftspin.euler import LocalFactor
 from liftspin.identities import (
     IDENTITIES,
     NUMERIC_TOL,
+    _c1_eigenvalue,
+    compare_factored,
     compare_numeric,
     compare_symbolic,
     example_display_rhs,
@@ -20,7 +25,8 @@ from liftspin.identities import (
     verify,
 )
 from liftspin.qexp import EigenformData, eigenform
-from liftspin.satake import SatakeParams, miyawaki_satake, mono_mul
+from liftspin.satake import SatakeParams, miyawaki_satake, mono_inv, mono_mul
+from oracles import c1_eigenvalue, frobenius_eigenvalue, weyl_sigma
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -105,6 +111,47 @@ def test_miyawaki_standard(n):
 @pytest.mark.parametrize("k", [4, 10])
 def test_c1_frobenius(n, k):
     assert verify("c1_frobenius", n, k).passed
+
+
+def _c1_variants(params):
+    """The Satake set, one Weyl image of it (same value) and three single
+    perturbations (other values)."""
+    mus = params.mus
+    return [params, weyl_sigma(params, 1),
+            replace(params, mu0=mono_mul(params.mu0, (0, 0, 1))),
+            replace(params, mus=(mono_mul(mus[0], (0, 0, 1)),) + mus[1:]),
+            replace(params, mus=(mono_inv(mus[0]),) + mus[1:])]
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 10])
+@pytest.mark.parametrize("k", [1, 10, 10 ** 21])
+def test_factored_c1_matches_the_expanded_oracle(n, k):
+    lhs, oracle = _c1_eigenvalue(n, k), c1_eigenvalue(n, k)
+    verdicts = []
+    for params in _c1_variants(miyawaki_satake(n, k)):
+        ok, witness = compare_factored(lhs, (params.mu0, params.mus))
+        assert ok == (oracle == frobenius_eigenvalue(params))
+        assert (witness is None) == ok
+        verdicts.append(ok)
+    assert verdicts == [True, True, False, False, False]
+
+
+def test_c1_bumped_mu0_fails_with_witness():
+    n, k = 3, 10
+    params = miyawaki_satake(n, k)
+    ok, witness = compare_factored(_c1_eigenvalue(n, k),
+                                   (mono_mul(params.mu0, (0, 0, 1)), params.mus))
+    assert not ok and set(witness) == {"lhs", "rhs"}
+    lhs, rhs = witness["lhs"], witness["rhs"]
+    assert lhs["units"] == rhs["units"] and len(lhs["units"]) == 2 * n - 1
+    (lm,), (rm,) = lhs["monomial"]["terms"], rhs["monomial"]["terms"]
+    assert rm["e"] == [lm["e"][0], lm["e"][1], lm["e"][2] + 1, 0] and rm["c"] == "1"
+
+
+def test_c1_frobenius_at_the_n_cap_is_fast():
+    started = time.perf_counter()
+    assert verify("c1_frobenius", 32, 10).passed
+    assert time.perf_counter() - started < 0.05
 
 
 def test_deg7_epsilons():

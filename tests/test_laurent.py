@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from liftspin.laurent import LaurentPoly
+from oracles import LaurentPoly
 
 A = LaurentPoly.monomial(e_a=1)
 B = LaurentPoly.monomial(e_b=1)

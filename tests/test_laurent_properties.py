@@ -1,11 +1,13 @@
-"""JSON wire format of LaurentPoly on random polynomials: 30-digit
-coefficients and negative a, b and q exponents."""
+"""JSON wire format on random polynomials: 30-digit coefficients and
+negative a, b and q exponents, written by the LaurentPoly oracle and by the
+package's term encoder `liftspin.laurent`."""
 
 import json
 
 import pytest
 
-from liftspin.laurent import LaurentPoly
+from liftspin import laurent
+from oracles import LaurentPoly, poly
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
@@ -45,3 +47,19 @@ def test_encoding_ignores_insertion_order(orders):
     assert _encode(LaurentPoly(shuffled)) == encoded
     summed = sum((LaurentPoly.monomial(*e, coeff=c) for e, c in shuffled), LaurentPoly.zero())
     assert _encode(summed) == encoded
+
+
+_triples = st.tuples(st.integers(-40, 40), st.integers(-40, 40), st.integers(-40, 40))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(_triples, _coeff, min_size=1, max_size=25))
+def test_package_wire_format_matches_the_oracle(coeffs):
+    # liftspin.laurent writes sorted (e_a, e_b, e_q, c) terms the way the
+    # oracle writes the same polynomial at T-degree 0, both as a dict and
+    # as the indented text of an entry in a "coeffs" list
+    terms = [(*e, c) for e, c in sorted(coeffs.items())]
+    data = laurent.json_dict(terms)
+    assert data == poly(terms).to_json_dict()
+    assert json.dumps({"coeffs": [data]}, indent=2) \
+        == '{\n  "coeffs": [\n' + laurent.indented_json(terms) + "\n  ]\n}"

@@ -21,19 +21,17 @@ from liftspin.qexp import (
     QExpansion,
     bernoulli,
     check_eigenvalue,
-    delta,
-    delta_eta_product,
     dim_cusp_forms,
     eigenform,
     eisenstein,
     hecke_eigenvalue,
-    hecke_operator,
     is_prime,
     load_eigenvalue_table,
     numeric_satake,
     primes_up_to,
     victor_miller_basis,
 )
+from oracles import delta, delta_eta_product, hecke_operator
 
 
 def test_bernoulli():
