@@ -356,7 +356,8 @@ class Identity:
     verdict); numeric mode takes exactly those without a `check`.  `n_range`
     is (smallest n, largest n or None) in both modes.  A `fixed_n` identity
     is one case whatever n is asked for; one without `uses_k` reports k as
-    None.  `grid` lists its (n, k) in `full_symbolic_suite`.
+    None.  `grid` lists its (n, k) in `full_symbolic_suite`, and `hooks`
+    the mutation hooks its `sides` take.
     """
     sides: Optional[Callable[..., Sides]] = None
     check: Optional[Callable[[int, Optional[int]], Tuple[bool, Optional[Dict]]]] = None
@@ -365,7 +366,10 @@ class Identity:
     fixed_n: Optional[int] = None
     uses_k: bool = True
     grid: Tuple[Tuple[int, Optional[int]], ...] = ()
+    hooks: Tuple[str, ...] = ()
 
+
+SPINOR_HOOKS = ("beta_fn", "shift_bump", "lhs_params")
 
 # Public side builders are called through their module-level names rather
 # than stored as function objects, so anything rebinding those names (a
@@ -375,11 +379,13 @@ IDENTITIES: Dict[str, Identity] = {
         sides=lambda n, k, lhs_params=None, **hooks: (
             miyawaki_spinor_lhs(n, k, lhs_params), main_theorem_rhs(n, k, **hooks)),
         n_range=(2, 6),
-        grid=tuple((n, k) for k in (4, 10, 16) for n in range(2, 7))),
+        grid=tuple((n, k) for k in (4, 10, 16) for n in range(2, 7)),
+        hooks=SPINOR_HOOKS),
     "ikeda_spinor": Identity(
         sides=lambda n, k, **hooks: ikeda_spinor_sides(n, k, **hooks),
         n_range=(1, 4), needs_g=False,
-        grid=tuple((n, k) for k in (4, 10) for n in range(1, 5))),
+        grid=tuple((n, k) for k in (4, 10) for n in range(1, 5)),
+        hooks=SPINOR_HOOKS),
     "ikeda_standard": Identity(
         sides=lambda n, k: ikeda_standard_sides(n, k),
         n_range=(1, 6), needs_g=False,
@@ -407,7 +413,8 @@ def verify(identity_id: str, n: int, k: int, mode: str = "symbolic",
            g: Optional[EigenformData] = None, **hooks) -> VerificationReport:
     """Verdict on one identity at (n, k): exact in symbolic mode, within
     NUMERIC_TOL at `prime` from the eigenforms f (and g) in numeric mode.
-    The hooks (beta_fn, shift_bump, lhs_params) go to the side builders."""
+    The hooks (beta_fn, shift_bump, lhs_params) go to the side builders of
+    the spinor identities; any other identity refuses them with ValueError."""
     return verify_at_primes(identity_id, n, k, mode, (prime,), f, g, **hooks)[0]
 
 
@@ -416,6 +423,10 @@ def verify_at_primes(identity_id: str, n: int, k: int, mode: str,
                      g: Optional[EigenformData] = None, **hooks) -> List[VerificationReport]:
     """verify() at each of `primes` in turn, building the two sides once."""
     identity = IDENTITIES[identity_id]
+    refused = sorted(set(hooks) - set(identity.hooks))
+    if refused:
+        raise ValueError(f"identity {identity_id!r} takes no hook {', '.join(refused)}; "
+                         f"it accepts {', '.join(identity.hooks) or 'none'}")
     if identity.fixed_n is not None:
         n = identity.fixed_n
     if not identity.uses_k:

@@ -9,6 +9,15 @@ steps of the rational linear algebra); floats are refused.
 Contents: Eisenstein series from the divisor-sum formula and the
 echelonized Victor Miller basis of cusp forms from monomials in E4 and E6.
 
+A product of two series is one big-int multiplication (Kronecker
+substitution): each series, over the common denominator of its
+coefficients, is packed into an int with one fixed-width byte slot per
+coefficient, wide enough for every input coefficient and for n max|a| max|b|;
+the low n slots of the product are the truncated product.  The basis
+row-reduces only the leading (d+1) x (d+1) block of the d+1 monomials and
+applies the inverse to the full rows as integer combinations over one
+common denominator, which divides them exactly: the basis is integral.
+
 Eigenforms exist here only at the one-dimensional cuspidal weights 12, 16,
 18, 20, 22 and 26, where the single Victor Miller basis element is the
 normalized eigenform.  Every level-one cusp space of dimension 2 or more
@@ -22,7 +31,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import compress
-from math import comb, isqrt
+from math import comb, isqrt, lcm
 from numbers import Rational
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -95,6 +104,39 @@ def _exact(c):
     return int(c) if c.denominator == 1 else Fraction(c)
 
 
+def _numerators(coeffs: Sequence) -> Tuple[Sequence[int], int]:
+    """Integer numerators of exact coefficients over their least common
+    denominator, and that denominator."""
+    den = lcm(*{c.denominator for c in coeffs if type(c) is not int})
+    if den == 1:
+        return coeffs, 1
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _pack(coeffs: Sequence[int], width: int) -> int:
+    """sum c_i X^i at X = 2^(8 width), for |c_i| < X/2: each byte slot holds
+    c_i + X/2, and the offsets are taken off again as one integer."""
+    offset = 1 << (8 * width - 1)
+    packed = b"".join([(c + offset).to_bytes(width, "little") for c in coeffs])
+    return int.from_bytes(packed, "little") - _offsets(len(coeffs), width)
+
+
+def _unpack(value: int, n: int, width: int) -> List[int]:
+    """The first n coefficients c_i of value = sum c_i X^i, X = 2^(8 width),
+    for |c_i| < X/2: with X/2 added to each of the n low slots, every slot
+    holds c_i + X/2 with no borrow across slots."""
+    offset = 1 << (8 * width - 1)
+    low = (value + _offsets(n, width)) & ((1 << (8 * width * n)) - 1)
+    data = low.to_bytes(n * width, "little")
+    return [int.from_bytes(data[i:i + width], "little") - offset
+            for i in range(0, n * width, width)]
+
+
+def _offsets(n: int, width: int) -> int:
+    """sum_(i<n) (X/2) X^i at X = 2^(8 width)."""
+    return int.from_bytes((b"\0" * (width - 1) + b"\x80") * n, "little")
+
+
 class QExpansion:
     """Truncated rational q-expansion of a modular form of a fixed weight.
 
@@ -141,10 +183,19 @@ class QExpansion:
             s = _exact(other)
             return QExpansion(self.weight, [c * s for c in self.coeffs])
         n = min(len(self.coeffs), len(other.coeffs))
-        a, rb = self.coeffs, other.coeffs[n - 1::-1]
-        # coefficient m is sum_i a[i] b[m - i]; rb[n-1-m:] is b[m], ..., b[0]
-        return QExpansion(self.weight + other.weight,
-                          [sum(map(mul, a[:m + 1], rb[n - 1 - m:])) for m in range(n)])
+        a, da = _numerators(self.coeffs[:n])
+        b, db = (a, da) if other is self else _numerators(other.coeffs[:n])
+        # slots hold every input coefficient and every product coefficient,
+        # each bounded by n max|a| max|b|, with room for the sign
+        height_a, height_b = max(map(abs, a), default=0), max(map(abs, b), default=0)
+        width = (max(height_a, height_b, n * height_a * height_b).bit_length() + 8) // 8
+        packed_a = _pack(a, width)
+        packed_b = packed_a if other is self else _pack(b, width)
+        product = _unpack(packed_a * packed_b, n, width)
+        den = da * db
+        if den != 1:
+            product = [Fraction(c, den) for c in product]
+        return QExpansion(self.weight + other.weight, product)
 
     __rmul__ = __mul__
 
@@ -155,16 +206,16 @@ class QExpansion:
     def __pow__(self, exponent: int) -> "QExpansion":
         if exponent < 0:
             raise ValueError("negative powers of q-expansions are not supported")
-        result = QExpansion(0, [1] + [0] * self.precision)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            if n > 1:
-                base = base * base
-            n >>= 1
-        return result
+        if exponent == 0:
+            return QExpansion(0, [1] + [0] * self.precision)
+        result, base = None, self
+        while True:
+            if exponent & 1:
+                result = base if result is None else result * base
+            exponent >>= 1
+            if not exponent:
+                return result
+            base = base * base
 
     def __repr__(self) -> str:
         shown = ", ".join(str(c) for c in self.coeffs[:6])
@@ -220,7 +271,12 @@ def _echelonize(rows: List[list]) -> List[list]:
 
 def victor_miller_basis(weight: int, precision: int) -> List[QExpansion]:
     """Echelonized basis of cusp forms: element i has coeffs[j] = delta_ij
-    for 1 <= j <= dim, obtained by row-reducing the E4^a E6^b monomials."""
+    for 1 <= j <= dim, a rational combination of the E4^a E6^b monomials.
+
+    Only the leading (d+1) x (d+1) block of the d+1 monomials is
+    row-reduced, next to an identity matrix; its inverse, over one common
+    denominator, gives the integer combinations of the full rows, and the
+    division by that denominator is exact."""
     if weight < 4 or weight % 2:
         raise UnsupportedWeight(f"no cusp forms in weight {weight}")
     d = dim_cusp_forms(weight)
@@ -234,10 +290,22 @@ def victor_miller_basis(weight: int, precision: int) -> List[QExpansion]:
     for b in range(weight // 6 + 1):
         rem = weight - 6 * b
         if rem >= 0 and rem % 4 == 0:
-            rows.append(list((e4 ** (rem // 4) * e6 ** b).coeffs))
+            rows.append((e4 ** (rem // 4) * e6 ** b).coeffs)
     assert len(rows) == d + 1, "monomial count must match dim M_k"
-    rows = _echelonize(rows)
-    basis = [QExpansion(weight, row) for row in rows[1:]]
+    size = d + 1
+    block = _echelonize([list(row[:size]) + [int(i == j) for j in range(size)]
+                         for i, row in enumerate(rows)])
+    assert all(block[i][j] == (i == j) for i in range(size) for j in range(size)), \
+        "the leading block of the monomials must be invertible"
+    inverse = [row[size:] for row in block[1:]]
+    den = lcm(*(c.denominator for row in inverse for c in row))
+    columns = list(zip(*rows))
+    basis = []
+    for row in inverse:
+        multipliers = [int(c * den) for c in row]
+        sums = [sum(map(mul, multipliers, column)) for column in columns]
+        assert all(s % den == 0 for s in sums), "the Victor Miller basis is integral"
+        basis.append(QExpansion(weight, [s // den for s in sums]))
     for i, form in enumerate(basis, start=1):
         assert form.coeffs[0] == 0
         assert all(form.coeffs[j] == (1 if j == i else 0) for j in range(1, d + 1))

@@ -6,7 +6,10 @@ itself only ever writes sorted term lists (`liftspin.laurent`).  With it
 come the eigenvalue constants of the pair lift as expanded polynomials,
 which the factored `c1_frobenius` check is tested against, and the literal
 subset enumeration, degree audits, Weyl group action and the two
-constructions of the discriminant form that the acceptance criteria use.
+constructions of the discriminant form that the acceptance criteria use,
+and the schoolbook product and full-row echelonization that the packed
+q-expansion product and the block-reduced Victor Miller basis are tested
+against.
 
 A polynomial is a finite map from exponent vectors (e_a, e_b, e_q, e_T) to
 nonzero integer coefficients.  a, b and q are Laurent variables; T (for
@@ -18,12 +21,13 @@ lexicographically on (e_T, e_a, e_b, e_q) for printing and encoding.
 from __future__ import annotations
 
 from dataclasses import replace
+from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence, Tuple, Union
+from typing import Iterable, List, Mapping, Sequence, Tuple, Union
 
 from liftspin.beta import symmetric_odd_set, table
 from liftspin.errors import NonPrime
-from liftspin.qexp import QExpansion, eisenstein, is_prime
+from liftspin.qexp import QExpansion, dim_cusp_forms, eisenstein, is_prime
 from liftspin.satake import SatakeParams, miyawaki_satake, mono_inv, mono_mul
 
 Exponents = Tuple[int, int, int, int]
@@ -380,7 +384,42 @@ def miyawaki_inverse_mu_check(n: int, k: int) -> bool:
     return reduced(flipped, negate_mu0=False) == reduced(params, negate_mu0=True)
 
 
-# -- the discriminant form, twice, and the Hecke operator ---------------------------
+# -- q-expansion references: products, cusp basis, delta, Hecke ---------------------
+
+def schoolbook(a: QExpansion, b: QExpansion) -> list:
+    """Coefficients of a * b truncated to the shorter series, term by term."""
+    n = min(len(a.coeffs), len(b.coeffs))
+    out = [0] * n
+    for i in range(n):
+        for j in range(n - i):
+            out[i + j] += a.coeffs[i] * b.coeffs[j]
+    return out
+
+
+def victor_miller_full_rows(weight: int, precision: int) -> List[QExpansion]:
+    """The echelonized cusp basis by reduced row echelon form of the whole
+    E4^a E6^b monomial rows over Fraction (the package reduces only their
+    leading block)."""
+    e4, e6 = eisenstein(4, precision), eisenstein(6, precision)
+    rows = [[Fraction(c) for c in (e4 ** ((weight - 6 * b) // 4) * e6 ** b).coeffs]
+            for b in range(weight // 6 + 1) if (weight - 6 * b) % 4 == 0]
+    pivot_row = 0
+    for col in range(precision + 1):
+        src = next((r for r in range(pivot_row, len(rows)) if rows[r][col]), None)
+        if src is None:
+            continue
+        rows[pivot_row], rows[src] = rows[src], rows[pivot_row]
+        rows[pivot_row] = [c / rows[pivot_row][col] for c in rows[pivot_row]]
+        for r in range(len(rows)):
+            if r != pivot_row and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[pivot_row])]
+        pivot_row += 1
+        if pivot_row == len(rows):
+            break
+    assert len(rows) == dim_cusp_forms(weight) + 1
+    return [QExpansion(weight, row) for row in rows[1:]]
+
 
 def delta(precision: int) -> QExpansion:
     """The weight-12 cusp eigenform, built as (E4^3 - E6^2)/1728."""

@@ -180,6 +180,8 @@ def _argv_list():
         # one outside Deligne's bound
         "eigenvalues --weight 12 --prime 3 --eigenvalues-file {golden}/half_p3.txt",
         "eigenvalues --weight 12 --prime 3 --eigenvalues-file {golden}/huge_p3.txt",
+        # eigenvalues from a q-expansion at the --precision cap
+        "eigenvalues --weight 26 --precision 2000 --primes-up-to 1999",
     ]
     return out
 

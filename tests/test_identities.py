@@ -232,6 +232,20 @@ def test_shift_bump_fails():
     assert not report.passed and report.witness is not None
 
 
+def test_hooks_are_refused_where_an_identity_takes_none():
+    with pytest.raises(ValueError, match=r"'c1_frobenius' takes no hook shift_bump; "
+                                         r"it accepts none"):
+        verify("c1_frobenius", 2, 10, shift_bump=((1, 1), 1))
+    with pytest.raises(ValueError, match=r"'ikeda_standard' takes no hook beta_fn; "
+                                         r"it accepts none"):
+        verify("ikeda_standard", 2, 10, beta_fn=None)
+    with pytest.raises(ValueError, match=r"'main_theorem' takes no hook bogus; "
+                                         r"it accepts beta_fn, shift_bump, lhs_params"):
+        verify("main_theorem", 2, 10, bogus=1)
+    # the spinor identities take all three
+    assert not verify("ikeda_spinor", 2, 10, shift_bump=((1, 1), -1)).passed
+
+
 def test_perturbed_satake_fails():
     params = miyawaki_satake(2, 10)
     mus = list(params.mus)

@@ -15,6 +15,7 @@ from liftspin.errors import (
     UnsupportedWeight,
 )
 from liftspin.qexp import (
+    MAX_PRECISION,
     MAX_PRIMES_UP_TO,
     SUPPORTED_WEIGHTS,
     EigenformData,
@@ -31,7 +32,13 @@ from liftspin.qexp import (
     primes_up_to,
     victor_miller_basis,
 )
-from oracles import delta, delta_eta_product, hecke_operator
+from oracles import (
+    delta,
+    delta_eta_product,
+    hecke_operator,
+    schoolbook,
+    victor_miller_full_rows,
+)
 
 
 def test_bernoulli():
@@ -103,6 +110,33 @@ def test_victor_miller_basis():
         victor_miller_basis(4, 10)
     with pytest.raises(UnsupportedWeight):
         victor_miller_basis(11, 10)
+
+
+@pytest.mark.parametrize("weight", [12, 16, 18, 20, 22, 24, 26, 36])
+@pytest.mark.parametrize("precision", [10, 200])
+def test_block_reduction_matches_full_row_echelon(weight, precision):
+    # 24 and 36 have two and three cusp forms, so the leading block is
+    # 3 x 3 and 4 x 4 there
+    basis = victor_miller_basis(weight, precision)
+    assert len(basis) == dim_cusp_forms(weight)
+    assert basis == victor_miller_full_rows(weight, precision)
+
+
+def test_eigenforms_are_eisenstein_congruent_at_the_precision_cap():
+    # a_n = sigma_(w-1)(n) mod the numerator of B_w / (2w) for every n,
+    # with the divisor sums from a sieve of their own (Ramanujan's 691 at 12)
+    moduli = {w: abs((bernoulli(w) / (2 * w)).numerator) for w in SUPPORTED_WEIGHTS}
+    assert moduli == {12: 691, 16: 3617, 18: 43867, 20: 174611, 22: 77683, 26: 657931}
+    for weight, modulus in moduli.items():
+        sigma = [0] * (MAX_PRECISION + 1)
+        for d in range(1, MAX_PRECISION + 1):
+            power = pow(d, weight - 1, modulus)
+            for n in range(d, MAX_PRECISION + 1, d):
+                sigma[n] += power
+        coeffs = eigenform(weight, MAX_PRECISION).qexp.coeffs
+        assert len(coeffs) == MAX_PRECISION + 1
+        bad = [n for n in range(1, MAX_PRECISION + 1) if (coeffs[n] - sigma[n]) % modulus]
+        assert bad == [], weight
 
 
 def test_hecke_operator_self_consistency(f20):
@@ -356,6 +390,46 @@ def test_qexpansion_guards():
         x[3]
     with pytest.raises(ValueError):
         x + QExpansion(10, [1, 1, 1])
+
+
+_KRONECKER_CASES = {
+    "zero times a 10^12 coefficient": ([0, 0, 0], [10 ** 12, -(10 ** 12), 1]),
+    "a 10^12 coefficient times zero": ([10 ** 12, 3, -(10 ** 12)], [0, 0, 0]),
+    "length one": ([-7], [11]),
+    "length one against a longer series": ([5], [2, 3, 4]),
+    "all negative": ([-1, -2, -3, -4, -5], [-9, -8, -7, -6, -5]),
+    "near 10^40": ([10 ** 40, -(10 ** 40) + 1, 10 ** 40 - 1], [-(10 ** 40), 10 ** 40, 7]),
+    "mixed denominators": ([Fraction(1, 3), 2, Fraction(-5, 7)],
+                           [3, Fraction(5, 7), Fraction(1, 3)]),
+    "past 64 bits": ([2 ** 63 - 1] * 6, [-(2 ** 63)] * 6),
+    "one slot bound by an input alone": ([0], [32768]),
+}
+
+
+@pytest.mark.parametrize("case", _KRONECKER_CASES)
+def test_packed_product_edge_cases(case):
+    a, b = (QExpansion(4, coeffs) for coeffs in _KRONECKER_CASES[case])
+    expected = schoolbook(a, b)
+    assert list((a * b).coeffs) == expected
+    assert list((b * a).coeffs) == expected
+    assert (a * b).weight == 8
+    if case == "past 64 bits":
+        assert max(abs(c) for c in expected).bit_length() > 64
+    if case == "mixed denominators":
+        # 1/3 * 3 is a plain int again; the other two keep denominators 21 and 63
+        assert expected == [1, Fraction(131, 21), Fraction(-38, 63)]
+        assert type((a * b).coeffs[0]) is int
+
+
+def test_powers_and_squares():
+    x = QExpansion(6, [1, Fraction(-1, 2), 3, -(10 ** 30)])
+    assert x ** 0 == QExpansion(0, [1, 0, 0, 0])
+    assert x ** 1 == x
+    assert list((x * x).coeffs) == schoolbook(x, x)
+    assert x ** 5 == x * x * x * x * x
+    assert (x ** 5).weight == 30
+    with pytest.raises(ValueError):
+        x ** -1
 
 
 def test_qexpansion_normalizes_to_int():

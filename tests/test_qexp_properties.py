@@ -4,6 +4,7 @@ Fraction coefficients."""
 import pytest
 
 from liftspin.qexp import QExpansion
+from oracles import schoolbook
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -14,19 +15,10 @@ _coeff = st.one_of(st.integers(-10 ** 12, 10 ** 12),
 _series = st.builds(QExpansion, st.integers(0, 30), st.lists(_coeff, min_size=1, max_size=12))
 
 
-def _schoolbook(a, b):
-    n = min(len(a.coeffs), len(b.coeffs))
-    out = [0] * n
-    for i in range(n):
-        for j in range(n - i):
-            out[i + j] += a.coeffs[i] * b.coeffs[j]
-    return out
-
-
 @settings(max_examples=40, deadline=None)
 @given(_series, _series, _series)
 def test_mul_commutative_and_associative(a, b, c):
-    assert list((a * b).coeffs) == _schoolbook(a, b)
+    assert list((a * b).coeffs) == schoolbook(a, b)
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
 
