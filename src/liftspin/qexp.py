@@ -1,35 +1,34 @@
 """Exact q-expansions of level-one modular forms and Hecke eigenvalue data.
 
 Truncated power series in q = e^(2 pi i tau) with exact coefficients:
-plain ints wherever a value is integral (E4, E6, their monomials, the
-Victor Miller basis, the eigenforms), Fraction only where it is not
-(Bernoulli numbers, -2k/B_k for k other than 4 and 6, eigenvalue tables,
-steps of the rational linear algebra); floats are refused.
+plain ints wherever a value is integral (E4, E6, their monomials, Delta,
+the eigenforms), Fraction only where it is not (Bernoulli numbers,
+-2k/B_k for k other than 4 and 6, eigenvalue tables); floats are refused.
 
-Contents: Eisenstein series from the divisor-sum formula and the
-echelonized Victor Miller basis of cusp forms from monomials in E4 and E6.
+Contents: Eisenstein series from the divisor-sum formula, and the
+normalized eigenforms built from E4 and E6.
 
 A product of two series is one big-int multiplication (Kronecker
 substitution): each series, over the common denominator of its
 coefficients, is packed into an int with one fixed-width byte slot per
 coefficient, wide enough for every input coefficient and for n max|a| max|b|;
-the low n slots of the product are the truncated product.  The basis
-row-reduces only the leading (d+1) x (d+1) block of the d+1 monomials and
-applies the inverse to the full rows as integer combinations over one
-common denominator, which divides them exactly: the basis is integral.
+the low n slots of the product are the truncated product.
 
 Eigenforms exist here only at the one-dimensional cuspidal weights 12, 16,
-18, 20, 22 and 26, where the single Victor Miller basis element is the
-normalized eigenform.  Every level-one cusp space of dimension 2 or more
-has irrational Hecke eigenvalues (Maeda's conjecture, verified up to
-weight 14,000), so those weights raise IrrationalEigenspace before any
-series is built.
+18, 20, 22 and 26.  Multiplication by Delta = (E4^3 - E6^2)/1728 = q + ...
+maps M_(w-12) onto S_w, and at those weights M_(w-12) is spanned by the one
+monomial E4^a E6^b with 4a + 6b = w - 12, so the eigenform is
+Delta E4^a E6^b, already normalized.  Every level-one cusp space of
+dimension 2 or more has irrational Hecke eigenvalues (Maeda's conjecture,
+verified up to weight 14,000), so those weights raise IrrationalEigenspace
+before any series is built.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import reduce
 from itertools import compress
 from math import comb, isqrt, lcm
 from numbers import Rational
@@ -47,8 +46,12 @@ from .errors import (
     UnsupportedWeight,
 )
 
+#: weight w -> (a, b) with 4a + 6b = w - 12, for each one-dimensional
+#: cuspidal eigenspace on SL2(Z); its eigenform is Delta E4^a E6^b
+_DELTA_COFACTORS = {12: (0, 0), 16: (1, 0), 18: (0, 1), 20: (2, 0), 22: (1, 1), 26: (2, 1)}
+
 #: weights of the one-dimensional cuspidal eigenspaces on SL2(Z)
-SUPPORTED_WEIGHTS = (12, 16, 18, 20, 22, 26)
+SUPPORTED_WEIGHTS = tuple(_DELTA_COFACTORS)
 
 DEFAULT_PRECISION = 200
 #: largest --precision the CLI accepts
@@ -200,7 +203,7 @@ class QExpansion:
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> "QExpansion":
-        s = Fraction(scalar)
+        s = Fraction(_exact(scalar))
         return QExpansion(self.weight, [c / s for c in self.coeffs])
 
     def __pow__(self, exponent: int) -> "QExpansion":
@@ -247,71 +250,6 @@ def dim_cusp_forms(weight: int) -> int:
     return max(dim_modular_forms(weight) - 1, 0)
 
 
-def _echelonize(rows: List[list]) -> List[list]:
-    """Reduced row echelon form over the rationals, in place; the pivot
-    inverse is an exact Fraction (1 / int would be a float)."""
-    pivot_row = 0
-    ncols = len(rows[0])
-    for col in range(ncols):
-        if pivot_row == len(rows):
-            break
-        src = next((r for r in range(pivot_row, len(rows)) if rows[r][col]), None)
-        if src is None:
-            continue
-        rows[pivot_row], rows[src] = rows[src], rows[pivot_row]
-        inv = Fraction(1, rows[pivot_row][col])
-        rows[pivot_row] = [c * inv for c in rows[pivot_row]]
-        for r in range(len(rows)):
-            if r != pivot_row and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[pivot_row])]
-        pivot_row += 1
-    return rows
-
-
-def victor_miller_basis(weight: int, precision: int) -> List[QExpansion]:
-    """Echelonized basis of cusp forms: element i has coeffs[j] = delta_ij
-    for 1 <= j <= dim, a rational combination of the E4^a E6^b monomials.
-
-    Only the leading (d+1) x (d+1) block of the d+1 monomials is
-    row-reduced, next to an identity matrix; its inverse, over one common
-    denominator, gives the integer combinations of the full rows, and the
-    division by that denominator is exact."""
-    if weight < 4 or weight % 2:
-        raise UnsupportedWeight(f"no cusp forms in weight {weight}")
-    d = dim_cusp_forms(weight)
-    if d == 0:
-        raise EmptySpace(f"S_{weight} is zero-dimensional")
-    if precision < d:
-        raise ValueError(f"precision {precision} below dimension {d}")
-    e4 = eisenstein(4, precision)
-    e6 = eisenstein(6, precision)
-    rows = []
-    for b in range(weight // 6 + 1):
-        rem = weight - 6 * b
-        if rem >= 0 and rem % 4 == 0:
-            rows.append((e4 ** (rem // 4) * e6 ** b).coeffs)
-    assert len(rows) == d + 1, "monomial count must match dim M_k"
-    size = d + 1
-    block = _echelonize([list(row[:size]) + [int(i == j) for j in range(size)]
-                         for i, row in enumerate(rows)])
-    assert all(block[i][j] == (i == j) for i in range(size) for j in range(size)), \
-        "the leading block of the monomials must be invertible"
-    inverse = [row[size:] for row in block[1:]]
-    den = lcm(*(c.denominator for row in inverse for c in row))
-    columns = list(zip(*rows))
-    basis = []
-    for row in inverse:
-        multipliers = [int(c * den) for c in row]
-        sums = [sum(map(mul, multipliers, column)) for column in columns]
-        assert all(s % den == 0 for s in sums), "the Victor Miller basis is integral"
-        basis.append(QExpansion(weight, [s // den for s in sums]))
-    for i, form in enumerate(basis, start=1):
-        assert form.coeffs[0] == 0
-        assert all(form.coeffs[j] == (1 if j == i else 0) for j in range(1, d + 1))
-    return basis
-
-
 # -- Hecke action and eigenforms -------------------------------------------
 
 class EigenformData:
@@ -350,8 +288,11 @@ def hecke_eigenvalue(form: EigenformData, p: int):
 
 
 def eigenform(weight: int, precision: int = DEFAULT_PRECISION) -> EigenformData:
-    """The normalized eigenform of a one-dimensional cuspidal weight: the
-    single Victor Miller basis element."""
+    """The normalized eigenform of a one-dimensional cuspidal weight w:
+    Delta E4^a E6^b with (a, b) from the weight table, where
+    Delta = (E4^3 - E6^2)/1728 by exact integer division.  S_w = Delta M_(w-12),
+    so S_w is one-dimensional exactly when M_(w-12) is, and then the single
+    monomial E4^a E6^b spans M_(w-12)."""
     d = dim_cusp_forms(weight)
     if d == 0:
         raise EmptySpace(f"S_{weight} is zero-dimensional")
@@ -360,7 +301,15 @@ def eigenform(weight: int, precision: int = DEFAULT_PRECISION) -> EigenformData:
             f"S_{weight} has dimension {d} and irrational Hecke eigenvalues; "
             f"eigenforms are built only for the one-dimensional weights "
             f"{SUPPORTED_WEIGHTS}")
-    return EigenformData(weight, victor_miller_basis(weight, precision)[0])
+    if precision < d:
+        raise ValueError(f"precision {precision} below dimension {d}")
+    e4, e6 = eisenstein(4, precision), eisenstein(6, precision)
+    cusp = (e4 ** 3 - e6 ** 2).coeffs
+    assert all(c % 1728 == 0 for c in cusp), "E4^3 - E6^2 is 1728 Delta"
+    a, b = _DELTA_COFACTORS[weight]
+    form = reduce(mul, [e4] * a + [e6] * b, QExpansion(12, [c // 1728 for c in cusp]))
+    assert form.weight == weight and form.coeffs[:2] == (0, 1), "normalized, of weight w"
+    return EigenformData(weight, form)
 
 
 # -- numeric Satake parameters ---------------------------------------------

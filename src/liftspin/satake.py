@@ -1,8 +1,8 @@
 """Satake parameter sets of the two lift families and the unit monomials
 they are made of.
 
-A parameter set is (mu0, mu1, ..., mu_g) together with the exponent e of
-the similitude constraint mu0^2 mu1 ... mu_g = q^e (recall q^2 = p).  Every
+A parameter set is (mu0, mu1, ..., mu_g); the sets built here satisfy the
+similitude constraint mu0^2 mu1 ... mu_g = q^e (recall q^2 = p).  Every
 entry is a unit monomial a^i b^j q^e, stored as its exponent triple
 (i, j, e) of ints with implicit coefficient 1.  So is every root of every
 Euler factor in scope, which is why the monomial algebra lives here: the
@@ -49,17 +49,11 @@ class SatakeParams:
     genus: int
     mu0: Monomial
     mus: Tuple[Monomial, ...]
-    similitude_exponent: int
 
     def __post_init__(self):
         if self.genus < 1 or len(self.mus) != self.genus:
             raise ValueError(f"genus {self.genus} does not match {len(self.mus)} parameters")
         check_units((self.mu0, *self.mus), "Satake parameters")
-
-
-
-def _triangle(n: int) -> int:
-    return n * (n + 1) // 2
 
 
 def ikeda_satake(n: int, k: int) -> SatakeParams:
@@ -73,8 +67,7 @@ def ikeda_satake(n: int, k: int) -> SatakeParams:
     genus = 2 * n
     mu0 = (-n, 0, n * (2 * k - 1))
     mus = tuple((1, 0, 2 * i - 2 * n - 1) for i in range(1, genus + 1))
-    exponent = 2 * (genus * (k + n) - _triangle(genus))
-    return SatakeParams(genus, mu0, mus, exponent)
+    return SatakeParams(genus, mu0, mus)
 
 
 def miyawaki_satake(n: int, k: int) -> SatakeParams:
@@ -91,8 +84,7 @@ def miyawaki_satake(n: int, k: int) -> SatakeParams:
     genus = 2 * n - 1
     mu0 = (-(n - 1), -1, (n - 1) * (2 * k - 1) + (k + n - 1))
     mus = tuple((1, 0, 2 * i - 2 * n + 1) for i in range(1, genus)) + ((0, 2, 0),)
-    exponent = 2 * (genus * (k + n) - _triangle(genus))
-    return SatakeParams(genus, mu0, mus, exponent)
+    return SatakeParams(genus, mu0, mus)
 
 
 def elliptic_satake(weight: int, variable: str = "b") -> SatakeParams:
@@ -101,4 +93,4 @@ def elliptic_satake(weight: int, variable: str = "b") -> SatakeParams:
     if variable not in ("a", "b"):
         raise ValueError(f"variable must be 'a' or 'b', got {variable!r}")
     i, j = (1, 0) if variable == "a" else (0, 1)
-    return SatakeParams(1, (-i, -j, weight - 1), ((2 * i, 2 * j, 0),), 2 * (weight - 1))
+    return SatakeParams(1, (-i, -j, weight - 1), ((2 * i, 2 * j, 0),))

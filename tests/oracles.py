@@ -5,11 +5,11 @@ Laurent polynomial in a, b, q and T with its own JSON encoder; the package
 itself only ever writes sorted term lists (`liftspin.laurent`).  With it
 come the eigenvalue constants of the pair lift as expanded polynomials,
 which the factored `c1_frobenius` check is tested against, and the literal
-subset enumeration, degree audits, Weyl group action and the two
-constructions of the discriminant form that the acceptance criteria use,
-and the schoolbook product and full-row echelonization that the packed
-q-expansion product and the block-reduced Victor Miller basis are tested
-against.
+subset enumeration, degree audits, similitude exponent, Weyl group action
+and the two constructions of the discriminant form that the acceptance
+criteria use, and the schoolbook product and the full-row echelonized
+Victor Miller basis that the packed q-expansion product and the
+Delta E4^a E6^b eigenforms are tested against.
 
 A polynomial is a finite map from exponent vectors (e_a, e_b, e_q, e_T) to
 nonzero integer coefficients.  a, b and q are Laurent variables; T (for
@@ -332,12 +332,22 @@ def degree_audit_miyawaki(n: int) -> bool:
 
 # -- Weyl group action on Satake parameters --------------------------------------
 
-def similitude_holds(params: SatakeParams) -> bool:
-    """mu0^2 prod(mus) == q^similitude_exponent, exactly."""
+def _triangle(n: int) -> int:
+    return n * (n + 1) // 2
+
+
+def similitude_exponent(genus: int, k: int, n: int) -> int:
+    """e with mu0^2 prod(mus) = q^e for the genus-2n lift of f and the
+    genus-(2n-1) lift of (f, g): 2 (genus (k+n) - genus (genus+1)/2)."""
+    return 2 * (genus * (k + n) - _triangle(genus))
+
+
+def similitude_holds(params: SatakeParams, exponent: int) -> bool:
+    """mu0^2 prod(mus) == q^exponent, exactly."""
     product = mono_mul(params.mu0, params.mu0)
     for mu in params.mus:
         product = mono_mul(product, mu)
-    return product == (0, 0, params.similitude_exponent)
+    return product == (0, 0, exponent)
 
 
 def weyl_sigma(params: SatakeParams, i: int) -> SatakeParams:
@@ -397,9 +407,9 @@ def schoolbook(a: QExpansion, b: QExpansion) -> list:
 
 
 def victor_miller_full_rows(weight: int, precision: int) -> List[QExpansion]:
-    """The echelonized cusp basis by reduced row echelon form of the whole
-    E4^a E6^b monomial rows over Fraction (the package reduces only their
-    leading block)."""
+    """The echelonized cusp basis of any weight by reduced row echelon form
+    of the whole E4^a E6^b monomial rows over Fraction (the package builds
+    only the one-dimensional spaces, as Delta E4^a E6^b)."""
     e4, e6 = eisenstein(4, precision), eisenstein(6, precision)
     rows = [[Fraction(c) for c in (e4 ** ((weight - 6 * b) // 4) * e6 ** b).coeffs]
             for b in range(weight // 6 + 1) if (weight - 6 * b) % 4 == 0]

@@ -176,12 +176,10 @@ def test_criterion_9_weyl_invariance_100_random_elements():
 def _perturbed_params(params, index, delta):
     if index == 0:
         mu0 = mono_mul(params.mu0, (0, 0, delta))
-        return SatakeParams(params.genus, mu0, params.mus,
-                            params.similitude_exponent)
+        return SatakeParams(params.genus, mu0, params.mus)
     mus = list(params.mus)
     mus[index - 1] = mono_mul(mus[index - 1], (0, 0, delta))
-    return SatakeParams(params.genus, params.mu0, tuple(mus),
-                        params.similitude_exponent)
+    return SatakeParams(params.genus, params.mu0, tuple(mus))
 
 
 def test_criterion_10_negative_controls():

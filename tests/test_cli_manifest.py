@@ -183,6 +183,13 @@ def _argv_list():
         # eigenvalues from a q-expansion at the --precision cap
         "eigenvalues --weight 26 --precision 2000 --primes-up-to 1999",
     ]
+    out += [f"eigenvalues --weight {w} --precision 2000 --primes-up-to 1999"
+            for w in (12, 16, 18, 20, 22)]
+    # a precision below the dimension, and one too low for the prime asked
+    out += [
+        "eigenvalues --weight 20 --prime 2 --precision 0",
+        "eigenvalues --weight 20 --prime 2 --precision 1",
+    ]
     return out
 
 

@@ -250,8 +250,7 @@ def test_perturbed_satake_fails():
     params = miyawaki_satake(2, 10)
     mus = list(params.mus)
     mus[1] = mono_mul(mus[1], (0, 0, 1))
-    perturbed = SatakeParams(params.genus, params.mu0, tuple(mus),
-                             params.similitude_exponent)
+    perturbed = SatakeParams(params.genus, params.mu0, tuple(mus))
     report = verify("main_theorem", 2, 10, lhs_params=perturbed)
     assert not report.passed and report.witness["t_degree"] == 1
 

@@ -55,8 +55,7 @@ def perturbations(draw):
         mu0 = mono_mul(params.mu0, bump) if index == 0 else params.mu0
         if index:
             mus[index - 1] = mono_mul(mus[index - 1], bump)
-        hooks = {"lhs_params": SatakeParams(params.genus, mu0, tuple(mus),
-                                            params.similitude_exponent)}
+        hooks = {"lhs_params": SatakeParams(params.genus, mu0, tuple(mus))}
     return identity, n, hooks
 
 

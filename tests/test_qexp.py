@@ -30,7 +30,6 @@ from liftspin.qexp import (
     load_eigenvalue_table,
     numeric_satake,
     primes_up_to,
-    victor_miller_basis,
 )
 from oracles import (
     delta,
@@ -94,32 +93,20 @@ def test_dimensions():
 
 
 def test_victor_miller_basis():
-    vm12 = victor_miller_basis(12, 40)
-    assert len(vm12) == 1
-    assert vm12[0].coeffs == delta(40).coeffs
-
-    vm20 = victor_miller_basis(20, 10)
-    assert len(vm20) == 1 and vm20[0].coeffs[1] == 1
-
-    vm24 = victor_miller_basis(24, 10)
-    assert len(vm24) == 2
-    for i, form in enumerate(vm24, start=1):
-        assert [form.coeffs[j] for j in (1, 2)] == [1 if j == i else 0 for j in (1, 2)]
-
+    # the eigenform of a one-dimensional weight is its Victor Miller basis
+    # element: coefficient 0 is 0 and coefficient 1 is 1
+    assert eigenform(12, 40).qexp.coeffs == delta(40).coeffs
+    assert eigenform(20, 10).qexp.coeffs[:2] == (0, 1)
     with pytest.raises(EmptySpace):
-        victor_miller_basis(4, 10)
-    with pytest.raises(UnsupportedWeight):
-        victor_miller_basis(11, 10)
+        eigenform(4, 10)
+    with pytest.raises(EmptySpace):
+        eigenform(11, 10)
 
 
-@pytest.mark.parametrize("weight", [12, 16, 18, 20, 22, 24, 26, 36])
+@pytest.mark.parametrize("weight", [12, 16, 18, 20, 22, 26])
 @pytest.mark.parametrize("precision", [10, 200])
-def test_block_reduction_matches_full_row_echelon(weight, precision):
-    # 24 and 36 have two and three cusp forms, so the leading block is
-    # 3 x 3 and 4 x 4 there
-    basis = victor_miller_basis(weight, precision)
-    assert len(basis) == dim_cusp_forms(weight)
-    assert basis == victor_miller_full_rows(weight, precision)
+def test_eigenforms_match_full_row_echelon(weight, precision):
+    assert eigenform(weight, precision).qexp == victor_miller_full_rows(weight, precision)[0]
 
 
 def test_eigenforms_are_eisenstein_congruent_at_the_precision_cap():
@@ -208,11 +195,11 @@ def test_all_supported_weights_are_normalized():
 
 def test_eigenforms_match_eisenstein_delta_products():
     # every supported cusp space is one-dimensional and spanned by an
-    # explicit E4^a E6^b delta product with leading coefficient 1, so the
-    # echelon construction must reproduce it term by term
+    # explicit E4^a E6^b delta product with leading coefficient 1; delta
+    # comes from the eta product here, not from E4 and E6 as in the package
     combos = {12: (0, 0), 16: (1, 0), 18: (0, 1), 20: (2, 0), 22: (1, 1), 26: (2, 1)}
     prec = 200
-    d = delta(prec)
+    d = delta_eta_product(prec)
     e4 = eisenstein(4, prec)
     e6 = eisenstein(6, prec)
     for weight, (a4, b6) in combos.items():
@@ -230,12 +217,10 @@ def _plain_ints(series):
 
 def test_integral_expansions_hold_plain_ints():
     # a float or Fraction here means the integer path was left somewhere,
-    # e.g. a pivot inverse computed as 1 / int
+    # e.g. the division by 1728 done as a true division
     for series in (eisenstein(4, 200), eisenstein(6, 200), delta(200),
                    delta_eta_product(200)):
         assert _plain_ints(series)
-    for weight in (12, 16, 24, 26, 36):
-        assert all(_plain_ints(form) for form in victor_miller_basis(weight, 200))
     for weight in SUPPORTED_WEIGHTS:
         form = eigenform(weight, 200)
         assert _plain_ints(form.qexp), weight
@@ -440,4 +425,17 @@ def test_qexpansion_normalizes_to_int():
     assert type(QExpansion(12, [Fraction(1, 2)]).coeffs[0]) is Fraction
     with pytest.raises(TypeError):
         QExpansion(12, [0.5])
+
+
+def test_division_by_a_scalar_is_exact():
+    x = QExpansion(12, [1, 2])
+    assert x / 2 == QExpansion(12, [Fraction(1, 2), 1])
+    assert x / Fraction(2, 3) == QExpansion(12, [Fraction(3, 2), 3])
+    assert type((x / 1).coeffs[1]) is int
+    # floats are refused as they are by multiplication
+    for scalar in (0.1, 2.0):
+        with pytest.raises(TypeError):
+            x / scalar
+        with pytest.raises(TypeError):
+            x * scalar
 

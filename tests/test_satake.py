@@ -13,6 +13,7 @@ from liftspin.satake import (
 from oracles import (
     LaurentPoly,
     miyawaki_inverse_mu_check,
+    similitude_exponent,
     similitude_holds,
     weyl_permute,
     weyl_sigma,
@@ -28,13 +29,13 @@ def test_ikeda_n1_parameters():
     assert p.genus == 2
     assert p.mu0 == mono(e_a=-1, e_q=5)
     assert p.mus == (mono(e_a=1, e_q=-1), mono(e_a=1, e_q=1))
-    assert similitude_holds(p)
+    assert similitude_holds(p, similitude_exponent(2, 3, 1))
 
 
 def test_ikeda_similitude_exponent():
     p = ikeda_satake(2, 10)
-    assert p.similitude_exponent == 76  # 2 (4*12 - 10)
-    assert similitude_holds(p)
+    assert similitude_exponent(p.genus, 10, 2) == 76  # 2 (4*12 - 10)
+    assert similitude_holds(p, 76)
     # q-exponents of the mus are symmetric around zero
     product = mono()
     for mu in p.mus:
@@ -54,7 +55,7 @@ def test_miyawaki_n2_parameters():
 @pytest.mark.parametrize("k", [4, 10, 16])
 def test_miyawaki_similitude(n, k):
     p = miyawaki_satake(n, k)
-    assert similitude_holds(p)
+    assert similitude_holds(p, similitude_exponent(2 * n - 1, k, n))
     # mu0^2 in closed form
     expected = mono(e_a=-2 * (n - 1), e_b=-2,
                     e_q=2 * (n - 1) * (2 * k - 1) + 2 * (k + n - 1))
@@ -65,7 +66,7 @@ def test_elliptic_satake():
     p = elliptic_satake(12, "b")
     assert p.mu0 == mono(e_b=-1, e_q=11)
     assert p.mus == (mono(e_b=2),)
-    assert similitude_holds(p)
+    assert similitude_holds(p, 2 * (12 - 1))
     with pytest.raises(ValueError):
         elliptic_satake(12, "c")
 
@@ -76,7 +77,7 @@ def test_constructor_validation():
     with pytest.raises(ValueError):
         miyawaki_satake(1, 10)
     with pytest.raises(ValueError):
-        SatakeParams(2, mono(), (mono(),), 0)  # genus mismatch
+        SatakeParams(2, mono(), (mono(),))  # genus mismatch
 
 
 def test_monomial_algebra():
@@ -93,19 +94,20 @@ NOT_MONOMIALS = [LaurentPoly.monomial(e_a=1) + LaurentPoly.monomial(e_b=1),
 @pytest.mark.parametrize("bad", NOT_MONOMIALS)
 def test_satake_params_reject_non_triples(bad):
     with pytest.raises(ValueError, match="exponent triples"):
-        SatakeParams(1, bad, (mono(e_b=2),), 0)
+        SatakeParams(1, bad, (mono(e_b=2),))
     with pytest.raises(ValueError, match="exponent triples"):
-        SatakeParams(1, mono(e_b=-1), (bad,), 0)
+        SatakeParams(1, mono(e_b=-1), (bad,))
 
 
 def test_weyl_sigma_involution_and_similitude():
     rng = random.Random(5)
-    for params in (ikeda_satake(2, 10), miyawaki_satake(3, 4)):
+    for params, exponent in ((ikeda_satake(2, 10), similitude_exponent(4, 10, 2)),
+                             (miyawaki_satake(3, 4), similitude_exponent(5, 4, 3))):
+        assert similitude_holds(params, exponent)
         for _ in range(20):
             i = rng.randint(1, params.genus)
             once = weyl_sigma(params, i)
-            assert once.similitude_exponent == params.similitude_exponent
-            assert similitude_holds(once)
+            assert similitude_holds(once, exponent)
             assert weyl_sigma(once, i) == params
     with pytest.raises(IndexError):
         weyl_sigma(ikeda_satake(1, 4), 3)
