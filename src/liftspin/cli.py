@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: eigenvalues, euler, beta-table, lvalue, verify.  Shared flags
-can also come from LIFTSPIN_* environment variables; explicit flags win.
+can also come from LIFTSPIN_* environment variables, checked as the flags
+are; explicit flags win.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (argparse,
 inconsistent flags, no prime flag where one is needed, a prime bound
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import math
 import os
 import sys
 from contextlib import nullcontext
@@ -25,7 +27,7 @@ from typing import Dict, Iterator, List, Optional
 from . import identities
 from .beta import table as beta_table
 from .errors import InputTooLarge, OutOfConvergenceRegion, UnsupportedInput
-from .euler import LocalFactor
+from .euler import numeric_coefficients
 from .qexp import (
     DEFAULT_PRECISION,
     MAX_PRECISION,
@@ -43,15 +45,8 @@ EULER_IDENTITIES = tuple(name for name, identity in identities.IDENTITIES.items(
 VERIFY_IDENTITIES = identities.IDENTITY_IDS + ("all",)
 #: largest --n the CLI accepts (verify c1_frobenius grows about as n^4)
 MAX_N = 32
-
-
-def _env(name: str, fallback=None):
-    return os.environ.get(f"LIFTSPIN_{name}", fallback)
-
-
-def _env_int(name: str, fallback=None):
-    raw = _env(name)
-    return int(raw) if raw is not None else fallback
+#: the shared flags that LIFTSPIN_<FLAG> environment variables also set
+ENV_FLAGS = ("n", "k", "mode", "prime", "primes-up-to", "precision", "format", "output")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,22 +57,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def shared(p: argparse.ArgumentParser):
-        p.add_argument("--n", type=int, default=_env_int("N", 2))
-        p.add_argument("--k", type=int, default=_env_int("K", 10))
-        p.add_argument("--mode", choices=("symbolic", "numeric"),
-                       default=_env("MODE", "symbolic"))
-        p.add_argument("--prime", type=int, default=_env_int("PRIME"))
-        p.add_argument("--primes-up-to", type=int,
-                       default=_env_int("PRIMES_UP_TO"))
-        p.add_argument("--precision", type=int,
-                       default=_env_int("PRECISION", DEFAULT_PRECISION))
+        p.add_argument("--n", type=int, default=2)
+        p.add_argument("--k", type=int, default=10)
+        p.add_argument("--mode", choices=("symbolic", "numeric"), default="symbolic")
+        p.add_argument("--prime", type=int)
+        p.add_argument("--primes-up-to", type=int)
+        p.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
         p.add_argument("--eigenvalues-file", action="append", default=None,
                        metavar="[ROLE=]PATH",
                        help="eigenvalue table '<p> <num>[/<den>]' per line; "
                             "prefix f= or g= when two forms are in play")
-        p.add_argument("--format", choices=("json", "text"),
-                       default=_env("FORMAT", "json"))
-        p.add_argument("--output", default=_env("OUTPUT"))
+        p.add_argument("--format", choices=("json", "text"), default="json")
+        p.add_argument("--output")
 
     p = sub.add_parser("eigenvalues", help="Hecke eigenvalues of one eigenform")
     p.add_argument("--weight", type=int, required=True)
@@ -228,7 +219,9 @@ def cmd_eigenvalues(args) -> int:
 
 
 def cmd_euler(args) -> int:
-    """A raw factor dump: the genus, expansion and --n caps apply, not n_range."""
+    """A raw factor dump: the genus, expansion and --n caps apply, not n_range.
+    The label names the identity, n and k (and the prime in numeric mode);
+    a numeric factor is written from its instantiated roots."""
     if args.mode == "numeric":
         _check_numeric_parity(args)
     identity = identities.IDENTITIES[args.identity]
@@ -236,8 +229,8 @@ def cmd_euler(args) -> int:
         raise ValueError(f"{args.identity} is the n={identity.fixed_n} case, got --n {args.n}")
     lhs, rhs = identity.sides(args.n, args.k)
     factor = lhs if args.side == "lhs" else rhs
-    # relabel side-independently: equal sides must serialize identically
-    factor = LocalFactor(f"{args.identity}[n={args.n},k={args.k}]", factor.roots)
+    # the label names no side: equal sides must serialize identically
+    label = f"{args.identity}[n={args.n},k={args.k}]"
     if args.mode == "numeric":
         primes = _primes_from(args)
         if len(primes) != 1:
@@ -245,11 +238,16 @@ def cmd_euler(args) -> int:
         p = primes[0]
         f, g = _numeric_forms(args, identity.needs_g)
         alpha, beta = identities.satake_values(f, g, args.n, args.k, p)
-        factor = factor.instantiate(alpha, beta, p)
-    if args.format == "json" and not args.factored:
-        _emit(factor.json_chunks(), args.output)
+        roots = factor.instantiate(alpha, beta, p)
+        key, values = (("roots", sorted(roots, key=lambda r: (r.real, r.imag))) if args.factored
+                       else ("coeffs", numeric_coefficients(roots)))
+        data = {"label": f"{label}|p={p}", "degree": len(roots),
+                key: [[z.real, z.imag] for z in values]}
+    elif args.format == "json" and not args.factored:
+        _emit(factor.json_chunks(label), args.output)
         return 0
-    data = factor.factored_json_dict() if args.factored else factor.to_json_dict()
+    else:
+        data = factor.factored_json_dict(label) if args.factored else factor.to_json_dict(label)
 
     def as_text(d):
         lines = [f"label:  {d['label']}", f"degree: {d['degree']}"]
@@ -298,9 +296,10 @@ def cmd_lvalue(args) -> int:
     increment = 0.0
     for p in primes:
         alpha, beta = identities.satake_values(f, g, n, k, p)
-        factor = side.instantiate(alpha, beta, p)
+        roots = side.instantiate(alpha, beta, p)
+        t = p ** (-s)
         before = value
-        value /= factor.evaluate(p ** (-s))
+        value /= math.prod((1 - r * t for r in roots), start=1 + 0j)
         increment = abs(value - before)
     data = {
         "identity": args.identity,
@@ -371,8 +370,12 @@ def cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # variables go in right after the subcommand, so the parser checks them
+    # as it checks flags, and an explicit flag, coming later, wins
+    env = [f"--{flag}={os.environ[var]}" for flag in ENV_FLAGS
+           if (var := "LIFTSPIN_" + flag.upper().replace("-", "_")) in os.environ]
+    args = build_parser().parse_args(argv[:1] + env + argv[1:])
     handlers = {
         "eigenvalues": cmd_eigenvalues,
         "euler": cmd_euler,

@@ -2,11 +2,12 @@
 
 Every L-function in scope has a local factor that splits completely into
 linear terms whose roots are unit monomials a^i b^j q^e, stored as the
-exponent triples (i, j, e) of `satake` (symbolic mode), or complex numbers
-(numeric mode).  The factored form is therefore the primary
-representation: it is exact at every genus, and two factors are equal as
-polynomials if and only if their root multisets agree, so no identity
-check, symbolic or numeric, needs the expanded coefficients.
+exponent triples (i, j, e) of `satake`; a `LocalFactor` is only those
+roots.  The factored form is therefore the primary representation: it is
+exact at every genus, and two factors are equal as polynomials if and only
+if their root multisets agree, so no identity check, symbolic or numeric,
+needs the expanded coefficients.  Numeric work takes the roots at given
+Satake data as complex numbers (`LocalFactor.instantiate`).
 
 Expanded coefficient lists (index = T-degree) exist for output only.
 Every term of the T^d coefficient has the sign (-1)^d, so no term ever
@@ -37,8 +38,9 @@ and no side's box changes with k.
 at a time, and `coefficients()` returns them as lists of (e_a, e_b, e_q, c)
 in canonical order; `laurent` writes the terms.  The term count explodes
 with the degree (201,695 terms, 28.5 MB of JSON and about 0.4 s at degree
-64; degree 128 is out of reach), hence EXPANSION_DEGREE_CAP; numeric
-expansion is quadratic and not capped.
+64; degree 128 is out of reach), hence EXPANSION_DEGREE_CAP.  The labels
+written come from the caller.  `numeric_coefficients` expands complex
+roots; it is quadratic and not capped.
 """
 
 from __future__ import annotations
@@ -48,13 +50,11 @@ import math
 import sys
 from itertools import accumulate, compress, repeat
 from operator import neg
-from typing import Iterator, List, Sequence, Tuple, Union
+from typing import Iterator, List, Sequence, Tuple
 
 from . import laurent
 from .errors import ExpansionTooLarge, GenusTooLarge, NumericOverflow
 from .satake import Monomial, SatakeParams, check_units, mono_inv
-
-Root = Union[Monomial, complex]
 
 #: largest degree expanded symbolically
 EXPANSION_DEGREE_CAP = 64
@@ -130,24 +130,22 @@ def _expand_packed(roots: Sequence[Monomial], half: int, cols, steps, strides) -
 
 
 class LocalFactor:
-    """One Euler factor at one prime: prod over roots of (1 - root T).
+    """One Euler factor at one prime: prod over roots of (1 - root T), each
+    root a unit monomial given by its exponent triple.
 
     The constant term is 1 and the degree equals the number of roots by
-    construction.  Instances are immutable.
+    construction.  A factor carries no name; the serializers take the label
+    to write.  Instances are immutable.
     """
 
-    __slots__ = ("label", "roots", "mode")
+    __slots__ = ("roots",)
 
-    def __init__(self, label: str, roots: Sequence[Root], mode: str = "symbolic"):
-        if mode not in ("symbolic", "numeric"):
-            raise ValueError(f"unknown mode {mode!r}")
-        if mode == "symbolic":
-            check_units(roots, "symbolic roots")
-        else:
-            roots = [complex(r) for r in roots]
-        self.label = label
+    #: read by perfbench's tracer, which counts the factors built
+    mode = "symbolic"
+
+    def __init__(self, roots: Sequence[Monomial]):
+        check_units(roots, "roots")
         self.roots = tuple(roots)
-        self.mode = mode
 
     @property
     def degree(self) -> int:
@@ -156,21 +154,14 @@ class LocalFactor:
     # -- expansion --------------------------------------------------------
 
     def coefficients(self) -> Tuple:
-        """Coefficients of T^0 (always 1) to T^degree: complex numbers, or
-        lists of terms (e_a, e_b, e_q, c) in canonical order, only up to
-        degree EXPANSION_DEGREE_CAP and within PACKED_SLOT_CAP (else
+        """Coefficients of T^0 (always 1) to T^degree as lists of terms
+        (e_a, e_b, e_q, c) in canonical order, only up to degree
+        EXPANSION_DEGREE_CAP and within PACKED_SLOT_CAP (else
         ExpansionTooLarge)."""
-        return tuple(self._expand() if self.mode == "numeric" else self._sorted_terms())
+        return tuple(self._sorted_terms())
 
-    def _expand(self) -> List:
-        """Complex coefficients, or _Terms of T^0 to T^(degree // 2)."""
-        if self.mode == "numeric":
-            coeffs = [1 + 0j]
-            for root in self.roots:
-                # new coefficient d is old d minus root times old d-1
-                coeffs = coeffs[:1] + [upper - root * lower
-                                       for upper, lower in zip(coeffs[1:] + [0j], coeffs)]
-            return coeffs
+    def _expand(self) -> List[_Terms]:
+        """The coefficients of T^0 to T^(degree // 2)."""
         if self.degree > EXPANSION_DEGREE_CAP:
             raise ExpansionTooLarge(
                 f"degree {self.degree} exceeds the symbolic expansion cap "
@@ -180,12 +171,12 @@ class LocalFactor:
         box = _box(roots, half)
         if box is None:
             raise ExpansionTooLarge(
-                f"the expansion of {self.label} needs more than {PACKED_SLOT_CAP} "
-                f"slots per coefficient; use the factored form instead")
+                f"the expansion of this degree-{self.degree} factor needs more than "
+                f"{PACKED_SLOT_CAP} slots per coefficient; use the factored form instead")
         return _expand_packed(roots, half, *box)
 
     def _sorted_terms(self) -> Iterator[List[Tuple[int, int, int, int]]]:
-        """Per symbolic coefficient, its (e_a, e_b, e_q, c) in canonical order."""
+        """Per coefficient, its (e_a, e_b, e_q, c) in canonical order."""
         low = self._expand()
         yield from low
         p_a, p_b, p_q = map(sum, zip((0, 0, 0), *self.roots))
@@ -197,72 +188,56 @@ class LocalFactor:
 
     def shift(self, c: int) -> "LocalFactor":
         """Replace T by q^c T, realizing the shift s -> s - c/2."""
-        if self.mode != "symbolic":
-            raise ValueError("can only shift symbolic factors; shift, then instantiate")
         if not c:
             return self
-        return LocalFactor(f"{self.label}@q^{c}",
-                           tuple((e_a, e_b, e_q + c) for e_a, e_b, e_q in self.roots))
+        return LocalFactor(tuple((e_a, e_b, e_q + c) for e_a, e_b, e_q in self.roots))
 
-    def instantiate(self, alpha: complex, beta: complex, prime: int) -> "LocalFactor":
-        """Numeric factor: every root at a = alpha, b = beta, q = sqrt(prime);
-        NumericOverflow if a root overflows double range there."""
-        if self.mode != "symbolic":
-            raise ValueError("can only instantiate symbolic factors")
+    def instantiate(self, alpha: complex, beta: complex, prime: int) -> Tuple[complex, ...]:
+        """The roots at a = alpha, b = beta, q = sqrt(prime), as complex
+        numbers in root order; NumericOverflow if one leaves double range."""
         a, b, q = complex(alpha), complex(beta), complex(prime ** 0.5)
         try:
-            roots = tuple(a ** e_a * b ** e_b * q ** e_q for e_a, e_b, e_q in self.roots)
+            return tuple(a ** e_a * b ** e_b * q ** e_q for e_a, e_b, e_q in self.roots)
         except OverflowError:
             raise NumericOverflow(
-                f"a root of {self.label} leaves double range at p = {prime}") from None
-        return LocalFactor(f"{self.label}|p={prime}", roots, "numeric")
-
-    def evaluate(self, t: complex) -> complex:
-        """Value of the factor at T = t, as the stable product of linear terms."""
-        if self.mode != "numeric":
-            raise ValueError("evaluate needs a numeric factor; instantiate first")
-        value = 1 + 0j
-        for r in self.roots:
-            value *= 1 - r * t
-        return value
+                f"a root of a degree-{self.degree} factor leaves double range "
+                f"at p = {prime}") from None
 
     # -- comparison and serialization ---------------------------------------
 
     def root_multiset(self) -> Tuple:
-        """Sorted root triples of a symbolic factor; equal tuples, equal polynomials."""
+        """Sorted root triples; equal tuples, equal polynomials."""
         return tuple(sorted(self.roots))
 
-    def to_json_dict(self) -> dict:
-        if self.mode == "symbolic":
-            coeffs = [laurent.json_dict(terms) for terms in self._sorted_terms()]
-        else:
-            coeffs = [[c.real, c.imag] for c in self._expand()]
-        return {"label": self.label, "degree": self.degree, "coeffs": coeffs}
+    def to_json_dict(self, label: str) -> dict:
+        coeffs = [laurent.json_dict(terms) for terms in self._sorted_terms()]
+        return {"label": label, "degree": self.degree, "coeffs": coeffs}
 
-    def json_chunks(self) -> Iterator[str]:
-        """json.dumps(self.to_json_dict(), indent=2) in one piece per symbolic
+    def json_chunks(self, label: str) -> Iterator[str]:
+        """json.dumps(self.to_json_dict(label), indent=2) in one piece per
         coefficient; ExpansionTooLarge comes before the first piece."""
-        if self.mode == "numeric":
-            yield json.dumps(self.to_json_dict(), indent=2)
-            return
-        head = _JSON_HEAD % (json.dumps(self.label), self.degree)
+        head = _JSON_HEAD % (json.dumps(label), self.degree)
         for terms in self._sorted_terms():
             yield head + laurent.indented_json(terms)
             head = ",\n"
         yield "\n  ]\n}"
 
-    def factored_json_dict(self) -> dict:
+    def factored_json_dict(self, label: str) -> dict:
         """Root-list encoding, available at any degree; roots come out in
         canonical order so equal factors serialize identically."""
-        if self.mode == "symbolic":
-            roots = [laurent.json_dict([(*r, 1)]) for r in sorted(self.roots)]
-        else:
-            roots = [[r.real, r.imag]
-                     for r in sorted(self.roots, key=lambda r: (r.real, r.imag))]
-        return {"label": self.label, "degree": self.degree, "roots": roots}
+        roots = [laurent.json_dict([(*r, 1)]) for r in sorted(self.roots)]
+        return {"label": label, "degree": self.degree, "roots": roots}
 
-    def __repr__(self) -> str:
-        return f"LocalFactor({self.label!r}, degree={self.degree}, mode={self.mode})"
+
+def numeric_coefficients(roots: Sequence[complex]) -> List[complex]:
+    """Coefficients of T^0 to T^len(roots) of prod (1 - root T) at complex
+    roots, one root at a time; quadratic, so not capped."""
+    coeffs = [1 + 0j]
+    for root in roots:
+        # new coefficient d is old d minus root times old d-1
+        coeffs = coeffs[:1] + [upper - root * lower
+                               for upper, lower in zip(coeffs[1:] + [0j], coeffs)]
+    return coeffs
 
 
 # -- factor constructors -----------------------------------------------------
@@ -276,10 +251,10 @@ def hecke_factor(role: str, k: int, n: int) -> LocalFactor:
     """
     if role == "f":
         e = 2 * k - 1
-        return LocalFactor(f"hecke[f,k={k}]", ((1, 0, e), (-1, 0, e)))
+        return LocalFactor(((1, 0, e), (-1, 0, e)))
     if role == "g":
         e = k + n - 1
-        return LocalFactor(f"hecke[g,k={k},n={n}]", ((0, 1, e), (0, -1, e)))
+        return LocalFactor(((0, 1, e), (0, -1, e)))
     raise ValueError(f"role must be 'f' or 'g', got {role!r}")
 
 
@@ -288,8 +263,7 @@ def sym_power_factor(m: int, k: int) -> LocalFactor:
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
     e = m * (2 * k - 1)
-    roots = tuple((m - 2 * j, 0, e) for j in range(m + 1))
-    return LocalFactor(f"sym^{m}[f,k={k}]", roots)
+    return LocalFactor(tuple((m - 2 * j, 0, e) for j in range(m + 1)))
 
 
 def tensor_factor(m: int, k: int, n: int) -> LocalFactor:
@@ -297,11 +271,10 @@ def tensor_factor(m: int, k: int, n: int) -> LocalFactor:
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
     e = (m - 1) * (2 * k - 1) + (k + n - 1)
-    roots = tuple((m - 1 - 2 * j, eps, e) for j in range(m) for eps in (1, -1))
-    return LocalFactor(f"tensor[g*sym^{m - 1}f,k={k},n={n}]", roots)
+    return LocalFactor(tuple((m - 1 - 2 * j, eps, e) for j in range(m) for eps in (1, -1)))
 
 
-def spinor_factor(params: SatakeParams, label: str = "") -> LocalFactor:
+def spinor_factor(params: SatakeParams) -> LocalFactor:
     """Degree-2^genus factor: one linear term per subset of {mu_1..mu_g},
     each with root mu0 times the subset product."""
     if params.genus > SPINOR_GENUS_CAP:
@@ -311,12 +284,12 @@ def spinor_factor(params: SatakeParams, label: str = "") -> LocalFactor:
     roots = [params.mu0]
     for i, j, e in params.mus:
         roots.extend([(a + i, b + j, c + e) for a, b, c in roots])
-    return LocalFactor(label or f"spin[genus={params.genus}]", tuple(roots))
+    return LocalFactor(roots)
 
 
-def standard_factor(params: SatakeParams, label: str = "") -> LocalFactor:
+def standard_factor(params: SatakeParams) -> LocalFactor:
     """Degree-(2 genus + 1) factor: (1 - T) times the paired mu, 1/mu terms."""
     roots = [(0, 0, 0)]
     for mu in params.mus:
         roots += (mu, mono_inv(mu))
-    return LocalFactor(label or f"st[genus={params.genus}]", tuple(roots))
+    return LocalFactor(roots)

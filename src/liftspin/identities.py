@@ -196,7 +196,7 @@ def satake_values(f: EigenformData, g: Optional[EigenformData],
 
 # -- the beta-weighted product sides ----------------------------------------------
 
-def _shifted_product(label: str, N: int, k: int, factor: Callable[[int], LocalFactor],
+def _shifted_product(N: int, k: int, factor: Callable[[int], LocalFactor],
                      beta_fn: BetaFn, shift_bump: ShiftBump) -> LocalFactor:
     """prod over m = 0..N and r = -m(2N-m)..m(2N-m) (step 2) of factor(m)
     shifted by q^(m(2k-1)-r), with multiplicity beta(r, m, N)."""
@@ -214,21 +214,21 @@ def _shifted_product(label: str, N: int, k: int, factor: Callable[[int], LocalFa
             if shift_bump is not None and shift_bump[0] == (m, r):
                 c += shift_bump[1]
             roots.extend(factor(m).shift(c).roots * e)
-    return LocalFactor(label, tuple(roots))
+    return LocalFactor(roots)
 
 
 def miyawaki_spinor_lhs(n: int, k: int,
                         params: Optional[SatakeParams] = None) -> LocalFactor:
     params = params if params is not None else miyawaki_satake(n, k)
-    return spinor_factor(params, label=f"spin[miyawaki n={n},k={k}]")
+    return spinor_factor(params)
 
 
 def main_theorem_rhs(n: int, k: int, beta_fn: BetaFn = beta_value,
                      shift_bump: ShiftBump = None) -> LocalFactor:
     """Tensor-factor product side: the g x sym_(n-m-1) f factors with
     exponents beta(r, m, n-1); the m = 0 term is the leading unshifted one."""
-    return _shifted_product(f"rhs[main n={n},k={k}]", n - 1, k,
-                            lambda m: tensor_factor(n - m, k, n), beta_fn, shift_bump)
+    return _shifted_product(n - 1, k, lambda m: tensor_factor(n - m, k, n),
+                            beta_fn, shift_bump)
 
 
 def ikeda_spinor_sides(n: int, k: int, beta_fn: BetaFn = beta_value,
@@ -236,32 +236,26 @@ def ikeda_spinor_sides(n: int, k: int, beta_fn: BetaFn = beta_value,
                        lhs_params: Optional[SatakeParams] = None) -> Sides:
     """Spinor factor of the genus-2n lift and its shifted symmetric powers."""
     params = lhs_params if lhs_params is not None else ikeda_satake(n, k)
-    lhs = spinor_factor(params, label=f"spin[ikeda n={n},k={k}]")
-    rhs = _shifted_product(f"rhs[ikeda_spinor n={n},k={k}]", n, k,
-                           lambda m: sym_power_factor(n - m, k), beta_fn, shift_bump)
-    return lhs, rhs
+    return spinor_factor(params), _shifted_product(
+        n, k, lambda m: sym_power_factor(n - m, k), beta_fn, shift_bump)
 
 
 # -- the standard factors ---------------------------------------------------------
 
 def ikeda_standard_sides(n: int, k: int) -> Sides:
     """Standard factor of the genus-2n lift against zeta times shifted f factors."""
-    lhs = standard_factor(ikeda_satake(n, k), label=f"st[ikeda n={n},k={k}]")
     roots = [(0, 0, 0)]
     for i in range(1, 2 * n + 1):
         roots.extend(hecke_factor("f", k, n).shift(-2 * (k + n - i)).roots)
-    rhs = LocalFactor(f"rhs[ikeda_standard n={n},k={k}]", tuple(roots))
-    return lhs, rhs
+    return standard_factor(ikeda_satake(n, k)), LocalFactor(roots)
 
 
 def miyawaki_standard_sides(n: int, k: int) -> Sides:
     """Standard factor of the pair lift against that of g times shifted f factors."""
-    lhs = standard_factor(miyawaki_satake(n, k), label=f"st[miyawaki n={n},k={k}]")
     roots = list(standard_factor(elliptic_satake(k + n, "b")).roots)
     for i in range(1, 2 * n - 1):
         roots.extend(hecke_factor("f", k, n).shift(-2 * (k + n - 1 - i)).roots)
-    rhs = LocalFactor(f"rhs[miyawaki_standard n={n},k={k}]", tuple(roots))
-    return lhs, rhs
+    return standard_factor(miyawaki_satake(n, k)), LocalFactor(roots)
 
 
 # -- checks that are not factor equalities ----------------------------------------
@@ -331,8 +325,7 @@ def example_display_rhs(n: int, k: int) -> LocalFactor:
             factors += [hecke_factor("g", k, n).shift(2 * (3 * k - i))] * eps
     else:
         raise ValueError(f"hand-expanded cases exist for n in (2, 3, 4), got {n}")
-    roots = tuple(root for fac in factors for root in fac.roots)
-    return LocalFactor(f"display[deg{2 * n - 1},k={k}]", roots)
+    return LocalFactor([root for fac in factors for root in fac.roots])
 
 
 def _example_check(n: int, k: int) -> Tuple[bool, Optional[Dict]]:

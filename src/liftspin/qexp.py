@@ -357,9 +357,10 @@ def numeric_satake(lam, weight: int, p: int) -> Tuple[complex, complex]:
 def load_eigenvalue_table(path: str) -> Dict[int, Fraction]:
     """Parse a '<p> <numerator>[/<denominator>]' file, one prime per line.
 
-    Blank lines and lines starting with '#' are ignored.  Values that are not
-    integers or quotients with a nonzero denominator, primes above
-    MAX_PRIMES_UP_TO (checked before primality) and repeated primes are errors.
+    Blank lines and lines starting with '#' are ignored.  Primes and values
+    not written in ASCII decimal digits (values as integers or quotients with
+    a nonzero denominator), primes above MAX_PRIMES_UP_TO (checked before
+    primality) and repeated primes are errors.
     """
     table: Dict[int, Fraction] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -372,11 +373,13 @@ def load_eigenvalue_table(path: str) -> Dict[int, Fraction]:
                 raise ValueError(f"{path}:{lineno}: expected '<p> <value>', got {line!r}")
             value = re.fullmatch(r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?", fields[1])
             try:
+                if not re.fullmatch(r"[+-]?[0-9]+", fields[0]):
+                    raise ValueError(f"expected the prime in ASCII decimal digits, got {fields[0]!r}")
                 if value is None:
                     raise ValueError(f"expected '<num>[/<den>]' in integers, den nonzero, "
                                      f"got {fields[1]!r}")
                 p, num, den = int(fields[0]), int(value[1]), int(value[2] or 1)
-            except ValueError as exc:  # also a prime that is no integer, or too many digits
+            except ValueError as exc:  # also too many digits for int()
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
             if p > MAX_PRIMES_UP_TO:
                 raise InputTooLarge(

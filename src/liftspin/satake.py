@@ -8,8 +8,8 @@ entry is a unit monomial a^i b^j q^e, stored as its exponent triple
 Euler factor in scope, which is why the monomial algebra lives here: the
 product and the inverse are exponent sums and negations, so everything
 built from them is exact, and `check_units` is the one place that says
-what a monomial is.  Numeric work instantiates the finished local factors
-instead (`LocalFactor.instantiate`).
+what a monomial is.  Numeric work takes the roots of the finished local
+factors at real Satake data instead (`LocalFactor.instantiate`).
 
 Constructors cover the genus-2n lift of f, the genus-(2n-1) lift of the
 pair (f, g), and the degenerate genus-1 set of an elliptic eigenform.

@@ -354,6 +354,20 @@ def test_env_defaults_and_flag_precedence(capsys, monkeypatch):
     assert code == 0 and json.loads(out)["n"] == 2
 
 
+@pytest.mark.parametrize("var,value,argv", [
+    ("LIFTSPIN_N", "abc", ["beta-table"]),
+    ("LIFTSPIN_MODE", "bogus", ["verify", "--identity", "main_theorem"]),
+    ("LIFTSPIN_FORMAT", "yaml", ["beta-table"]),
+])
+def test_env_values_are_checked_like_flags(capsys, monkeypatch, var, value, argv):
+    # a bad value is a usage error, not a traceback or a silent fallback
+    monkeypatch.setenv(var, value)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == "" and repr(value) in out.err
+
+
 def test_json_byte_stability(capsys):
     outs = []
     for _ in range(2):
@@ -545,6 +559,15 @@ def test_malformed_table_value_exit2(capsys, tmp_path, value, message):
     code, out, err = run(capsys, "eigenvalues", "--weight", "12", "--prime", "2",
                          "--eigenvalues-file", str(table))
     assert code == 2 and out == "" and message in err
+
+
+def test_table_prime_outside_ascii_digits_exit2(capsys, tmp_path):
+    # "1_9" and Arabic-Indic digits both pass int(), neither loads as p = 19
+    table = tmp_path / "t.txt"
+    table.write_text("2 -24\n\u0661\u0669 5\n", encoding="utf-8")
+    code, out, err = run(capsys, "eigenvalues", "--weight", "12", "--prime", "19",
+                         "--eigenvalues-file", str(table))
+    assert code == 2 and out == "" and "t.txt:2: expected the prime" in err
 
 
 def test_identity_choices_come_from_the_registry():

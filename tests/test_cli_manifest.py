@@ -190,6 +190,13 @@ def _argv_list():
         "eigenvalues --weight 20 --prime 2 --precision 0",
         "eigenvalues --weight 20 --prime 2 --precision 1",
     ]
+    # numeric euler as text, expanded and factored
+    out += [
+        "euler --identity main_theorem --side lhs --n 2 --k 10 --mode numeric --prime 5 "
+        "--format text",
+        "euler --identity main_theorem --side lhs --n 2 --k 10 --mode numeric --prime 5 "
+        "--format text --factored",
+    ]
     return out
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from liftspin.euler import (
     LocalFactor,
     _box,
     hecke_factor,
+    numeric_coefficients,
     spinor_factor,
     standard_factor,
     sym_power_factor,
@@ -64,8 +66,8 @@ def test_hecke_factor_numeric_delta_pattern(g12):
     # 1 + 24 * 2^-s + 2^(11-2s): coefficients (1, 24, 2048)
     p = 2
     beta = numeric_satake(hecke_eigenvalue(g12, p), 12, p)[0]
-    fac = hecke_factor("g", 10, 2).instantiate(0j, beta, p)
-    c0, c1, c2 = fac.coefficients()
+    roots = hecke_factor("g", 10, 2).instantiate(0j, beta, p)
+    c0, c1, c2 = numeric_coefficients(roots)
     assert c0 == pytest.approx(1.0)
     assert c1 == pytest.approx(24.0, rel=1e-12)
     assert c2 == pytest.approx(2048.0, rel=1e-12)
@@ -236,7 +238,7 @@ def test_expansion_cap():
     fac = spinor_factor(ikeda_satake(4, 4))  # degree 256
     with pytest.raises(ExpansionTooLarge):
         fac.coefficients()
-    assert fac.factored_json_dict()["degree"] == 256
+    assert fac.factored_json_dict("spin")["degree"] == 256
 
 
 def test_expansion_of_equal_root_multisets_is_equal():
@@ -264,7 +266,7 @@ def test_registry_sides_take_the_packed_path(k):
                 continue
             for side in sides:
                 if side.degree <= EXPANSION_DEGREE_CAP:
-                    assert _box(sorted(side.roots), side.degree // 2), (name, n, side.label)
+                    assert _box(sorted(side.roots), side.degree // 2), (name, n, k)
                     checked += 1
     assert checked == 74
 
@@ -276,9 +278,9 @@ def test_eval_cross_pipeline_oracle(f20, g12):
     alpha = numeric_satake(hecke_eigenvalue(f20, p), 20, p)[0]
     beta = numeric_satake(hecke_eigenvalue(g12, p), 12, p)[0]
     symbolic = spinor_factor(miyawaki_satake(n, k)).shift(-(3 * k))
-    numeric = symbolic.instantiate(alpha, beta, p)
+    numeric = numeric_coefficients(symbolic.instantiate(alpha, beta, p))
     sq = p ** 0.5
-    for sym_c, num_c in zip(symbolic.coefficients(), numeric.coefficients()):
+    for sym_c, num_c in zip(symbolic.coefficients(), numeric):
         value = poly(sym_c).eval_complex(alpha, beta, sq, 0j)
         assert abs(value - num_c) <= 1e-9 * max(abs(value), abs(num_c), 1.0)
 
@@ -292,23 +294,23 @@ def test_symbolic_eval_matches_numeric_on_convergence_circle(f20, g12):
     alpha = numeric_satake(hecke_eigenvalue(f20, p), 20, p)[0]
     beta = numeric_satake(hecke_eigenvalue(g12, p), 12, p)[0]
     symbolic = spinor_factor(miyawaki_satake(n, k))
-    numeric = symbolic.instantiate(alpha, beta, p)
+    roots = symbolic.instantiate(alpha, beta, p)
     poly = as_poly(symbolic)
     radius = float(p) ** (-(n - 0.5) * k - 2)
     for _ in range(10):
         t = radius * cmath.exp(1j * rng.uniform(0, 2 * cmath.pi))
         direct = poly.eval_complex(alpha, beta, p ** 0.5, t)
-        via_roots = numeric.evaluate(t)
+        via_roots = math.prod((1 - r * t for r in roots), start=1 + 0j)
         assert abs(direct - via_roots) <= 1e-9 * max(abs(direct), abs(via_roots))
 
 
-def test_numeric_evaluate_matches_expansion(g12):
+def test_numeric_root_product_matches_expansion(g12):
     p = 3
     beta = numeric_satake(hecke_eigenvalue(g12, p), 12, p)[0]
-    fac = hecke_factor("g", 10, 2).instantiate(0.3 + 0.2j, beta, p)
+    roots = hecke_factor("g", 10, 2).instantiate(0.3 + 0.2j, beta, p)
     t = 0.01 + 0.003j
-    horner = sum(c * t ** d for d, c in enumerate(fac.coefficients()))
-    assert fac.evaluate(t) == pytest.approx(horner, rel=1e-12)
+    horner = sum(c * t ** d for d, c in enumerate(numeric_coefficients(roots)))
+    assert math.prod(1 - r * t for r in roots) == pytest.approx(horner, rel=1e-12)
 
 
 # a general polynomial, a 4-vector (with T or without), a float and a bool
@@ -319,18 +321,13 @@ NOT_ROOTS = [LaurentPoly.one() + LaurentPoly.monomial(e_a=1), LaurentPoly.monomi
 @pytest.mark.parametrize("bad", NOT_ROOTS)
 def test_local_factor_rejects_non_triples(bad):
     with pytest.raises(ValueError, match="exponent triples"):
-        LocalFactor("bad", ((1, 0, 0), bad))
-
-
-def test_local_factor_validation():
-    with pytest.raises(ValueError):
-        LocalFactor("bad", (1 + 0j,), mode="bogus")
+        LocalFactor(((1, 0, 0), bad))
 
 
 def test_to_json_dict():
     fac = hecke_factor("f", 4, 1)
-    data = fac.to_json_dict()
-    assert data["degree"] == 2
+    data = fac.to_json_dict("hecke[f]")
+    assert data["label"] == "hecke[f]" and data["degree"] == 2
     assert len(data["coeffs"]) == 3
     assert data["coeffs"][0] == {"terms": [{"e": [0, 0, 0, 0], "c": "1"}]}
 
@@ -347,7 +344,7 @@ def test_instantiate_bit_identical_to_eval_complex(p, f20, g12):
                                       "miyawaki_standard")
                     for n, k in IDENTITIES[name].grid
                     for side in IDENTITIES[name].sides(n, k) for root in side.roots})
-    got = LocalFactor("all", roots).instantiate(alpha, beta, p).roots
+    got = LocalFactor(roots).instantiate(alpha, beta, p)
     for root, value in zip(roots, got):
         want = LaurentPoly.monomial(*root).eval_complex(alpha, beta, p ** 0.5, 0j)
         assert (value.real.hex(), value.imag.hex()) == (want.real.hex(), want.imag.hex()), root

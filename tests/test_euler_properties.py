@@ -59,21 +59,23 @@ def reference_coefficients(roots):
 @example(_NEGATIVE_SHIFT)
 @example(_TOO_WIDE)
 def test_packed_expansion_matches_reference(roots):
-    factor = LocalFactor("ref[\"x\"]é", tuple(roots))
+    label = "ref[\"x\"]é"
+    factor = LocalFactor(tuple(roots))
     if _box(sorted(roots), len(roots) // 2) is None:
-        chunks = factor.json_chunks()
-        for expand in (lambda: next(chunks), factor.coefficients, factor.to_json_dict):
+        chunks = factor.json_chunks(label)
+        for expand in (lambda: next(chunks), factor.coefficients,
+                       lambda: factor.to_json_dict(label)):
             with pytest.raises(ExpansionTooLarge, match="factored form"):
                 expand()
         return
     reference = reference_coefficients(roots)
-    data = {"label": factor.label, "degree": len(roots), "coeffs": [
+    data = {"label": label, "degree": len(roots), "coeffs": [
         {"terms": [{"e": [*key, 0], "c": str(value)} for key, value in sorted(coeff.items())]}
         for coeff in reference]}
-    assert "".join(factor.json_chunks()) == json.dumps(data, indent=2)
+    assert "".join(factor.json_chunks(label)) == json.dumps(data, indent=2)
     # only degrees 0 to degree // 2 are expanded; the rest is reflected
     assert len(factor._expand()) == len(roots) // 2 + 1
-    assert factor.to_json_dict() == data
+    assert factor.to_json_dict(label) == data
     got = factor.coefficients()
     assert got == tuple([(*key, value) for key, value in sorted(coeff.items())]
                         for coeff in reference)

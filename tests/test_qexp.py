@@ -361,6 +361,26 @@ def test_eigenvalue_table_value_is_strict(tmp_path, value):
     assert not isinstance(exc.value, UnsupportedInput)
 
 
+@pytest.mark.parametrize("prime", ["1_9", "\u0661\u0669", "\uff11\uff19"])
+def test_eigenvalue_table_prime_is_strict(tmp_path, prime):
+    # ASCII decimal digits with an optional sign, as for values: int() alone
+    # reads each of these (underscore, Arabic-Indic, fullwidth) as 19
+    path = tmp_path / "lam.txt"
+    path.write_text(f"2 -24\n{prime} 5\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="lam.txt:2: ") as exc:
+        load_eigenvalue_table(str(path))
+    assert not isinstance(exc.value, UnsupportedInput)
+
+
+def test_eigenvalue_table_prime_sign(tmp_path):
+    path = tmp_path / "lam.txt"
+    path.write_text("+19 5\n")
+    assert load_eigenvalue_table(str(path)) == {19: 5}
+    path.write_text("-19 5\n")
+    with pytest.raises(NonPrime, match="lam.txt:1: -19 is not prime"):
+        load_eigenvalue_table(str(path))
+
+
 def test_eigenvalue_table_value_forms(tmp_path):
     path = tmp_path / "lam.txt"
     path.write_text("2 +24\n3 -252/1\n5 10/4\n")
