@@ -151,7 +151,10 @@ def _form_for(role: str, weight: int, precision: int,
 
 
 def _numeric_forms(args, needs_g: bool = True) -> tuple:
-    """(f, g) for numeric mode; g is None when the identity involves f only."""
+    """(f, g) for numeric mode, g None if the identity involves f only; k < 1
+    is refused before any form is built, as the side builders refuse it."""
+    if args.k < 1:
+        raise ValueError(f"need k >= 1, got k={args.k}")
     tables = _parse_table_args(args)
     if needs_g and "untagged" in tables:
         raise ValueError("two eigenforms are in play; tag tables as "

@@ -11,36 +11,32 @@ Satake data as complex numbers (`LocalFactor.instantiate`).
 
 Expanded coefficient lists (index = T-degree) exist for output only.
 Every term of the T^d coefficient has the sign (-1)^d, so no term ever
-cancels.  Only T^0 to T^(N/2) of a degree-N factor are expanded.  The rest
-follow from the local functional equation, which holds for any N unit
-roots with product P: the T^(N-d) coefficient is (-1)^N P times the T^d one
-with every exponent negated, and the negation reverses the canonical order.
+cancels.  Each of T^0 to T^(N/2) of a degree-N factor is expanded as one
+nonnegative int of W-bit slots (Kronecker substitution, one box per
+T-degree).  Per exponent component x, the x-exponents of products of d
+distinct roots lie between lo_x(d) and hi_x(d), the sums of the d smallest
+and the d largest, in steps of g_x, the gcd of the roots' differences in x.
+The box of the widest degree, N/2, sets the radix R_x of each component,
+and a term of degree d sits at slot ((a - lo_a(d))/g_a R_b + (b -
+lo_b(d))/g_b) R_q + (q - lo_q(d))/g_q, in canonical (e_a, e_b, e_q) order.
+Multiplying by a root shifts a whole coefficient by a number of slots.  A
+slot holds |c| <= C(N, d) < 2^N, so W is 32 bits up to degree 32 and 64
+bits up to EXPANSION_DEGREE_CAP = 64.  The same recurrence with 1-bit
+slots counts the terms first.  More than EXPANSION_TERM_CAP terms, or a
+box over PACKED_SLOT_CAP slots (exponents far apart with no common step),
+raises ExpansionTooLarge, exit 3 in the CLI, before any output: the
+degree-63 miyawaki_standard side at n = 16 has 1,713,988 terms (240 MB).
 
-Each of T^0 to T^(N/2) is expanded as one nonnegative int of W-bit slots
-(Kronecker substitution, one box per T-degree).  Per exponent component x,
-the x-exponents of products of d distinct roots lie between lo_x(d) and
-hi_x(d), the sums of the d smallest and the d largest, in steps of g_x,
-the gcd of the roots' differences in x.  The box of the widest degree,
-N/2, sets the radix R_x of each component, and a term of degree d sits at
-slot ((a - lo_a(d))/g_a R_b + (b - lo_b(d))/g_b) R_q + (q - lo_q(d))/g_q,
-which increases in the canonical (e_a, e_b, e_q) order.  Multiplying by a
-root shifts a whole coefficient by a number of slots.  A slot holds
-|c| <= C(N, d) < 2^N, so W is 32 bits up to degree 32 and 64 bits up to
-degree 64.  Decoding reads the slots through a memoryview, one row per
-(e_a, e_b), with no sort.  This is the only symbolic expansion: roots
-whose box has more than PACKED_SLOT_CAP slots (exponents far apart with no
-common step, e.g. random triples near 2^70) raise ExpansionTooLarge, which
-the CLI maps to exit 3.  No side of the identity registry comes near the
-cap: the widest has 164,883 slots (miyawaki_standard, n = 16, degree 63),
-and no side's box changes with k.
-
+Only the ints are kept.  The writers walk their slots through a memoryview,
+one row per (e_a, e_b), with no sort and no term tuples.  By the local
+functional equation, which holds for any N unit roots with product P,
+T^(N-d) is (-1)^N P times T^d with every exponent negated; the negation
+reverses the canonical order, so T^(N-d) is T^d's slots walked backwards.
 `json_chunks` streams the indent-2 JSON of `to_json_dict` one coefficient
-at a time, and `coefficients()` returns them as lists of (e_a, e_b, e_q, c)
-in canonical order; `laurent` writes the terms.  The term count explodes
-with the degree (201,695 terms, 28.5 MB of JSON and about 0.4 s at degree
-64; degree 128 is out of reach), hence EXPANSION_DEGREE_CAP.  The labels
-written come from the caller.  `numeric_coefficients` expands complex
-roots; it is quadratic and not capped.
+at a time (201,695 terms, 28.5 MB, in about 0.2 s at degree 64), and
+`coefficients()` returns lists of (e_a, e_b, e_q, c); `laurent` holds the
+layout.  The labels written come from the caller.  `numeric_coefficients`
+expands complex roots; it is quadratic and not capped.
 """
 
 from __future__ import annotations
@@ -48,16 +44,19 @@ from __future__ import annotations
 import json
 import math
 import sys
-from itertools import accumulate, compress, repeat
-from operator import neg
-from typing import Iterator, List, Sequence, Tuple
+from itertools import accumulate, chain, compress, product, repeat
+from operator import add, neg, or_, pos
+from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 from . import laurent
 from .errors import ExpansionTooLarge, GenusTooLarge, NumericOverflow
 from .satake import Monomial, SatakeParams, check_units, mono_inv
 
-#: largest degree expanded symbolically
+#: largest degree expanded symbolically, the widest whose slots fit 64 bits
 EXPANSION_DEGREE_CAP = 64
+
+#: most terms, over all coefficients, that one expansion may write
+EXPANSION_TERM_CAP = 2 ** 18
 
 #: widest box, in slots of one coefficient, that the packed expansion uses
 PACKED_SLOT_CAP = 2 ** 20
@@ -69,10 +68,16 @@ SPINOR_GENUS_CAP = 12
 _JSON_HEAD = '{\n  "label": %s,\n  "degree": %d,\n  "coeffs": [\n'
 
 
-class _Terms(list):
-    """One expanded symbolic coefficient: its (e_a, e_b, e_q, c) in canonical
-    order.  `_terms` is the name perfbench's tracer counts terms by."""
-    _terms = property(lambda self: self)
+class _Packed(NamedTuple):
+    """A low-half coefficient: its slots as one int; perfbench's tracer reads len(_terms)."""
+    value: int
+    n_terms: int
+    _terms = property(lambda self: range(self.n_terms))
+
+
+def _slot_format(degree: int) -> Tuple[str, int]:
+    """memoryview format and byte size of one slot: |c| <= C(N, d) < 2^N."""
+    return ("I", 4) if degree <= 32 else ("Q", 8)
 
 
 def _box(roots: Sequence[Monomial], half: int):
@@ -89,13 +94,9 @@ def _box(roots: Sequence[Monomial], half: int):
     return cols, steps, (spans[1] * spans[2], spans[2], 1)
 
 
-def _expand_packed(roots: Sequence[Monomial], half: int, cols, steps, strides) -> List[_Terms]:
-    """T^0 to T^half as one int of W-bit slots each, holding |c| at slot
-    sum_x (e_x - lo_x(d)) / step_x * stride_x, lo_x(d) the sum of the d
-    smallest x-exponents."""
-    fmt, size = ("I", 4) if len(roots) <= 32 else ("Q", 8)  # |c| <= C(N, d) < 2^N
-    width = 8 * size
-
+def _pack(roots: Sequence[Monomial], half: int, cols, steps, strides, width: int, merge):
+    """T^0 to T^half as ints of `width`-bit slots, |c| at slot sum_x (e_x -
+    lo_x(d)) / step_x * stride_x; `merge` adds a shifted coefficient in."""
     def index(triple) -> int:
         return sum((x - col[0]) // g * s for x, col, g, s in zip(triple, cols, steps, strides))
 
@@ -109,24 +110,8 @@ def _expand_packed(roots: Sequence[Monomial], half: int, cols, steps, strides) -
         for d in range(min(m, half), 0, -1):
             shift = (at - dth[d - 1]) * width
             lower = packed[d - 1]
-            packed[d] += lower << shift if shift >= 0 else lower >> -shift
-    coeffs = []
-    (g_a, g_b, g_q), (s_a, s_b, _) = steps, strides
-    lows = zip(*(accumulate(col[:half], initial=0) for col in cols))
-    for d, (value, (l_a, l_b, l_q)) in enumerate(zip(packed, lows)):
-        slots = memoryview(value.to_bytes(-(-value.bit_length() // width) * size,
-                                          sys.byteorder)).cast(fmt)
-        e_q = range(l_q, l_q + g_q * s_b, g_q)
-        terms = _Terms()
-        # one row of slots per (e_a, e_b), its nonzero slots picked out in C
-        for start in range(0, len(slots), s_b):
-            a, b = divmod(start, s_a)
-            row = slots[start:start + s_b]
-            c = filter(None, row)
-            terms += zip(repeat(l_a + g_a * a), repeat(l_b + g_b * (b // s_b)),
-                         compress(e_q, row), map(neg, c) if d % 2 else c)
-        coeffs.append(terms)
-    return coeffs
+            packed[d] = merge(packed[d], lower << shift if shift >= 0 else lower >> -shift)
+    return packed
 
 
 class LocalFactor:
@@ -154,14 +139,14 @@ class LocalFactor:
     # -- expansion --------------------------------------------------------
 
     def coefficients(self) -> Tuple:
-        """Coefficients of T^0 (always 1) to T^degree as lists of terms
-        (e_a, e_b, e_q, c) in canonical order, only up to degree
-        EXPANSION_DEGREE_CAP and within PACKED_SLOT_CAP (else
-        ExpansionTooLarge)."""
-        return tuple(self._sorted_terms())
+        """T^0 (always 1) to T^degree as lists of (e_a, e_b, e_q, c) in canonical order."""
+        return tuple(list(chain.from_iterable(
+            zip(repeat(e_a), repeat(e_b), compress(qs, row),
+                map(neg if negative else pos, filter(None, row))) for e_a, e_b, row in rows))
+            for negative, qs, rows in self._walk())
 
-    def _expand(self) -> List[_Terms]:
-        """The coefficients of T^0 to T^(degree // 2)."""
+    def _expand(self) -> List[_Packed]:
+        """T^0 to T^(degree // 2), packed; ExpansionTooLarge past a cap."""
         if self.degree > EXPANSION_DEGREE_CAP:
             raise ExpansionTooLarge(
                 f"degree {self.degree} exceeds the symbolic expansion cap "
@@ -173,16 +158,40 @@ class LocalFactor:
             raise ExpansionTooLarge(
                 f"the expansion of this degree-{self.degree} factor needs more than "
                 f"{PACKED_SLOT_CAP} slots per coefficient; use the factored form instead")
-        return _expand_packed(roots, half, *box)
+        # 1-bit slots mark the terms; T^(N-d) mirrors T^d for d < N - half
+        counts = [value.bit_count() for value in _pack(roots, half, *box, 1, or_)]
+        total = sum(counts) + sum(counts[:self.degree - half])
+        if total > EXPANSION_TERM_CAP:
+            raise ExpansionTooLarge(
+                f"the expansion of this degree-{self.degree} factor has {total} terms, "
+                f"over the term cap {EXPANSION_TERM_CAP}; use the factored form instead")
+        width = 8 * _slot_format(self.degree)[1]
+        return list(map(_Packed, _pack(roots, half, *box, width, add), counts))
 
-    def _sorted_terms(self) -> Iterator[List[Tuple[int, int, int, int]]]:
-        """Per coefficient, its (e_a, e_b, e_q, c) in canonical order."""
-        low = self._expand()
-        yield from low
-        p_a, p_b, p_q = map(sum, zip((0, 0, 0), *self.roots))
-        sign = (-1) ** self.degree
-        for terms in reversed(low[:self.degree + 1 - len(low)]):
-            yield [(p_a - a, p_b - b, p_q - q, sign * c) for a, b, q, c in reversed(terms)]
+    def _walk(self) -> Iterator[Tuple[bool, range, Iterator[Tuple[int, int, memoryview]]]]:
+        """Per coefficient T^0 to T^degree: (negative, qs, rows), each row
+        (e_a, e_b, slots) with |c| of the term of e_q = qs[i] in slot i, or 0."""
+        packed = self._expand()
+        half = len(packed) - 1
+        cols, steps, (s_a, s_b, _) = _box(sorted(self.roots), half)
+        fmt, size = _slot_format(self.degree)
+        lows = list(zip(*(accumulate(col[:half], initial=0) for col in cols)))
+        for t in range(self.degree + 1):
+            d = min(t, self.degree - t)
+            value = packed[d].value
+            # whole e_a blocks of slots, so that a reversed walk splits alike
+            blocks = -(-value.bit_length() // (8 * size * s_a))
+            slots = memoryview(value.to_bytes(blocks * s_a * size, sys.byteorder)).cast(fmt)
+            counts, origin = (blocks, s_a // s_b, s_b), lows[d]
+            if t > half:
+                # T^(N-d) walks T^d backwards: i_x -> n_x - 1 - i_x, e_x -> P_x - e_x
+                slots = slots[::-1]
+                origin = [sum(col) - o - g * (n - 1)
+                          for col, o, g, n in zip(cols, origin, steps, counts)]
+            e_a, e_b, qs = (range(o, o + g * n, g) for o, g, n in zip(origin, steps, counts))
+            rows = ((a, b, slots[i:i + s_b])
+                    for i, (a, b) in zip(range(0, len(slots), s_b), product(e_a, e_b)))
+            yield t % 2 == 1, qs, rows
 
     # -- transformations ---------------------------------------------------
 
@@ -210,15 +219,15 @@ class LocalFactor:
         return tuple(sorted(self.roots))
 
     def to_json_dict(self, label: str) -> dict:
-        coeffs = [laurent.json_dict(terms) for terms in self._sorted_terms()]
+        coeffs = [laurent.json_dict(terms) for terms in self.coefficients()]
         return {"label": label, "degree": self.degree, "coeffs": coeffs}
 
     def json_chunks(self, label: str) -> Iterator[str]:
         """json.dumps(self.to_json_dict(label), indent=2) in one piece per
         coefficient; ExpansionTooLarge comes before the first piece."""
         head = _JSON_HEAD % (json.dumps(label), self.degree)
-        for terms in self._sorted_terms():
-            yield head + laurent.indented_json(terms)
+        for negative, qs, rows in self._walk():
+            yield head + laurent.indented_rows(negative, qs, rows)
             head = ",\n"
         yield "\n  ]\n}"
 

@@ -128,6 +128,27 @@ def test_euler_expansion_cap_exit3_and_factored(capsys):
     assert data["degree"] == 256 and len(data["roots"]) == 256
 
 
+def test_euler_term_budget_exit3_before_output(capsys, tmp_path):
+    target = tmp_path / "out.json"
+    code, out, err = run(capsys, "euler", "--identity", "miyawaki_standard", "--side", "lhs",
+                         "--n", "16", "--k", "1", "--output", str(target))
+    assert code == 3 and out == "" and "1713988 terms" in err
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    "verify --identity main_theorem --k 0",
+    "euler --identity main_theorem --side lhs --n 2 --k 0 --mode numeric --prime 2",
+    "verify --identity main_theorem --k 0 --numeric",
+    "lvalue --side lhs --n 2 --k 0 --s 25 --prime 2",
+    "verify --identity ikeda_standard --n 2 --k -2 --numeric",
+])
+def test_k_below_one_is_a_usage_error_on_every_path(capsys, argv):
+    # numeric runs check k before they build the weight-2k eigenform
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2 and out == "" and "need k >= 1" in err
+
+
 def test_euler_numeric(capsys):
     code, out, _ = run(capsys, "euler", "--identity", "main_theorem", "--side",
                        "lhs", "--n", "2", "--k", "10", "--mode", "numeric",

@@ -197,6 +197,14 @@ def _argv_list():
         "euler --identity main_theorem --side lhs --n 2 --k 10 --mode numeric --prime 5 "
         "--format text --factored",
     ]
+    # an expansion over the term budget, and k = 0 with and without eigenforms
+    out += [
+        "euler --identity miyawaki_standard --side lhs --n 16 --k 1",
+        "verify --identity main_theorem --k 0",
+        "euler --identity main_theorem --side lhs --n 2 --k 0 --mode numeric --prime 2",
+        "verify --identity main_theorem --k 0 --numeric",
+        "lvalue --side lhs --n 2 --k 0 --s 25 --prime 2",
+    ]
     return out
 
 

@@ -1,12 +1,15 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
 from liftspin.cli import MAX_N
 from liftspin.errors import ExpansionTooLarge, GenusTooLarge
+from liftspin import euler
 from liftspin.euler import (
     EXPANSION_DEGREE_CAP,
+    EXPANSION_TERM_CAP,
     LocalFactor,
     _box,
     hecke_factor,
@@ -239,6 +242,55 @@ def test_expansion_cap():
     with pytest.raises(ExpansionTooLarge):
         fac.coefficients()
     assert fac.factored_json_dict("spin")["degree"] == 256
+
+
+def test_term_budget_counts_the_terms_written():
+    # the 1-bit count of each low-half coefficient is its term count, and
+    # the budget covers the mirrored top half too
+    for name, n in (("main_theorem", 2), ("ikeda_spinor", 2), ("ikeda_standard", 3)):
+        for side in IDENTITIES[name].sides(n, 10):
+            low = side._expand()
+            lengths = [len(coeff) for coeff in side.coefficients()]
+            assert [packed.n_terms for packed in low] == lengths[:len(low)]
+            assert lengths == lengths[::-1]
+
+
+def test_term_budget_is_inclusive(monkeypatch):
+    side = IDENTITIES["ikeda_spinor"].sides(2, 10)[0]
+    total = sum(map(len, side.coefficients()))
+    monkeypatch.setattr(euler, "EXPANSION_TERM_CAP", total)
+    assert sum(map(len, side.coefficients())) == total
+    monkeypatch.setattr(euler, "EXPANSION_TERM_CAP", total - 1)
+    with pytest.raises(ExpansionTooLarge, match=f"has {total} terms"):
+        side.coefficients()
+
+
+def test_term_budget_refuses_the_largest_registry_expansion():
+    # degree 63 within the slot cap, 1,713,988 terms (856,994 in the low
+    # half): 240 MB of JSON before the budget
+    side = IDENTITIES["miyawaki_standard"].sides(16, 1)[0]
+    assert side.degree <= EXPANSION_DEGREE_CAP and _box(sorted(side.roots), side.degree // 2)
+    chunks = side.json_chunks("m")
+    with pytest.raises(ExpansionTooLarge, match=f"1713988 terms, over the term cap {2 ** 18}"):
+        next(chunks)
+    # the largest expansion the CLI writes stays within it
+    ikeda = IDENTITIES["ikeda_spinor"].sides(3, 10)[0]
+    assert sum(packed.n_terms for packed in ikeda._expand()) == 103607
+    assert EXPANSION_TERM_CAP == 2 ** 18
+
+
+def test_streamed_degree_64_output_stays_small():
+    # json_chunks holds the packed low half and one coefficient's text at a
+    # time; the tuple-decoding writer it replaced peaked at 17.5 MB here
+    side = IDENTITIES["ikeda_spinor"].sides(3, 10)[0]
+    tracemalloc.start()
+    try:
+        written = sum(map(len, side.json_chunks("ikeda_spinor[n=3,k=10]")))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert written > 28_000_000
+    assert peak < 10 * 2 ** 20, peak
 
 
 def test_expansion_of_equal_root_multisets_is_equal():

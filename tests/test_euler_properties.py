@@ -2,16 +2,16 @@
 streamed indent-2 encoder of LocalFactor, against a tuple-keyed reference
 expansion of every coefficient and json.dumps on random unit-monomial
 roots: exponent triples past 2^64 of either sign, repeated roots, and
-degrees 0 to 9, plus explicit degree-32 and degree-64 examples.  Roots
-whose packed box is over PACKED_SLOT_CAP must raise ExpansionTooLarge
-before the first piece of output."""
+degrees 0 to 9, plus explicit degree-32, degree-33 and degree-64
+examples.  Roots whose packed box is over PACKED_SLOT_CAP must raise
+ExpansionTooLarge before the first piece of output."""
 
 import json
 
 import pytest
 
 from liftspin.errors import ExpansionTooLarge
-from liftspin.euler import LocalFactor, _box
+from liftspin.euler import LocalFactor, _box, _slot_format
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
@@ -26,9 +26,17 @@ _roots = st.lists(_root, max_size=9)
 # C(32, 16) and C(64, 32) fill 29.2 of its 32 and 60.7 of its 64 bits
 _COPIES_32 = [(1, -2, 3)] * 32
 _COPIES_64 = [(1, -2, 3)] * 64
+# 33 copies: the first degree with 64-bit slots, and an odd one, so T^17 to
+# T^33 mirror T^16 down to T^0
+_COPIES_33 = [(1, -2, 3)] * 33
 # sorted, the second root has e_b = -1 below the second-smallest e_b = 0, so
 # its step from degree 1 to 2 is a right shift
 _NEGATIVE_SHIFT = [(-1, 1, 1), (0, -1, 1), (0, 1, 1), (1, 0, 1)]
+# degree 5 with e_b != 0 and a negative e_q: rows of 6 slots, and T^0 to T^2
+# end one slot into a row, so the reversed walk of T^5 to T^3 starts on a
+# partial row; sorted, the second root's step from degree 1 to 2 is a right
+# shift, as its e_b = -1 is below the second-smallest e_b = 0
+_PARTIAL_ROW = [(-1, 2, 1), (0, -1, 3), (0, 1, 1), (1, 0, 1), (2, 1, -2)]
 # e_a spans 2^21 + 1 steps of 1: past PACKED_SLOT_CAP, so ExpansionTooLarge
 _TOO_WIDE = [(0, 0, 0), (1, 0, 0), (2 ** 21, 0, 0)]
 
@@ -56,6 +64,8 @@ def reference_coefficients(roots):
 @example([(1, 0, 5), (1, 0, 5), (-1, 0, 5)])
 @example(_COPIES_32)
 @example(_COPIES_64)
+@example(_COPIES_33)
+@example(_PARTIAL_ROW)
 @example(_NEGATIVE_SHIFT)
 @example(_TOO_WIDE)
 def test_packed_expansion_matches_reference(roots):
@@ -86,8 +96,14 @@ def test_packed_expansion_matches_reference(roots):
 
 
 def test_examples_take_the_path_they_name():
-    for roots in (_COPIES_32, _COPIES_64):
+    for roots in (_COPIES_32, _COPIES_33, _COPIES_64):
         assert _box(roots, len(roots) // 2)[2] == (1, 1, 1)
+    assert _slot_format(32) == ("I", 4) and _slot_format(33) == ("Q", 8)
+    # the slots of each mirrored coefficient end one slot into a row of 6
+    _, _, (_, row, _) = _box(sorted(_PARTIAL_ROW), 2)
+    assert row == 6
+    for packed in LocalFactor(_PARTIAL_ROW)._expand():
+        assert -(-packed.value.bit_length() // 32) % row == 1
     assert _box(sorted(_NEGATIVE_SHIFT), 2) is not None
     assert _box(_TOO_WIDE, 1) is None
     # exponents near 2^70 that share a step still pack: 2 slots per component

@@ -1,6 +1,6 @@
 """JSON wire format on random polynomials: 30-digit coefficients and
 negative a, b and q exponents, written by the LaurentPoly oracle and by the
-package's term encoder `liftspin.laurent`."""
+package's term writers in `liftspin.laurent`."""
 
 import json
 
@@ -53,13 +53,23 @@ _triples = st.tuples(st.integers(-40, 40), st.integers(-40, 40), st.integers(-40
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.dictionaries(_triples, _coeff, min_size=1, max_size=25))
-def test_package_wire_format_matches_the_oracle(coeffs):
+@given(st.dictionaries(_triples, _coeff, min_size=1, max_size=25), st.booleans())
+def test_package_wire_format_matches_the_oracle(coeffs, negative):
     # liftspin.laurent writes sorted (e_a, e_b, e_q, c) terms the way the
-    # oracle writes the same polynomial at T-degree 0, both as a dict and
-    # as the indented text of an entry in a "coeffs" list
+    # oracle writes the same polynomial at T-degree 0, both as a dict and,
+    # given row by row with one sign for every term, as the indented text
+    # of an entry in a "coeffs" list
     terms = [(*e, c) for e, c in sorted(coeffs.items())]
     data = laurent.json_dict(terms)
     assert data == poly(terms).to_json_dict()
-    assert json.dumps({"coeffs": [data]}, indent=2) \
-        == '{\n  "coeffs": [\n' + laurent.indented_json(terms) + "\n  ]\n}"
+    signed = [(*e, -abs(c) if negative else abs(c)) for *e, c in terms]
+    # one row of |c| per (e_a, e_b) over every e_q the strategy draws, each
+    # after a row with no term
+    qs = range(-40, 41)
+    rows = {}
+    for e_a, e_b, e_q, c in signed:
+        rows.setdefault((e_a, e_b), [0] * len(qs))[e_q - qs[0]] = abs(c)
+    rows = [row for (e_a, e_b), cs in rows.items()
+            for row in ((e_a, e_b - 1, [0] * len(qs)), (e_a, e_b, cs))]
+    assert json.dumps({"coeffs": [laurent.json_dict(signed)]}, indent=2) \
+        == '{\n  "coeffs": [\n' + laurent.indented_rows(negative, qs, rows) + "\n  ]\n}"
