@@ -24,7 +24,7 @@ import sys
 from contextlib import nullcontext
 from typing import Dict, Iterator, List, Optional
 
-from . import identities
+from . import identities, laurent
 from .beta import table as beta_table
 from .errors import InputTooLarge, OutOfConvergenceRegion, UnsupportedInput
 from .euler import numeric_coefficients
@@ -121,7 +121,7 @@ def _emit(chunks: Iterator[str], output: Optional[str]):
 
 
 def _dump(data, fmt: str, as_text) -> Iterator[str]:
-    yield json.dumps(data, indent=2) if fmt == "json" else as_text(data)
+    yield laurent.dumps(data) if fmt == "json" else as_text(data)
 
 
 # -- eigenform data ------------------------------------------------------------
@@ -234,27 +234,24 @@ def cmd_euler(args) -> int:
     factor = lhs if args.side == "lhs" else rhs
     # the label names no side: equal sides must serialize identically
     label = f"{args.identity}[n={args.n},k={args.k}]"
-    if args.mode == "numeric":
-        primes = _primes_from(args)
-        if len(primes) != 1:
-            raise ValueError("numeric euler needs exactly one --prime")
-        p = primes[0]
-        f, g = _numeric_forms(args, identity.needs_g)
-        alpha, beta = identities.satake_values(f, g, args.n, args.k, p)
-        roots = factor.instantiate(alpha, beta, p)
-        key, values = (("roots", sorted(roots, key=lambda r: (r.real, r.imag))) if args.factored
-                       else ("coeffs", numeric_coefficients(roots)))
-        data = {"label": f"{label}|p={p}", "degree": len(roots),
-                key: [[z.real, z.imag] for z in values]}
-    elif args.format == "json" and not args.factored:
-        _emit(factor.json_chunks(label), args.output)
+    if args.mode == "symbolic":
+        write = factor.json_chunks if args.format == "json" else factor.text_chunks
+        _emit(write(label, args.factored), args.output)
         return 0
-    else:
-        data = factor.factored_json_dict(label) if args.factored else factor.to_json_dict(label)
+    primes = _primes_from(args)
+    if len(primes) != 1:
+        raise ValueError("numeric euler needs exactly one --prime")
+    p = primes[0]
+    f, g = _numeric_forms(args, identity.needs_g)
+    alpha, beta = identities.satake_values(f, g, args.n, args.k, p)
+    roots = factor.instantiate(alpha, beta, p)
+    key, values = (("roots", sorted(roots, key=lambda r: (r.real, r.imag))) if args.factored
+                   else ("coeffs", numeric_coefficients(roots)))
+    data = {"label": f"{label}|p={p}", "degree": len(roots),
+            key: [[z.real, z.imag] for z in values]}
 
     def as_text(d):
         lines = [f"label:  {d['label']}", f"degree: {d['degree']}"]
-        key = "roots" if "roots" in d else "coeffs"
         for i, entry in enumerate(d[key]):
             lines.append(f"{key[:-1]} {i}: {json.dumps(entry)}")
         return "\n".join(lines)

@@ -32,21 +32,22 @@ one row per (e_a, e_b), with no sort and no term tuples.  By the local
 functional equation, which holds for any N unit roots with product P,
 T^(N-d) is (-1)^N P times T^d with every exponent negated; the negation
 reverses the canonical order, so T^(N-d) is T^d's slots walked backwards.
-`json_chunks` streams the indent-2 JSON of `to_json_dict` one coefficient
-at a time (201,695 terms, 28.5 MB, in about 0.2 s at degree 64), and
-`coefficients()` returns lists of (e_a, e_b, e_q, c); `laurent` holds the
-layout.  The labels written come from the caller.  `numeric_coefficients`
-expands complex roots; it is quadratic and not capped.
+`json_chunks` streams the indent-2 JSON one coefficient at a time (201,695
+terms, 28.5 MB, in about 0.2 s at degree 64), and `text_chunks` the
+`--format text` lines, each coefficient's compact JSON, from the same walk.
+Factored, both write the roots in canonical order through one root
+template each, with no per-root dict; `laurent` holds the layouts.  The
+labels written come from the caller.  `numeric_coefficients` expands
+complex roots; it is quadratic and not capped.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import sys
-from itertools import accumulate, chain, compress, product, repeat
-from operator import add, neg, or_, pos
-from typing import Iterator, List, NamedTuple, Sequence, Tuple
+from itertools import accumulate, count, product, repeat
+from operator import add, or_
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import laurent
 from .errors import ExpansionTooLarge, GenusTooLarge, NumericOverflow
@@ -64,8 +65,9 @@ PACKED_SLOT_CAP = 2 ** 20
 #: spinor factors above this genus (degree 2^12) are refused outright
 SPINOR_GENUS_CAP = 12
 
-# the indent-2 layout of LocalFactor.to_json_dict() up to its first coefficient
-_JSON_HEAD = '{\n  "label": %s,\n  "degree": %d,\n  "coeffs": [\n'
+# the indent-2 JSON of a factor up to its first entry; the entries sit at
+# depth 2, each after "\n    " or ",\n    ", and "\n  ]\n}" closes
+_JSON_HEAD = '{\n  "label": %s,\n  "degree": %d,\n  "%s": ['
 
 
 class _Packed(NamedTuple):
@@ -137,13 +139,6 @@ class LocalFactor:
         return len(self.roots)
 
     # -- expansion --------------------------------------------------------
-
-    def coefficients(self) -> Tuple:
-        """T^0 (always 1) to T^degree as lists of (e_a, e_b, e_q, c) in canonical order."""
-        return tuple(list(chain.from_iterable(
-            zip(repeat(e_a), repeat(e_b), compress(qs, row),
-                map(neg if negative else pos, filter(None, row))) for e_a, e_b, row in rows))
-            for negative, qs, rows in self._walk())
 
     def _expand(self) -> List[_Packed]:
         """T^0 to T^(degree // 2), packed; ExpansionTooLarge past a cap."""
@@ -218,24 +213,37 @@ class LocalFactor:
         """Sorted root triples; equal tuples, equal polynomials."""
         return tuple(sorted(self.roots))
 
-    def to_json_dict(self, label: str) -> dict:
-        coeffs = [laurent.json_dict(terms) for terms in self.coefficients()]
-        return {"label": label, "degree": self.degree, "coeffs": coeffs}
-
-    def json_chunks(self, label: str) -> Iterator[str]:
-        """json.dumps(self.to_json_dict(label), indent=2) in one piece per
-        coefficient; ExpansionTooLarge comes before the first piece."""
-        head = _JSON_HEAD % (json.dumps(label), self.degree)
-        for negative, qs, rows in self._walk():
-            yield head + laurent.indented_rows(negative, qs, rows)
-            head = ",\n"
+    def json_chunks(self, label: str, factored: bool = False) -> Iterator[str]:
+        """json.dumps({"label": label, "degree": degree, "coeffs": [...]},
+        indent=2), or "roots" in canonical order when factored, one piece per
+        entry; ExpansionTooLarge comes before the first piece."""
+        entries = self._entries(factored, 2)
+        first = next(entries, None)
+        head = _JSON_HEAD % (laurent.dumps(label), self.degree,
+                             "roots" if factored else "coeffs")
+        if first is None:
+            yield head + "]\n}"
+            return
+        yield head + "\n    " + first
+        for entry in entries:
+            yield ",\n    " + entry
         yield "\n  ]\n}"
 
-    def factored_json_dict(self, label: str) -> dict:
-        """Root-list encoding, available at any degree; roots come out in
-        canonical order so equal factors serialize identically."""
-        roots = [laurent.json_dict([(*r, 1)]) for r in sorted(self.roots)]
-        return {"label": label, "degree": self.degree, "roots": roots}
+    def text_chunks(self, label: str, factored: bool = False) -> Iterator[str]:
+        """The --format text lines: label, degree, then `coeff d: ` (or
+        `root i: `) and the entry's compact JSON per coefficient (or root)."""
+        name = "root" if factored else "coeff"
+        lines = map("\n{} {}: {}".format, repeat(name), count(), self._entries(factored, None))
+        yield f"label:  {label}\ndegree: {self.degree}" + next(lines, "")
+        yield from lines
+
+    def _entries(self, factored: bool, depth: Optional[int]) -> Iterator[str]:
+        """The JSON of each root, in canonical order, or of each expanded
+        coefficient, at `depth` (None: compact)."""
+        if factored:
+            return map(laurent.root_template(depth).__mod__, sorted(self.roots))
+        return (laurent.coefficient_text(negative, qs, rows, depth)
+                for negative, qs, rows in self._walk())
 
 
 def numeric_coefficients(roots: Sequence[complex]) -> List[complex]:

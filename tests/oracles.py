@@ -9,7 +9,9 @@ subset enumeration, degree audits, similitude exponent, Weyl group action
 and the two constructions of the discriminant form that the acceptance
 criteria use, and the schoolbook product and the full-row echelonized
 Victor Miller basis that the packed q-expansion product and the
-Delta E4^a E6^b eigenforms are tested against.
+Delta E4^a E6^b eigenforms are tested against.  `coefficients`,
+`to_json_dict` and `factored_json_dict` decode a LocalFactor into term
+tuples and dicts, which the package's streaming writers never build.
 
 A polynomial is a finite map from exponent vectors (e_a, e_b, e_q, e_T) to
 nonzero integer coefficients.  a, b and q are Laurent variables; T (for
@@ -27,6 +29,7 @@ from typing import Iterable, List, Mapping, Sequence, Tuple, Union
 
 from liftspin.beta import symmetric_odd_set, table
 from liftspin.errors import NonPrime
+from liftspin.laurent import json_dict
 from liftspin.qexp import QExpansion, dim_cusp_forms, eisenstein, is_prime
 from liftspin.satake import SatakeParams, miyawaki_satake, mono_inv, mono_mul
 
@@ -244,10 +247,31 @@ def poly(terms, e_T: int = 0) -> LaurentPoly:
     return LaurentPoly(((e_a, e_b, e_q, e_T), c) for e_a, e_b, e_q, c in terms)
 
 
+def coefficients(factor) -> Tuple:
+    """T^0 (always 1) to T^degree of a LocalFactor as lists of
+    (e_a, e_b, e_q, c) in canonical order, decoded from the slots its
+    writers walk."""
+    return tuple([(e_a, e_b, e_q, -c if negative else c)
+                  for e_a, e_b, row in rows for e_q, c in zip(qs, row) if c]
+                 for negative, qs, rows in factor._walk())
+
+
+def to_json_dict(factor, label: str) -> dict:
+    """The expanded factor as `euler --format json` writes it."""
+    coeffs = [json_dict(terms) for terms in coefficients(factor)]
+    return {"label": label, "degree": factor.degree, "coeffs": coeffs}
+
+
+def factored_json_dict(factor, label: str) -> dict:
+    """The root list as `euler --factored --format json` writes it."""
+    roots = [json_dict([(*root, 1)]) for root in sorted(factor.roots)]
+    return {"label": label, "degree": factor.degree, "roots": roots}
+
+
 def as_poly(factor) -> LaurentPoly:
     """An expanded symbolic LocalFactor as a single polynomial in T."""
     total = LaurentPoly.zero()
-    for d, terms in enumerate(factor.coefficients()):
+    for d, terms in enumerate(coefficients(factor)):
         total = total + poly(terms, d)
     return total
 

@@ -1,6 +1,9 @@
+import io
 import json
 import subprocess
 import sys
+import tracemalloc
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -147,6 +150,35 @@ def test_k_below_one_is_a_usage_error_on_every_path(capsys, argv):
     # numeric runs check k before they build the weight-2k eigenform
     code, out, err = run(capsys, *argv.split())
     assert code == 2 and out == "" and "need k >= 1" in err
+
+
+class _CountingSink(io.TextIOBase):
+    """A text stream that keeps only the number of characters written."""
+
+    def __init__(self):
+        self.written = 0
+
+    def write(self, text):
+        self.written += len(text)
+        return len(text)
+
+
+def test_streamed_degree_2048_factored_output_stays_small():
+    # the roots go out through one template straight from the sorted
+    # triples; the per-root dicts and json.dumps(..., indent=2) it replaced
+    # peaked at 4.0 MB here
+    argv = ["euler", "--identity", "main_theorem", "--side", "lhs", "--n", "6", "--k", "4",
+            "--factored"]
+    sink = _CountingSink()
+    tracemalloc.start()
+    try:
+        with redirect_stdout(sink):
+            code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and sink.written == 343_886
+    assert peak < 2 ** 20, peak
 
 
 def test_euler_numeric(capsys):

@@ -243,6 +243,43 @@ def test_cli_output_matches_manifest(manifest, argv):
     assert _entry(*run_argv(argv)) == manifest[argv]
 
 
+# one --format json argv per path that prints a dict or list, each pinned above
+_JSON_PATHS = [
+    "verify --all --symbolic",
+    "verify --negative-control --witness --n 6",
+    "euler --identity main_theorem --side lhs --n 2 --k 10",
+    "euler --identity main_theorem --side lhs --n 6 --k 4 --factored",
+    "euler --identity main_theorem --side lhs --n 2 --k 10 --mode numeric --prime 2",
+    "eigenvalues --weight 20 --prime 97",
+    "beta-table --n 5",
+    "lvalue --side lhs --n 2 --k 10 --s 25 --primes-up-to 100",
+]
+_TABLE_FED = "verify --identity main_theorem --n 2 --k 10 --mode numeric --primes-up-to 30"
+
+
+def test_json_output_bypasses_the_pure_python_encoder(manifest, monkeypatch, tmp_path):
+    # json.dumps with indent runs json.encoder._make_iterencode; the CLI
+    # writes its indent-2 JSON itself and the same bytes as before
+    from liftspin.qexp import eigenform, primes_up_to
+
+    tables = []
+    for role, weight in (("f", 20), ("g", 12)):
+        coeffs = eigenform(weight).qexp.coeffs
+        path = tmp_path / f"w{weight}.txt"
+        path.write_text("".join(f"{p} {coeffs[p]}\n" for p in primes_up_to(30)))
+        tables.append(f"--eigenvalues-file {role}={path}")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("indented json.dumps on a CLI path")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    runs = [(argv, argv) for argv in _JSON_PATHS]
+    # tables with the q-expansion's values give the q-expansion's report
+    runs.append((" ".join([_TABLE_FED] + tables), _TABLE_FED))
+    for argv, pinned in runs:
+        assert _entry(*run_argv(argv)) == manifest[pinned], argv
+
+
 if __name__ == "__main__":
     pinned = json.loads(MANIFEST.read_text(encoding="utf-8")) if MANIFEST.exists() else {}
     missing = [argv for argv in ARGVS if argv not in pinned]

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import tracemalloc
@@ -26,6 +27,7 @@ from oracles import (
     LaurentPoly,
     as_poly,
     c1_eigenvalue,
+    coefficients,
     frobenius_eigenvalue,
     gp_constant,
     poly,
@@ -56,7 +58,7 @@ def collapse_a(poly):
 def test_hecke_factor_expansion():
     k = 10
     fac = hecke_factor("f", k, 2)
-    c0, c1, c2 = map(poly, fac.coefficients())
+    c0, c1, c2 = map(poly, coefficients(fac))
     assert c0 == LaurentPoly.one()
     assert c1 == -(mono(e_a=1, e_q=19) + mono(e_a=-1, e_q=19))
     assert c2 == mono(e_q=38)
@@ -78,7 +80,7 @@ def test_hecke_factor_numeric_delta_pattern(g12):
 
 def test_sym_power_factor():
     k = 10
-    assert sym_power_factor(0, k).coefficients() == ([(0, 0, 0, 1)], [(0, 0, 0, -1)])
+    assert coefficients(sym_power_factor(0, k)) == ([(0, 0, 0, 1)], [(0, 0, 0, -1)])
     assert sym_power_factor(1, k).root_multiset() == hecke_factor("f", k, 0).root_multiset()
     roots = set(sym_power_factor(2, k).roots)
     assert roots == {(2, 0, 38), (0, 0, 38), (-2, 0, 38)}
@@ -159,7 +161,7 @@ def test_spinor_factor_genus1_is_hecke():
 def test_spinor_factor_degree_and_cap():
     fac = spinor_factor(miyawaki_satake(2, 10))
     assert fac.degree == 8
-    assert fac.coefficients()[0] == [(0, 0, 0, 1)]
+    assert coefficients(fac)[0] == [(0, 0, 0, 1)]
     big = ikeda_satake(7, 4)  # genus 14
     with pytest.raises(GenusTooLarge):
         spinor_factor(big)
@@ -240,8 +242,8 @@ def test_shift_matches_substitution():
 def test_expansion_cap():
     fac = spinor_factor(ikeda_satake(4, 4))  # degree 256
     with pytest.raises(ExpansionTooLarge):
-        fac.coefficients()
-    assert fac.factored_json_dict("spin")["degree"] == 256
+        coefficients(fac)
+    assert json.loads("".join(fac.json_chunks("spin", factored=True)))["degree"] == 256
 
 
 def test_term_budget_counts_the_terms_written():
@@ -250,19 +252,19 @@ def test_term_budget_counts_the_terms_written():
     for name, n in (("main_theorem", 2), ("ikeda_spinor", 2), ("ikeda_standard", 3)):
         for side in IDENTITIES[name].sides(n, 10):
             low = side._expand()
-            lengths = [len(coeff) for coeff in side.coefficients()]
+            lengths = [len(coeff) for coeff in coefficients(side)]
             assert [packed.n_terms for packed in low] == lengths[:len(low)]
             assert lengths == lengths[::-1]
 
 
 def test_term_budget_is_inclusive(monkeypatch):
     side = IDENTITIES["ikeda_spinor"].sides(2, 10)[0]
-    total = sum(map(len, side.coefficients()))
+    total = sum(map(len, coefficients(side)))
     monkeypatch.setattr(euler, "EXPANSION_TERM_CAP", total)
-    assert sum(map(len, side.coefficients())) == total
+    assert sum(map(len, coefficients(side))) == total
     monkeypatch.setattr(euler, "EXPANSION_TERM_CAP", total - 1)
     with pytest.raises(ExpansionTooLarge, match=f"has {total} terms"):
-        side.coefficients()
+        coefficients(side)
 
 
 def test_term_budget_refuses_the_largest_registry_expansion():
@@ -290,6 +292,21 @@ def test_streamed_degree_64_output_stays_small():
     finally:
         tracemalloc.stop()
     assert written > 28_000_000
+    assert peak < 10 * 2 ** 20, peak
+
+
+def test_streamed_degree_64_text_stays_small():
+    # text_chunks writes each `coeff d:` line from the same walk; the text
+    # path that decoded every term into a tuple and a dict first peaked at
+    # 92.7 MB here
+    side = IDENTITIES["ikeda_spinor"].sides(3, 10)[0]
+    tracemalloc.start()
+    try:
+        written = sum(map(len, side.text_chunks("ikeda_spinor[n=3,k=10]")))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert written > 8_000_000
     assert peak < 10 * 2 ** 20, peak
 
 
@@ -332,7 +349,7 @@ def test_eval_cross_pipeline_oracle(f20, g12):
     symbolic = spinor_factor(miyawaki_satake(n, k)).shift(-(3 * k))
     numeric = numeric_coefficients(symbolic.instantiate(alpha, beta, p))
     sq = p ** 0.5
-    for sym_c, num_c in zip(symbolic.coefficients(), numeric):
+    for sym_c, num_c in zip(coefficients(symbolic), numeric):
         value = poly(sym_c).eval_complex(alpha, beta, sq, 0j)
         assert abs(value - num_c) <= 1e-9 * max(abs(value), abs(num_c), 1.0)
 
@@ -376,9 +393,9 @@ def test_local_factor_rejects_non_triples(bad):
         LocalFactor(((1, 0, 0), bad))
 
 
-def test_to_json_dict():
+def test_json_chunks():
     fac = hecke_factor("f", 4, 1)
-    data = fac.to_json_dict("hecke[f]")
+    data = json.loads("".join(fac.json_chunks("hecke[f]")))
     assert data["label"] == "hecke[f]" and data["degree"] == 2
     assert len(data["coeffs"]) == 3
     assert data["coeffs"][0] == {"terms": [{"e": [0, 0, 0, 0], "c": "1"}]}

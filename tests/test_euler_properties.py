@@ -1,6 +1,7 @@
 """Packed expansion of the low half, the reflected top half and the
-streamed indent-2 encoder of LocalFactor, against a tuple-keyed reference
-expansion of every coefficient and json.dumps on random unit-monomial
+streamed indent-2 and text writers of LocalFactor, expanded and factored,
+against a tuple-keyed reference expansion of every coefficient and
+json.dumps on random unit-monomial
 roots: exponent triples past 2^64 of either sign, repeated roots, and
 degrees 0 to 9, plus explicit degree-32, degree-33 and degree-64
 examples.  Roots whose packed box is over PACKED_SLOT_CAP must raise
@@ -12,6 +13,7 @@ import pytest
 
 from liftspin.errors import ExpansionTooLarge
 from liftspin.euler import LocalFactor, _box, _slot_format
+from oracles import coefficients, factored_json_dict, to_json_dict
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
@@ -71,28 +73,41 @@ def reference_coefficients(roots):
 def test_packed_expansion_matches_reference(roots):
     label = "ref[\"x\"]é"
     factor = LocalFactor(tuple(roots))
+    # the root list is written at any degree, in canonical order
+    factored = factored_json_dict(factor, label)
+    assert "".join(factor.json_chunks(label, factored=True)) == json.dumps(factored, indent=2)
+    assert "".join(factor.text_chunks(label, factored=True)) == _text(factored, "roots")
     if _box(sorted(roots), len(roots) // 2) is None:
-        chunks = factor.json_chunks(label)
-        for expand in (lambda: next(chunks), factor.coefficients,
-                       lambda: factor.to_json_dict(label)):
+        for chunks in (factor.json_chunks(label), factor.text_chunks(label)):
             with pytest.raises(ExpansionTooLarge, match="factored form"):
-                expand()
+                next(chunks)
+        with pytest.raises(ExpansionTooLarge, match="factored form"):
+            coefficients(factor)
         return
     reference = reference_coefficients(roots)
     data = {"label": label, "degree": len(roots), "coeffs": [
         {"terms": [{"e": [*key, 0], "c": str(value)} for key, value in sorted(coeff.items())]}
         for coeff in reference]}
     assert "".join(factor.json_chunks(label)) == json.dumps(data, indent=2)
+    assert "".join(factor.text_chunks(label)) == _text(data, "coeffs")
     # only degrees 0 to degree // 2 are expanded; the rest is reflected
     assert len(factor._expand()) == len(roots) // 2 + 1
-    assert factor.to_json_dict(label) == data
-    got = factor.coefficients()
+    assert to_json_dict(factor, label) == data
+    got = coefficients(factor)
     assert got == tuple([(*key, value) for key, value in sorted(coeff.items())]
                         for coeff in reference)
     # unit roots: every term of the T^d coefficient has the sign (-1)^d, so
     # no coefficient of the product is ever empty
     for d, coeff in enumerate(got):
         assert coeff and all((c > 0) == (d % 2 == 0) for *_, c in coeff)
+
+
+def _text(data, key):
+    """The --format text lines of a factor's JSON data, as the CLI wrote
+    them from json.dumps before the text writer streamed them."""
+    lines = [f"label:  {data['label']}", f"degree: {data['degree']}"]
+    lines += [f"{key[:-1]} {i}: {json.dumps(entry)}" for i, entry in enumerate(data[key])]
+    return "\n".join(lines)
 
 
 def test_examples_take_the_path_they_name():

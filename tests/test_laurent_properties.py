@@ -1,6 +1,7 @@
 """JSON wire format on random polynomials: 30-digit coefficients and
 negative a, b and q exponents, written by the LaurentPoly oracle and by the
-package's term writers in `liftspin.laurent`."""
+package's term writers in `liftspin.laurent`; and `laurent.dumps` against
+json.dumps(..., indent=2) on random nested values."""
 
 import json
 
@@ -53,12 +54,13 @@ _triples = st.tuples(st.integers(-40, 40), st.integers(-40, 40), st.integers(-40
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.dictionaries(_triples, _coeff, min_size=1, max_size=25), st.booleans())
-def test_package_wire_format_matches_the_oracle(coeffs, negative):
+@given(st.dictionaries(_triples, _coeff, min_size=1, max_size=25), st.booleans(),
+       st.integers(0, 5))
+def test_package_wire_format_matches_the_oracle(coeffs, negative, depth):
     # liftspin.laurent writes sorted (e_a, e_b, e_q, c) terms the way the
     # oracle writes the same polynomial at T-degree 0, both as a dict and,
-    # given row by row with one sign for every term, as the indented text
-    # of an entry in a "coeffs" list
+    # given row by row with one sign for every term, as the text json.dumps
+    # writes nested `depth` lists deep, and compact
     terms = [(*e, c) for e, c in sorted(coeffs.items())]
     data = laurent.json_dict(terms)
     assert data == poly(terms).to_json_dict()
@@ -71,5 +73,79 @@ def test_package_wire_format_matches_the_oracle(coeffs, negative):
         rows.setdefault((e_a, e_b), [0] * len(qs))[e_q - qs[0]] = abs(c)
     rows = [row for (e_a, e_b), cs in rows.items()
             for row in ((e_a, e_b - 1, [0] * len(qs)), (e_a, e_b, cs))]
-    assert json.dumps({"coeffs": [laurent.json_dict(signed)]}, indent=2) \
-        == '{\n  "coeffs": [\n' + laurent.indented_rows(negative, qs, rows) + "\n  ]\n}"
+    expected = laurent.json_dict(signed)
+    assert laurent.coefficient_text(negative, qs, rows, None) == json.dumps(expected)
+    assert _nested("@", depth).replace('"@"', laurent.coefficient_text(negative, qs, rows, depth)) \
+        == _nested(expected, depth)
+
+
+def _nested(value, depth):
+    """json.dumps(value, indent=2) with value inside `depth` lists."""
+    for _ in range(depth):
+        value = [value]
+    return json.dumps(value, indent=2)
+
+
+# -- laurent.dumps against json.dumps(..., indent=2) ----------------------------
+
+_TRICKY_STRINGS = ["", "\n", "\"", "\\", " ", "é", "liftspin[n=2,k=10]|p=97", "\ud800"]
+_floats = st.one_of(st.sampled_from([-0.0, 0.0, 1e300, -1e300, 5e-324, float("nan"),
+                                     float("inf"), float("-inf")]),
+                    st.floats(allow_nan=True, allow_infinity=True))
+_strings = st.one_of(st.sampled_from(_TRICKY_STRINGS), st.text(max_size=8))
+_polys = st.lists(st.tuples(_triples, _coeff), max_size=6).map(
+    lambda items: laurent.json_dict((*e, c) for e, c in sorted(dict(items).items())))
+_leaves = st.one_of(st.none(), st.booleans(), st.integers(),
+                    st.integers(-(_BIG ** 3), -_BIG), _floats, _strings, _polys)
+_values = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(_strings, inner, max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_values)
+@example([])
+@example({})
+@example(({}, [], ()))
+@example([True, 1, False, 0, None, -(2 ** 100)])
+@example({"terms": []})
+@example(laurent.json_dict([]))
+@example([laurent.json_dict([]), {"w": laurent.json_dict([(1, -2, 3, -(10 ** 40))])}])
+@example({" \"\n": [-0.0, 1e300, 5e-324, float("nan"), float("inf"), float("-inf")]})
+def test_dumps_writes_the_bytes_of_json_dumps(value):
+    assert laurent.dumps(value) == json.dumps(value, indent=2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_polys, st.lists(st.one_of(st.none(), _strings), max_size=5))
+def test_dumps_writes_polynomials_at_every_depth(poly_dict, wrappers):
+    # a json_dict result nested 0 to 5 levels deep, each level a list (None)
+    # or a dict with the drawn key, beside a plain value
+    value = poly_dict
+    for key in wrappers:
+        value = [value, 1] if key is None else {key: value, "x": [1]}
+    assert laurent.dumps(value) == json.dumps(value, indent=2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.integers(), _floats, st.booleans(), st.none(),
+                 st.tuples(st.integers())), st.integers(0, 3))
+def test_dumps_refuses_keys_that_are_not_str(key, depth):
+    # json.dumps would write such a key as a string; the writer raises
+    # instead of writing bytes of its own
+    value = {key: 1}
+    for _ in range(depth):
+        value = [{"k": value}]
+    with pytest.raises(TypeError, match="keys must be str"):
+        laurent.dumps(value)
+
+
+@pytest.mark.parametrize("value", [{1, 2}, b"x", 1j, object(), [{"k": frozenset()}]])
+def test_dumps_refuses_what_json_dumps_refuses(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, indent=2)
+    with pytest.raises(TypeError):
+        laurent.dumps(value)
