@@ -205,6 +205,15 @@ def _argv_list():
         "verify --identity main_theorem --k 0 --numeric",
         "lvalue --side lhs --n 2 --k 0 --s 25 --prime 2",
     ]
+    # parsing edge cases: abbreviated flags, the `=` form, a negative value,
+    # an ambiguous prefix and a stray positional
+    out += [
+        "verify --neg --wit --n 2",
+        "verify --identity=main_theorem --n=2 --k=10",
+        "verify --identity main_theorem --n 2 --k -3",
+        "euler --identity main_theorem --side lhs --f",
+        "beta-table --n 2 stray",
+    ]
     return out
 
 
