@@ -1,11 +1,15 @@
 """Command-line front end.
 
-Subcommands: eigenvalues, euler, beta-table, lvalue, verify.  Shared flags
-can also come from LIFTSPIN_* environment variables, checked as the flags
-are; explicit flags win.
+Subcommands: eigenvalues, euler, beta-table, lvalue, verify.  COMMANDS
+declares each one's handler, help line and flags, _SHARED the flags all of
+them take, and parse_args reads argv against that table as argparse would:
+--flag VALUE or --flag=VALUE, any unique prefix of a flag, the last value
+wins, -h/--help at the top level or after a subcommand.  Shared flags can
+also come from LIFTSPIN_* environment variables, checked as the flags are;
+explicit flags win.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error (argparse,
-inconsistent flags, no prime flag where one is needed, a prime bound
+Exit codes: 0 success, 1 verification failure, 2 usage error (a flag the
+table refuses, a stray argument, inconsistent flags, no prime flag where one is needed, a prime bound
 below 2, malformed eigenvalue tables), 3 unsupported input (a weight
 whose cusp space is not one-dimensional, an eigenvalue outside Deligne's
 bound or not an integer, genus, expansion, --n, precision, prime-bound, --prime
@@ -15,13 +19,14 @@ double range at a prime).
 
 from __future__ import annotations
 
-import argparse
 import cmath
 import json
 import math
 import os
+import re
 import sys
 from contextlib import nullcontext
+from types import SimpleNamespace
 from typing import Dict, Iterator, List, Optional
 
 from . import identities, laurent
@@ -48,64 +53,27 @@ MAX_N = 32
 #: the shared flags that LIFTSPIN_<FLAG> environment variables also set
 ENV_FLAGS = ("n", "k", "mode", "prime", "primes-up-to", "precision", "format", "output")
 
+# A flag is (kind, default, help).  The kind is int or str (one value,
+# converted by it), a tuple of choices (one value), APPEND (one value per use,
+# collected in a list), SWITCH (no value, sets True) or MODE (no value, sets
+# mode_flag to the flag's name; two different ones are a usage error).  The
+# default REQUIRED makes the flag mandatory.
+APPEND, SWITCH, MODE = "append", "switch", "mode"
+REQUIRED = object()
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="liftspin",
-        description="Local Euler factors of lifted Siegel eigenforms and "
-                    "their factorization identities.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def shared(p: argparse.ArgumentParser):
-        p.add_argument("--n", type=int, default=2)
-        p.add_argument("--k", type=int, default=10)
-        p.add_argument("--mode", choices=("symbolic", "numeric"), default="symbolic")
-        p.add_argument("--prime", type=int)
-        p.add_argument("--primes-up-to", type=int)
-        p.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
-        p.add_argument("--eigenvalues-file", action="append", default=None,
-                       metavar="[ROLE=]PATH",
-                       help="eigenvalue table '<p> <num>[/<den>]' per line; "
-                            "prefix f= or g= when two forms are in play")
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--output")
-
-    p = sub.add_parser("eigenvalues", help="Hecke eigenvalues of one eigenform")
-    p.add_argument("--weight", type=int, required=True)
-    shared(p)
-
-    p = sub.add_parser("euler", help="emit one side of one identity as a factor")
-    p.add_argument("--identity", choices=EULER_IDENTITIES, required=True)
-    p.add_argument("--side", choices=("lhs", "rhs"), required=True)
-    p.add_argument("--factored", action="store_true",
-                   help="emit the root list instead of expanded coefficients")
-    shared(p)
-
-    p = sub.add_parser("beta-table", help="dump the alpha/beta table for one n")
-    shared(p)
-
-    p = sub.add_parser("lvalue", help="truncated Euler product of the main "
-                                      "identity (non-rigorous approximation)")
-    p.add_argument("--identity", choices=("main_theorem",), default="main_theorem")
-    p.add_argument("--side", choices=("lhs", "rhs"), required=True)
-    p.add_argument("--s", required=True, help="evaluation point, e.g. 25 or 25+2j")
-    shared(p)
-
-    p = sub.add_parser("verify", help="run identity verifications")
-    p.add_argument("--identity", choices=VERIFY_IDENTITIES, default=None)
-    p.add_argument("--all", action="store_true")
-    # either shorthand overrides --mode; giving both is a usage error
-    modes = p.add_mutually_exclusive_group()
-    for mode in ("symbolic", "numeric"):
-        modes.add_argument(f"--{mode}", dest="mode_flag", action="store_const",
-                           const=mode, help=f"shorthand for --mode {mode}")
-    p.add_argument("--witness", action="store_true",
-                   help="include the first differing coefficient on failure")
-    p.add_argument("--negative-control", action="store_true",
-                   help="self test: corrupted runs must fail with a witness")
-    shared(p)
-
-    return parser
+#: the flags every subcommand takes, after its own
+_SHARED = {
+    "n": (int, 2, "n of the lift"),
+    "k": (int, 10, "k of the lift: f has weight 2k, g weight k+n"),
+    "mode": (("symbolic", "numeric"), "symbolic", "exact roots, or values at primes"),
+    "prime": (int, None, "the one prime of a numeric run"),
+    "primes-up-to": (int, None, "every prime up to this bound"),
+    "precision": (int, DEFAULT_PRECISION, "q-expansion precision of computed eigenforms"),
+    "eigenvalues-file": (APPEND, None, "[ROLE=]PATH: an eigenvalue table, '<p> <num>[/<den>]' "
+                                       "per line; prefix f= or g= when two forms are in play"),
+    "format": (("json", "text"), "json", None),
+    "output": (str, None, "write to this file instead of stdout"),
+}
 
 
 # -- output plumbing -----------------------------------------------------------
@@ -369,23 +337,202 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+# -- the command table and its parser ------------------------------------------------
+
+#: subcommand -> (handler, help line, its own flags)
+COMMANDS = {
+    "eigenvalues": (cmd_eigenvalues, "Hecke eigenvalues of one eigenform", {
+        "weight": (int, REQUIRED, "weight of the eigenform"),
+    }),
+    "euler": (cmd_euler, "emit one side of one identity as a factor", {
+        "identity": (EULER_IDENTITIES, REQUIRED, None),
+        "side": (("lhs", "rhs"), REQUIRED, None),
+        "factored": (SWITCH, False, "emit the root list instead of expanded coefficients"),
+    }),
+    "beta-table": (cmd_beta_table, "dump the alpha/beta table for one n", {}),
+    "lvalue": (cmd_lvalue, "truncated Euler product of the main identity "
+                           "(non-rigorous approximation)", {
+        "identity": (("main_theorem",), "main_theorem", None),
+        "side": (("lhs", "rhs"), REQUIRED, None),
+        "s": (str, REQUIRED, "evaluation point, e.g. 25 or 25+2j"),
+    }),
+    "verify": (cmd_verify, "run identity verifications", {
+        "identity": (VERIFY_IDENTITIES, None, None),
+        "all": (SWITCH, False, "the whole symbolic suite, or the numeric one"),
+        "symbolic": (MODE, None, "shorthand for --mode symbolic"),
+        "numeric": (MODE, None, "shorthand for --mode numeric"),
+        "witness": (SWITCH, False, "include the first differing coefficient on failure"),
+        "negative-control": (SWITCH, False, "self test: corrupted runs must fail with a witness"),
+    }),
+}
+
+#: argparse's rule: an argument that looks like this is a value, not an option
+#: (compiled on first use, which few runs reach)
+_NEGATIVE_NUMBER = r"^-\d+$|^-\d*\.\d+$"
+
+
+def _flags(command: str) -> dict:
+    return {**COMMANDS[command][2], **_SHARED}
+
+
+def _flag_text(name: str, kind) -> str:
+    if kind in (SWITCH, MODE):
+        return f"--{name}"
+    if isinstance(kind, tuple):
+        return f"--{name} {{{','.join(kind)}}}"
+    return f"--{name} {name.upper().replace('-', '_')}"
+
+
+def _usage(command: Optional[str]) -> str:
+    if command is None:
+        return f"usage: liftspin [-h] {{{','.join(COMMANDS)}}} ..."
+    required = "".join(f" --{name} {name.upper()}"
+                       for name, (_, default, _) in COMMANDS[command][2].items()
+                       if default is REQUIRED)
+    return f"usage: liftspin {command} [-h]{required} [FLAG ...]"
+
+
+def _help(command: Optional[str]) -> str:
+    if command is None:
+        lines = ["Local Euler factors of lifted Siegel eigenforms and their "
+                 "factorization identities.", "", "commands:"]
+        lines += [f"  {name:12} {about}" for name, (_, about, _) in COMMANDS.items()]
+        lines += ["", "Run 'liftspin COMMAND -h' for the flags of a command.  A flag may "
+                      "be shortened", "to any unique prefix and given as --flag VALUE or "
+                      "--flag=VALUE."]
+    else:
+        lines = [COMMANDS[command][1], "", "flags:", "  -h, --help  show this help and exit"]
+        for name, (kind, default, about) in _flags(command).items():
+            notes = [about] if about else []
+            if default is REQUIRED:
+                notes.append("required")
+            elif default not in (None, False):
+                notes.append(f"default {default}")
+            lines.append(f"  {_flag_text(name, kind)}")
+            if notes:
+                lines.append(f"      {'; '.join(notes)}")
+    return "\n".join([_usage(command), ""] + lines) + "\n"
+
+
+def _fail(command: Optional[str], message: str):
+    """A usage error: usage and message on stderr, then exit 2."""
+    prog = f"liftspin {command}" if command else "liftspin"
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _classify(arg: str, names, command: Optional[str]) -> Optional[tuple]:
+    """(name, value or None) if arg is an option, else None; the name is None
+    for an unknown option.  As argparse reads it: an exact name beats a
+    prefix, two prefix matches are a usage error, a value may follow '=', and
+    a negative number or a string with a space is a value."""
+    if arg[:2] == "-h":  # -hh is -h twice; any other tail is a value -h refuses
+        tail = arg[3:] if arg[2:3] == "=" else arg[2:]
+        return "help", None if arg == "-h" or tail and not tail.strip("h") else tail
+    if arg.startswith("--"):
+        name, eq, value = arg[2:].partition("=")
+        matches = [name] if name in names else [m for m in names if m.startswith(name)]
+        if len(matches) > 1:
+            _fail(command, f"ambiguous option: {arg} could match "
+                           f"{', '.join('--' + m for m in matches)}")
+        if matches:
+            return matches[0], value if eq else None
+    elif len(arg) < 2 or arg[0] != "-" or re.match(_NEGATIVE_NUMBER, arg):
+        return None
+    return None if " " in arg else (None, None)
+
+
+def _help_exit(command: Optional[str], value: Optional[str]):
+    if value is not None:
+        _fail(command, f"argument -h/--help: ignored explicit argument {value!r}")
+    sys.stdout.write(_help(command))
+    raise SystemExit(0)
+
+
+def parse_args(argv: List[str]) -> SimpleNamespace:
+    """`command` and one attribute per flag of its table entry, dashes as
+    underscores (--symbolic and --numeric set mode_flag).  A usage error
+    raises SystemExit(2), -h/--help prints help and raises SystemExit(0);
+    options are read in order, so the first of these wins."""
+    stray, i = [], 0
+    # before the command only --help counts; other options are stray
+    while i < len(argv) and argv[i] != "--" and (hit := _classify(argv[i], ("help",), None)):
+        if hit[0] == "help":
+            _help_exit(None, hit[1])
+        stray.append(argv[i])
+        i += 1
+    if i == len(argv):
+        _fail(None, "the following arguments are required: command")
+    command, args = argv[i], argv[i + 1:]
+    if command not in COMMANDS:
+        _fail(None, f"argument command: invalid choice: {command!r} "
+                    f"(choose from {', '.join(map(repr, COMMANDS))})")
+    flags = _flags(command)
+    # every option is classified before any is read: an ambiguous prefix is an
+    # error even after -h; '--' and all after it are stray
+    end = args.index("--") if "--" in args else len(args)
+    hits = [_classify(arg, ("help", *flags), command) for arg in args[:end]]
+    hits += [None] * (len(args) - end)
+    values = {"command": command}
+    values.update(("mode_flag" if kind == MODE else name.replace("-", "_"),
+                   None if default is REQUIRED else default)
+                  for name, (kind, default, _) in flags.items())
+    seen, j = set(), 0
+    while j < len(args):
+        hit, j = hits[j], j + 1
+        if hit is None or hit[0] is None:
+            stray.append(args[j - 1])
+            continue
+        name, value = hit
+        if name == "help":
+            _help_exit(command, value)
+        kind = flags[name][0]
+        if value is not None and kind in (SWITCH, MODE):
+            _fail(command, f"argument --{name}: ignored explicit argument {value!r}")
+        if value is None and kind not in (SWITCH, MODE):
+            if j >= end or hits[j] is not None:
+                _fail(command, f"argument --{name}: expected one argument")
+            value, j = args[j], j + 1
+        seen.add(name)
+        dest = name.replace("-", "_")
+        if kind == SWITCH:
+            values[dest] = True
+        elif kind == MODE:
+            if values["mode_flag"] not in (None, name):
+                _fail(command, f"argument --{name}: not allowed with argument "
+                               f"--{values['mode_flag']}")
+            values["mode_flag"] = name
+        elif kind == APPEND:
+            values[dest] = (values[dest] or []) + [value]
+        elif isinstance(kind, tuple):
+            if value not in kind:
+                _fail(command, f"argument --{name}: invalid choice: {value!r} "
+                               f"(choose from {', '.join(map(repr, kind))})")
+            values[dest] = value
+        else:
+            try:
+                values[dest] = kind(value)
+            except ValueError:
+                _fail(command, f"argument --{name}: invalid {kind.__name__} value: {value!r}")
+    missing = [f"--{name}" for name, (_, default, _) in flags.items()
+               if default is REQUIRED and name not in seen]
+    if missing:
+        _fail(command, f"the following arguments are required: {', '.join(missing)}")
+    if stray:
+        _fail(command, f"unrecognized arguments: {' '.join(stray)}")
+    return SimpleNamespace(**values)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # variables go in right after the subcommand, so the parser checks them
     # as it checks flags, and an explicit flag, coming later, wins
     env = [f"--{flag}={os.environ[var]}" for flag in ENV_FLAGS
            if (var := "LIFTSPIN_" + flag.upper().replace("-", "_")) in os.environ]
-    args = build_parser().parse_args(argv[:1] + env + argv[1:])
-    handlers = {
-        "eigenvalues": cmd_eigenvalues,
-        "euler": cmd_euler,
-        "beta-table": cmd_beta_table,
-        "lvalue": cmd_lvalue,
-        "verify": cmd_verify,
-    }
+    args = parse_args(argv[:1] + env + argv[1:])
     try:
         _check_size_caps(args)
-        return handlers[args.command](args)
+        return COMMANDS[args.command][0](args)
     except UnsupportedInput as exc:
         print(f"liftspin: unsupported input: {exc}", file=sys.stderr)
         return 3

@@ -199,21 +199,24 @@ def satake_values(f: EigenformData, g: Optional[EigenformData],
 def _shifted_product(N: int, k: int, factor: Callable[[int], LocalFactor],
                      beta_fn: BetaFn, shift_bump: ShiftBump) -> LocalFactor:
     """prod over m = 0..N and r = -m(2N-m)..m(2N-m) (step 2) of factor(m)
-    shifted by q^(m(2k-1)-r), with multiplicity beta(r, m, N)."""
+    shifted by q^(m(2k-1)-r), with multiplicity beta(r, m, N).  Each factor(m)
+    is built once; its shifted roots are checked once, by the product."""
     roots: list = []
     for m in range(N + 1):
         bound = m * (2 * N - m)
+        shifts: list = []
         for r in range(-bound, bound + 1, 2):
             e = beta_fn(r, m, N)
             if e < 0:
                 raise NegativeMultiplicity(
                     f"beta({r},{m},{N}) = {e} < 0: product side undefined")
-            if e == 0:
-                continue
             c = m * (2 * k - 1) - r
             if shift_bump is not None and shift_bump[0] == (m, r):
                 c += shift_bump[1]
-            roots.extend(factor(m).shift(c).roots * e)
+            shifts += [c] * e
+        if shifts:
+            base = factor(m).roots
+            roots += [(e_a, e_b, e_q + c) for c in shifts for e_a, e_b, e_q in base]
     return LocalFactor(roots)
 
 

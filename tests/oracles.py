@@ -12,6 +12,8 @@ Victor Miller basis that the packed q-expansion product and the
 Delta E4^a E6^b eigenforms are tested against.  `coefficients`,
 `to_json_dict` and `factored_json_dict` decode a LocalFactor into term
 tuples and dicts, which the package's streaming writers never build.
+`build_parser` is the argparse parser the CLI's flag table replaced, kept
+as the reference that `cli.parse_args` is tested against.
 
 A polynomial is a finite map from exponent vectors (e_a, e_b, e_q, e_T) to
 nonzero integer coefficients.  a, b and q are Laurent variables; T (for
@@ -22,15 +24,18 @@ lexicographically on (e_T, e_a, e_b, e_q) for printing and encoding.
 
 from __future__ import annotations
 
+import argparse
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, List, Mapping, Sequence, Tuple, Union
 
 from liftspin.beta import symmetric_odd_set, table
+from liftspin.cli import EULER_IDENTITIES, VERIFY_IDENTITIES
 from liftspin.errors import NonPrime
 from liftspin.laurent import json_dict
-from liftspin.qexp import QExpansion, dim_cusp_forms, eisenstein, is_prime
+from liftspin.qexp import (DEFAULT_PRECISION, QExpansion, dim_cusp_forms, eisenstein,
+                           is_prime)
 from liftspin.satake import SatakeParams, miyawaki_satake, mono_inv, mono_mul
 
 Exponents = Tuple[int, int, int, int]
@@ -492,3 +497,63 @@ def hecke_operator(form: QExpansion, p: int) -> QExpansion:
     a, pk = form.coeffs, p ** (form.weight - 1)
     return QExpansion(form.weight, [a[n * p] + (0 if n % p else pk * a[n // p])
                                     for n in range(form.precision // p + 1)])
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argparse parser before `cli.COMMANDS` replaced it."""
+    parser = argparse.ArgumentParser(
+        prog="liftspin",
+        description="Local Euler factors of lifted Siegel eigenforms and "
+                    "their factorization identities.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def shared(p: argparse.ArgumentParser):
+        p.add_argument("--n", type=int, default=2)
+        p.add_argument("--k", type=int, default=10)
+        p.add_argument("--mode", choices=("symbolic", "numeric"), default="symbolic")
+        p.add_argument("--prime", type=int)
+        p.add_argument("--primes-up-to", type=int)
+        p.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
+        p.add_argument("--eigenvalues-file", action="append", default=None,
+                       metavar="[ROLE=]PATH",
+                       help="eigenvalue table '<p> <num>[/<den>]' per line; "
+                            "prefix f= or g= when two forms are in play")
+        p.add_argument("--format", choices=("json", "text"), default="json")
+        p.add_argument("--output")
+
+    p = sub.add_parser("eigenvalues", help="Hecke eigenvalues of one eigenform")
+    p.add_argument("--weight", type=int, required=True)
+    shared(p)
+
+    p = sub.add_parser("euler", help="emit one side of one identity as a factor")
+    p.add_argument("--identity", choices=EULER_IDENTITIES, required=True)
+    p.add_argument("--side", choices=("lhs", "rhs"), required=True)
+    p.add_argument("--factored", action="store_true",
+                   help="emit the root list instead of expanded coefficients")
+    shared(p)
+
+    p = sub.add_parser("beta-table", help="dump the alpha/beta table for one n")
+    shared(p)
+
+    p = sub.add_parser("lvalue", help="truncated Euler product of the main "
+                                      "identity (non-rigorous approximation)")
+    p.add_argument("--identity", choices=("main_theorem",), default="main_theorem")
+    p.add_argument("--side", choices=("lhs", "rhs"), required=True)
+    p.add_argument("--s", required=True, help="evaluation point, e.g. 25 or 25+2j")
+    shared(p)
+
+    p = sub.add_parser("verify", help="run identity verifications")
+    p.add_argument("--identity", choices=VERIFY_IDENTITIES, default=None)
+    p.add_argument("--all", action="store_true")
+    # either shorthand overrides --mode; giving both is a usage error
+    modes = p.add_mutually_exclusive_group()
+    for mode in ("symbolic", "numeric"):
+        modes.add_argument(f"--{mode}", dest="mode_flag", action="store_const",
+                           const=mode, help=f"shorthand for --mode {mode}")
+    p.add_argument("--witness", action="store_true",
+                   help="include the first differing coefficient on failure")
+    p.add_argument("--negative-control", action="store_true",
+                   help="self test: corrupted runs must fail with a witness")
+    shared(p)
+
+    return parser

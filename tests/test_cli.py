@@ -625,11 +625,9 @@ def test_table_prime_outside_ascii_digits_exit2(capsys, tmp_path):
 
 def test_identity_choices_come_from_the_registry():
     from liftspin import identities
-    from liftspin.cli import build_parser
+    from liftspin.cli import COMMANDS
 
-    subparsers = next(a for a in build_parser()._actions if a.dest == "command").choices
-    choices = {name: next(a for a in subparsers[name]._actions if a.dest == "identity").choices
-               for name in ("euler", "verify")}
+    choices = {name: COMMANDS[name][2]["identity"][0] for name in ("euler", "verify")}
     assert tuple(choices["euler"]) == tuple(
         name for name, i in identities.IDENTITIES.items() if i.sides is not None)
     assert tuple(choices["euler"]) == ("main_theorem", "ikeda_spinor", "ikeda_standard",
@@ -664,3 +662,45 @@ def test_symbolic_suite_needs_only_the_standard_library():
     reports = json.loads(proc.stdout)
     assert len(reports) == sum(len(i.grid) for i in identities.IDENTITIES.values())
     assert all(r["verdict"] == "pass" for r in reports)
+
+
+def test_cli_runs_load_no_argparse():
+    # the flag table is parsed without argparse, whose import and parser set-up
+    # took longer than the work of most commands
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = """if True:
+        import contextlib, io, sys
+        sys.path.insert(0, sys.argv[1])
+        import liftspin.cli
+        codes = []
+        for argv in sys.argv[2:]:
+            with contextlib.redirect_stdout(io.StringIO()), \\
+                    contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    codes.append(liftspin.cli.main(argv.split()))
+                except SystemExit as exc:
+                    codes.append(exc.code)
+        print(codes, sorted({"argparse", "gettext"} & set(sys.modules)))
+    """
+    argvs = ["eigenvalues --weight 12 --prime 2", "euler --identity main_theorem --side lhs",
+             "beta-table --n 3", "lvalue --side lhs --s 25 --prime 2",
+             "verify --identity main_theorem", "verify -h", "verify --bogus"]
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", script, str(src), *argvs],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == ["[0, 0, 0, 0, 0, 0, 2] []", ""]
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("command", [None, "eigenvalues", "euler", "beta-table", "lvalue",
+                                     "verify"])
+def test_help_names_every_command_and_flag(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([flag] if command is None else [command, flag])
+    out = capsys.readouterr()
+    assert exc.value.code == 0 and out.err == ""
+    words = set(out.out.split())
+    if command is None:
+        assert set(cli.COMMANDS) <= words
+    else:
+        assert {f"--{name}" for name in cli._flags(command)} <= words

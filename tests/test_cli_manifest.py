@@ -229,7 +229,7 @@ def run_argv(argv: str):
     with redirect_stdout(out), redirect_stderr(err):
         try:
             code = main([arg.replace("{golden}", str(GOLDEN)) for arg in argv.split()])
-        except SystemExit as exc:  # argparse usage errors
+        except SystemExit as exc:  # usage errors
             code = exc.code
     return code, out.getvalue().encode("utf-8")
 

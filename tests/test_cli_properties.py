@@ -1,0 +1,120 @@
+"""The CLI's flag table parses every argv as the argparse parser it
+replaced (`oracles.build_parser`) does: the same namespace, or the same
+SystemExit code."""
+
+import io
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from liftspin import cli  # noqa: E402
+from oracles import build_parser  # noqa: E402
+
+_ORACLE = build_parser()
+_NAMES = sorted({name for _, _, own in cli.COMMANDS.values() for name in own}
+                | set(cli._SHARED) | {"help"})
+
+
+@st.composite
+def _options(draw):
+    """A flag of any command, whole or cut to a prefix, maybe with '=value'."""
+    name = draw(st.sampled_from(_NAMES))
+    name = name[:draw(st.integers(0, len(name)))] if draw(st.booleans()) else name
+    suffix = draw(st.sampled_from(["", "", "=", "=2", "=-3", "=abc", "=main_theorem"]))
+    return f"--{name}{suffix}"
+
+
+_VALUES = st.sampled_from([
+    "2", "10", "0", "33", "-3", "-0.5", "-.5", "1.5", "1e3", "abc", "", "x y", "25+2j",
+    "main_theorem", "ikeda_spinor", "all", "bogus", "lhs", "rhs", "json", "text", "yaml",
+    "symbolic", "numeric", "f=t.txt", "stray", "-", "--", "-x", "-3x", "-x y", "--n 2",
+    "-h", "--help", "--he", "-hh", "-hx", "-h=h", "-h=",
+])
+_TOKENS = st.one_of(_options(), _VALUES, _VALUES, st.text("-=hn2 ", max_size=4))
+_COMMANDS = st.sampled_from(list(cli.COMMANDS))
+
+
+def _value(kind):
+    if isinstance(kind, tuple):
+        return st.sampled_from(kind)
+    if kind is int:
+        return st.integers(-40, 40).map(str)
+    return st.sampled_from(["25", "-1", "f=t.txt", "x y", "25+2j", "-1+2j", "-1 +2j"])
+
+
+@st.composite
+def _flag_runs(draw):
+    """A command and its flags, the required ones among them, each whole or
+    cut to a prefix, with a value of its kind: mostly argvs that parse."""
+    command = draw(_COMMANDS)
+    flags = cli._flags(command)
+    names = [name for name, (_, default, _) in flags.items() if default is cli.REQUIRED]
+    names = draw(st.permutations(names + draw(st.lists(st.sampled_from(list(flags)),
+                                                          max_size=5))))
+    argv = [command]
+    for name in names:
+        kind = flags[name][0]
+        flag = "--" + (name if draw(st.booleans()) else name[:draw(st.integers(1, len(name)))])
+        if kind in (cli.SWITCH, cli.MODE):
+            argv.append(flag)
+        elif draw(st.booleans()):
+            argv.append(f"{flag}={draw(_value(kind))}")
+        else:
+            argv += [flag, draw(_value(kind))]
+    return argv
+
+
+@st.composite
+def _argvs(draw):
+    argv = draw(st.one_of(
+        _flag_runs(),
+        st.tuples(_COMMANDS, st.lists(_TOKENS, max_size=8)).map(lambda t: [t[0], *t[1]]),
+        # no command, or options in front of it
+        st.lists(st.one_of(_TOKENS, _COMMANDS), max_size=4),
+    ))
+    # a few strays, missing values, repeats, -h and the like anywhere
+    for token in draw(st.lists(_TOKENS, max_size=2)):
+        argv.insert(draw(st.integers(0, len(argv))), token)
+    return argv
+
+
+def _outcome(parse, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            # usage errors write no stdout, help writes no stderr
+            assert not (out.getvalue() if exc.code else err.getvalue())
+            return "exit", exc.code
+    return "parsed", result
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(_flag_runs(), _argvs()))
+@example(["verify", "--neg", "--wit", "--n", "2"])
+@example(["verify", "--identity=main_theorem", "--n=2", "--k=10"])
+@example(["verify", "--identity", "main_theorem", "--n", "2", "--k", "-3"])
+@example(["euler", "--identity", "main_theorem", "--side", "lhs", "--f"])
+@example(["euler", "-h", "--f"])
+@example(["beta-table", "--n", "2", "stray"])
+@example(["verify", "--symbolic", "--numeric", "-h"])
+@example(["verify", "-h", "--symbolic", "--numeric"])
+@example(["verify", "--symbolic", "--symbolic"])
+@example(["verify", "--eigenvalues-file", "a", "--eig", "g=b", "--n", "3", "--n", "4"])
+@example(["verify", "--n", "--", "3"])
+@example(["verify", "--n", "3", "--"])
+@example(["verify", "--output", "--"])
+@example(["verify", "--all", "--", "--k", "2"])
+@example(["lvalue", "--side", "lhs", "--s", "-1"])
+@example(["lvalue", "--side", "lhs", "--s=-1+2j"])
+@example(["--bogus", "verify", "-h"])
+@example(["--he"])
+@example(["--help=x", "verify"])
+@example([])
+def test_parse_args_matches_argparse(argv):
+    assert _outcome(cli.parse_args, argv) == _outcome(_ORACLE.parse_args, argv)
