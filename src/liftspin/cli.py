@@ -9,12 +9,12 @@ also come from LIFTSPIN_* environment variables, checked as the flags are;
 explicit flags win.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (a flag the
-table refuses, a stray argument, inconsistent flags, no prime flag where one is needed, a prime bound
-below 2, malformed eigenvalue tables), 3 unsupported input (a weight
-whose cusp space is not one-dimensional, an eigenvalue outside Deligne's
-bound or not an integer, genus, expansion, --n, precision, prime-bound, --prime
-and table-prime caps, a non-finite or out-of-range --s, numeric roots past
-double range at a prime).
+table refuses, a stray argument, inconsistent flags, no prime flag where
+one is needed, a prime bound below 2, malformed eigenvalue tables), 3
+unsupported input (a weight whose cusp space is not one-dimensional, an
+eigenvalue outside Deligne's bound or not an integer, genus, expansion,
+--n, precision, prime-bound, --prime and table-prime caps, a non-finite or
+out-of-range --s, numeric roots past double range at a prime).
 """
 
 from __future__ import annotations
