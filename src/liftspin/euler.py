@@ -36,7 +36,8 @@ reverses the canonical order, so T^(N-d) is T^d's slots walked backwards.
 terms, 28.5 MB, in about 0.2 s at degree 64), and `text_chunks` the
 `--format text` lines, each coefficient's compact JSON, from the same walk.
 Factored, both write the roots in canonical order through one root
-template each, with no per-root dict; `laurent` holds the layouts.  The
+template each, with no per-root dict: each distinct root is formatted
+once and repeated by its multiplicity; `laurent` holds the layouts.  The
 labels written come from the caller.  `numeric_coefficients` expands
 complex roots; it is quadratic and not capped.
 """
@@ -45,7 +46,8 @@ from __future__ import annotations
 
 import math
 import sys
-from itertools import accumulate, count, product, repeat
+from collections import Counter
+from itertools import accumulate, chain, count, product, repeat
 from operator import add, or_
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -123,6 +125,13 @@ class LocalFactor:
     The constant term is 1 and the degree equals the number of roots by
     construction.  A factor carries no name; the serializers take the label
     to write.  Instances are immutable.
+
+    `LocalFactor(roots)` checks every root.  Three builders pass
+    `_checked=True` instead, as their roots are sums and negations of
+    exponents already checked: `spinor_factor` and `standard_factor` of
+    SatakeParams, which checks its own parameters, and the identities'
+    shifted products, of checked factors shifted by ints.  They skip the
+    check, not `__init__`, where perfbench's tracer counts the factors.
     """
 
     __slots__ = ("roots",)
@@ -130,8 +139,9 @@ class LocalFactor:
     #: read by perfbench's tracer, which counts the factors built
     mode = "symbolic"
 
-    def __init__(self, roots: Sequence[Monomial]):
-        check_units(roots, "roots")
+    def __init__(self, roots: Sequence[Monomial], *, _checked: bool = False):
+        if not _checked:
+            check_units(roots, "roots")
         self.roots = tuple(roots)
 
     @property
@@ -209,9 +219,9 @@ class LocalFactor:
 
     # -- comparison and serialization ---------------------------------------
 
-    def root_multiset(self) -> Tuple:
-        """Sorted root triples; equal tuples, equal polynomials."""
-        return tuple(sorted(self.roots))
+    def root_multiset(self) -> Counter:
+        """The multiplicity of each root; equal counts, equal polynomials."""
+        return Counter(self.roots)
 
     def json_chunks(self, label: str, factored: bool = False) -> Iterator[str]:
         """json.dumps({"label": label, "degree": degree, "coeffs": [...]},
@@ -241,7 +251,9 @@ class LocalFactor:
         """The JSON of each root, in canonical order, or of each expanded
         coefficient, at `depth` (None: compact)."""
         if factored:
-            return map(laurent.root_template(depth).__mod__, sorted(self.roots))
+            template = laurent.root_template(depth)
+            return chain.from_iterable(repeat(template % root, m)
+                                       for root, m in sorted(self.root_multiset().items()))
         return (laurent.coefficient_text(negative, qs, rows, depth)
                 for negative, qs, rows in self._walk())
 
@@ -301,7 +313,7 @@ def spinor_factor(params: SatakeParams) -> LocalFactor:
     roots = [params.mu0]
     for i, j, e in params.mus:
         roots.extend([(a + i, b + j, c + e) for a, b, c in roots])
-    return LocalFactor(roots)
+    return LocalFactor(roots, _checked=True)
 
 
 def standard_factor(params: SatakeParams) -> LocalFactor:
@@ -309,4 +321,4 @@ def standard_factor(params: SatakeParams) -> LocalFactor:
     roots = [(0, 0, 0)]
     for mu in params.mus:
         roots += (mu, mono_inv(mu))
-    return LocalFactor(roots)
+    return LocalFactor(roots, _checked=True)

@@ -9,10 +9,12 @@ suites read the same table.
 Symbolic mode is the primary check: both sides of every identity in scope
 are products of linear terms (1 - root T) whose roots are unit monomials,
 stored as exponent triples (see `satake`), so two sides are equal as
-polynomials exactly when their sorted root tuples coincide.
+polynomials exactly when every root has the same multiplicity on both.
 That comparison is exact at every degree that occurs (8 up to 2048) and by
 unique factorization it is equivalent to expanding and comparing the
-coefficient lists, which stops being tractable around degree 128.
+coefficient lists, which stops being tractable around degree 128.  The
+roots are checked where they enter, as Satake parameters or small factors;
+the large sides are sums of those and are not checked again.
 
 When a symbolic comparison fails, the witness is the T^1 coefficient of
 both sides.  Every root has the implicit coefficient +1, so that
@@ -38,7 +40,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -100,13 +101,15 @@ class VerificationReport:
 # -- comparison ---------------------------------------------------------------
 
 def compare_symbolic(lhs: LocalFactor, rhs: LocalFactor) -> Tuple[bool, Optional[Dict]]:
-    if lhs.root_multiset() == rhs.root_multiset():
+    counts = lhs.root_multiset(), rhs.root_multiset()
+    # dict's ==, in C: Counter's own loops in Python to equate missing and
+    # zero counts, and no count here is zero
+    if dict.__eq__(*counts):
         return True, None
     # the T^1 coefficient, minus the root sum, tells any two multisets apart
-    def t1(side: LocalFactor) -> dict:
-        return laurent.json_dict((*root, -m) for root, m in sorted(Counter(side.roots).items()))
-
-    return False, {"t_degree": 1, "lhs": t1(lhs), "rhs": t1(rhs)}
+    lv, rv = (laurent.json_dict((*root, -m) for root, m in sorted(side.items()))
+              for side in counts)
+    return False, {"t_degree": 1, "lhs": lv, "rhs": rv}
 
 
 def _factored_form(monomial: Monomial,
@@ -200,7 +203,9 @@ def _shifted_product(N: int, k: int, factor: Callable[[int], LocalFactor],
                      beta_fn: BetaFn, shift_bump: ShiftBump) -> LocalFactor:
     """prod over m = 0..N and r = -m(2N-m)..m(2N-m) (step 2) of factor(m)
     shifted by q^(m(2k-1)-r), with multiplicity beta(r, m, N).  Each factor(m)
-    is built once; its shifted roots are checked once, by the product."""
+    is built, and its roots checked, once.  The shifts are ints, as factor(m)
+    refuses any other k, so only the shift bump is checked here, not the
+    shifted roots."""
     roots: list = []
     for m in range(N + 1):
         bound = m * (2 * N - m)
@@ -213,11 +218,15 @@ def _shifted_product(N: int, k: int, factor: Callable[[int], LocalFactor],
             c = m * (2 * k - 1) - r
             if shift_bump is not None and shift_bump[0] == (m, r):
                 c += shift_bump[1]
+                if type(c) is not int:
+                    raise ValueError(
+                        f"roots must be exponent triples (i, j, e) of unit monomials "
+                        f"a^i b^j q^e; shift_bump moves q by {shift_bump[1]!r}")
             shifts += [c] * e
         if shifts:
             base = factor(m).roots
             roots += [(e_a, e_b, e_q + c) for c in shifts for e_a, e_b, e_q in base]
-    return LocalFactor(roots)
+    return LocalFactor(roots, _checked=True)
 
 
 def miyawaki_spinor_lhs(n: int, k: int,

@@ -11,7 +11,9 @@ criteria use, and the schoolbook product and the full-row echelonized
 Victor Miller basis that the packed q-expansion product and the
 Delta E4^a E6^b eigenforms are tested against.  `coefficients`,
 `to_json_dict` and `factored_json_dict` decode a LocalFactor into term
-tuples and dicts, which the package's streaming writers never build.
+tuples and dicts, which the package's streaming writers never build;
+`text_lines` writes their `--format text` lines entry by entry, and
+`symbolic_witness` the T^1 witness from sorted roots, not from counts.
 `build_parser` is the argparse parser the CLI's flag table replaced, kept
 as the reference that `cli.parse_args` is tested against.
 
@@ -25,9 +27,10 @@ lexicographically on (e_T, e_a, e_b, e_q) for printing and encoding.
 from __future__ import annotations
 
 import argparse
+import json
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
 from typing import Iterable, List, Mapping, Sequence, Tuple, Union
 
 from liftspin.beta import symmetric_odd_set, table
@@ -271,6 +274,23 @@ def factored_json_dict(factor, label: str) -> dict:
     """The root list as `euler --factored --format json` writes it."""
     roots = [json_dict([(*root, 1)]) for root in sorted(factor.roots)]
     return {"label": label, "degree": factor.degree, "roots": roots}
+
+
+def text_lines(data: dict, key: str) -> str:
+    """The --format text lines of a factor's JSON data (`key` "coeffs" or
+    "roots"), each entry's json.dumps after its index."""
+    lines = [f"label:  {data['label']}", f"degree: {data['degree']}"]
+    lines += [f"{key[:-1]} {i}: {json.dumps(entry)}" for i, entry in enumerate(data[key])]
+    return "\n".join(lines)
+
+
+def symbolic_witness(lhs, rhs) -> dict:
+    """The T^1 witness of two symbolic factors from their sorted roots: each
+    run of equal roots is one term, its coefficient minus the run length."""
+    def t1(roots) -> dict:
+        return json_dict((*root, -len(list(run))) for root, run in groupby(sorted(roots)))
+
+    return {"t_degree": 1, "lhs": t1(lhs.roots), "rhs": t1(rhs.roots)}
 
 
 def as_poly(factor) -> LaurentPoly:

@@ -13,7 +13,7 @@ import pytest
 
 from liftspin.errors import ExpansionTooLarge
 from liftspin.euler import LocalFactor, _box, _slot_format
-from oracles import coefficients, factored_json_dict, to_json_dict
+from oracles import coefficients, factored_json_dict, text_lines, to_json_dict
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
@@ -76,7 +76,7 @@ def test_packed_expansion_matches_reference(roots):
     # the root list is written at any degree, in canonical order
     factored = factored_json_dict(factor, label)
     assert "".join(factor.json_chunks(label, factored=True)) == json.dumps(factored, indent=2)
-    assert "".join(factor.text_chunks(label, factored=True)) == _text(factored, "roots")
+    assert "".join(factor.text_chunks(label, factored=True)) == text_lines(factored, "roots")
     if _box(sorted(roots), len(roots) // 2) is None:
         for chunks in (factor.json_chunks(label), factor.text_chunks(label)):
             with pytest.raises(ExpansionTooLarge, match="factored form"):
@@ -89,7 +89,7 @@ def test_packed_expansion_matches_reference(roots):
         {"terms": [{"e": [*key, 0], "c": str(value)} for key, value in sorted(coeff.items())]}
         for coeff in reference]}
     assert "".join(factor.json_chunks(label)) == json.dumps(data, indent=2)
-    assert "".join(factor.text_chunks(label)) == _text(data, "coeffs")
+    assert "".join(factor.text_chunks(label)) == text_lines(data, "coeffs")
     # only degrees 0 to degree // 2 are expanded; the rest is reflected
     assert len(factor._expand()) == len(roots) // 2 + 1
     assert to_json_dict(factor, label) == data
@@ -100,14 +100,6 @@ def test_packed_expansion_matches_reference(roots):
     # no coefficient of the product is ever empty
     for d, coeff in enumerate(got):
         assert coeff and all((c > 0) == (d % 2 == 0) for *_, c in coeff)
-
-
-def _text(data, key):
-    """The --format text lines of a factor's JSON data, as the CLI wrote
-    them from json.dumps before the text writer streamed them."""
-    lines = [f"label:  {data['label']}", f"degree: {data['degree']}"]
-    lines += [f"{key[:-1]} {i}: {json.dumps(entry)}" for i, entry in enumerate(data[key])]
-    return "\n".join(lines)
 
 
 def test_examples_take_the_path_they_name():

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from liftspin import euler, satake
 from liftspin.beta import beta_value
 from liftspin.errors import GenusTooLarge
 from liftspin.euler import LocalFactor, numeric_coefficients
@@ -25,7 +26,7 @@ from liftspin.identities import (
     verify,
 )
 from liftspin.qexp import EigenformData, eigenform
-from liftspin.satake import SatakeParams, miyawaki_satake, mono_inv, mono_mul
+from liftspin.satake import SatakeParams, check_units, miyawaki_satake, mono_inv, mono_mul
 from oracles import c1_eigenvalue, coefficients, frobenius_eigenvalue, weyl_sigma
 
 
@@ -230,6 +231,42 @@ def test_negative_beta_is_structural_failure():
 def test_shift_bump_fails():
     report = verify("main_theorem", 3, 10, shift_bump=((1, 1), -1))
     assert not report.passed and report.witness is not None
+
+
+def test_float_shift_bump_is_refused_as_a_root():
+    with pytest.raises(ValueError, match="exponent triples"):
+        verify("main_theorem", 3, 10, shift_bump=((1, 1), 1.5))
+
+
+def test_bool_shift_bump_moves_by_one():
+    bumped = verify("main_theorem", 3, 10, shift_bump=((1, 1), True))
+    assert not bumped.passed
+    assert bumped.witness == verify("main_theorem", 3, 10, shift_bump=((1, 1), 1)).witness
+
+
+@pytest.mark.parametrize("build", [main_theorem_rhs, ikeda_spinor_sides, miyawaki_spinor_lhs])
+def test_float_k_is_refused_as_a_root(build):
+    with pytest.raises(ValueError, match="exponent triples"):
+        build(3, 10.5)
+
+
+def test_roots_are_checked_where_they_enter(monkeypatch):
+    # the sides are sums of checked ints: only the Satake parameters and the
+    # small factors the product repeats are checked, not the 2048 roots
+    seen = []
+
+    def counting(items, what):
+        items = list(items)
+        seen.append(len(items))
+        check_units(items, what)
+
+    monkeypatch.setattr(satake, "check_units", counting)
+    monkeypatch.setattr(euler, "check_units", counting)
+    assert verify("main_theorem", 6, 10).passed
+    assert 0 < sum(seen) <= 100
+    seen.clear()
+    assert not any(report.passed for report in negative_control_reports(6, 10))
+    assert 0 < sum(seen) <= 300
 
 
 def test_hooks_are_refused_where_an_identity_takes_none():

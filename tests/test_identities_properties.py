@@ -5,13 +5,21 @@ With +1-coefficient unit-monomial roots, the T^1 coefficient is minus the
 root sum and so determines the root multiset; `compare_symbolic` relies on
 that instead of searching deeper coefficients.  The perturbations are the
 three mutation hooks: one beta multiplicity, one shift, one Satake exponent.
+
+`compare_symbolic` and the factored writers count each distinct root once;
+on root lists full of repeats, their verdict, witness and bytes equal those
+built from the sorted roots one at a time.
 """
+
+import json
 
 import pytest
 
 from liftspin.beta import beta_value
-from liftspin.identities import verify
+from liftspin.euler import LocalFactor
+from liftspin.identities import compare_symbolic, verify
 from liftspin.satake import SatakeParams, ikeda_satake, miyawaki_satake, mono_mul
+from oracles import factored_json_dict, symbolic_witness, text_lines
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -67,3 +75,27 @@ def test_single_perturbation_fails_at_t_degree_1(case):
     assert not report.passed
     assert report.witness["t_degree"] == 1
     assert report.witness["lhs"] != report.witness["rhs"]
+
+
+# 27 distinct roots, so lists of up to 40 repeat some
+_roots = st.lists(st.tuples(*[st.integers(-1, 1)] * 3), max_size=40)
+
+
+@st.composite
+def sides(draw):
+    lhs = draw(_roots)
+    rhs = draw(st.one_of(st.permutations(lhs), _roots))
+    return LocalFactor(lhs), LocalFactor(rhs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sides())
+def test_counted_roots_match_sorted_roots(case):
+    lhs, rhs = case
+    ok, witness = compare_symbolic(lhs, rhs)
+    assert ok == (sorted(lhs.roots) == sorted(rhs.roots))
+    assert witness == (None if ok else symbolic_witness(lhs, rhs))
+    for side in case:
+        factored = factored_json_dict(side, "x")
+        assert "".join(side.json_chunks("x", factored=True)) == json.dumps(factored, indent=2)
+        assert "".join(side.text_chunks("x", factored=True)) == text_lines(factored, "roots")
