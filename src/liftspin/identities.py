@@ -58,6 +58,7 @@ from .qexp import EigenformData, check_eigenvalue, hecke_eigenvalue, numeric_sat
 from .satake import (
     Monomial,
     SatakeParams,
+    check_units,
     elliptic_satake,
     ikeda_satake,
     miyawaki_satake,
@@ -218,10 +219,7 @@ def _shifted_product(N: int, k: int, factor: Callable[[int], LocalFactor],
             c = m * (2 * k - 1) - r
             if shift_bump is not None and shift_bump[0] == (m, r):
                 c += shift_bump[1]
-                if type(c) is not int:
-                    raise ValueError(
-                        f"roots must be exponent triples (i, j, e) of unit monomials "
-                        f"a^i b^j q^e; shift_bump moves q by {shift_bump[1]!r}")
+                check_units(((0, 0, c),), "roots")
             shifts += [c] * e
         if shifts:
             base = factor(m).roots

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from liftspin import euler, satake
+from liftspin import euler, identities, satake
 from liftspin.beta import beta_value
 from liftspin.errors import GenusTooLarge
 from liftspin.euler import LocalFactor, numeric_coefficients
@@ -262,6 +262,7 @@ def test_roots_are_checked_where_they_enter(monkeypatch):
 
     monkeypatch.setattr(satake, "check_units", counting)
     monkeypatch.setattr(euler, "check_units", counting)
+    monkeypatch.setattr(identities, "check_units", counting)
     assert verify("main_theorem", 6, 10).passed
     assert 0 < sum(seen) <= 100
     seen.clear()
