@@ -14,7 +14,7 @@ one is needed, a prime bound below 2, malformed eigenvalue tables), 3
 unsupported input (a weight whose cusp space is not one-dimensional, an
 eigenvalue outside Deligne's bound or not an integer, genus, expansion,
 --n, precision, prime-bound, --prime and table-prime caps, a non-finite or
-out-of-range --s, numeric roots past double range at a prime).
+out-of-range --s, numeric roots or expanded coefficients past double range).
 """
 
 from __future__ import annotations

@@ -39,11 +39,13 @@ Factored, both write the roots in canonical order through one root
 template each, with no per-root dict: each distinct root is formatted
 once and repeated by its multiplicity; `laurent` holds the layouts.  The
 labels written come from the caller.  `numeric_coefficients` expands
-complex roots; it is quadratic and not capped.
+complex roots; it is quadratic and not capped, and refuses a coefficient
+past double range with NumericOverflow.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from collections import Counter
@@ -129,9 +131,10 @@ class LocalFactor:
     `LocalFactor(roots)` checks every root.  Three builders pass
     `_checked=True` instead, as their roots are sums and negations of
     exponents already checked: `spinor_factor` and `standard_factor` of
-    SatakeParams, which checks its own parameters, and the identities'
-    shifted products, of checked factors shifted by ints.  They skip the
-    check, not `__init__`, where perfbench's tracer counts the factors.
+    SatakeParams, which checks its own parameters, and `identities._product`,
+    which builds every product side from checked factors shifted by ints.
+    They skip the check, not `__init__`, where perfbench's tracer counts the
+    factors.
     """
 
     __slots__ = ("roots",)
@@ -200,12 +203,6 @@ class LocalFactor:
 
     # -- transformations ---------------------------------------------------
 
-    def shift(self, c: int) -> "LocalFactor":
-        """Replace T by q^c T, realizing the shift s -> s - c/2."""
-        if not c:
-            return self
-        return LocalFactor(tuple((e_a, e_b, e_q + c) for e_a, e_b, e_q in self.roots))
-
     def instantiate(self, alpha: complex, beta: complex, prime: int) -> Tuple[complex, ...]:
         """The roots at a = alpha, b = beta, q = sqrt(prime), as complex
         numbers in root order; NumericOverflow if one leaves double range."""
@@ -260,35 +257,27 @@ class LocalFactor:
 
 def numeric_coefficients(roots: Sequence[complex]) -> List[complex]:
     """Coefficients of T^0 to T^len(roots) of prod (1 - root T) at complex
-    roots, one root at a time; quadratic, so not capped."""
+    roots, one root at a time; quadratic, so not capped.  Complex products
+    overflow to inf or nan silently, and coefficient d stays non-finite once
+    it is, so one check at the end raises NumericOverflow."""
     coeffs = [1 + 0j]
     for root in roots:
         # new coefficient d is old d minus root times old d-1
         coeffs = coeffs[:1] + [upper - root * lower
                                for upper, lower in zip(coeffs[1:] + [0j], coeffs)]
+    if not all(map(cmath.isfinite, coeffs)):
+        raise NumericOverflow(
+            f"a coefficient of a degree-{len(roots)} factor leaves double range; "
+            f"use the factored form instead")
     return coeffs
 
 
 # -- factor constructors -----------------------------------------------------
 
-def hecke_factor(role: str, k: int, n: int) -> LocalFactor:
-    """Degree-2 factor of f (weight 2k) or g (weight k+n).
-
-    Expanded, the f factor is 1 - (a + 1/a) q^(2k-1) T + q^(4k-2) T^2,
-    matching 1 - lambda_f(p) p^-s + p^(2k-1-2s); same shape for g with
-    b and q^(k+n-1).
-    """
-    if role == "f":
-        e = 2 * k - 1
-        return LocalFactor(((1, 0, e), (-1, 0, e)))
-    if role == "g":
-        e = k + n - 1
-        return LocalFactor(((0, 1, e), (0, -1, e)))
-    raise ValueError(f"role must be 'f' or 'g', got {role!r}")
-
-
 def sym_power_factor(m: int, k: int) -> LocalFactor:
-    """Degree-(m+1) symmetric-power factor of f; m = 0 degenerates to 1 - T."""
+    """Degree-(m+1) symmetric-power factor of f; m = 0 degenerates to 1 - T,
+    the local zeta factor, and m = 1 is the plain f factor, 1 - lambda_f(p)
+    p^-s + p^(2k-1-2s)."""
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
     e = m * (2 * k - 1)

@@ -14,7 +14,8 @@ That comparison is exact at every degree that occurs (8 up to 2048) and by
 unique factorization it is equivalent to expanding and comparing the
 coefficient lists, which stops being tractable around degree 128.  The
 roots are checked where they enter, as Satake parameters or small factors;
-the large sides are sums of those and are not checked again.
+the large sides, sums of those from `_product` (every product side) and the
+spinor and standard factors, pass `_checked` and are not checked again.
 
 When a symbolic comparison fails, the witness is the T^1 coefficient of
 both sides.  Every root has the implicit coefficient +1, so that
@@ -48,7 +49,6 @@ from .beta import beta_value
 from .errors import GenusTooLarge
 from .euler import (
     LocalFactor,
-    hecke_factor,
     spinor_factor,
     standard_factor,
     sym_power_factor,
@@ -154,7 +154,7 @@ def _log_sum(scaled: List[complex], rotation: complex) -> complex:
 
 
 def compare_numeric(lhs: LocalFactor, rhs: LocalFactor, alpha: complex, beta: complex,
-                    prime: int, tol: float = NUMERIC_TOL) -> Tuple[bool, Optional[Dict]]:
+                    prime: int) -> Tuple[bool, Optional[Dict]]:
     """Both sides at a = alpha, b = beta, q = sqrt(prime), compared through sum
     log(1 - r t) at t = p^(-c/2) e^(i theta), theta = 1, 2, 3, c the mean
     q-exponent of the left side's roots."""
@@ -166,7 +166,7 @@ def compare_numeric(lhs: LocalFactor, rhs: LocalFactor, alpha: complex, beta: co
         rotation = cmath.exp(1j * theta)
         lv, rv = (_log_sum(roots, rotation) for roots in scaled)
         # written so that a NaN on either side fails
-        if not abs(lv - rv) <= tol * max(abs(lv), abs(rv), 1.0):
+        if not abs(lv - rv) <= NUMERIC_TOL * max(abs(lv), abs(rv), 1.0):
             t = prime ** (-c / 2) * rotation
             return False, {"t": [t.real, t.imag], "lhs": [lv.real, lv.imag],
                            "rhs": [rv.real, rv.imag]}
@@ -198,19 +198,28 @@ def satake_values(f: EigenformData, g: Optional[EigenformData],
     return alpha, beta
 
 
-# -- the beta-weighted product sides ----------------------------------------------
+# -- the product sides ---------------------------------------------------------------
+
+def _product(parts: Sequence[Tuple[LocalFactor, int, int]]) -> LocalFactor:
+    """prod over the parts (factor, c, e) of factor shifted by q^c (T -> q^c T,
+    s -> s - c/2), e times over, with the roots in part order.  Each factor
+    is a small one whose roots were checked when it was built, and each c
+    an int, so the product's roots are not checked again."""
+    return LocalFactor([(e_a, e_b, e_q + c) for factor, c, e in parts
+                        for _ in range(e) for e_a, e_b, e_q in factor.roots], _checked=True)
+
 
 def _shifted_product(N: int, k: int, factor: Callable[[int], LocalFactor],
                      beta_fn: BetaFn, shift_bump: ShiftBump) -> LocalFactor:
     """prod over m = 0..N and r = -m(2N-m)..m(2N-m) (step 2) of factor(m)
     shifted by q^(m(2k-1)-r), with multiplicity beta(r, m, N).  Each factor(m)
-    is built, and its roots checked, once.  The shifts are ints, as factor(m)
-    refuses any other k, so only the shift bump is checked here, not the
-    shifted roots."""
-    roots: list = []
+    is built once, where some multiplicity at m is positive.  The shifts are
+    ints, as factor(m) refuses any other k, so only the shift bump is
+    checked, where it lands."""
+    parts = []
     for m in range(N + 1):
         bound = m * (2 * N - m)
-        shifts: list = []
+        row = []
         for r in range(-bound, bound + 1, 2):
             e = beta_fn(r, m, N)
             if e < 0:
@@ -220,11 +229,11 @@ def _shifted_product(N: int, k: int, factor: Callable[[int], LocalFactor],
             if shift_bump is not None and shift_bump[0] == (m, r):
                 c += shift_bump[1]
                 check_units(((0, 0, c),), "roots")
-            shifts += [c] * e
-        if shifts:
-            base = factor(m).roots
-            roots += [(e_a, e_b, e_q + c) for c in shifts for e_a, e_b, e_q in base]
-    return LocalFactor(roots, _checked=True)
+            row.append((c, e))
+        if any(e for _, e in row):
+            base = factor(m)
+            parts += [(base, c, e) for c, e in row]
+    return _product(parts)
 
 
 def miyawaki_spinor_lhs(n: int, k: int,
@@ -254,18 +263,16 @@ def ikeda_spinor_sides(n: int, k: int, beta_fn: BetaFn = beta_value,
 
 def ikeda_standard_sides(n: int, k: int) -> Sides:
     """Standard factor of the genus-2n lift against zeta times shifted f factors."""
-    roots = [(0, 0, 0)]
-    for i in range(1, 2 * n + 1):
-        roots.extend(hecke_factor("f", k, n).shift(-2 * (k + n - i)).roots)
-    return standard_factor(ikeda_satake(n, k)), LocalFactor(roots)
+    lhs, f = standard_factor(ikeda_satake(n, k)), sym_power_factor(1, k)
+    return lhs, _product([(sym_power_factor(0, k), 0, 1)] +
+                         [(f, -2 * (k + n - i), 1) for i in range(1, 2 * n + 1)])
 
 
 def miyawaki_standard_sides(n: int, k: int) -> Sides:
     """Standard factor of the pair lift against that of g times shifted f factors."""
-    roots = list(standard_factor(elliptic_satake(k + n, "b")).roots)
-    for i in range(1, 2 * n - 1):
-        roots.extend(hecke_factor("f", k, n).shift(-2 * (k + n - 1 - i)).roots)
-    return standard_factor(miyawaki_satake(n, k)), LocalFactor(roots)
+    lhs, f = standard_factor(miyawaki_satake(n, k)), sym_power_factor(1, k)
+    return lhs, _product([(standard_factor(elliptic_satake(k + n, "b")), 0, 1)] +
+                         [(f, -2 * (k + n - 1 - i), 1) for i in range(1, 2 * n - 1)])
 
 
 # -- checks that are not factor equalities ----------------------------------------
@@ -314,28 +321,26 @@ def _deg7_epsilons_check(n: int, k: Optional[int]) -> Tuple[bool, Optional[Dict]
 
 # -- hand-expanded low-degree cases ----------------------------------------------
 
+#: the degree 3/5/7 product sides by n, as written out in the paper: rows
+#: (m, j, {i: count}), each tensor_factor(m) shifted by q^(2(jk - i)) count times
+DISPLAYS = {
+    2: ((1, 1, {0: 1, 1: 1}), (2, 0, {0: 1})),
+    3: ((3, 0, {0: 1}), (2, 1, dict.fromkeys(range(-1, 3), 1)),
+        (1, 2, dict.fromkeys(range(-1, 4), 1))),
+    4: ((4, 0, {0: 1}), (3, 1, dict.fromkeys(range(-2, 4), 1)),
+        (2, 2, DEG7_EPS), (1, 3, DEG7_EPS_PRIME)),
+}
+
+
 def example_display_rhs(n: int, k: int) -> LocalFactor:
-    """The degree 3/5/7 product sides written out factor by factor."""
-    if n == 2:
-        factors = [
-            hecke_factor("g", k, n).shift(2 * k),
-            hecke_factor("g", k, n).shift(2 * k - 2),
-            tensor_factor(2, k, n),
-        ]
-    elif n == 3:
-        factors = [tensor_factor(3, k, n)]
-        factors += [tensor_factor(2, k, n).shift(2 * (k - i)) for i in range(-1, 3)]
-        factors += [hecke_factor("g", k, n).shift(2 * (2 * k - i)) for i in range(-1, 4)]
-    elif n == 4:
-        factors = [tensor_factor(4, k, n)]
-        factors += [tensor_factor(3, k, n).shift(2 * (k - i)) for i in range(-2, 4)]
-        for i, eps in DEG7_EPS.items():
-            factors += [tensor_factor(2, k, n).shift(2 * (2 * k - i))] * eps
-        for i, eps in DEG7_EPS_PRIME.items():
-            factors += [hecke_factor("g", k, n).shift(2 * (3 * k - i))] * eps
-    else:
+    """The degree 3/5/7 product sides written out factor by factor (`DISPLAYS`)."""
+    if n not in DISPLAYS:
         raise ValueError(f"hand-expanded cases exist for n in (2, 3, 4), got {n}")
-    return LocalFactor([root for fac in factors for root in fac.roots])
+    parts = []
+    for m, j, counts in DISPLAYS[n]:
+        factor = tensor_factor(m, k, n)
+        parts += [(factor, 2 * (j * k - i), e) for i, e in counts.items()]
+    return _product(parts)
 
 
 def _example_check(n: int, k: int) -> Tuple[bool, Optional[Dict]]:

@@ -14,6 +14,8 @@ Delta E4^a E6^b eigenforms are tested against.  `coefficients`,
 tuples and dicts, which the package's streaming writers never build;
 `text_lines` writes their `--format text` lines entry by entry, and
 `symbolic_witness` the T^1 witness from sorted roots, not from counts.
+`shifted` moves a factor by q^c root by root, the reference for the
+identities' one product builder.
 `build_parser` is the argparse parser the CLI's flag table replaced, kept
 as the reference that `cli.parse_args` is tested against.
 
@@ -36,6 +38,7 @@ from typing import Iterable, List, Mapping, Sequence, Tuple, Union
 from liftspin.beta import symmetric_odd_set, table
 from liftspin.cli import EULER_IDENTITIES, VERIFY_IDENTITIES
 from liftspin.errors import NonPrime
+from liftspin.euler import LocalFactor
 from liftspin.laurent import json_dict
 from liftspin.qexp import (DEFAULT_PRECISION, QExpansion, dim_cusp_forms, eisenstein,
                            is_prime)
@@ -291,6 +294,11 @@ def symbolic_witness(lhs, rhs) -> dict:
         return json_dict((*root, -len(list(run))) for root, run in groupby(sorted(roots)))
 
     return {"t_degree": 1, "lhs": t1(lhs.roots), "rhs": t1(rhs.roots)}
+
+
+def shifted(factor, c: int) -> LocalFactor:
+    """The factor with T replaced by q^c T, one checked root at a time."""
+    return LocalFactor([(e_a, e_b, e_q + c) for e_a, e_b, e_q in factor.roots])
 
 
 def as_poly(factor) -> LaurentPoly:

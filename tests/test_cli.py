@@ -550,6 +550,21 @@ def test_roots_past_double_range_exit3(capsys):
         assert "leaves double range at p = 999983" in err
 
 
+@pytest.mark.parametrize("identity, n, k, p", [
+    ("example_deg5", 3, 9, 3), ("example_deg5", 3, 9, 199),
+    ("ikeda_spinor", 3, 9, 2), ("example_deg7", 4, 8, 2)])
+def test_coefficients_past_double_range_exit3(capsys, identity, n, k, p):
+    # every root is finite but an expanded coefficient is not: exit 3 before
+    # any output, not NaN or Infinity; the factored roots still print
+    argv = ["euler", "--identity", identity, "--side", "lhs", "--n", str(n),
+            "--k", str(k), "--mode", "numeric", "--prime", str(p)]
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert "factor leaves double range; use the factored form instead" in err
+    code, out, _ = run(capsys, *argv, "--factored")
+    assert code == 0 and "NaN" not in out and "Infinity" not in out
+
+
 def test_numeric_verify_builds_the_sides_once(capsys, tables, monkeypatch):
     built = []
     rhs = identities.main_theorem_rhs

@@ -214,6 +214,19 @@ def _argv_list():
         "euler --identity main_theorem --side lhs --f",
         "beta-table --n 2 stray",
     ]
+    # numeric output in root order, pinned before the product sides moved
+    # to one builder: the standard sides at p = 199, two spinor identities
+    # at p = 2, and L-values over both sides' roots
+    out += [f"euler --identity {ident} --side {side} --n 6 --k 10 --mode numeric --prime 199"
+            for ident in ("ikeda_standard", "miyawaki_standard") for side in ("lhs", "rhs")]
+    out += [f"euler --identity {ident} --side {side} --n 3 --k 9 --mode numeric --prime 2"
+            for ident in ("example_deg5", "main_theorem") for side in ("lhs", "rhs")]
+    out += [f"lvalue --side {side} --n 4 --k 8 --s 60 --primes-up-to 30"
+            for side in ("lhs", "rhs")]
+    # finite roots whose expanded coefficients leave double range (exit 3)
+    out += [f"euler --identity {ident} --side lhs --n {n} --k {k} --mode numeric --prime {p}"
+            for ident, n, k, p in (("example_deg5", 3, 9, 3), ("example_deg5", 3, 9, 199),
+                                   ("ikeda_spinor", 3, 9, 2), ("example_deg7", 4, 8, 2))]
     return out
 
 

@@ -6,21 +6,20 @@ import tracemalloc
 import pytest
 
 from liftspin.cli import MAX_N
-from liftspin.errors import ExpansionTooLarge, GenusTooLarge
+from liftspin.errors import ExpansionTooLarge, GenusTooLarge, NumericOverflow
 from liftspin import euler
 from liftspin.euler import (
     EXPANSION_DEGREE_CAP,
     EXPANSION_TERM_CAP,
     LocalFactor,
     _box,
-    hecke_factor,
     numeric_coefficients,
     spinor_factor,
     standard_factor,
     sym_power_factor,
     tensor_factor,
 )
-from liftspin.identities import IDENTITIES
+from liftspin.identities import IDENTITIES, _product
 from liftspin.qexp import hecke_eigenvalue, numeric_satake
 from liftspin.satake import elliptic_satake, ikeda_satake, miyawaki_satake
 from oracles import (
@@ -31,6 +30,7 @@ from oracles import (
     frobenius_eigenvalue,
     gp_constant,
     poly,
+    shifted,
     weyl_permute,
     weyl_sigma,
 )
@@ -57,7 +57,7 @@ def collapse_a(poly):
 
 def test_hecke_factor_expansion():
     k = 10
-    fac = hecke_factor("f", k, 2)
+    fac = sym_power_factor(1, k)
     c0, c1, c2 = map(poly, coefficients(fac))
     assert c0 == LaurentPoly.one()
     assert c1 == -(mono(e_a=1, e_q=19) + mono(e_a=-1, e_q=19))
@@ -71,7 +71,7 @@ def test_hecke_factor_numeric_delta_pattern(g12):
     # 1 + 24 * 2^-s + 2^(11-2s): coefficients (1, 24, 2048)
     p = 2
     beta = numeric_satake(hecke_eigenvalue(g12, p), 12, p)[0]
-    roots = hecke_factor("g", 10, 2).instantiate(0j, beta, p)
+    roots = tensor_factor(1, 10, 2).instantiate(0j, beta, p)
     c0, c1, c2 = numeric_coefficients(roots)
     assert c0 == pytest.approx(1.0)
     assert c1 == pytest.approx(24.0, rel=1e-12)
@@ -81,7 +81,7 @@ def test_hecke_factor_numeric_delta_pattern(g12):
 def test_sym_power_factor():
     k = 10
     assert coefficients(sym_power_factor(0, k)) == ([(0, 0, 0, 1)], [(0, 0, 0, -1)])
-    assert sym_power_factor(1, k).root_multiset() == hecke_factor("f", k, 0).root_multiset()
+    assert sym_power_factor(1, k).roots == ((1, 0, 19), (-1, 0, 19))
     roots = set(sym_power_factor(2, k).roots)
     assert roots == {(2, 0, 38), (0, 0, 38), (-2, 0, 38)}
     with pytest.raises(ValueError):
@@ -90,7 +90,7 @@ def test_sym_power_factor():
 
 def test_tensor_factor():
     k, n = 10, 2
-    assert tensor_factor(1, k, n).root_multiset() == hecke_factor("g", k, n).root_multiset()
+    assert tensor_factor(1, k, n).roots == ((0, 1, 11), (0, -1, 11))
     fac = tensor_factor(2, k, n)
     assert fac.degree == 4
     # b -> 1/b leaves the factor invariant
@@ -155,7 +155,7 @@ def test_sym_power_determinant_oracle(m):
 def test_spinor_factor_genus1_is_hecke():
     k = 10
     fac = spinor_factor(elliptic_satake(2 * k, "a"))
-    assert fac.root_multiset() == hecke_factor("f", k, 0).root_multiset()
+    assert fac.roots == ((-1, 0, 19), (1, 0, 19))
 
 
 def test_spinor_factor_degree_and_cap():
@@ -205,8 +205,7 @@ def test_ikeda_standard_polynomial_identity():
     lhs = as_poly(standard_factor(ikeda_satake(n, k)))
     rhs = LaurentPoly.one() - LaurentPoly.monomial(e_T=1)
     for i in (1, 2):
-        shifted = hecke_factor("f", k, n).shift(-2 * (k + n - i))
-        rhs = rhs * as_poly(shifted)
+        rhs = rhs * as_poly(shifted(sym_power_factor(1, k), -2 * (k + n - i)))
     assert lhs == rhs
 
 
@@ -235,8 +234,11 @@ def test_shift_matches_substitution():
     # T -> q^5 T, term by term on the expanded factor
     substituted = LaurentPoly(((e_a, e_b, e_q + 5 * e_T, e_T), c)
                               for (e_a, e_b, e_q, e_T), c in as_poly(fac).terms)
-    assert as_poly(fac.shift(5)) == substituted
-    assert as_poly(fac.shift(0)) == as_poly(fac)
+    assert as_poly(_product([(fac, 5, 1)])) == substituted
+    assert as_poly(shifted(fac, 5)) == substituted
+    assert as_poly(_product([(fac, 0, 1)])) == as_poly(fac)
+    # e copies multiply, and e = 0 contributes 1
+    assert as_poly(_product([(fac, 5, 2), (fac, 3, 0)])) == substituted * substituted
 
 
 def test_expansion_cap():
@@ -346,7 +348,7 @@ def test_eval_cross_pipeline_oracle(f20, g12):
     n, k, p = 2, 10, 7
     alpha = numeric_satake(hecke_eigenvalue(f20, p), 20, p)[0]
     beta = numeric_satake(hecke_eigenvalue(g12, p), 12, p)[0]
-    symbolic = spinor_factor(miyawaki_satake(n, k)).shift(-(3 * k))
+    symbolic = shifted(spinor_factor(miyawaki_satake(n, k)), -(3 * k))
     numeric = numeric_coefficients(symbolic.instantiate(alpha, beta, p))
     sq = p ** 0.5
     for sym_c, num_c in zip(coefficients(symbolic), numeric):
@@ -376,10 +378,17 @@ def test_symbolic_eval_matches_numeric_on_convergence_circle(f20, g12):
 def test_numeric_root_product_matches_expansion(g12):
     p = 3
     beta = numeric_satake(hecke_eigenvalue(g12, p), 12, p)[0]
-    roots = hecke_factor("g", 10, 2).instantiate(0.3 + 0.2j, beta, p)
+    roots = tensor_factor(1, 10, 2).instantiate(0.3 + 0.2j, beta, p)
     t = 0.01 + 0.003j
     horner = sum(c * t ** d for d, c in enumerate(numeric_coefficients(roots)))
     assert math.prod(1 - r * t for r in roots) == pytest.approx(horner, rel=1e-12)
+
+
+def test_numeric_coefficients_past_double_range():
+    # finite roots whose product is not: T^2 is 1e400, T^1 stays finite
+    with pytest.raises(NumericOverflow, match="degree-2 factor leaves double range"):
+        numeric_coefficients([1e200 + 0j, 1e200 + 0j])
+    assert numeric_coefficients([1e200 + 0j, -1e-200 + 0j])[2] == pytest.approx(-1.0)
 
 
 # a general polynomial, a 4-vector (with T or without), a float and a bool
@@ -394,7 +403,7 @@ def test_local_factor_rejects_non_triples(bad):
 
 
 def test_json_chunks():
-    fac = hecke_factor("f", 4, 1)
+    fac = sym_power_factor(1, 4)
     data = json.loads("".join(fac.json_chunks("hecke[f]")))
     assert data["label"] == "hecke[f]" and data["degree"] == 2
     assert len(data["coeffs"]) == 3

@@ -27,7 +27,7 @@ from liftspin.identities import (
 )
 from liftspin.qexp import EigenformData, eigenform
 from liftspin.satake import SatakeParams, check_units, miyawaki_satake, mono_inv, mono_mul
-from oracles import c1_eigenvalue, coefficients, frobenius_eigenvalue, weyl_sigma
+from oracles import c1_eigenvalue, coefficients, frobenius_eigenvalue, shifted, weyl_sigma
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -188,7 +188,7 @@ def test_numeric_invariant_under_root_swap(f20, g12):
 
     p = 5
     alpha, beta = satake_values(f20, g12, 2, 10, p)
-    base = miyawaki_spinor_lhs(2, 10).shift(-30)
+    base = shifted(miyawaki_spinor_lhs(2, 10), -30)
     reference = numeric_coefficients(base.instantiate(alpha, beta, p))
     for a, b in ((1 / alpha, beta), (alpha, 1 / beta), (1 / alpha, 1 / beta)):
         swapped = numeric_coefficients(base.instantiate(a, b, p))
@@ -268,6 +268,14 @@ def test_roots_are_checked_where_they_enter(monkeypatch):
     seen.clear()
     assert not any(report.passed for report in negative_control_reports(6, 10))
     assert 0 < sum(seen) <= 300
+    # the standard and displayed sides repeat small factors as well
+    for identity, n, cap in (("ikeda_standard", 6, 30), ("example_deg7", 4, 200)):
+        seen.clear()
+        assert verify(identity, n, 10).passed
+        assert 0 < sum(seen) <= cap, identity
+    seen.clear()
+    assert all(report.passed for report in full_symbolic_suite())
+    assert 0 < sum(seen) <= 1100
 
 
 def test_hooks_are_refused_where_an_identity_takes_none():
