@@ -157,8 +157,8 @@ def compare_numeric(lhs: LocalFactor, rhs: LocalFactor, alpha: complex, beta: co
                     prime: int) -> Tuple[bool, Optional[Dict]]:
     """Both sides at a = alpha, b = beta, q = sqrt(prime), compared through sum
     log(1 - r t) at t = p^(-c/2) e^(i theta), theta = 1, 2, 3, c the mean
-    q-exponent of the left side's roots."""
-    c = sum(e_q for _, _, e_q in lhs.roots) / lhs.degree
+    q-exponent of the left side's roots (0 for an empty left side)."""
+    c = sum(e_q for _, _, e_q in lhs.roots) / lhs.degree if lhs.degree else 0
     # r t = a^i b^j p^((e - c)/2) e^(i theta) stays in double range for any q^e
     scaled = [[alpha ** e_a * beta ** e_b * prime ** ((e_q - c) / 2)
                for e_a, e_b, e_q in side.roots] for side in (lhs, rhs)]
@@ -271,7 +271,7 @@ def ikeda_standard_sides(n: int, k: int) -> Sides:
 def miyawaki_standard_sides(n: int, k: int) -> Sides:
     """Standard factor of the pair lift against that of g times shifted f factors."""
     lhs, f = standard_factor(miyawaki_satake(n, k)), sym_power_factor(1, k)
-    return lhs, _product([(standard_factor(elliptic_satake(k + n, "b")), 0, 1)] +
+    return lhs, _product([(standard_factor(elliptic_satake(k + n)), 0, 1)] +
                          [(f, -2 * (k + n - 1 - i), 1) for i in range(1, 2 * n - 1)])
 
 

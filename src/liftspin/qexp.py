@@ -1,18 +1,18 @@
 """Exact q-expansions of level-one modular forms and Hecke eigenvalue data.
 
-Truncated power series in q = e^(2 pi i tau) with exact coefficients:
-plain ints wherever a value is integral (E4, E6, their monomials, Delta,
-the eigenforms), Fraction only where it is not (Bernoulli numbers,
--2k/B_k for k other than 4 and 6, eigenvalue tables); floats are refused.
+Truncated power series in q = e^(2 pi i tau) with plain int coefficients:
+every series built here (E4, E6, their monomials, Delta, the eigenforms)
+is integral, and any other coefficient is refused.  Fraction remains only
+in the Bernoulli numbers and in eigenvalue data: tables, check_eigenvalue
+and numeric_satake.
 
 Contents: Eisenstein series from the divisor-sum formula, and the
 normalized eigenforms built from E4 and E6.
 
 A product of two series is one big-int multiplication (Kronecker
-substitution): each series, over the common denominator of its
-coefficients, is packed into an int with one fixed-width byte slot per
-coefficient, wide enough for every input coefficient and for n max|a| max|b|;
-the low n slots of the product are the truncated product.
+substitution): each series is packed into an int with one fixed-width byte
+slot per coefficient, wide enough for every input coefficient and for
+n max|a| max|b|; the low n slots of the product are the truncated product.
 
 Eigenforms exist here only at the one-dimensional cuspidal weights 12, 16,
 18, 20, 22 and 26.  Multiplication by Delta = (E4^3 - E6^2)/1728 = q + ...
@@ -30,8 +30,7 @@ import re
 from fractions import Fraction
 from functools import reduce
 from itertools import compress
-from math import comb, isqrt, lcm
-from numbers import Rational
+from math import comb, isqrt
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -98,24 +97,6 @@ def bernoulli(m: int) -> Fraction:
 
 # -- q-expansions ---------------------------------------------------------
 
-def _exact(c):
-    """c as an int when it is integral, else as a Fraction; floats are refused."""
-    if type(c) is int:
-        return c
-    if not isinstance(c, Rational):
-        raise TypeError(f"q-expansion coefficients must be rational, got {c!r}")
-    return int(c) if c.denominator == 1 else Fraction(c)
-
-
-def _numerators(coeffs: Sequence) -> Tuple[Sequence[int], int]:
-    """Integer numerators of exact coefficients over their least common
-    denominator, and that denominator."""
-    den = lcm(*{c.denominator for c in coeffs if type(c) is not int})
-    if den == 1:
-        return coeffs, 1
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
 def _pack(coeffs: Sequence[int], width: int) -> int:
     """sum c_i X^i at X = 2^(8 width), for |c_i| < X/2: each byte slot holds
     c_i + X/2, and the offsets are taken off again as one integer."""
@@ -141,27 +122,24 @@ def _offsets(n: int, width: int) -> int:
 
 
 class QExpansion:
-    """Truncated rational q-expansion of a modular form of a fixed weight.
+    """Truncated integer q-expansion of a modular form of a fixed weight.
 
-    coeffs[n] is the coefficient of q^n (an int when integral, else a
-    Fraction); precision is the last stored index.
+    coeffs[n] is the int coefficient of q^n; precision is the last stored
+    index.
     """
 
     __slots__ = ("weight", "coeffs")
 
-    def __init__(self, weight: int, coeffs: Sequence):
+    def __init__(self, weight: int, coeffs: Sequence[int]):
         self.weight = weight
-        self.coeffs = tuple(map(_exact, coeffs))
+        self.coeffs = tuple(coeffs)
+        for c in self.coeffs:
+            if type(c) is not int:
+                raise TypeError(f"q-expansion coefficients must be ints, got {c!r}")
 
     @property
     def precision(self) -> int:
         return len(self.coeffs) - 1
-
-    def __getitem__(self, n: int):
-        if n < 0 or n > self.precision:
-            raise InsufficientPrecision(
-                f"coefficient {n} requested but expansion stops at {self.precision}")
-        return self.coeffs[n]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QExpansion):
@@ -171,40 +149,23 @@ class QExpansion:
     def __hash__(self) -> int:
         return hash((self.weight, self.coeffs))
 
-    def __add__(self, other: "QExpansion") -> "QExpansion":
-        if self.weight != other.weight:
-            raise ValueError("cannot add expansions of different weights")
-        return QExpansion(self.weight, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
     def __sub__(self, other: "QExpansion") -> "QExpansion":
         if self.weight != other.weight:
             raise ValueError("cannot subtract expansions of different weights")
         return QExpansion(self.weight, [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
-    def __mul__(self, other):
+    def __mul__(self, other: "QExpansion") -> "QExpansion":
         if not isinstance(other, QExpansion):
-            s = _exact(other)
-            return QExpansion(self.weight, [c * s for c in self.coeffs])
+            return NotImplemented
         n = min(len(self.coeffs), len(other.coeffs))
-        a, da = _numerators(self.coeffs[:n])
-        b, db = (a, da) if other is self else _numerators(other.coeffs[:n])
+        a, b = self.coeffs[:n], other.coeffs[:n]
         # slots hold every input coefficient and every product coefficient,
         # each bounded by n max|a| max|b|, with room for the sign
         height_a, height_b = max(map(abs, a), default=0), max(map(abs, b), default=0)
         width = (max(height_a, height_b, n * height_a * height_b).bit_length() + 8) // 8
         packed_a = _pack(a, width)
         packed_b = packed_a if other is self else _pack(b, width)
-        product = _unpack(packed_a * packed_b, n, width)
-        den = da * db
-        if den != 1:
-            product = [Fraction(c, den) for c in product]
-        return QExpansion(self.weight + other.weight, product)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar) -> "QExpansion":
-        s = Fraction(_exact(scalar))
-        return QExpansion(self.weight, [c / s for c in self.coeffs])
+        return QExpansion(self.weight + other.weight, _unpack(packed_a * packed_b, n, width))
 
     def __pow__(self, exponent: int) -> "QExpansion":
         if exponent < 0:
@@ -226,15 +187,19 @@ class QExpansion:
 
 
 def eisenstein(weight: int, precision: int) -> QExpansion:
-    """Normalized Eisenstein series E_k = 1 - (2k/B_k) sum sigma_(k-1)(n) q^n."""
+    """Normalized Eisenstein series E_k = 1 - (2k/B_k) sum sigma_(k-1)(n) q^n,
+    for the weights whose -2k/B_k is an integer: 4, 6, 8, 10 and 14."""
     if weight < 4 or weight % 2:
         raise UnsupportedWeight(f"Eisenstein series needs even weight >= 4, got {weight}")
+    factor = Fraction(-2 * weight) / bernoulli(weight)
+    if factor.denominator != 1:
+        raise UnsupportedWeight(f"E_{weight} has the non-integral factor -2k/B_k = {factor}")
     sigma = [0] * (precision + 1)
     for d in range(1, precision + 1):
         dk = d ** (weight - 1)
         for n in range(d, precision + 1, d):
             sigma[n] += dk
-    factor = _exact(Fraction(-2 * weight) / bernoulli(weight))
+    factor = factor.numerator
     return QExpansion(weight, [1] + [factor * s for s in sigma[1:]])
 
 

@@ -87,10 +87,7 @@ def miyawaki_satake(n: int, k: int) -> SatakeParams:
     return SatakeParams(genus, mu0, mus)
 
 
-def elliptic_satake(weight: int, variable: str = "b") -> SatakeParams:
-    """Genus-1 parameters of an elliptic eigenform of the given weight:
-    mu0 = v^-1 q^(weight-1), mu1 = v^2, where v is 'a' or 'b'."""
-    if variable not in ("a", "b"):
-        raise ValueError(f"variable must be 'a' or 'b', got {variable!r}")
-    i, j = (1, 0) if variable == "a" else (0, 1)
-    return SatakeParams(1, (-i, -j, weight - 1), ((2 * i, 2 * j, 0),))
+def elliptic_satake(weight: int) -> SatakeParams:
+    """Genus-1 parameters of the elliptic eigenform g of the given weight:
+    mu0 = b^-1 q^(weight-1), mu1 = b^2."""
+    return SatakeParams(1, (0, -1, weight - 1), ((0, 2, 0),))

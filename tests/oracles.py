@@ -465,8 +465,9 @@ def schoolbook(a: QExpansion, b: QExpansion) -> list:
 
 def victor_miller_full_rows(weight: int, precision: int) -> List[QExpansion]:
     """The echelonized cusp basis of any weight by reduced row echelon form
-    of the whole E4^a E6^b monomial rows over Fraction (the package builds
-    only the one-dimensional spaces, as Delta E4^a E6^b)."""
+    of the whole E4^a E6^b monomial rows, reduced as Fraction lists (the
+    package builds only the one-dimensional spaces, as Delta E4^a E6^b).
+    The Victor Miller basis is integral, so every reduced row must be."""
     e4, e6 = eisenstein(4, precision), eisenstein(6, precision)
     rows = [[Fraction(c) for c in (e4 ** ((weight - 6 * b) // 4) * e6 ** b).coeffs]
             for b in range(weight // 6 + 1) if (weight - 6 * b) % 4 == 0]
@@ -485,16 +486,20 @@ def victor_miller_full_rows(weight: int, precision: int) -> List[QExpansion]:
         if pivot_row == len(rows):
             break
     assert len(rows) == dim_cusp_forms(weight) + 1
-    return [QExpansion(weight, row) for row in rows[1:]]
+    assert all(c.denominator == 1 for row in rows for c in row), "an integral basis"
+    return [QExpansion(weight, [c.numerator for c in row]) for row in rows[1:]]
 
 
 def delta(precision: int) -> QExpansion:
-    """The weight-12 cusp eigenform, built as (E4^3 - E6^2)/1728."""
+    """The weight-12 cusp eigenform, built as (E4^3 - E6^2)/1728 by exact
+    integer division."""
     if precision < 1:
         raise ValueError("precision must be at least 1")
     e4 = eisenstein(4, precision)
     e6 = eisenstein(6, precision)
-    return (e4 ** 3 - e6 ** 2) / 1728
+    cusp = (e4 ** 3 - e6 ** 2).coeffs
+    assert all(c % 1728 == 0 for c in cusp), "E4^3 - E6^2 is 1728 Delta"
+    return QExpansion(12, [c // 1728 for c in cusp])
 
 
 def delta_eta_product(precision: int) -> QExpansion:

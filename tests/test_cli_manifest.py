@@ -227,6 +227,11 @@ def _argv_list():
     out += [f"euler --identity {ident} --side lhs --n {n} --k {k} --mode numeric --prime {p}"
             for ident, n, k, p in (("example_deg5", 3, 9, 3), ("example_deg5", 3, 9, 199),
                                    ("ikeda_spinor", 3, 9, 2), ("example_deg7", 4, 8, 2))]
+    # --k 0 on commands that never read k: accepted, exit 0
+    out += [
+        "beta-table --n 2 --k 0",
+        "verify --identity beta_epsilon_match --k 0",
+    ]
     return out
 
 

@@ -21,7 +21,7 @@ from liftspin.euler import (
 )
 from liftspin.identities import IDENTITIES, _product
 from liftspin.qexp import hecke_eigenvalue, numeric_satake
-from liftspin.satake import elliptic_satake, ikeda_satake, miyawaki_satake
+from liftspin.satake import SatakeParams, elliptic_satake, ikeda_satake, miyawaki_satake
 from oracles import (
     LaurentPoly,
     as_poly,
@@ -154,7 +154,8 @@ def test_sym_power_determinant_oracle(m):
 
 def test_spinor_factor_genus1_is_hecke():
     k = 10
-    fac = spinor_factor(elliptic_satake(2 * k, "a"))
+    # f's genus-1 parameters: mu0 = a^-1 q^(2k-1), mu1 = a^2
+    fac = spinor_factor(SatakeParams(1, (-1, 0, 2 * k - 1), ((2, 0, 0),)))
     assert fac.roots == ((-1, 0, 19), (1, 0, 19))
 
 
@@ -168,7 +169,7 @@ def test_spinor_factor_degree_and_cap():
 
 
 def test_standard_factor_genus1():
-    fac = standard_factor(elliptic_satake(12, "b"))
+    fac = standard_factor(elliptic_satake(12))
     assert sorted(fac.roots) == [(0, -2, 0), (0, 0, 0), (0, 2, 0)]
 
 

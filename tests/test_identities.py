@@ -406,6 +406,17 @@ def test_numeric_comparison_fails_on_nan():
     assert not ok and set(witness) == {"t", "lhs", "rhs"}
 
 
+def test_numeric_comparison_of_degree_zero_factors():
+    # an empty left side has no mean q-exponent; it is taken as 0, and the
+    # verdict agrees with the symbolic one
+    empty = LocalFactor(())
+    assert compare_symbolic(empty, empty) == (True, None)
+    assert compare_numeric(empty, empty, 1j, 1j, 2) == (True, None)
+    ok, witness = compare_numeric(empty, LocalFactor(((0, 0, 0),)), 1j, 1j, 2)
+    assert not ok and set(witness) == {"t", "lhs", "rhs"}
+    assert compare_symbolic(empty, LocalFactor(((0, 0, 0),)))[0] is False
+
+
 @pytest.mark.parametrize("n,k", [(2, 10), (3, 9), (4, 8), (5, 11), (6, 10)])
 def test_negative_controls_fail_numerically(forms, n, k):
     for p in (2, 199):

@@ -1,5 +1,7 @@
 from fractions import Fraction
+from functools import reduce
 from math import isqrt
+from operator import mul
 
 import pytest
 
@@ -68,8 +70,21 @@ def test_eisenstein_examples():
     assert e4.coeffs == (1, 240, 2160)
     e6 = eisenstein(6, 1)
     assert e6.coeffs == (1, -504)
+    # -2k/B_k is an integer at these weights only; the series stay integral
     for weight in range(4, 28, 2):
-        assert eisenstein(weight, 3).coeffs[0] == 1
+        if weight in (4, 6, 8, 10, 14):
+            assert eisenstein(weight, 3).coeffs[0] == 1
+        else:
+            with pytest.raises(UnsupportedWeight, match="non-integral"):
+                eisenstein(weight, 3)
+
+
+@pytest.mark.parametrize("weight, factors", [(8, (4, 4)), (10, (4, 6)), (14, (4, 4, 6))])
+def test_integral_eisenstein_series_are_products_of_e4_and_e6(weight, factors):
+    # M_8, M_10 and M_14 are one-dimensional, so E8 = E4^2, E10 = E4 E6
+    # and E14 = E4^2 E6; the divisor sums on the left, packed products on the right
+    product = reduce(mul, [eisenstein(w, 200) for w in factors])
+    assert eisenstein(weight, 200) == product
 
 
 def test_eisenstein_rejects_bad_weight():
@@ -225,8 +240,9 @@ def test_integral_expansions_hold_plain_ints():
         form = eigenform(weight, 200)
         assert _plain_ints(form.qexp), weight
         assert type(hecke_eigenvalue(form, 199)) is int
-    # a non-integral Eisenstein factor keeps its exact Fraction
-    assert eisenstein(12, 2).coeffs[1] == Fraction(65520, 691)
+    # a non-integral Eisenstein factor (65520/691 at weight 12) is refused
+    with pytest.raises(UnsupportedWeight):
+        eisenstein(12, 2)
 
 
 def test_delta_oracles_independent_of_eisenstein_route():
@@ -391,10 +407,8 @@ def test_eigenvalue_table_value_forms(tmp_path):
 
 def test_qexpansion_guards():
     x = QExpansion(12, [0, 1, 2])
-    with pytest.raises(InsufficientPrecision):
-        x[3]
     with pytest.raises(ValueError):
-        x + QExpansion(10, [1, 1, 1])
+        x - QExpansion(10, [1, 1, 1])
 
 
 _KRONECKER_CASES = {
@@ -404,8 +418,6 @@ _KRONECKER_CASES = {
     "length one against a longer series": ([5], [2, 3, 4]),
     "all negative": ([-1, -2, -3, -4, -5], [-9, -8, -7, -6, -5]),
     "near 10^40": ([10 ** 40, -(10 ** 40) + 1, 10 ** 40 - 1], [-(10 ** 40), 10 ** 40, 7]),
-    "mixed denominators": ([Fraction(1, 3), 2, Fraction(-5, 7)],
-                           [3, Fraction(5, 7), Fraction(1, 3)]),
     "past 64 bits": ([2 ** 63 - 1] * 6, [-(2 ** 63)] * 6),
     "one slot bound by an input alone": ([0], [32768]),
 }
@@ -420,14 +432,10 @@ def test_packed_product_edge_cases(case):
     assert (a * b).weight == 8
     if case == "past 64 bits":
         assert max(abs(c) for c in expected).bit_length() > 64
-    if case == "mixed denominators":
-        # 1/3 * 3 is a plain int again; the other two keep denominators 21 and 63
-        assert expected == [1, Fraction(131, 21), Fraction(-38, 63)]
-        assert type((a * b).coeffs[0]) is int
 
 
 def test_powers_and_squares():
-    x = QExpansion(6, [1, Fraction(-1, 2), 3, -(10 ** 30)])
+    x = QExpansion(6, [1, -7, 3, -(10 ** 30)])
     assert x ** 0 == QExpansion(0, [1, 0, 0, 0])
     assert x ** 1 == x
     assert list((x * x).coeffs) == schoolbook(x, x)
@@ -437,25 +445,21 @@ def test_powers_and_squares():
         x ** -1
 
 
-def test_qexpansion_normalizes_to_int():
-    two = QExpansion(12, [Fraction(6, 3)])
-    assert two == QExpansion(12, [2])
-    assert hash(two) == hash(QExpansion(12, [2]))
-    assert type(two.coeffs[0]) is int
-    assert type(QExpansion(12, [Fraction(1, 2)]).coeffs[0]) is Fraction
-    with pytest.raises(TypeError):
-        QExpansion(12, [0.5])
+@pytest.mark.parametrize("coeff", [Fraction(1, 2), Fraction(6, 3), 0.5, True])
+def test_qexpansion_holds_only_ints(coeff):
+    # an integral Fraction and a bool are refused too, not converted
+    with pytest.raises(TypeError, match="must be ints"):
+        QExpansion(12, [1, coeff])
 
 
-def test_division_by_a_scalar_is_exact():
+def test_qexpansion_has_no_scalar_arithmetic():
     x = QExpansion(12, [1, 2])
-    assert x / 2 == QExpansion(12, [Fraction(1, 2), 1])
-    assert x / Fraction(2, 3) == QExpansion(12, [Fraction(3, 2), 3])
-    assert type((x / 1).coeffs[1]) is int
-    # floats are refused as they are by multiplication
-    for scalar in (0.1, 2.0):
-        with pytest.raises(TypeError):
-            x / scalar
+    assert x == QExpansion(12, [1, 2]) and hash(x) == hash(QExpansion(12, [1, 2]))
+    for scalar in (2, Fraction(1, 2), 2.0):
         with pytest.raises(TypeError):
             x * scalar
+        with pytest.raises(TypeError):
+            scalar * x
+        with pytest.raises(TypeError):
+            x / scalar
 

@@ -63,12 +63,10 @@ def test_miyawaki_similitude(n, k):
 
 
 def test_elliptic_satake():
-    p = elliptic_satake(12, "b")
+    p = elliptic_satake(12)
     assert p.mu0 == mono(e_b=-1, e_q=11)
     assert p.mus == (mono(e_b=2),)
     assert similitude_holds(p, 2 * (12 - 1))
-    with pytest.raises(ValueError):
-        elliptic_satake(12, "c")
 
 
 def test_constructor_validation():
