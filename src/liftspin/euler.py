@@ -2,12 +2,12 @@
 
 Every L-function in scope has a local factor that splits completely into
 linear terms whose roots are unit monomials a^i b^j q^e, stored as the
-exponent triples (i, j, e) of `satake`; a `LocalFactor` is only those
-roots.  The factored form is therefore the primary representation: it is
-exact at every genus, and two factors are equal as polynomials if and only
-if their root multisets agree, so no identity check, symbolic or numeric,
-needs the expanded coefficients.  Numeric work takes the roots at given
-Satake data as complex numbers (`LocalFactor.instantiate`).
+exponent triples (i, j, e) of `satake`.  A `LocalFactor` is the parts it
+was built from, small root lists and shifted copies of other factors, with
+its roots counted.  Two factors are equal as polynomials if and only if
+their root counts agree, so no identity check needs the expanded
+coefficients, and the symbolic ones list no roots.  Numeric work takes the
+roots, in order, at given Satake data (`LocalFactor.instantiate`).
 
 Expanded coefficient lists (index = T-degree) exist for output only.
 Every term of the T^d coefficient has the sign (-1)^d, so no term ever
@@ -48,10 +48,9 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from collections import Counter
 from itertools import accumulate, chain, count, product, repeat
 from operator import add, or_
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import laurent
 from .errors import ExpansionTooLarge, GenusTooLarge, NumericOverflow
@@ -121,35 +120,53 @@ def _pack(roots: Sequence[Monomial], half: int, cols, steps, strides, width: int
 
 
 class LocalFactor:
-    """One Euler factor at one prime: prod over roots of (1 - root T), each
-    root a unit monomial given by its exponent triple.
+    """One Euler factor at one prime: prod over its roots of (1 - root T),
+    each root a unit monomial given by its exponent triple.
 
-    The constant term is 1 and the degree equals the number of roots by
-    construction.  A factor carries no name; the serializers take the label
-    to write.  Instances are immutable.
-
-    `LocalFactor(roots)` checks every root.  Three builders pass
-    `_checked=True` instead, as their roots are sums and negations of
-    exponents already checked: `spinor_factor` and `standard_factor` of
-    SatakeParams, which checks its own parameters, and `identities._product`,
-    which builds every product side from checked factors shifted by ints.
-    They skip the check, not `__init__`, where perfbench's tracer counts the
-    factors.
+    `LocalFactor(roots)` checks each of a few roots.  `LocalFactor(parts=
+    [(factor, shift, e), ...])` is the product of factor(shift T) e times
+    over, `shift` a monomial, and checks nothing: its factors were checked
+    when built, and its shifts are sums of checked ints.  `counts`, each
+    root's multiplicity (never 0), is built once from the parts' counts;
+    equal counts, equal polynomials.  `roots`, for the float paths only, is
+    listed on first use: the parts in order, each one's shifted roots e
+    times in a row.  A factor carries no name; the serializers take the
+    label to write.  Instances are immutable.
     """
 
-    __slots__ = ("roots",)
+    __slots__ = ("counts", "degree", "_parts", "_roots")
 
     #: read by perfbench's tracer, which counts the factors built
     mode = "symbolic"
 
-    def __init__(self, roots: Sequence[Monomial], *, _checked: bool = False):
-        if not _checked:
+    def __init__(self, roots: Optional[Iterable[Monomial]] = None, *,
+                 parts: Optional[Iterable[Tuple[LocalFactor, Monomial, int]]] = None):
+        if (roots is None) == (parts is None):
+            raise TypeError("LocalFactor takes either roots or parts")
+        counts = {}
+        if parts is None:
+            # a tuple first: checking must not use up an iterator
+            roots = tuple(roots)
             check_units(roots, "roots")
-        self.roots = tuple(roots)
+            for root in roots:
+                counts[root] = counts.get(root, 0) + 1
+        else:
+            parts = tuple(parts)
+            for factor, (s_a, s_b, s_q), e in parts:
+                if e:
+                    for (r_a, r_b, r_q), m in factor.counts.items():
+                        root = (r_a + s_a, r_b + s_b, r_q + s_q)
+                        counts[root] = counts.get(root, 0) + m * e
+        self.counts, self.degree = counts, sum(counts.values())
+        self._parts, self._roots = parts, roots
 
     @property
-    def degree(self) -> int:
-        return len(self.roots)
+    def roots(self) -> Tuple[Monomial, ...]:
+        if self._roots is None:
+            self._roots = tuple(chain.from_iterable(
+                [(r_a + s_a, r_b + s_b, r_q + s_q) for r_a, r_b, r_q in factor.roots] * e
+                for factor, (s_a, s_b, s_q), e in self._parts))
+        return self._roots
 
     # -- expansion --------------------------------------------------------
 
@@ -216,10 +233,6 @@ class LocalFactor:
 
     # -- comparison and serialization ---------------------------------------
 
-    def root_multiset(self) -> Counter:
-        """The multiplicity of each root; equal counts, equal polynomials."""
-        return Counter(self.roots)
-
     def json_chunks(self, label: str, factored: bool = False) -> Iterator[str]:
         """json.dumps({"label": label, "degree": degree, "coeffs": [...]},
         indent=2), or "roots" in canonical order when factored, one piece per
@@ -250,7 +263,7 @@ class LocalFactor:
         if factored:
             template = laurent.root_template(depth)
             return chain.from_iterable(repeat(template % root, m)
-                                       for root, m in sorted(self.root_multiset().items()))
+                                       for root, m in sorted(self.counts.items()))
         return (laurent.coefficient_text(negative, qs, rows, depth)
                 for negative, qs, rows in self._walk())
 
@@ -274,6 +287,10 @@ def numeric_coefficients(roots: Sequence[complex]) -> List[complex]:
 
 # -- factor constructors -----------------------------------------------------
 
+#: 1 - T, the local zeta factor, which the spinor and standard factors shift
+_UNIT = LocalFactor(((0, 0, 0),))
+
+
 def sym_power_factor(m: int, k: int) -> LocalFactor:
     """Degree-(m+1) symmetric-power factor of f; m = 0 degenerates to 1 - T,
     the local zeta factor, and m = 1 is the plain f factor, 1 - lambda_f(p)
@@ -281,7 +298,7 @@ def sym_power_factor(m: int, k: int) -> LocalFactor:
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
     e = m * (2 * k - 1)
-    return LocalFactor(tuple((m - 2 * j, 0, e) for j in range(m + 1)))
+    return LocalFactor((m - 2 * j, 0, e) for j in range(m + 1))
 
 
 def tensor_factor(m: int, k: int, n: int) -> LocalFactor:
@@ -289,25 +306,23 @@ def tensor_factor(m: int, k: int, n: int) -> LocalFactor:
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
     e = (m - 1) * (2 * k - 1) + (k + n - 1)
-    return LocalFactor(tuple((m - 1 - 2 * j, eps, e) for j in range(m) for eps in (1, -1)))
+    return LocalFactor((m - 1 - 2 * j, eps, e) for j in range(m) for eps in (1, -1))
 
 
 def spinor_factor(params: SatakeParams) -> LocalFactor:
     """Degree-2^genus factor: one linear term per subset of {mu_1..mu_g},
-    each with root mu0 times the subset product."""
+    root mu0 times the subset product; S_i(T) = S_(i-1)(T) S_(i-1)(mu_i T)."""
     if params.genus > SPINOR_GENUS_CAP:
         raise GenusTooLarge(
             f"genus {params.genus} spinor factor has degree 2^{params.genus}; "
             f"cap is {SPINOR_GENUS_CAP}")
-    roots = [params.mu0]
-    for i, j, e in params.mus:
-        roots.extend([(a + i, b + j, c + e) for a, b, c in roots])
-    return LocalFactor(roots, _checked=True)
+    factor = LocalFactor(parts=[(_UNIT, params.mu0, 1)])
+    for mu in params.mus:
+        factor = LocalFactor(parts=[(factor, (0, 0, 0), 1), (factor, mu, 1)])
+    return factor
 
 
 def standard_factor(params: SatakeParams) -> LocalFactor:
     """Degree-(2 genus + 1) factor: (1 - T) times the paired mu, 1/mu terms."""
-    roots = [(0, 0, 0)]
-    for mu in params.mus:
-        roots += (mu, mono_inv(mu))
-    return LocalFactor(roots, _checked=True)
+    shifts = chain([(0, 0, 0)], *((mu, mono_inv(mu)) for mu in params.mus))
+    return LocalFactor(parts=[(_UNIT, shift, 1) for shift in shifts])

@@ -12,10 +12,8 @@ stored as exponent triples (see `satake`), so two sides are equal as
 polynomials exactly when every root has the same multiplicity on both.
 That comparison is exact at every degree that occurs (8 up to 2048) and by
 unique factorization it is equivalent to expanding and comparing the
-coefficient lists, which stops being tractable around degree 128.  The
-roots are checked where they enter, as Satake parameters or small factors;
-the large sides, sums of those from `_product` (every product side) and the
-spinor and standard factors, pass `_checked` and are not checked again.
+coefficient lists, which stops being tractable around degree 128.  It
+reads the root counts each side keeps, and lists no root.
 
 When a symbolic comparison fails, the witness is the T^1 coefficient of
 both sides.  Every root has the implicit coefficient +1, so that
@@ -102,14 +100,11 @@ class VerificationReport:
 # -- comparison ---------------------------------------------------------------
 
 def compare_symbolic(lhs: LocalFactor, rhs: LocalFactor) -> Tuple[bool, Optional[Dict]]:
-    counts = lhs.root_multiset(), rhs.root_multiset()
-    # dict's ==, in C: Counter's own loops in Python to equate missing and
-    # zero counts, and no count here is zero
-    if dict.__eq__(*counts):
+    if lhs.counts == rhs.counts:
         return True, None
     # the T^1 coefficient, minus the root sum, tells any two multisets apart
-    lv, rv = (laurent.json_dict((*root, -m) for root, m in sorted(side.items()))
-              for side in counts)
+    lv, rv = (laurent.json_dict((*root, -m) for root, m in sorted(side.counts.items()))
+              for side in (lhs, rhs))
     return False, {"t_degree": 1, "lhs": lv, "rhs": rv}
 
 
@@ -200,22 +195,12 @@ def satake_values(f: EigenformData, g: Optional[EigenformData],
 
 # -- the product sides ---------------------------------------------------------------
 
-def _product(parts: Sequence[Tuple[LocalFactor, int, int]]) -> LocalFactor:
-    """prod over the parts (factor, c, e) of factor shifted by q^c (T -> q^c T,
-    s -> s - c/2), e times over, with the roots in part order.  Each factor
-    is a small one whose roots were checked when it was built, and each c
-    an int, so the product's roots are not checked again."""
-    return LocalFactor([(e_a, e_b, e_q + c) for factor, c, e in parts
-                        for _ in range(e) for e_a, e_b, e_q in factor.roots], _checked=True)
-
-
 def _shifted_product(N: int, k: int, factor: Callable[[int], LocalFactor],
                      beta_fn: BetaFn, shift_bump: ShiftBump) -> LocalFactor:
     """prod over m = 0..N and r = -m(2N-m)..m(2N-m) (step 2) of factor(m)
     shifted by q^(m(2k-1)-r), with multiplicity beta(r, m, N).  Each factor(m)
-    is built once, where some multiplicity at m is positive.  The shifts are
-    ints, as factor(m) refuses any other k, so only the shift bump is
-    checked, where it lands."""
+    is built once, where some multiplicity at m is positive; a shift bump is
+    checked where it lands, as factor(m) checks k."""
     parts = []
     for m in range(N + 1):
         bound = m * (2 * N - m)
@@ -229,11 +214,11 @@ def _shifted_product(N: int, k: int, factor: Callable[[int], LocalFactor],
             if shift_bump is not None and shift_bump[0] == (m, r):
                 c += shift_bump[1]
                 check_units(((0, 0, c),), "roots")
-            row.append((c, e))
+            row.append(((0, 0, c), e))
         if any(e for _, e in row):
             base = factor(m)
-            parts += [(base, c, e) for c, e in row]
-    return _product(parts)
+            parts += [(base, shift, e) for shift, e in row]
+    return LocalFactor(parts=parts)
 
 
 def miyawaki_spinor_lhs(n: int, k: int,
@@ -264,15 +249,15 @@ def ikeda_spinor_sides(n: int, k: int, beta_fn: BetaFn = beta_value,
 def ikeda_standard_sides(n: int, k: int) -> Sides:
     """Standard factor of the genus-2n lift against zeta times shifted f factors."""
     lhs, f = standard_factor(ikeda_satake(n, k)), sym_power_factor(1, k)
-    return lhs, _product([(sym_power_factor(0, k), 0, 1)] +
-                         [(f, -2 * (k + n - i), 1) for i in range(1, 2 * n + 1)])
+    return lhs, LocalFactor(parts=[(sym_power_factor(0, k), (0, 0, 0), 1)] +
+                            [(f, (0, 0, -2 * (k + n - i)), 1) for i in range(1, 2 * n + 1)])
 
 
 def miyawaki_standard_sides(n: int, k: int) -> Sides:
     """Standard factor of the pair lift against that of g times shifted f factors."""
     lhs, f = standard_factor(miyawaki_satake(n, k)), sym_power_factor(1, k)
-    return lhs, _product([(standard_factor(elliptic_satake(k + n)), 0, 1)] +
-                         [(f, -2 * (k + n - 1 - i), 1) for i in range(1, 2 * n - 1)])
+    return lhs, LocalFactor(parts=[(standard_factor(elliptic_satake(k + n)), (0, 0, 0), 1)] +
+                            [(f, (0, 0, -2 * (k + n - 1 - i)), 1) for i in range(1, 2 * n - 1)])
 
 
 # -- checks that are not factor equalities ----------------------------------------
@@ -339,8 +324,8 @@ def example_display_rhs(n: int, k: int) -> LocalFactor:
     parts = []
     for m, j, counts in DISPLAYS[n]:
         factor = tensor_factor(m, k, n)
-        parts += [(factor, 2 * (j * k - i), e) for i, e in counts.items()]
-    return _product(parts)
+        parts += [(factor, (0, 0, 2 * (j * k - i)), e) for i, e in counts.items()]
+    return LocalFactor(parts=parts)
 
 
 def _example_check(n: int, k: int) -> Tuple[bool, Optional[Dict]]:

@@ -15,7 +15,7 @@ tuples and dicts, which the package's streaming writers never build;
 `text_lines` writes their `--format text` lines entry by entry, and
 `symbolic_witness` the T^1 witness from sorted roots, not from counts.
 `shifted` moves a factor by q^c root by root, the reference for the
-identities' one product builder.
+parts constructor that builds every product side.
 `build_parser` is the argparse parser the CLI's flag table replaced, kept
 as the reference that `cli.parse_args` is tested against.
 

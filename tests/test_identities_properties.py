@@ -10,8 +10,8 @@ three mutation hooks: one beta multiplicity, one shift, one Satake exponent.
 on root lists full of repeats, their verdict, witness and bytes equal those
 built from the sorted roots one at a time.
 
-`_product`, the one builder of every product side, lists the roots of
-each part's shifted copies in part order, exactly as shifting and
+`LocalFactor(parts=...)`, the one builder of every product side, lists the
+roots of each part's shifted copies in part order, exactly as shifting and
 concatenating them one by one does.
 """
 
@@ -21,9 +21,9 @@ import pytest
 
 from liftspin.beta import beta_value
 from liftspin.euler import LocalFactor
-from liftspin.identities import _product, compare_symbolic, verify
+from liftspin.identities import compare_symbolic, verify
 from liftspin.satake import SatakeParams, ikeda_satake, miyawaki_satake, mono_mul
-from oracles import factored_json_dict, shifted, symbolic_witness, text_lines
+from oracles import factored_json_dict, symbolic_witness, text_lines
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -105,17 +105,18 @@ def test_counted_roots_match_sorted_roots(case):
         assert "".join(side.text_chunks("x", factored=True)) == text_lines(factored, "roots")
 
 
-# parts (factor, c, e): factors of up to 3 roots, shifts past 2^64 of either
-# sign, and multiplicities from 0
+# parts (factor, shift, e): factors of up to 3 roots, shift exponents past
+# 2^64 of either sign, and multiplicities from 0
 _parts = st.lists(st.tuples(st.lists(st.tuples(*[st.integers(-2, 2)] * 3), max_size=3)
                             .map(LocalFactor),
-                            st.integers(-2 ** 70, 2 ** 70), st.integers(0, 3)), max_size=6)
+                            st.tuples(*[st.integers(-2 ** 70, 2 ** 70)] * 3),
+                            st.integers(0, 3)), max_size=6)
 
 
 @settings(max_examples=200, deadline=None)
 @given(_parts)
 def test_product_concatenates_shifted_copies_in_order(parts):
-    product = _product(parts)
-    assert product.roots == tuple(root for factor, c, e in parts
-                                  for _ in range(e) for root in shifted(factor, c).roots)
+    product = LocalFactor(parts=parts)
+    assert product.roots == tuple(mono_mul(root, shift) for factor, shift, e in parts
+                                  for _ in range(e) for root in factor.roots)
     assert product.degree == sum(e * factor.degree for factor, _, e in parts)

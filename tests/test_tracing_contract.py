@@ -41,6 +41,8 @@ def test_tracer_installs_and_reports_the_layers():
     assert metrics["euler.expanded_terms"] > 0
     assert metrics["identities.verdicts"] == 1
     assert metrics["euler.factors_built"] > 0
+    # the widest factor built is the degree-8 spinor factor at n = 2
+    assert metrics["euler.max_degree"] == 8
     # the eigenform's series products and its own time are booked under qexp
     assert metrics["qexp.series_mul_calls"] > 0
     assert metrics["qexp.eigenforms_s"] > 0
