@@ -39,8 +39,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import laurent
 from .beta import beta_value
@@ -77,12 +76,13 @@ class NegativeMultiplicity(ValueError):
     """A beta exponent went negative: the factored side is not a polynomial."""
 
 
-@dataclass
 class VerificationReport:
-    identity_id: str
-    parameters: Dict
-    verdict: str
-    witness: Optional[Dict] = field(default=None)
+    __slots__ = ("identity_id", "parameters", "verdict", "witness")
+
+    def __init__(self, identity_id: str, parameters: Dict, verdict: str,
+                 witness: Optional[Dict] = None):
+        self.identity_id, self.parameters = identity_id, parameters
+        self.verdict, self.witness = verdict, witness
 
     @property
     def passed(self) -> bool:
@@ -339,8 +339,7 @@ def _example_check(n: int, k: int) -> Tuple[bool, Optional[Dict]]:
 
 # -- the registry -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(NamedTuple):
     """One checkable statement and where it applies.
 
     `sides(n, k, **hooks)` returns the two factors to compare; statements
@@ -411,6 +410,14 @@ def verify(identity_id: str, n: int, k: int, mode: str = "symbolic",
     return verify_at_primes(identity_id, n, k, mode, (prime,), f, g, **hooks)[0]
 
 
+def check_mode(identity_id: str, mode: str) -> None:
+    """ValueError unless `identity_id` has verdicts in `mode` (see `Identity`)."""
+    if mode not in ("symbolic", "numeric"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "numeric" and IDENTITIES[identity_id].check is not None:
+        raise ValueError(f"identity {identity_id!r} supports symbolic mode only")
+
+
 def verify_at_primes(identity_id: str, n: int, k: int, mode: str,
                      primes: Sequence[Optional[int]], f: Optional[EigenformData] = None,
                      g: Optional[EigenformData] = None, **hooks) -> List[VerificationReport]:
@@ -424,10 +431,7 @@ def verify_at_primes(identity_id: str, n: int, k: int, mode: str,
         n = identity.fixed_n
     if not identity.uses_k:
         k = None
-    if mode not in ("symbolic", "numeric"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "numeric" and identity.check is not None:
-        raise ValueError(f"identity {identity_id!r} supports symbolic mode only")
+    check_mode(identity_id, mode)
     low, cap = identity.n_range
     if n < low:
         raise ValueError(f"need n >= {low}, got {n}")
@@ -477,7 +481,7 @@ def negative_control_hooks(n: int, k: int) -> List[Dict]:
     params = miyawaki_satake(n, k)
     mus = (mono_mul(params.mus[0], (0, 0, 1)),) + params.mus[1:]
     return [{"beta_fn": bumped}, {"shift_bump": ((1, 1), +1)},
-            {"lhs_params": replace(params, mus=mus)}]
+            {"lhs_params": SatakeParams(params.genus, params.mu0, mus)}]
 
 
 def negative_control_reports(n: int = 2, k: int = 10) -> List[VerificationReport]:

@@ -20,7 +20,7 @@ not mathematical content.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Tuple
 
 #: a^i b^j q^e as (i, j, e)
@@ -44,16 +44,14 @@ def check_units(items: Iterable, what: str) -> None:
                              f"unit monomials a^i b^j q^e, got {x!r}")
 
 
-@dataclass(frozen=True)
-class SatakeParams:
-    genus: int
-    mu0: Monomial
-    mus: Tuple[Monomial, ...]
+class SatakeParams(namedtuple("SatakeParams", ("genus", "mu0", "mus"))):
+    """Checked in `__init__`; `_replace` and `_make` build one unchecked."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.genus < 1 or len(self.mus) != self.genus:
-            raise ValueError(f"genus {self.genus} does not match {len(self.mus)} parameters")
-        check_units((self.mu0, *self.mus), "Satake parameters")
+    def __init__(self, genus: int, mu0: Monomial, mus: Tuple[Monomial, ...]):
+        if genus < 1 or len(mus) != genus:
+            raise ValueError(f"genus {genus} does not match {len(mus)} parameters")
+        check_units((mu0, *mus), "Satake parameters")
 
 
 def ikeda_satake(n: int, k: int) -> SatakeParams:

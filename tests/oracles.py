@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import json
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, groupby
 from typing import Iterable, List, Mapping, Sequence, Tuple, Union
@@ -414,7 +413,7 @@ def weyl_sigma(params: SatakeParams, i: int) -> SatakeParams:
     mus = list(params.mus)
     mu0 = mono_mul(params.mu0, mus[i - 1])
     mus[i - 1] = mono_inv(mus[i - 1])
-    return replace(params, mu0=mu0, mus=tuple(mus))
+    return SatakeParams(params.genus, mu0, tuple(mus))
 
 
 def weyl_permute(params: SatakeParams, perm: Sequence[int]) -> SatakeParams:
@@ -422,7 +421,7 @@ def weyl_permute(params: SatakeParams, perm: Sequence[int]) -> SatakeParams:
     if sorted(perm) != list(range(1, params.genus + 1)):
         raise ValueError(f"{perm!r} is not a permutation of 1..{params.genus}")
     mus = tuple(params.mus[j - 1] for j in perm)
-    return replace(params, mus=mus)
+    return SatakeParams(params.genus, params.mu0, mus)
 
 
 def _reduce_b_squared_to_minus_one(mu):

@@ -345,10 +345,19 @@ def test_verify_numeric_with_role_tagged_tables(capsys, tmp_path):
     assert code == 2 and "f=PATH" in err
 
 
-def test_verify_numeric_unsupported_identity(capsys):
-    code, _, err = run(capsys, "verify", "--identity", "c1_frobenius",
-                       "--n", "2", "--mode", "numeric", "--prime", "2")
-    assert code == 2 and "symbolic mode only" in err
+@pytest.mark.parametrize("ident, n, k", [
+    ("c1_frobenius", 2, 10), ("c1_frobenius", 4, 10), ("example_deg5", 4, 10),
+    ("beta_epsilon_match", 4, 12)])
+def test_verify_numeric_unsupported_identity(capsys, monkeypatch, ident, n, k):
+    # at (4, 10) and (4, 12) the eigenform of weight k+n cannot be built
+    # (exit 3); the refusal comes first, whatever n and k are
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eigenform was built for a symbolic-only identity")
+
+    monkeypatch.setattr(cli, "eigenform", refuse)
+    code, out, err = run(capsys, "verify", "--identity", ident, "--n", str(n),
+                         "--k", str(k), "--mode", "numeric", "--prime", "2")
+    assert (code, out) == (2, "") and "symbolic mode only" in err
 
 
 def test_euler_numeric_ikeda_without_g(capsys):

@@ -232,6 +232,12 @@ def _argv_list():
         "beta-table --n 2 --k 0",
         "verify --identity beta_epsilon_match --k 0",
     ]
+    # symbolic-only identities in numeric mode are refused before any
+    # eigenform is built, also where that eigenform does not exist
+    out += [
+        "verify --identity c1_frobenius --n 4 --k 10 --mode numeric --prime 2",
+        "verify --identity beta_epsilon_match --n 4 --k 12 --mode numeric --prime 2",
+    ]
     return out
 
 

@@ -1,5 +1,4 @@
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -119,9 +118,9 @@ def _c1_variants(params):
     perturbations (other values)."""
     mus = params.mus
     return [params, weyl_sigma(params, 1),
-            replace(params, mu0=mono_mul(params.mu0, (0, 0, 1))),
-            replace(params, mus=(mono_mul(mus[0], (0, 0, 1)),) + mus[1:]),
-            replace(params, mus=(mono_inv(mus[0]),) + mus[1:])]
+            SatakeParams(params.genus, mono_mul(params.mu0, (0, 0, 1)), mus),
+            SatakeParams(params.genus, params.mu0, (mono_mul(mus[0], (0, 0, 1)),) + mus[1:]),
+            SatakeParams(params.genus, params.mu0, (mono_inv(mus[0]),) + mus[1:])]
 
 
 @pytest.mark.parametrize("n", [2, 3, 6, 10])

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from liftspin.identities import negative_control_hooks
 from liftspin.satake import (
     SatakeParams,
     elliptic_satake,
@@ -76,6 +77,35 @@ def test_constructor_validation():
         miyawaki_satake(1, 10)
     with pytest.raises(ValueError):
         SatakeParams(2, mono(), (mono(),))  # genus mismatch
+
+
+def test_satake_params_are_values():
+    p, q = miyawaki_satake(3, 10), miyawaki_satake(3, 10)
+    assert p == q and hash(p) == hash(q) and p is not q
+    assert p != miyawaki_satake(3, 4)
+    for name in ("genus", "mu0", "mus"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, getattr(q, name))
+    assert repr(p) == f"SatakeParams(genus=5, mu0={p.mu0!r}, mus={p.mus!r})"
+
+
+def test_every_built_parameter_set_is_checked(monkeypatch):
+    # `_replace` and `_make` build a SatakeParams without running its checks
+    checked = []
+    init = SatakeParams.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        checked.append(self)
+
+    monkeypatch.setattr(SatakeParams, "__init__", recording)
+    built = [ikeda_satake(n, k) for n in (1, 2, 3) for k in (1, 10)]
+    built += [miyawaki_satake(n, k) for n in (2, 3, 6) for k in (1, 10)]
+    built += [elliptic_satake(weight) for weight in (12, 26)]
+    built += [hooks["lhs_params"] for n in range(2, 7)
+              for hooks in negative_control_hooks(n, 10) if "lhs_params" in hooks]
+    assert len(built) == 19
+    assert all(any(p is c for c in checked) for p in built)
 
 
 def test_monomial_algebra():

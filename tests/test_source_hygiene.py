@@ -1,9 +1,11 @@
 """A stdlib stand-in for a linter on src/liftspin, read with `ast`: no
 module imports a name it never reads, and every module-level private
 function or class is referenced somewhere in the package.  Both catch code
-that a deletion leaves behind."""
+that a deletion leaves behind.  Also: what importing the CLI loads."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -56,3 +58,25 @@ def test_every_private_def_is_referenced():
                     and node.name.startswith("_") and not node.name.startswith("__")
                     and node.name not in referenced]
     assert not unreferenced, f"private defs nothing references: {unreferenced}"
+
+
+# dataclasses and what it pulls in, which every CLI run would import first
+HEAVY_IMPORTS = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+IMPORT_SCRIPT = """
+import sys
+before = set(sys.modules)
+sys.path.insert(0, sys.argv[1])
+import liftspin.cli
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_cli_import_loads_no_heavy_modules():
+    # a diff, not an absence check: `site` may import some of them already
+    proc = subprocess.run([sys.executable, "-I", "-c", IMPORT_SCRIPT, str(PACKAGE.parent)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "liftspin.cli" in loaded
+    assert not loaded & HEAVY_IMPORTS, sorted(loaded & HEAVY_IMPORTS)

@@ -40,6 +40,9 @@ def test_tracer_installs_and_reports_the_layers():
     metrics = result["metrics"]
     assert metrics["euler.expanded_terms"] > 0
     assert metrics["identities.verdicts"] == 1
+    # the hook on SatakeParams.__init__, which a class without its own
+    # __init__ (a plain NamedTuple) would leave unwrapped at 0
+    assert metrics["satake.param_sets"] > 0
     assert metrics["euler.factors_built"] > 0
     # the widest factor built is the degree-8 spinor factor at n = 2
     assert metrics["euler.max_degree"] == 8
