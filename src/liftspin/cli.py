@@ -302,7 +302,7 @@ def _verify_reports(args) -> List[identities.VerificationReport]:
         return identities.full_symbolic_suite() if suite else [identities.verify(args.identity, n, k)]
     # numeric: the suite is the main identity at the first five primes
     name = "main_theorem" if suite else args.identity
-    identities.check_mode(name, "numeric")
+    identities.check_scope(name, "numeric", n)
     f, g = _numeric_forms(args, identities.IDENTITIES[name].needs_g)
     primes = _primes_from(args, [2, 3, 5, 7, 11] if suite else [2])
     return identities.verify_at_primes(name, n, k, "numeric", primes, f, g)

@@ -410,12 +410,21 @@ def verify(identity_id: str, n: int, k: int, mode: str = "symbolic",
     return verify_at_primes(identity_id, n, k, mode, (prime,), f, g, **hooks)[0]
 
 
-def check_mode(identity_id: str, mode: str) -> None:
-    """ValueError unless `identity_id` has verdicts in `mode` (see `Identity`)."""
+def check_scope(identity_id: str, mode: str, n: int) -> None:
+    """ValueError unless `identity_id` has verdicts in `mode` (see `Identity`)
+    and n, or its fixed n, is not below its n_range; GenusTooLarge above it."""
+    identity = IDENTITIES[identity_id]
     if mode not in ("symbolic", "numeric"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "numeric" and IDENTITIES[identity_id].check is not None:
+    if mode == "numeric" and identity.check is not None:
         raise ValueError(f"identity {identity_id!r} supports symbolic mode only")
+    if identity.fixed_n is not None:
+        n = identity.fixed_n
+    low, cap = identity.n_range
+    if n < low:
+        raise ValueError(f"need n >= {low}, got {n}")
+    if cap is not None and n > cap:
+        raise GenusTooLarge(f"{mode} {identity_id} check capped at n = {cap}")
 
 
 def verify_at_primes(identity_id: str, n: int, k: int, mode: str,
@@ -431,12 +440,7 @@ def verify_at_primes(identity_id: str, n: int, k: int, mode: str,
         n = identity.fixed_n
     if not identity.uses_k:
         k = None
-    check_mode(identity_id, mode)
-    low, cap = identity.n_range
-    if n < low:
-        raise ValueError(f"need n >= {low}, got {n}")
-    if cap is not None and n > cap:
-        raise GenusTooLarge(f"{mode} {identity_id} check capped at n = {cap}")
+    check_scope(identity_id, mode, n)
     if mode == "numeric":
         if not identity.needs_g:
             g = None

@@ -16,8 +16,9 @@ witnesses and eigenvalue constants all go through it.
 `dumps` writes the bytes of json.dumps(value, indent=2) without json's
 pure-Python encoder, each `json_dict` polynomial from one term template
 per depth.  `coefficient_text` (one expanded coefficient from rows of
-packed slots) and `root_template` (one root) cut the same template; depth
-None is json.dumps's compact layout, for the `--format text` lines.
+packed slots, each distinct row formatted once) and `root_template` (one
+root) cut the same template; depth None is json.dumps's compact layout,
+for the `--format text` lines.
 """
 
 from __future__ import annotations
@@ -87,17 +88,22 @@ def _row_layout(depth: Optional[int]) -> Tuple[str, str, str, str, str, str]:
 
 
 def coefficient_text(negative: bool, qs: Sequence[int],
-                     rows: Iterable[Tuple[int, int, Sequence[int]]],
+                     rows: Iterable[Tuple[int, int, memoryview]],
                      depth: Optional[int]) -> str:
     """json_dict(terms) at `depth` as dumps writes it, for nonempty terms of
     one sign given in canonical order as rows (e_a, e_b, cs), cs[i] the |c|
-    of the term of e_q = qs[i] or 0 for none."""
+    of the term of e_q = qs[i] or 0 for none.  Rows with equal slots share
+    one list of term strings, each written under its own row head."""
     head, sep, tail, row_head, q_piece, end = _row_layout(depth)
     sign = "-" if negative else ""
     pieces = [q_piece % q + sign for q in qs]
     out = []
+    seen = {}
     for e_a, e_b, cs in rows:
-        terms = list(map(add, compress(pieces, cs), map(str, filter(None, cs))))
+        key = cs.tobytes()
+        terms = seen.get(key)
+        if terms is None:
+            terms = seen[key] = list(map(add, compress(pieces, cs), map(str, filter(None, cs))))
         if terms:
             row = row_head % (e_a, e_b)
             out.append(row + (end + sep + row).join(terms) + end)

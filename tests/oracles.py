@@ -261,9 +261,14 @@ def coefficients(factor) -> Tuple:
     """T^0 (always 1) to T^degree of a LocalFactor as lists of
     (e_a, e_b, e_q, c) in canonical order, decoded from the slots its
     writers walk."""
+    return decode(factor._walk())
+
+
+def decode(walk) -> Tuple:
+    """The coefficients of the (negative, qs, rows) a LocalFactor walk gives."""
     return tuple([(e_a, e_b, e_q, -c if negative else c)
                   for e_a, e_b, row in rows for e_q, c in zip(qs, row) if c]
-                 for negative, qs, rows in factor._walk())
+                 for negative, qs, rows in walk)
 
 
 def to_json_dict(factor, label: str) -> dict:

@@ -360,6 +360,20 @@ def test_verify_numeric_unsupported_identity(capsys, monkeypatch, ident, n, k):
     assert (code, out) == (2, "") and "symbolic mode only" in err
 
 
+@pytest.mark.parametrize("n, k, code, message", [
+    (1, 13, 2, "need n >= 2"), (7, 7, 3, "capped at n = 6")])
+def test_verify_numeric_n_range_comes_before_eigenforms(capsys, monkeypatch, n, k, code, message):
+    # S_14 is zero-dimensional, so building f at k = 7 or g at n + k = 14
+    # would exit 3 for that; the identity's n range is checked first
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eigenform was built outside the identity's n range")
+
+    monkeypatch.setattr(cli, "eigenform", refuse)
+    got, out, err = run(capsys, "verify", "--identity", "main_theorem", "--n", str(n),
+                        "--k", str(k), "--mode", "numeric", "--prime", "2")
+    assert (got, out) == (code, "") and message in err
+
+
 def test_euler_numeric_ikeda_without_g(capsys):
     # ikeda identities involve only f; here k+n = 8 has no cusp forms at all,
     # which must not matter since g never enters

@@ -238,6 +238,12 @@ def _argv_list():
         "verify --identity c1_frobenius --n 4 --k 10 --mode numeric --prime 2",
         "verify --identity beta_epsilon_match --n 4 --k 12 --mode numeric --prime 2",
     ]
+    # numeric verify outside the identity's n range is refused before any
+    # eigenform is built, also where that eigenform does not exist
+    out += [
+        "verify --identity main_theorem --n 1 --k 13 --mode numeric --prime 2",
+        "verify --identity main_theorem --n 7 --k 7 --mode numeric --prime 2",
+    ]
     return out
 
 

@@ -2,12 +2,13 @@ import json
 import math
 import random
 import tracemalloc
+from itertools import compress
 
 import pytest
 
 from liftspin.cli import MAX_N
 from liftspin.errors import ExpansionTooLarge, GenusTooLarge, NumericOverflow
-from liftspin import euler
+from liftspin import euler, laurent
 from liftspin.euler import (
     EXPANSION_DEGREE_CAP,
     EXPANSION_TERM_CAP,
@@ -27,10 +28,12 @@ from oracles import (
     as_poly,
     c1_eigenvalue,
     coefficients,
+    decode,
     frobenius_eigenvalue,
     gp_constant,
     poly,
     shifted,
+    to_json_dict,
     weyl_permute,
     weyl_sigma,
 )
@@ -312,6 +315,30 @@ def test_streamed_degree_64_text_stays_small():
         tracemalloc.stop()
     assert written > 8_000_000
     assert peak < 10 * 2 ** 20, peak
+
+
+def test_walked_rows_keep_their_own_slots():
+    # rows held past the next step of the walk still read their own
+    # coefficient's slots, not those of a later one
+    side = IDENTITIES["main_theorem"].sides(3, 10)[0]
+    assert decode(list(side._walk())) == coefficients(side)
+
+
+def test_equal_rows_are_formatted_once(monkeypatch):
+    # the Satake parameters are defined up to a <-> 1/a and b <-> 1/b, so
+    # rows (e_a, e_b) and (-e_a, e_b) of a coefficient hold equal slots; the
+    # writer builds one list of term strings per distinct row of each
+    # coefficient, and the bytes stay those of the oracle
+    side = IDENTITIES["main_theorem"].sides(2, 10)[0]
+    rows = distinct = 0
+    for _, _, walked in side._walk():
+        keys = [cs.tobytes() for _, _, cs in walked]
+        rows, distinct = rows + len(keys), distinct + len(set(keys))
+    built = []
+    monkeypatch.setattr(laurent, "compress", lambda *args: built.append(args) or compress(*args))
+    text = "".join(side.json_chunks("m"))
+    assert len(built) == distinct < rows
+    assert text == json.dumps(to_json_dict(side, "m"), indent=2)
 
 
 def test_expansion_of_equal_root_multisets_is_equal():

@@ -4,6 +4,7 @@ package's term writers in `liftspin.laurent`; and `laurent.dumps` against
 json.dumps(..., indent=2) on random nested values."""
 
 import json
+from array import array
 
 import pytest
 
@@ -15,6 +16,7 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 _BIG = 10 ** 30
+_SLOT_MAX = 2 ** 64 - 1
 _exponents = st.tuples(st.integers(-40, 40), st.integers(-40, 40),
                        st.integers(-40, 40), st.integers(0, 12))
 _coeff = st.integers(-_BIG, _BIG).filter(bool)
@@ -64,16 +66,22 @@ def test_package_wire_format_matches_the_oracle(coeffs, negative, depth):
     terms = [(*e, c) for e, c in sorted(coeffs.items())]
     data = laurent.json_dict(terms)
     assert data == poly(terms).to_json_dict()
-    signed = [(*e, -abs(c) if negative else abs(c)) for *e, c in terms]
+    # a row slot holds at most 2^64 - 1, so a larger |c| is clamped to it
+    slots = [(e_a, e_b, e_q, min(abs(c), _SLOT_MAX)) for e_a, e_b, e_q, c in terms]
+    # the first row's terms again under two (e_a, e_b) past the drawn ones,
+    # so that equal rows share their term strings
+    first = [(e_q, c) for e_a, e_b, e_q, c in slots if (e_a, e_b) == slots[0][:2]]
+    slots += [(e_a, e_b, e_q, c) for e_a, e_b in ((41, -40), (42, 40)) for e_q, c in first]
     # one row of |c| per (e_a, e_b) over every e_q the strategy draws, each
-    # after a row with no term
+    # after the same row with no term
     qs = range(-40, 41)
     rows = {}
-    for e_a, e_b, e_q, c in signed:
-        rows.setdefault((e_a, e_b), [0] * len(qs))[e_q - qs[0]] = abs(c)
+    for e_a, e_b, e_q, c in slots:
+        rows.setdefault((e_a, e_b), array("Q", bytes(8 * len(qs))))[e_q - qs[0]] = c
+    empty = memoryview(array("Q", bytes(8 * len(qs))))
     rows = [row for (e_a, e_b), cs in rows.items()
-            for row in ((e_a, e_b - 1, [0] * len(qs)), (e_a, e_b, cs))]
-    expected = laurent.json_dict(signed)
+            for row in ((e_a, e_b - 1, empty), (e_a, e_b, memoryview(cs)))]
+    expected = laurent.json_dict([(*e, -c if negative else c) for *e, c in slots])
     assert laurent.coefficient_text(negative, qs, rows, None) == json.dumps(expected)
     assert _nested("@", depth).replace('"@"', laurent.coefficient_text(negative, qs, rows, depth)) \
         == _nested(expected, depth)
