@@ -34,6 +34,10 @@ class DeligneBoundViolation(UnsupportedInput):
     """A Hecke eigenvalue lies outside Deligne's bound for its weight and prime."""
 
 
+class EisensteinCongruenceViolation(UnsupportedInput):
+    """A Hecke eigenvalue breaks the Eisenstein congruence of its weight."""
+
+
 class NonIntegralEigenvalue(UnsupportedInput):
     """A Hecke eigenvalue of a level-one eigenform with rational eigenvalues
     is not an integer."""

@@ -13,19 +13,30 @@ Expanded coefficient lists (index = T-degree) exist for output only.
 Every term of the T^d coefficient has the sign (-1)^d, so no term ever
 cancels.  Each of T^0 to T^(N/2) of a degree-N factor is expanded as one
 nonnegative int of W-bit slots (Kronecker substitution, one box per
-T-degree).  Per exponent component x, the x-exponents of products of d
-distinct roots lie between lo_x(d) and hi_x(d), the sums of the d smallest
-and the d largest, in steps of g_x, the gcd of the roots' differences in x.
-The box of the widest degree, N/2, sets the radix R_x of each component,
-and a term of degree d sits at slot ((a - lo_a(d))/g_a R_b + (b -
-lo_b(d))/g_b) R_q + (q - lo_q(d))/g_q, in canonical (e_a, e_b, e_q) order.
-Multiplying by a root shifts a whole coefficient by a number of slots.  A
-slot holds |c| <= C(N, d) < 2^N, so W is 32 bits up to degree 32 and 64
-bits up to EXPANSION_DEGREE_CAP = 64.  The same recurrence with 1-bit
-slots counts the terms first.  More than EXPANSION_TERM_CAP terms, or a
-box over PACKED_SLOT_CAP slots (exponents far apart with no common step),
-raises ExpansionTooLarge, exit 3 in the CLI, before any output: the
-degree-63 miyawaki_standard side at n = 16 has 1,713,988 terms (240 MB).
+T-degree), in the coordinates of a lattice that holds the roots'
+differences.  Its triangular basis v_a = (h_a, *, *), v_b = (0, h_b, *),
+v_q = (0, 0, h_q), each h_x > 0, writes a root as r_0 + c_a v_a + c_b v_b
++ c_q v_q, r_0 the smallest root.  The coordinates c are linear, so those
+of a product of d distinct roots are the sums of theirs and lie between
+lo_x(d) and hi_x(d), the sums of the d smallest and the d largest c_x.
+The box of the widest degree, N/2, sets the radix R_x of each coordinate,
+and a term of degree d sits at slot ((c_a - lo_a(d)) R_b + c_b - lo_b(d))
+R_q + c_q - lo_q(d).  The basis is triangular, so slot order is canonical
+(e_a, e_b, e_q) order, and each row (c_a, c_b) is one (e_a, e_b), its e_q
+in steps of h_q from a start that moves with c_a and c_b.  Of two bases
+the one with the smaller box is used: the axis basis of g_x, the gcd of
+the roots' differences in x, and the Hermite normal form of the
+differences.  Every root of a registry side has e_a + e_q of one parity,
+since the q-exponent carries the odd 2k - 1, so its lattice has h_q = 2,
+and above degree 8 its box has 50 to 60% of the axis box's slots: 1.3 MB
+packed at degree 64, not 2.5 MB.  Multiplying by a root shifts a whole
+coefficient by a number of slots.  A slot holds |c| <= C(N, d) < 2^N, so
+W is 32 bits up to degree 32 and 64 bits up to EXPANSION_DEGREE_CAP = 64.
+The same recurrence with 1-bit slots counts the terms first.  More than
+EXPANSION_TERM_CAP terms, or a box over PACKED_SLOT_CAP slots (exponents
+far apart with no common step), raises ExpansionTooLarge, exit 3 in the
+CLI, before any output: the degree-63 miyawaki_standard side at n = 16
+has 1,713,988 terms (240 MB).
 
 Only the ints are kept.  The writers walk their slots through a memoryview,
 one row per (e_a, e_b), with no sort and no term tuples.  By the local
@@ -33,12 +44,14 @@ functional equation, which holds for any N unit roots with product P,
 T^(N-d) is (-1)^N P times T^d with every exponent negated; the negation
 reverses the canonical order, so T^(N-d) is T^d's slots walked backwards.
 `json_chunks` streams the indent-2 JSON one coefficient at a time (201,695
-terms, 28.5 MB, in about 0.12 s at degree 64 on a 2-vCPU Xeon), and
+terms, 28.5 MB, in about 0.07 s at degree 64 on a 2-vCPU Xeon), and
 `text_chunks` the `--format text` lines, each coefficient's compact JSON,
-from the same walk.  Within a coefficient, rows with equal slots are
-formatted once: the Satake parameters are defined up to a <-> 1/a and
-b <-> 1/b, so rows (e_a, e_b) and (-e_a, e_b) are equal, and at degree 64
-the 201,695 terms lie in 103,312 terms' worth of distinct rows.  Factored,
+from the same walk.  Within a coefficient, rows with equal terms are
+formatted once, keyed on the e_q of their first nonzero slot and the
+slots from there to the last nonzero one: the Satake parameters are
+defined up to a <-> 1/a and b <-> 1/b, so rows (e_a, e_b) and (-e_a, e_b)
+hold equal terms, at slots the lattice box shifts, and at degree 64 the
+201,695 terms lie in 103,312 terms' worth of distinct rows.  Factored,
 both write the roots in canonical order through one root template each,
 with no per-root dict: each distinct root is formatted once and repeated
 by its multiplicity; `laurent` holds the layouts.  The labels written
@@ -53,7 +66,7 @@ import cmath
 import math
 import sys
 from itertools import accumulate, chain, count, product, repeat
-from operator import add, or_
+from operator import add, attrgetter, or_
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import laurent
@@ -85,7 +98,7 @@ class _Packed(NamedTuple):
 
 
 class _Expansion(list):
-    """T^0 to T^half, each a _Packed, and the `_box` they are packed in."""
+    """T^0 to T^half, each a _Packed, and the _Box they are packed in."""
 
     __slots__ = ("box",)
 
@@ -99,32 +112,89 @@ def _slot_format(degree: int) -> Tuple[str, int]:
     return ("I", 4) if degree <= 32 else ("Q", 8)
 
 
-def _box(roots: Sequence[Monomial], half: int):
-    """(sorted exponents, gcd step, slot stride) per component of the packed
-    expansion of T^0 to T^half, or None when its box has more than
-    PACKED_SLOT_CAP slots."""
-    cols = [sorted(root[i] for root in roots) for i in range(3)]
-    steps = [math.gcd(*(x - col[0] for x in col)) or 1 for col in cols]
-    # the widest span of d-subset sums, in steps, is the one at d = half
-    spans = [(sum(col[len(col) - half:]) - sum(col[:half])) // g + 1
-             for col, g in zip(cols, steps)]
-    if spans[0] * spans[1] * spans[2] > PACKED_SLOT_CAP:
-        return None
-    return cols, steps, (spans[1] * spans[2], spans[2], 1)
+def _coordinates(basis, vector) -> Monomial:
+    """The coordinates of a lattice vector in a triangular basis."""
+    coords = []
+    for x, row in enumerate(basis):
+        c = vector[x] // row[x]
+        vector = [v - c * r for v, r in zip(vector, row)]
+        coords.append(c)
+    return tuple(coords)
 
 
-def _pack(roots: Sequence[Monomial], half: int, cols, steps, strides, width: int, merge):
-    """T^0 to T^half as ints of `width`-bit slots, |c| at slot sum_x (e_x -
-    lo_x(d)) / step_x * stride_x; `merge` adds a shifted coefficient in."""
-    def index(triple) -> int:
-        return sum((x - col[0]) // g * s for x, col, g, s in zip(triple, cols, steps, strides))
+def _lattice(differences: Iterable[Monomial]) -> List[Monomial]:
+    """(h_a, *, *), (0, h_b, *), (0, 0, h_q), each h > 0, spanning a lattice
+    of the differences: their Hermite normal form, each entry above a pivot
+    in [0, h), and the unit vector of a component with no pivot."""
+    vectors, basis = set(differences), []
+    for x in range(3):
+        pivot, rest = (0, 0, 0), set()
+        for v in vectors:
+            # Euclid on the x-components, each step unimodular
+            while v[x]:
+                t = pivot[x] // v[x]
+                pivot, v = v, tuple(p - t * w for p, w in zip(pivot, v))
+            if any(v):
+                rest.add(v)
+        if pivot[x] < 0:
+            pivot = tuple(-p for p in pivot)
+        if pivot[x]:
+            basis = [tuple(r - row[x] // pivot[x] * p for r, p in zip(row, pivot))
+                     for row in basis]
+        else:
+            pivot = tuple(int(y == x) for y in range(3))
+        basis.append(pivot)
+        vectors = rest
+    return basis
+
+
+class _Box:
+    """The packing of T^0 to T^half: a product of d roots, exponents d
+    origin + sum_x c_x basis[x], sits at slot sum_x (c_x - lo_x(d))
+    strides[x]; `coords` holds each root's c, relative to the origin, and
+    `cols` the sorted c_x per x."""
+
+    __slots__ = ("origin", "basis", "coords", "cols", "strides", "slots")
+
+    def __init__(self, origin, basis, coords, cols, strides, slots):
+        self.origin, self.basis, self.coords = origin, basis, coords
+        self.cols, self.strides, self.slots = cols, strides, slots
+
+
+def _fit(differences: Sequence[Monomial], half: int, origin: Monomial, basis) -> _Box:
+    coords = [_coordinates(basis, v) for v in differences]
+    cols = [sorted(v[x] for v in coords) for x in range(3)]
+    # the widest span of d-subset sums is the one at d = half
+    n_a, n_b, n_q = (sum(col[len(col) - half:]) - sum(col[:half]) + 1 for col in cols)
+    return _Box(origin, basis, coords, cols, (n_b * n_q, n_q, 1), n_a * n_b * n_q)
+
+
+def _box(roots: Sequence[Monomial], half: int) -> Optional[_Box]:
+    """The packing of T^0 to T^half in the smaller of two boxes, the axis
+    one of each component's gcd step or the one of the roots' lattice, or
+    None when it has more than PACKED_SLOT_CAP slots."""
+    origin = roots[0] if roots else (0, 0, 0)
+    differences = [tuple(x - o for x, o in zip(root, origin)) for root in roots]
+    steps = [math.gcd(*(v[x] for v in differences)) or 1 for x in range(3)]
+    axes = [tuple(g * (x == y) for y in range(3)) for x, g in enumerate(steps)]
+    # min keeps the first of equal boxes
+    box = min((_fit(differences, half, origin, basis) for basis in (axes, _lattice(differences))),
+              key=attrgetter("slots"))
+    return box if box.slots <= PACKED_SLOT_CAP else None
+
+
+def _pack(box: _Box, half: int, width: int, merge):
+    """T^0 to T^half as ints of `width`-bit slots, |c| at slot sum_x (c_x -
+    lo_x(d)) stride_x; `merge` adds a shifted coefficient in."""
+    def index(coords) -> int:
+        return sum((c - col[0]) * s for c, col, s in zip(coords, box.cols, box.strides))
 
     # a term of degree d-1 times a root moves by index(root) minus the index
-    # of the d-th smallest exponents; slots a right shift drops are zero,
+    # of the d-th smallest coordinates; slots a right shift drops are zero,
     # since every product of d distinct roots lies in the degree-d box
-    dth = [index(smallest) for smallest in zip(*cols)]
+    dth = [index(smallest) for smallest in zip(*box.cols)]
     packed = [1] + [0] * half
-    for m, root in enumerate(roots, 1):
+    for m, root in enumerate(box.coords, 1):
         at = index(root)
         for d in range(min(m, half), 0, -1):
             shift = (at - dth[d - 1]) * width
@@ -133,12 +203,17 @@ def _pack(roots: Sequence[Monomial], half: int, cols, steps, strides, width: int
     return packed
 
 
-def _rows(slots: memoryview, e_a: range, e_b: range,
-          width: int) -> Iterator[Tuple[int, int, memoryview]]:
-    """(e_a, e_b, row) for each run of `width` slots, (e_a, e_b) in
-    product order; the arguments are bound when the walk is made."""
-    for i, (a, b) in zip(range(0, len(slots), width), product(e_a, e_b)):
-        yield a, b, slots[i:i + width]
+def _rows(slots: memoryview, base: Monomial, basis, rows: int,
+          width: int) -> Iterator[Tuple[int, int, int, memoryview]]:
+    """(e_a, e_b, e_q, row) for each run of `width` slots, `rows` runs per
+    step of c_a, from the exponents `base` of slot 0; the arguments are
+    bound when the walk is made."""
+    (h_a, a_b, a_q), (_, h_b, b_q), _ = basis
+    e_a, e_b, e_q = base
+    for i, (c_a, c_b) in zip(range(0, len(slots), width),
+                             product(range(len(slots) // (rows * width)), range(rows))):
+        yield (e_a + c_a * h_a, e_b + c_a * a_b + c_b * h_b, e_q + c_a * a_q + c_b * b_q,
+               slots[i:i + width])
 
 
 class LocalFactor:
@@ -206,37 +281,44 @@ class LocalFactor:
                 f"the expansion of this degree-{self.degree} factor needs more than "
                 f"{PACKED_SLOT_CAP} slots per coefficient; use the factored form instead")
         # 1-bit slots mark the terms; T^(N-d) mirrors T^d for d < N - half
-        counts = [value.bit_count() for value in _pack(roots, half, *box, 1, or_)]
+        counts = [value.bit_count() for value in _pack(box, half, 1, or_)]
         total = sum(counts) + sum(counts[:self.degree - half])
         if total > EXPANSION_TERM_CAP:
             raise ExpansionTooLarge(
                 f"the expansion of this degree-{self.degree} factor has {total} terms, "
                 f"over the term cap {EXPANSION_TERM_CAP}; use the factored form instead")
         width = 8 * _slot_format(self.degree)[1]
-        return _Expansion(map(_Packed, _pack(roots, half, *box, width, add), counts), box)
+        return _Expansion(map(_Packed, _pack(box, half, width, add), counts), box)
 
-    def _walk(self) -> Iterator[Tuple[bool, range, Iterator[Tuple[int, int, memoryview]]]]:
-        """Per coefficient T^0 to T^degree: (negative, qs, rows), each row
-        (e_a, e_b, slots) with |c| of the term of e_q = qs[i] in slot i, or 0."""
+    def _walk(self) -> Iterator[Tuple[bool, int, Iterator[Tuple[int, int, int, memoryview]]]]:
+        """Per coefficient T^0 to T^degree: (negative, step, rows), each row
+        (e_a, e_b, e_q, slots) with |c| of the term of e_q + i step in slot
+        i, or 0; the rows, and the slots in each, in canonical order."""
         packed = self._expand()
         half = len(packed) - 1
-        cols, steps, (s_a, s_b, _) = packed.box
+        box = packed.box
+        block, width, _ = box.strides
+        rows = block // width
         fmt, size = _slot_format(self.degree)
-        lows = list(zip(*(accumulate(col[:half], initial=0) for col in cols)))
+        lows = list(zip(*(accumulate(col[:half], initial=0) for col in box.cols)))
+        total = [sum(root[x] for root in self.roots) for x in range(3)]
         for t in range(self.degree + 1):
             d = min(t, self.degree - t)
             value = packed[d].value
-            # whole e_a blocks of slots, so that a reversed walk splits alike
-            blocks = -(-value.bit_length() // (8 * size * s_a))
-            slots = memoryview(value.to_bytes(blocks * s_a * size, sys.byteorder)).cast(fmt)
-            counts, origin = (blocks, s_a // s_b, s_b), lows[d]
-            if t > half:
-                # T^(N-d) walks T^d backwards: i_x -> n_x - 1 - i_x, e_x -> P_x - e_x
+            # whole c_a blocks of slots, so that a reversed walk splits alike
+            blocks = -(-value.bit_length() // (8 * size * block))
+            slots = memoryview(value.to_bytes(blocks * block * size, sys.byteorder)).cast(fmt)
+            corner, flip = lows[d], t > half
+            if flip:
+                # T^(N-d) walks T^d backwards from its last slot: e -> P - e
                 slots = slots[::-1]
-                origin = [sum(col) - o - g * (n - 1)
-                          for col, o, g, n in zip(cols, origin, steps, counts)]
-            e_a, e_b, qs = (range(o, o + g * n, g) for o, g, n in zip(origin, steps, counts))
-            yield t % 2 == 1, qs, _rows(slots, e_a, e_b, s_b)
+                corner = [lo + n - 1 for lo, n in zip(corner, (blocks, rows, width))]
+            # the exponents at `corner`, slot 0 of the walk
+            base = [d * o + sum(c * row[x] for c, row in zip(corner, box.basis))
+                    for x, o in enumerate(box.origin)]
+            if flip:
+                base = [p - e for p, e in zip(total, base)]
+            yield t % 2 == 1, box.basis[2][2], _rows(slots, base, box.basis, rows, width)
 
     # -- transformations ---------------------------------------------------
 
@@ -264,9 +346,11 @@ class LocalFactor:
         if first is None:
             yield head + "]\n}"
             return
-        yield head + "\n    " + first
+        yield head + "\n    "
+        yield first
         for entry in entries:
-            yield ",\n    " + entry
+            yield ",\n    "
+            yield entry
         yield "\n  ]\n}"
 
     def text_chunks(self, label: str, factored: bool = False) -> Iterator[str]:
@@ -284,8 +368,8 @@ class LocalFactor:
             template = laurent.root_template(depth)
             return chain.from_iterable(repeat(template % root, m)
                                        for root, m in sorted(self.counts.items()))
-        return (laurent.coefficient_text(negative, qs, rows, depth)
-                for negative, qs, rows in self._walk())
+        return (laurent.coefficient_text(negative, step, rows, depth)
+                for negative, step, rows in self._walk())
 
 
 def numeric_coefficients(roots: Sequence[complex]) -> List[complex]:

@@ -27,8 +27,7 @@ import math
 from functools import lru_cache
 from itertools import compress
 from json.encoder import encode_basestring_ascii as _string
-from operator import add
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Tuple
 
 Term = Tuple[int, int, int, int]
 
@@ -87,27 +86,37 @@ def _row_layout(depth: Optional[int]) -> Tuple[str, str, str, str, str, str]:
     return head, sep, tail, "%s".join(cut[:3]), "%s" + cut[3] + "0" + cut[4], cut[5]
 
 
-def coefficient_text(negative: bool, qs: Sequence[int],
-                     rows: Iterable[Tuple[int, int, memoryview]],
+def coefficient_text(negative: bool, step: int,
+                     rows: Iterable[Tuple[int, int, int, memoryview]],
                      depth: Optional[int]) -> str:
     """json_dict(terms) at `depth` as dumps writes it, for nonempty terms of
-    one sign given in canonical order as rows (e_a, e_b, cs), cs[i] the |c|
-    of the term of e_q = qs[i] or 0 for none.  Rows with equal slots share
-    one list of term strings, each written under its own row head."""
+    one sign given in canonical order as rows (e_a, e_b, e_q, cs), cs[i] the
+    |c| of the term of e_q + i step or 0 for none.  Rows with equal terms,
+    keyed from their first nonzero slot, share one list of term strings,
+    each written under its own row head, and the text is joined once."""
     head, sep, tail, row_head, q_piece, end = _row_layout(depth)
-    sign = "-" if negative else ""
-    pieces = [q_piece % q + sign for q in qs]
+    term = q_piece + ("-" if negative else "") + "%s"
     out = []
     seen = {}
-    for e_a, e_b, cs in rows:
-        key = cs.tobytes()
+    for e_a, e_b, e_q, cs in rows:
+        raw = cs.tobytes()
+        body = raw.lstrip(b"\0")
+        if not body:
+            continue
+        skip, size = len(raw) - len(body), cs.itemsize
+        first = e_q + skip // size * step
+        key = first, skip % size, body.rstrip(b"\0")
         terms = seen.get(key)
         if terms is None:
-            terms = seen[key] = list(map(add, compress(pieces, cs), map(str, filter(None, cs))))
-        if terms:
-            row = row_head % (e_a, e_b)
-            out.append(row + (end + sep + row).join(terms) + end)
-    return head + sep.join(out) + tail
+            cs = cs[skip // size:]
+            qs = compress(range(first, first + len(cs) * step, step), cs)
+            terms = seen[key] = list(map(term.__mod__, zip(qs, filter(None, cs))))
+        row = row_head % (e_a, e_b)
+        out += (sep, row, (end + sep + row).join(terms), end)
+    # the first row's separator
+    out[0] = head
+    out.append(tail)
+    return "".join(out)
 
 
 # -- values --------------------------------------------------------------------

@@ -36,6 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
     DeligneBoundViolation,
+    EisensteinCongruenceViolation,
     EmptySpace,
     InputTooLarge,
     InsufficientPrecision,
@@ -279,10 +280,17 @@ def eigenform(weight: int, precision: int = DEFAULT_PRECISION) -> EigenformData:
 
 # -- numeric Satake parameters ---------------------------------------------
 
+#: N_w, the numerator of B_w / (2w), at each supported weight w: every
+#: eigenvalue of the weight-w eigenform is 1 + p^(w-1) mod N_w
+_EISENSTEIN_MODULI = {12: 691, 16: 3617, 18: 43867, 20: 174611, 22: 77683, 26: 657931}
+
+
 def check_eigenvalue(lam, weight: int, p: int) -> None:
     """Reject lam outside Deligne's bound, compared exactly as
-    lam^2 <= 4 p^(weight-1) before any float conversion, and a lam that is
-    not an integer, as no level-one eigenform with rational eigenvalues has."""
+    lam^2 <= 4 p^(weight-1) before any float conversion, a lam that is
+    not an integer, as no level-one eigenform with rational eigenvalues has,
+    and at a supported weight w one that breaks the Eisenstein congruence
+    lam = 1 + p^(w-1) mod N_w, as a wrong integer inside the bound may."""
     lam = Fraction(lam)
     if lam ** 2 > 4 * p ** (weight - 1):
         raise DeligneBoundViolation(
@@ -292,6 +300,11 @@ def check_eigenvalue(lam, weight: int, p: int) -> None:
         raise NonIntegralEigenvalue(
             f"lambda({p}) = {lam} is not an integer; the level-one eigenform "
             f"of weight {weight} has integer eigenvalues")
+    modulus = _EISENSTEIN_MODULI.get(weight)
+    if modulus and (lam.numerator - 1 - pow(p, weight - 1, modulus)) % modulus:
+        raise EisensteinCongruenceViolation(
+            f"lambda({p}) = {lam} is not 1 + {p}^{weight - 1} mod {modulus}, as every "
+            f"eigenvalue of the weight-{weight} eigenform is")
 
 
 def numeric_satake(lam, weight: int, p: int) -> Tuple[complex, complex]:

@@ -265,10 +265,10 @@ def coefficients(factor) -> Tuple:
 
 
 def decode(walk) -> Tuple:
-    """The coefficients of the (negative, qs, rows) a LocalFactor walk gives."""
-    return tuple([(e_a, e_b, e_q, -c if negative else c)
-                  for e_a, e_b, row in rows for e_q, c in zip(qs, row) if c]
-                 for negative, qs, rows in walk)
+    """The coefficients of the (negative, step, rows) a LocalFactor walk gives."""
+    return tuple([(e_a, e_b, e_q + i * step, -c if negative else c)
+                  for e_a, e_b, e_q, row in rows for i, c in enumerate(row) if c]
+                 for negative, step, rows in walk)
 
 
 def to_json_dict(factor, label: str) -> dict:

@@ -507,7 +507,9 @@ def test_verify_swapped_tables_exit3(capsys, tables, primes):
                          "--eigenvalues-file", f"f={tables[12]}",
                          "--eigenvalues-file", f"g={tables[20]}")
     assert code == 3 and out == ""
-    assert "Deligne" in err and "lambda(2) = 456" in err
+    # f comes first: tau(2) = -24 breaks the weight-20 congruence (before
+    # that check, g's 456 broke Deligne's bound for weight 12)
+    assert "lambda(2) = -24 is not 1 + 2^19 mod 174611" in err
 
 
 def test_verify_genuine_tables_pass_every_prime(capsys, tables):
@@ -525,10 +527,10 @@ def test_euler_and_lvalue_swapped_tables_exit3(capsys, tables):
                "--eigenvalues-file", f"g={tables[20]}"]
     code, _, err = run(capsys, "euler", "--identity", "main_theorem", "--side", "lhs",
                        "--mode", "numeric", "--prime", "3", *swapped)
-    assert code == 3 and "Deligne" in err
+    assert code == 3 and "lambda(3) = 252 is not 1 + 3^19 mod 174611" in err
     code, _, err = run(capsys, "lvalue", "--side", "rhs", "--s", "25",
                        "--primes-up-to", "199", *swapped)
-    assert code == 3 and "Deligne" in err
+    assert code == 3 and "lambda(2) = -24 is not 1 + 2^19 mod 174611" in err
 
 
 def test_non_integral_table_eigenvalue_exit3(capsys, tables, tmp_path):
@@ -560,11 +562,15 @@ def test_eigenvalues_checks_what_it_prints_exit3(capsys, table, message):
     assert code == 3 and out == "" and message in err
 
 
-def test_roots_past_double_range_exit3(capsys):
-    # q^135 at p = 999983 is past double range: exit 3 naming the prime
-    zero = GOLDEN / "zero_p999983.txt"
-    shared = ["--n", "6", "--k", "10", "--prime", "999983",
-              "--eigenvalues-file", f"f={zero}", "--eigenvalues-file", f"g={zero}"]
+def test_roots_past_double_range_exit3(capsys, tmp_path):
+    # q^135 at p = 999983 is past double range: exit 3 naming the prime; each
+    # table value is the one residue the Eisenstein congruence of its weight
+    # allows (a table of zeros breaks it and exits 3 before the roots)
+    shared = ["--n", "6", "--k", "10", "--prime", "999983"]
+    for role, weight, modulus in (("f", 20, 174611), ("g", 16, 3617)):
+        path = tmp_path / f"{role}.txt"
+        path.write_text(f"999983 {(1 + pow(999983, weight - 1, modulus)) % modulus}\n")
+        shared += ["--eigenvalues-file", f"{role}={path}"]
     for argv in (["euler", "--identity", "main_theorem", "--side", "lhs",
                   "--mode", "numeric", "--factored"],
                  ["lvalue", "--side", "lhs", "--s", "200"]):

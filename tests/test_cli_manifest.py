@@ -244,6 +244,13 @@ def _argv_list():
         "verify --identity main_theorem --n 1 --k 13 --mode numeric --prime 2",
         "verify --identity main_theorem --n 7 --k 7 --mode numeric --prime 2",
     ]
+    # a wrong integer inside Deligne's bound, tau(2) read as -23: it breaks
+    # Ramanujan's congruence mod 691 (exit 3)
+    out += [
+        "verify --identity main_theorem --n 2 --k 10 --mode numeric --prime 2 "
+        "--eigenvalues-file f={golden}/w20_p2.txt --eigenvalues-file g={golden}/wrong_tau_p2.txt",
+        "eigenvalues --weight 12 --prime 2 --eigenvalues-file {golden}/wrong_tau_p2.txt",
+    ]
     return out
 
 

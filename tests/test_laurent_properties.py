@@ -57,13 +57,13 @@ _triples = st.tuples(st.integers(-40, 40), st.integers(-40, 40), st.integers(-40
 
 @settings(max_examples=60, deadline=None)
 @given(st.dictionaries(_triples, _coeff, min_size=1, max_size=25), st.booleans(),
-       st.integers(0, 5))
-def test_package_wire_format_matches_the_oracle(coeffs, negative, depth):
+       st.integers(0, 5), st.integers(1, 3), st.integers(0, 3))
+def test_package_wire_format_matches_the_oracle(coeffs, negative, depth, step, skew):
     # liftspin.laurent writes sorted (e_a, e_b, e_q, c) terms the way the
     # oracle writes the same polynomial at T-degree 0, both as a dict and,
     # given row by row with one sign for every term, as the text json.dumps
     # writes nested `depth` lists deep, and compact
-    terms = [(*e, c) for e, c in sorted(coeffs.items())]
+    terms = [(e_a, e_b, e_q * step, c) for (e_a, e_b, e_q), c in sorted(coeffs.items())]
     data = laurent.json_dict(terms)
     assert data == poly(terms).to_json_dict()
     # a row slot holds at most 2^64 - 1, so a larger |c| is clamped to it
@@ -72,19 +72,22 @@ def test_package_wire_format_matches_the_oracle(coeffs, negative, depth):
     # so that equal rows share their term strings
     first = [(e_q, c) for e_a, e_b, e_q, c in slots if (e_a, e_b) == slots[0][:2]]
     slots += [(e_a, e_b, e_q, c) for e_a, e_b in ((41, -40), (42, 40)) for e_q, c in first]
-    # one row of |c| per (e_a, e_b) over every e_q the strategy draws, each
-    # after the same row with no term
-    qs = range(-40, 41)
+    # one row of |c| per (e_a, e_b), each after the same row with no term;
+    # each row's window of e_q in steps of `step` starts skew (e_a + e_b +
+    # 82) steps below the lowest e_q drawn, as a lattice box shifts them
+    size = 81 + 2 * 82 * skew
     rows = {}
     for e_a, e_b, e_q, c in slots:
-        rows.setdefault((e_a, e_b), array("Q", bytes(8 * len(qs))))[e_q - qs[0]] = c
-    empty = memoryview(array("Q", bytes(8 * len(qs))))
-    rows = [row for (e_a, e_b), cs in rows.items()
-            for row in ((e_a, e_b - 1, empty), (e_a, e_b, memoryview(cs)))]
+        start = (-40 - skew * (e_a + e_b + 82)) * step
+        cs = rows.setdefault((e_a, e_b), (start, array("Q", bytes(8 * size))))[1]
+        cs[(e_q - start) // step] = c
+    empty = memoryview(array("Q", bytes(8 * size)))
+    rows = [row for (e_a, e_b), (start, cs) in rows.items()
+            for row in ((e_a, e_b - 1, start, empty), (e_a, e_b, start, memoryview(cs)))]
     expected = laurent.json_dict([(*e, -c if negative else c) for *e, c in slots])
-    assert laurent.coefficient_text(negative, qs, rows, None) == json.dumps(expected)
-    assert _nested("@", depth).replace('"@"', laurent.coefficient_text(negative, qs, rows, depth)) \
-        == _nested(expected, depth)
+    assert laurent.coefficient_text(negative, step, rows, None) == json.dumps(expected)
+    text = laurent.coefficient_text(negative, step, rows, depth)
+    assert _nested("@", depth).replace('"@"', text) == _nested(expected, depth)
 
 
 def _nested(value, depth):

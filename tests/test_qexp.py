@@ -261,12 +261,17 @@ def test_deligne_bound_is_exact():
     check_eigenvalue(-4, 3, 2)
     with pytest.raises(DeligneBoundViolation):
         check_eigenvalue(Fraction(4001, 1000), 3, 2)
-    # one past the integer square root of 4 p^(w-1): a float comparison
-    # cannot tell these two apart, the exact one must
+    # the largest integer inside 2 p^((w-1)/2) that keeps the congruence
+    # mod N_26 = 657931, the next such integer and the integer square root
+    # plus one: a float comparison cannot tell these apart, the exact one must
     bound_sq = 4 * 199 ** 25
-    check_eigenvalue(isqrt(bound_sq), 26, 199)
-    with pytest.raises(DeligneBoundViolation):
-        check_eigenvalue(isqrt(bound_sq) + 1, 26, 199)
+    top = isqrt(bound_sq)
+    top -= (top - 1 - 199 ** 25) % 657931
+    check_eigenvalue(top, 26, 199)
+    for lam in (top + 657931, isqrt(bound_sq) + 1):
+        assert float(lam) == float(top)
+        with pytest.raises(DeligneBoundViolation):
+            check_eigenvalue(lam, 26, 199)
 
 
 def test_eigenvalue_must_be_an_integer():

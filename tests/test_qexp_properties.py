@@ -1,13 +1,21 @@
 """Ring laws of truncated q-expansion multiplication, on random int
-coefficients."""
+coefficients; and genuine eigenvalue tables with one entry moved, which
+the CLI refuses with exit 3."""
+
+import io
+import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
-from liftspin.qexp import QExpansion
+from liftspin import cli
+from liftspin.qexp import QExpansion, bernoulli, check_eigenvalue, primes_up_to
 from oracles import schoolbook
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 _coeff = st.integers(-10 ** 12, 10 ** 12)
@@ -35,3 +43,61 @@ def test_mul_distributes_over_sub(a, b, c):
 def test_mul_by_unit_series(a):
     unit = QExpansion(0, [1] + [0] * a.precision)
     assert unit * a == a * unit == a
+
+
+# -- the Eisenstein congruence lambda_w(p) = 1 + p^(w-1) mod N_w ---------------
+
+GOLDEN = Path(__file__).parent / "golden"
+#: N_w, the numerator of B_w / (2w), at each weight with a golden table
+_MODULI = {12: 691, 16: 3617, 18: 43867, 20: 174611, 22: 77683, 26: 657931}
+
+
+def _golden_table(weight):
+    rows = json.loads((GOLDEN / f"eigenvalues_w{weight}.json").read_text())["eigenvalues"]
+    return {row["p"]: int(row["lambda"]) for row in rows}
+
+
+def _eigenvalues_exit(weight, table):
+    """The exit code of `eigenvalues` at every prime of a table file."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "table.txt"
+        path.write_text("".join(f"{p} {lam}\n" for p, lam in table.items()))
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            return cli.main(["eigenvalues", "--weight", str(weight), "--primes-up-to",
+                             str(max(table)), "--eigenvalues-file", str(path)])
+
+
+def test_golden_tables_are_eisenstein_congruent():
+    # N_w from the Bernoulli numbers; all 46 rows of each golden table pass
+    # every check, the congruence included
+    for weight, modulus in _MODULI.items():
+        assert abs((bernoulli(weight) / (2 * weight)).numerator) == modulus
+        table = _golden_table(weight)
+        assert len(table) == 46
+        for p, lam in table.items():
+            assert (lam - 1 - p ** (weight - 1)) % modulus == 0
+            check_eigenvalue(lam, weight, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_MODULI)), st.sampled_from(primes_up_to(19)),
+       st.one_of(st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 40, 10 ** 40)))
+@example(12, 2, 1)
+@example(26, 19, -1)
+def test_a_moved_table_entry_exits_3(weight, p, delta):
+    # one entry of a genuine table at p <= 19 moved by delta: outside
+    # Deligne's bound or inside it, it breaks the congruence unless N_w
+    # divides delta; such a delta passes by design, as the congruence is
+    # all that tells those values apart inside the bound
+    assume(delta % _MODULI[weight])
+    table = {q: lam for q, lam in _golden_table(weight).items() if q <= 19}
+    table[p] += delta
+    assert _eigenvalues_exit(weight, table) == 3
+
+
+def test_a_table_entry_moved_by_n_w_inside_the_bound_passes():
+    # the limit of the check: tau(19) + 691 lies inside Deligne's bound
+    table = {q: lam for q, lam in _golden_table(12).items() if q <= 19}
+    table[19] += 691
+    assert table[19] ** 2 <= 4 * 19 ** 11
+    assert _eigenvalues_exit(12, table) == 0
