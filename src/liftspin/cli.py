@@ -11,8 +11,9 @@ explicit flags win.
 Exit codes: 0 success, 1 verification failure, 2 usage error (a flag the
 table refuses, a stray argument, inconsistent flags, no prime flag where
 one is needed, a prime bound below 2, malformed eigenvalue tables), 3
-unsupported input (a weight whose cusp space is not one-dimensional, an
-eigenvalue outside Deligne's bound or not an integer, genus, expansion,
+unsupported input (a weight whose cusp space is not one-dimensional, also
+for a table, an eigenvalue outside Deligne's bound, off the Eisenstein
+congruence or, in a table, not an integer, genus, expansion,
 --n, precision, prime-bound, --prime and table-prime caps, a non-finite or
 out-of-range --s, numeric roots or expanded coefficients past double range).
 """
@@ -38,10 +39,8 @@ from .qexp import (
     MAX_PRECISION,
     MAX_PRIMES_UP_TO,
     EigenformData,
-    check_eigenvalue,
     eigenform,
     hecke_eigenvalue,
-    load_eigenvalue_table,
     primes_up_to,
 )
 
@@ -112,10 +111,7 @@ def _parse_table_args(args) -> Dict[str, str]:
 
 def _form_for(role: str, weight: int, precision: int,
               tables: Dict[str, str]) -> EigenformData:
-    path = tables.get(role, tables.get("untagged"))
-    if path is not None:
-        return EigenformData.from_eigenvalue_table(weight, load_eigenvalue_table(path))
-    return eigenform(weight, precision)
+    return eigenform(weight, precision, tables.get(role, tables.get("untagged")))
 
 
 def _numeric_forms(args, needs_g: bool = True) -> tuple:
@@ -171,12 +167,8 @@ def cmd_eigenvalues(args) -> int:
     primes = _primes_from(args)
     tables = _parse_table_args(args)
     form = _form_for("untagged", weight, args.precision, tables)
-    rows = []
-    for p in primes:
-        lam = hecke_eigenvalue(form, p)
-        # the boundary check of numeric runs: no value prints that they reject
-        check_eigenvalue(lam, weight, p)
-        rows.append({"p": p, "lambda": str(lam)})
+    # hecke_eigenvalue checks each value, so none prints that numeric runs reject
+    rows = [{"p": p, "lambda": str(hecke_eigenvalue(form, p))} for p in primes]
     data = {"weight": weight, "eigenvalues": rows}
 
     def as_text(d):

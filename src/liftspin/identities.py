@@ -51,7 +51,7 @@ from .euler import (
     sym_power_factor,
     tensor_factor,
 )
-from .qexp import EigenformData, check_eigenvalue, hecke_eigenvalue, numeric_satake
+from .qexp import EigenformData, hecke_eigenvalue, numeric_satake
 from .satake import (
     Monomial,
     SatakeParams,
@@ -171,17 +171,16 @@ def compare_numeric(lhs: LocalFactor, rhs: LocalFactor, alpha: complex, beta: co
 # -- numeric instantiation helpers --------------------------------------------
 
 def _satake_root(form: EigenformData, p: int) -> complex:
-    lam = hecke_eigenvalue(form, p)
-    check_eigenvalue(lam, form.weight, p)
-    return numeric_satake(lam, form.weight, p)[0]
+    return numeric_satake(hecke_eigenvalue(form, p), form.weight, p)[0]
 
 
 def satake_values(f: EigenformData, g: Optional[EigenformData],
                   n: int, k: int, p: int) -> Tuple[complex, complex]:
     """(alpha, beta) at p from eigenvalue data; beta is 0j when g is absent.
 
-    Each eigenvalue is checked first (Deligne's bound, integrality), so data
-    of the wrong weight is rejected instead of yielding off-circle roots."""
+    hecke_eigenvalue checks each eigenvalue it reads (Deligne's bound, the
+    Eisenstein congruence), so data of the wrong weight is rejected instead
+    of yielding off-circle roots."""
     if f.weight != 2 * k:
         raise ValueError(f"f has weight {f.weight}, expected {2 * k}")
     alpha = _satake_root(f, p)

@@ -2,12 +2,12 @@
 
 Truncated power series in q = e^(2 pi i tau) with plain int coefficients:
 every series built here (E4, E6, their monomials, Delta, the eigenforms)
-is integral, and any other coefficient is refused.  Fraction remains only
-in the Bernoulli numbers and in eigenvalue data: tables, check_eigenvalue
-and numeric_satake.
+is integral, and any other coefficient is refused.  Eigenvalue data is
+plain ints too: a table value must be an integer, and is refused where the
+table is read if it is not.
 
-Contents: Eisenstein series from the divisor-sum formula, and the
-normalized eigenforms built from E4 and E6.
+Contents: E4 and E6 from the divisor-sum formula, and the normalized
+eigenforms built from them.
 
 A product of two series is one big-int multiplication (Kronecker
 substitution): each series is packed into an int with one fixed-width byte
@@ -26,11 +26,11 @@ before any series is built.
 
 from __future__ import annotations
 
+import cmath
 import re
-from fractions import Fraction
 from functools import reduce
 from itertools import compress
-from math import comb, isqrt
+from math import isqrt
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -78,22 +78,6 @@ def primes_up_to(bound: int) -> List[int]:
         if sieve[d]:
             sieve[d * d::d] = bytes(len(range(d * d, bound + 1, d)))
     return list(compress(range(bound + 1), sieve))
-
-
-# -- Bernoulli numbers ----------------------------------------------------
-
-_bernoulli_cache: List[Fraction] = [Fraction(1)]
-
-
-def bernoulli(m: int) -> Fraction:
-    """B_m with B_1 = -1/2, via the standard recurrence."""
-    if m < 0:
-        raise ValueError(f"m must be nonnegative, got {m}")
-    while len(_bernoulli_cache) <= m:
-        j = len(_bernoulli_cache)
-        acc = sum(comb(j + 1, i) * _bernoulli_cache[i] for i in range(j))
-        _bernoulli_cache.append(Fraction(-acc, j + 1))
-    return _bernoulli_cache[m]
 
 
 # -- q-expansions ---------------------------------------------------------
@@ -187,20 +171,22 @@ class QExpansion:
         return f"QExpansion(weight={self.weight}, coeffs=[{shown}, ...])"
 
 
+#: -2k/B_k at the two weights whose Eisenstein series the eigenforms use
+_EISENSTEIN_FACTORS = {4: 240, 6: -504}
+
+
 def eisenstein(weight: int, precision: int) -> QExpansion:
-    """Normalized Eisenstein series E_k = 1 - (2k/B_k) sum sigma_(k-1)(n) q^n,
-    for the weights whose -2k/B_k is an integer: 4, 6, 8, 10 and 14."""
-    if weight < 4 or weight % 2:
-        raise UnsupportedWeight(f"Eisenstein series needs even weight >= 4, got {weight}")
-    factor = Fraction(-2 * weight) / bernoulli(weight)
-    if factor.denominator != 1:
-        raise UnsupportedWeight(f"E_{weight} has the non-integral factor -2k/B_k = {factor}")
+    """Normalized Eisenstein series E_k = 1 - (2k/B_k) sum sigma_(k-1)(n) q^n
+    at k = 4 and 6, the two the eigenforms are built from."""
+    factor = _EISENSTEIN_FACTORS.get(weight)
+    if factor is None:
+        raise UnsupportedWeight(f"Eisenstein series are built at weights 4 and 6 only, "
+                                f"got {weight}")
     sigma = [0] * (precision + 1)
     for d in range(1, precision + 1):
         dk = d ** (weight - 1)
         for n in range(d, precision + 1, d):
             sigma[n] += dk
-    factor = factor.numerator
     return QExpansion(weight, [1] + [factor * s for s in sigma[1:]])
 
 
@@ -219,46 +205,47 @@ def dim_cusp_forms(weight: int) -> int:
 # -- Hecke action and eigenforms -------------------------------------------
 
 class EigenformData:
-    """A normalized Hecke eigenform: weight, exact q-expansion, and a
-    write-once cache of eigenvalues (which equal the q-coefficients)."""
+    """A normalized Hecke eigenform: its weight and either its exact
+    q-expansion or, read from a file in its place, a prime -> eigenvalue
+    table (qexp None)."""
 
     def __init__(self, weight: int, qexp: Optional[QExpansion],
-                 eigenvalues: Optional[Dict[int, Fraction]] = None):
+                 table: Optional[Dict[int, int]] = None):
         self.weight = weight
         self.qexp = qexp
-        self.eigenvalues: Dict[int, Fraction] = dict(eigenvalues or {})
-
-    @classmethod
-    def from_eigenvalue_table(cls, weight: int, table: Dict[int, Fraction]) -> "EigenformData":
-        """Wrap an externally supplied prime -> eigenvalue table (no q-expansion)."""
-        return cls(weight, None, table)
+        self.table = table
 
     def __repr__(self) -> str:
         src = "table" if self.qexp is None else f"qexp<= {self.qexp.precision}"
         return f"EigenformData(weight={self.weight}, {src})"
 
 
-def hecke_eigenvalue(form: EigenformData, p: int):
-    """lambda(p) = p-th q-coefficient of the normalized eigenform."""
+def hecke_eigenvalue(form: EigenformData, p: int) -> int:
+    """lambda(p): the p-th q-coefficient of the normalized eigenform, or the
+    table's entry for p, checked by check_eigenvalue before it is returned."""
     if not is_prime(p):
         raise NonPrime(f"{p} is not prime")
-    cached = form.eigenvalues.get(p)
-    if cached is not None:
-        return cached
     if form.qexp is None:
-        raise InsufficientPrecision(f"eigenvalue table has no entry for p={p}")
-    if p > form.qexp.precision:
+        lam = form.table.get(p)
+        if lam is None:
+            raise InsufficientPrecision(f"eigenvalue table has no entry for p={p}")
+    elif p > form.qexp.precision:
         raise InsufficientPrecision(
             f"p={p} exceeds q-expansion precision {form.qexp.precision}")
-    return form.eigenvalues.setdefault(p, form.qexp.coeffs[p])
+    else:
+        lam = form.qexp.coeffs[p]
+    check_eigenvalue(lam, form.weight, p)
+    return lam
 
 
-def eigenform(weight: int, precision: int = DEFAULT_PRECISION) -> EigenformData:
-    """The normalized eigenform of a one-dimensional cuspidal weight w:
-    Delta E4^a E6^b with (a, b) from the weight table, where
-    Delta = (E4^3 - E6^2)/1728 by exact integer division.  S_w = Delta M_(w-12),
-    so S_w is one-dimensional exactly when M_(w-12) is, and then the single
-    monomial E4^a E6^b spans M_(w-12)."""
+def eigenform(weight: int, precision: int = DEFAULT_PRECISION,
+              table: Optional[str] = None) -> EigenformData:
+    """The normalized eigenform of a one-dimensional cuspidal weight w, its
+    eigenvalues read from the file `table` (load_eigenvalue_table) when one
+    is given, and otherwise built as Delta E4^a E6^b with (a, b) from the
+    weight table, where Delta = (E4^3 - E6^2)/1728 by exact integer
+    division.  S_w = Delta M_(w-12), so S_w is one-dimensional exactly when
+    M_(w-12) is, and then the single monomial E4^a E6^b spans M_(w-12)."""
     d = dim_cusp_forms(weight)
     if d == 0:
         raise EmptySpace(f"S_{weight} is zero-dimensional")
@@ -267,6 +254,8 @@ def eigenform(weight: int, precision: int = DEFAULT_PRECISION) -> EigenformData:
             f"S_{weight} has dimension {d} and irrational Hecke eigenvalues; "
             f"eigenforms are built only for the one-dimensional weights "
             f"{SUPPORTED_WEIGHTS}")
+    if table is not None:
+        return EigenformData(weight, None, load_eigenvalue_table(table))
     if precision < d:
         raise ValueError(f"precision {precision} below dimension {d}")
     e4, e6 = eisenstein(4, precision), eisenstein(6, precision)
@@ -285,29 +274,23 @@ def eigenform(weight: int, precision: int = DEFAULT_PRECISION) -> EigenformData:
 _EISENSTEIN_MODULI = {12: 691, 16: 3617, 18: 43867, 20: 174611, 22: 77683, 26: 657931}
 
 
-def check_eigenvalue(lam, weight: int, p: int) -> None:
+def check_eigenvalue(lam: int, weight: int, p: int) -> None:
     """Reject lam outside Deligne's bound, compared exactly as
-    lam^2 <= 4 p^(weight-1) before any float conversion, a lam that is
-    not an integer, as no level-one eigenform with rational eigenvalues has,
-    and at a supported weight w one that breaks the Eisenstein congruence
+    lam^2 <= 4 p^(weight-1) before any float conversion, and at a supported
+    weight w one that breaks the Eisenstein congruence
     lam = 1 + p^(w-1) mod N_w, as a wrong integer inside the bound may."""
-    lam = Fraction(lam)
-    if lam ** 2 > 4 * p ** (weight - 1):
+    if lam * lam > 4 * p ** (weight - 1):
         raise DeligneBoundViolation(
             f"lambda({p}) = {lam} violates Deligne's bound "
             f"|lambda(p)| <= 2 p^(({weight}-1)/2) for weight {weight}")
-    if lam.denominator != 1:
-        raise NonIntegralEigenvalue(
-            f"lambda({p}) = {lam} is not an integer; the level-one eigenform "
-            f"of weight {weight} has integer eigenvalues")
     modulus = _EISENSTEIN_MODULI.get(weight)
-    if modulus and (lam.numerator - 1 - pow(p, weight - 1, modulus)) % modulus:
+    if modulus and (lam - 1 - pow(p, weight - 1, modulus)) % modulus:
         raise EisensteinCongruenceViolation(
             f"lambda({p}) = {lam} is not 1 + {p}^{weight - 1} mod {modulus}, as every "
             f"eigenvalue of the weight-{weight} eigenform is")
 
 
-def numeric_satake(lam, weight: int, p: int) -> Tuple[complex, complex]:
+def numeric_satake(lam: int, weight: int, p: int) -> Tuple[complex, complex]:
     """Roots of X^2 - lam p^(-(weight-1)/2) X + 1, as an exact-reciprocal pair.
 
     The first root has nonnegative imaginary part (ties broken by larger
@@ -318,8 +301,8 @@ def numeric_satake(lam, weight: int, p: int) -> Tuple[complex, complex]:
         raise UnsupportedWeight(f"weight must be even, got {weight}")
     if not is_prime(p):
         raise NonPrime(f"{p} is not prime")
-    import cmath
-    normalized = float(Fraction(lam) / p ** ((weight - 2) // 2)) / p ** 0.5
+    # int / int rounds correctly, so this is the float nearest lam / p^((w-2)/2)
+    normalized = lam / p ** ((weight - 2) // 2) / p ** 0.5
     disc = cmath.sqrt(complex(normalized * normalized - 4))
     if normalized < -2:  # (normalized + disc) / 2 would cancel to nothing
         large = (normalized - disc) / 2
@@ -332,15 +315,18 @@ def numeric_satake(lam, weight: int, p: int) -> Tuple[complex, complex]:
 
 # -- external eigenvalue tables ---------------------------------------------
 
-def load_eigenvalue_table(path: str) -> Dict[int, Fraction]:
-    """Parse a '<p> <numerator>[/<denominator>]' file, one prime per line.
+def load_eigenvalue_table(path: str) -> Dict[int, int]:
+    """Parse a '<p> <numerator>[/<denominator>]' file, one prime per line,
+    into prime -> int eigenvalue.
 
     Blank lines and lines starting with '#' are ignored.  Primes and values
     not written in ASCII decimal digits (values as integers or quotients with
     a nonzero denominator), primes above MAX_PRIMES_UP_TO (checked before
-    primality) and repeated primes are errors.
+    primality) and repeated primes are errors, and a quotient that is not an
+    integer raises NonIntegralEigenvalue: no level-one eigenform with
+    rational eigenvalues has one.
     """
-    table: Dict[int, Fraction] = {}
+    table: Dict[int, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -366,5 +352,9 @@ def load_eigenvalue_table(path: str) -> Dict[int, Fraction]:
                 raise ValueError(f"{path}:{lineno}: duplicate prime {p}")
             if not is_prime(p):
                 raise NonPrime(f"{path}:{lineno}: {p} is not prime")
-            table[p] = Fraction(num, den)
+            if num % den:
+                raise NonIntegralEigenvalue(
+                    f"{path}:{lineno}: lambda({p}) = {num}/{den} is not an integer; level-one "
+                    f"eigenforms with rational eigenvalues have integer ones")
+            table[p] = num // den
     return table

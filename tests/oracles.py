@@ -9,7 +9,10 @@ subset enumeration, degree audits, similitude exponent, Weyl group action
 and the two constructions of the discriminant form that the acceptance
 criteria use, and the schoolbook product and the full-row echelonized
 Victor Miller basis that the packed q-expansion product and the
-Delta E4^a E6^b eigenforms are tested against.  `coefficients`,
+Delta E4^a E6^b eigenforms are tested against; the Bernoulli numbers and
+the Eisenstein series of every integral weight, which the package does not
+need, and `fraction_satake`, the Satake roots computed from Fraction
+eigenvalues, which the int path must match bit for bit.  `coefficients`,
 `to_json_dict` and `factored_json_dict` decode a LocalFactor into term
 tuples and dicts, which the package's streaming writers never build;
 `text_lines` writes their `--format text` lines entry by entry, and
@@ -29,14 +32,16 @@ lexicographically on (e_T, e_a, e_b, e_q) for printing and encoding.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 from fractions import Fraction
 from itertools import combinations, groupby
+from math import comb
 from typing import Iterable, List, Mapping, Sequence, Tuple, Union
 
 from liftspin.beta import symmetric_odd_set, table
 from liftspin.cli import EULER_IDENTITIES, VERIFY_IDENTITIES
-from liftspin.errors import NonPrime
+from liftspin.errors import NonPrime, UnsupportedWeight
 from liftspin.euler import LocalFactor
 from liftspin.laurent import json_dict
 from liftspin.qexp import (DEFAULT_PRECISION, QExpansion, dim_cusp_forms, eisenstein,
@@ -534,6 +539,51 @@ def hecke_operator(form: QExpansion, p: int) -> QExpansion:
     a, pk = form.coeffs, p ** (form.weight - 1)
     return QExpansion(form.weight, [a[n * p] + (0 if n % p else pk * a[n // p])
                                     for n in range(form.precision // p + 1)])
+
+
+_bernoulli_cache: List[Fraction] = [Fraction(1)]
+
+
+def bernoulli(m: int) -> Fraction:
+    """B_m with B_1 = -1/2, via the standard recurrence."""
+    if m < 0:
+        raise ValueError(f"m must be nonnegative, got {m}")
+    while len(_bernoulli_cache) <= m:
+        j = len(_bernoulli_cache)
+        acc = sum(comb(j + 1, i) * _bernoulli_cache[i] for i in range(j))
+        _bernoulli_cache.append(Fraction(-acc, j + 1))
+    return _bernoulli_cache[m]
+
+
+def eisenstein_series(weight: int, precision: int) -> QExpansion:
+    """E_k = 1 - (2k/B_k) sum sigma_(k-1)(n) q^n at every weight whose
+    -2k/B_k is an integer: 4, 6, 8, 10 and 14 (the package builds 4 and 6)."""
+    if weight < 4 or weight % 2:
+        raise UnsupportedWeight(f"Eisenstein series needs even weight >= 4, got {weight}")
+    factor = Fraction(-2 * weight) / bernoulli(weight)
+    if factor.denominator != 1:
+        raise UnsupportedWeight(f"E_{weight} has the non-integral factor -2k/B_k = {factor}")
+    sigma = [0] * (precision + 1)
+    for d in range(1, precision + 1):
+        for n in range(d, precision + 1, d):
+            sigma[n] += d ** (weight - 1)
+    return QExpansion(weight, [1] + [factor.numerator * s for s in sigma[1:]])
+
+
+def fraction_satake(lam, weight: int, p: int) -> Tuple[complex, complex]:
+    """The Satake roots of `qexp.numeric_satake` with the normalization
+    lam p^(-(weight-1)/2) taken through Fraction, as
+    float(Fraction(lam) / p^((weight-2)/2)) / sqrt(p), then the same roots
+    of X^2 - that X + 1."""
+    normalized = float(Fraction(lam) / p ** ((weight - 2) // 2)) / p ** 0.5
+    disc = cmath.sqrt(complex(normalized * normalized - 4))
+    if normalized < -2:
+        large = (normalized - disc) / 2
+        return 1 / large, large
+    r1 = (normalized + disc) / 2
+    r2 = (normalized - disc) / 2
+    first = max(r1, r2, key=lambda z: (z.imag, z.real))
+    return first, 1 / first
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -287,6 +287,24 @@ def test_eigenvalues_irrational_weight_exit3(capsys):
     assert code == 3 and "irrational" in err.lower()
 
 
+_FIVE = str(GOLDEN / "five_p2.txt")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eigenvalues", "--weight", "14", "--eigenvalues-file", _FIVE], "S_14 is zero-dimensional"),
+    (["eigenvalues", "--weight", "13", "--eigenvalues-file", _FIVE], "S_13 is zero-dimensional"),
+    (["eigenvalues", "--weight", "24", "--eigenvalues-file", _FIVE],
+     "S_24 has dimension 2 and irrational"),
+    (["verify", "--identity", "main_theorem", "--n", "2", "--k", "12", "--mode", "numeric",
+      "--eigenvalues-file", f"f={_FIVE}", "--eigenvalues-file", f"g={_FIVE}"],
+     "S_24 has dimension 2 and irrational"),
+])
+def test_a_table_at_a_weight_without_a_rational_eigenform_exit3(capsys, argv, message):
+    # the table "2 5" is refused for its weight, as a q-expansion would be
+    code, out, err = run(capsys, *argv, "--prime", "2")
+    assert (code, out) == (3, "") and message in err
+
+
 def test_lvalue_tail_diagnostic(capsys):
     # raising the truncation bound moves the value by no more than the
     # reported increment scale; at s=25 both sit at rounding level

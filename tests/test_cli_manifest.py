@@ -251,6 +251,17 @@ def _argv_list():
         "--eigenvalues-file f={golden}/w20_p2.txt --eigenvalues-file g={golden}/wrong_tau_p2.txt",
         "eigenvalues --weight 12 --prime 2 --eigenvalues-file {golden}/wrong_tau_p2.txt",
     ]
+    # a table ("2 5") at weights whose cusp space is not one-dimensional:
+    # S_14 and S_13 are zero-dimensional, S_24 has irrational eigenvalues
+    # (exit 3, as without a table)
+    out += [f"eigenvalues --weight {w} --prime 2 --eigenvalues-file {{golden}}/five_p2.txt"
+            for w in (14, 24, 13)]
+    out += [
+        "verify --identity main_theorem --n 2 --k 12 --mode numeric --prime 2 "
+        "--eigenvalues-file f={golden}/five_p2.txt --eigenvalues-file g={golden}/five_p2.txt",
+        "euler --identity ikeda_standard --side lhs --n 2 --k 12 --mode numeric --prime 2 "
+        "--eigenvalues-file {golden}/five_p2.txt",
+    ]
     return out
 
 

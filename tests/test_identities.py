@@ -24,7 +24,7 @@ from liftspin.identities import (
     negative_control_reports,
     verify,
 )
-from liftspin.qexp import EigenformData, eigenform
+from liftspin.qexp import eigenform
 from liftspin.satake import SatakeParams, check_units, miyawaki_satake, mono_inv, mono_mul
 from oracles import c1_eigenvalue, coefficients, frobenius_eigenvalue, shifted, weyl_sigma
 
@@ -390,13 +390,17 @@ def test_factor_equalities_pass_numerically_at_top_n(forms, name, n, p):
     assert report.passed, report.witness
 
 
-def test_numeric_comparison_stays_in_double_range():
+def test_numeric_comparison_stays_in_double_range(tmp_path):
     # at the largest table prime the roots of the degree-2048 sides reach
     # p^67, past double range; the comparison scales them by p^(-c/2) first.
     # Each table value is the one residue the Eisenstein congruence allows.
     p = 999983
-    f, g = (EigenformData.from_eigenvalue_table(w, {p: (1 + pow(p, w - 1, n)) % n})
-            for w, n in ((20, 174611), (16, 3617)))
+    forms = []
+    for w, n in ((20, 174611), (16, 3617)):
+        path = tmp_path / f"w{w}.txt"
+        path.write_text(f"{p} {(1 + pow(p, w - 1, n)) % n}\n")
+        forms.append(eigenform(w, table=str(path)))
+    f, g = forms
     report = verify("main_theorem", 6, 10, mode="numeric", prime=p, f=f, g=g)
     assert report.passed, report.witness
 

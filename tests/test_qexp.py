@@ -7,6 +7,7 @@ import pytest
 
 from liftspin.errors import (
     DeligneBoundViolation,
+    EisensteinCongruenceViolation,
     EmptySpace,
     InputTooLarge,
     InsufficientPrecision,
@@ -20,9 +21,7 @@ from liftspin.qexp import (
     MAX_PRECISION,
     MAX_PRIMES_UP_TO,
     SUPPORTED_WEIGHTS,
-    EigenformData,
     QExpansion,
-    bernoulli,
     check_eigenvalue,
     dim_cusp_forms,
     eigenform,
@@ -34,8 +33,10 @@ from liftspin.qexp import (
     primes_up_to,
 )
 from oracles import (
+    bernoulli,
     delta,
     delta_eta_product,
+    eisenstein_series,
     hecke_operator,
     schoolbook,
     victor_miller_full_rows,
@@ -70,21 +71,29 @@ def test_eisenstein_examples():
     assert e4.coeffs == (1, 240, 2160)
     e6 = eisenstein(6, 1)
     assert e6.coeffs == (1, -504)
+    # the package builds E4 and E6 only, as the oracle's divisor sums do
+    for weight in range(4, 28, 2):
+        if weight in (4, 6):
+            assert eisenstein(weight, 30) == eisenstein_series(weight, 30)
+        else:
+            with pytest.raises(UnsupportedWeight, match="weights 4 and 6 only"):
+                eisenstein(weight, 3)
     # -2k/B_k is an integer at these weights only; the series stay integral
     for weight in range(4, 28, 2):
         if weight in (4, 6, 8, 10, 14):
-            assert eisenstein(weight, 3).coeffs[0] == 1
+            assert eisenstein_series(weight, 3).coeffs[0] == 1
         else:
             with pytest.raises(UnsupportedWeight, match="non-integral"):
-                eisenstein(weight, 3)
+                eisenstein_series(weight, 3)
 
 
 @pytest.mark.parametrize("weight, factors", [(8, (4, 4)), (10, (4, 6)), (14, (4, 4, 6))])
 def test_integral_eisenstein_series_are_products_of_e4_and_e6(weight, factors):
     # M_8, M_10 and M_14 are one-dimensional, so E8 = E4^2, E10 = E4 E6
-    # and E14 = E4^2 E6; the divisor sums on the left, packed products on the right
+    # and E14 = E4^2 E6; the oracle's divisor sums on the left, the package's
+    # packed products of E4 and E6 on the right
     product = reduce(mul, [eisenstein(w, 200) for w in factors])
-    assert eisenstein(weight, 200) == product
+    assert eisenstein_series(weight, 200) == product
 
 
 def test_eisenstein_rejects_bad_weight():
@@ -152,7 +161,6 @@ def test_hecke_eigenvalue_examples(f20, g12):
     assert hecke_eigenvalue(g12, 2) == -24
     assert g12.qexp.coeffs[1] == 1  # normalization: coeffs[1] * lambda = coeffs[p]
     assert hecke_eigenvalue(f20, 2) == f20.qexp.coeffs[2]
-    assert 2 in f20.eigenvalues  # cached
     with pytest.raises(NonPrime):
         hecke_eigenvalue(g12, 1)
     with pytest.raises(InsufficientPrecision):
@@ -274,14 +282,20 @@ def test_deligne_bound_is_exact():
             check_eigenvalue(lam, 26, 199)
 
 
-def test_eigenvalue_must_be_an_integer():
+def test_eigenvalue_must_be_an_integer(tmp_path):
     # tau(3) = 252; 505/2 lies inside Deligne's bound for weight 12 at p = 3
-    # but is no level-one eigenvalue; an integer written as a quotient is one
+    # but is no level-one eigenvalue, and the table is refused (exit 3) where
+    # it is read; an integer written as a quotient is one, read as an int
     assert Fraction(505, 2) ** 2 <= 4 * 3 ** 11
-    with pytest.raises(NonIntegralEigenvalue, match=r"lambda\(3\) = 505/2"):
-        check_eigenvalue(Fraction(505, 2), 12, 3)
-    check_eigenvalue(Fraction(504, 2), 12, 3)
-    check_eigenvalue(252, 12, 3)
+    path = tmp_path / "lam.txt"
+    path.write_text("2 -24\n3 505/2\n")
+    with pytest.raises(NonIntegralEigenvalue, match=r"lam.txt:2: lambda\(3\) = 505/2") as exc:
+        load_eigenvalue_table(str(path))
+    assert isinstance(exc.value, UnsupportedInput)
+    path.write_text("2 -24\n3 504/2\n")
+    table = load_eigenvalue_table(str(path))
+    assert table == {2: -24, 3: 252} and type(table[3]) is int
+    check_eigenvalue(table[3], 12, 3)
 
 
 def test_genuine_tables_satisfy_deligne_bound(tmp_path):
@@ -290,7 +304,7 @@ def test_genuine_tables_satisfy_deligne_bound(tmp_path):
         coeffs = eigenform(weight, 200).qexp.coeffs
         path = tmp_path / f"w{weight}.txt"
         path.write_text("".join(f"{p} {coeffs[p]}\n" for p in primes))
-        form = EigenformData.from_eigenvalue_table(weight, load_eigenvalue_table(str(path)))
+        form = eigenform(weight, table=str(path))
         for p in primes:
             check_eigenvalue(hecke_eigenvalue(form, p), weight, p)
 
@@ -331,9 +345,10 @@ def test_eigenvalue_table_round_trip(tmp_path):
     path = tmp_path / "lam.txt"
     path.write_text("# weight 12\n2 -24\n3 252\n5 4830/1\n\n")
     table = load_eigenvalue_table(str(path))
-    assert table == {2: Fraction(-24), 3: Fraction(252), 5: Fraction(4830)}
+    assert table == {2: -24, 3: 252, 5: 4830}
+    assert all(type(lam) is int for lam in table.values())
 
-    form = EigenformData.from_eigenvalue_table(12, table)
+    form = eigenform(12, table=str(path))
     assert hecke_eigenvalue(form, 3) == 252
     with pytest.raises(InsufficientPrecision):
         hecke_eigenvalue(form, 7)
@@ -346,6 +361,25 @@ def test_eigenvalue_table_round_trip(tmp_path):
     with pytest.raises(ValueError):
         load_eigenvalue_table(str(bad))
 
+
+def test_a_table_form_is_checked_as_a_computed_one_is(tmp_path):
+    # the weight first, before the file is opened
+    missing = str(tmp_path / "missing.txt")
+    with pytest.raises(EmptySpace, match="zero-dimensional"):
+        eigenform(14, table=missing)
+    with pytest.raises(IrrationalEigenspace, match="irrational"):
+        eigenform(24, table=missing)
+    # then each value where hecke_eigenvalue reads it: 5 breaks the
+    # congruence mod 691 at p = 2 and 10^6 Deligne's bound at p = 3, while
+    # the entry for p = 5 still reads
+    path = tmp_path / "lam.txt"
+    path.write_text("2 5\n3 1000000\n5 4830\n")
+    form = eigenform(12, table=str(path))
+    assert hecke_eigenvalue(form, 5) == 4830
+    with pytest.raises(EisensteinCongruenceViolation):
+        hecke_eigenvalue(form, 2)
+    with pytest.raises(DeligneBoundViolation):
+        hecke_eigenvalue(form, 3)
 
 
 def test_eigenvalue_table_prime_cap(tmp_path):
@@ -405,7 +439,10 @@ def test_eigenvalue_table_prime_sign(tmp_path):
 def test_eigenvalue_table_value_forms(tmp_path):
     path = tmp_path / "lam.txt"
     path.write_text("2 +24\n3 -252/1\n5 10/4\n")
-    assert load_eigenvalue_table(str(path)) == {2: 24, 3: -252, 5: Fraction(5, 2)}
+    with pytest.raises(NonIntegralEigenvalue, match=r"lam.txt:3: lambda\(5\) = 10/4 is not"):
+        load_eigenvalue_table(str(path))
+    path.write_text("2 +24\n3 -252/1\n5 504/2\n")
+    assert load_eigenvalue_table(str(path)) == {2: 24, 3: -252, 5: 252}
     path.write_text("2.0 -24\n")
     with pytest.raises(ValueError, match="lam.txt:1: "):
         load_eigenvalue_table(str(path))

@@ -1,18 +1,21 @@
 """Ring laws of truncated q-expansion multiplication, on random int
-coefficients; and genuine eigenvalue tables with one entry moved, which
-the CLI refuses with exit 3."""
+coefficients; genuine eigenvalue tables with one entry moved, which the CLI
+refuses with exit 3; and numeric Satake roots from int eigenvalues, which
+match the ones computed from Fractions bit for bit."""
 
 import io
 import json
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from math import isqrt
 from pathlib import Path
 
 import pytest
 
 from liftspin import cli
-from liftspin.qexp import QExpansion, bernoulli, check_eigenvalue, primes_up_to
-from oracles import schoolbook
+from liftspin.qexp import (MAX_PRIMES_UP_TO, SUPPORTED_WEIGHTS, QExpansion, check_eigenvalue,
+                           numeric_satake, primes_up_to)
+from oracles import bernoulli, fraction_satake, schoolbook
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings  # noqa: E402
@@ -101,3 +104,27 @@ def test_a_table_entry_moved_by_n_w_inside_the_bound_passes():
     table[19] += 691
     assert table[19] ** 2 <= 4 * 19 ** 11
     assert _eigenvalues_exit(12, table) == 0
+
+
+# -- numeric Satake roots from int eigenvalues -----------------------------------
+
+def _bits(roots):
+    return [(z.real.hex(), z.imag.hex()) for z in roots]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(SUPPORTED_WEIGHTS), st.sampled_from(primes_up_to(MAX_PRIMES_UP_TO)),
+       st.data())
+def test_int_satake_roots_match_the_fraction_formula(weight, p, data):
+    # lam / p^((w-2)/2) on ints rounds correctly, as Fraction.__float__ does,
+    # so the roots agree to the last bit anywhere in Deligne's bound
+    bound = isqrt(4 * p ** (weight - 1))
+    lam = data.draw(st.integers(-bound, bound))
+    assert _bits(numeric_satake(lam, weight, p)) == _bits(fraction_satake(lam, weight, p))
+
+
+@pytest.mark.parametrize("weight, p", [(12, 2), (26, 999983)])
+def test_int_satake_roots_match_the_fraction_formula_at_the_bound(weight, p):
+    bound = isqrt(4 * p ** (weight - 1))
+    for lam in (bound, -bound, 0):
+        assert _bits(numeric_satake(lam, weight, p)) == _bits(fraction_satake(lam, weight, p))

@@ -60,8 +60,10 @@ def test_every_private_def_is_referenced():
     assert not unreferenced, f"private defs nothing references: {unreferenced}"
 
 
-# dataclasses and what it pulls in, which every CLI run would import first
-HEAVY_IMPORTS = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+# dataclasses and what it pulls in, and fractions with decimal and numbers,
+# which every CLI run would import first
+HEAVY_IMPORTS = {"dataclasses", "inspect", "ast", "dis", "tokenize",
+                 "fractions", "decimal", "numbers"}
 
 IMPORT_SCRIPT = """
 import sys
