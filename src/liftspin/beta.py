@@ -66,15 +66,6 @@ def table(n: int) -> BetaTable:
     return tab
 
 
-def alpha_count(r: int, m: int, n: int) -> int:
-    """Number of m-subsets of the symmetric odd set with element sum r.
-
-    Out-of-range arguments (negative m, m > 2n, unreachable r) return 0;
-    the empty subset gives alpha(0, 0, n) = 1.
-    """
-    return table(n).alpha(r, m)
-
-
 def beta_value(r: int, m: int, n: int) -> int:
     """alpha(r, m, n) - alpha(r, m-2, n), with alpha at negative m taken as 0."""
     return table(n).beta(r, m)

@@ -21,7 +21,6 @@ out-of-range --s, numeric roots or expanded coefficients past double range).
 from __future__ import annotations
 
 import cmath
-import json
 import math
 import os
 import re
@@ -33,7 +32,6 @@ from typing import Dict, Iterator, List, Optional
 from . import identities, laurent
 from .beta import table as beta_table
 from .errors import InputTooLarge, OutOfConvergenceRegion, UnsupportedInput
-from .euler import numeric_coefficients
 from .qexp import (
     DEFAULT_PRECISION,
     MAX_PRECISION,
@@ -184,7 +182,8 @@ def cmd_eigenvalues(args) -> int:
 def cmd_euler(args) -> int:
     """A raw factor dump: the genus, expansion and --n caps apply, not n_range.
     The label names the identity, n and k (and the prime in numeric mode);
-    a numeric factor is written from its instantiated roots."""
+    `LocalFactor.chunks` writes the factor, exact or at the prime's Satake
+    data, in either format."""
     if args.mode == "numeric":
         _check_numeric_parity(args)
     identity = identities.IDENTITIES[args.identity]
@@ -194,29 +193,16 @@ def cmd_euler(args) -> int:
     factor = lhs if args.side == "lhs" else rhs
     # the label names no side: equal sides must serialize identically
     label = f"{args.identity}[n={args.n},k={args.k}]"
-    if args.mode == "symbolic":
-        write = factor.json_chunks if args.format == "json" else factor.text_chunks
-        _emit(write(label, args.factored), args.output)
-        return 0
-    primes = _primes_from(args)
-    if len(primes) != 1:
-        raise ValueError("numeric euler needs exactly one --prime")
-    p = primes[0]
-    f, g = _numeric_forms(args, identity.needs_g)
-    alpha, beta = identities.satake_values(f, g, args.n, args.k, p)
-    roots = factor.instantiate(alpha, beta, p)
-    key, values = (("roots", sorted(roots, key=lambda r: (r.real, r.imag))) if args.factored
-                   else ("coeffs", numeric_coefficients(roots)))
-    data = {"label": f"{label}|p={p}", "degree": len(roots),
-            key: [[z.real, z.imag] for z in values]}
-
-    def as_text(d):
-        lines = [f"label:  {d['label']}", f"degree: {d['degree']}"]
-        for i, entry in enumerate(d[key]):
-            lines.append(f"{key[:-1]} {i}: {json.dumps(entry)}")
-        return "\n".join(lines)
-
-    _emit(_dump(data, args.format, as_text), args.output)
+    at = None
+    if args.mode == "numeric":
+        primes = _primes_from(args)
+        if len(primes) != 1:
+            raise ValueError("numeric euler needs exactly one --prime")
+        p = primes[0]
+        f, g = _numeric_forms(args, identity.needs_g)
+        at = (*identities.satake_values(f, g, args.n, args.k, p), p)
+        label += f"|p={p}"
+    _emit(factor.chunks(label, args.factored, args.format, at), args.output)
     return 0
 
 
@@ -248,10 +234,12 @@ def cmd_lvalue(args) -> int:
         raise OutOfConvergenceRegion(
             f"Re(s) = {s.real} is not inside the half-plane Re(s) > {threshold}")
     _check_numeric_parity(args)
-    primes = _primes_from(args)
-    f, g = _numeric_forms(args)
+    # the side first, as in euler: its n and genus checks do not depend on
+    # whether the eigenforms exist
     lhs, rhs = identities.IDENTITIES[args.identity].sides(n, k)
     side = lhs if args.side == "lhs" else rhs
+    primes = _primes_from(args)
+    f, g = _numeric_forms(args)
     value = 1 + 0j
     increment = 0.0
     for p in primes:
@@ -319,7 +307,7 @@ def cmd_verify(args) -> int:
                           if val is not None)
             lines.append(f"{e['verdict'].upper():4} {e['identity']} {ps}")
             if args.witness and e.get("witness"):
-                lines.append(f"     witness: {json.dumps(e['witness'])}")
+                lines.append(f"     witness: {laurent.dumps(e['witness'], None)}")
         return "\n".join(lines)
 
     _emit(_dump(payload, args.format, as_text), args.output)

@@ -38,26 +38,27 @@ far apart with no common step), raises ExpansionTooLarge, exit 3 in the
 CLI, before any output: the degree-63 miyawaki_standard side at n = 16
 has 1,713,988 terms (240 MB).
 
-Only the ints are kept.  The writers walk their slots through a memoryview,
+Only the ints are kept.  The writer walks their slots through a memoryview,
 one row per (e_a, e_b), with no sort and no term tuples.  By the local
 functional equation, which holds for any N unit roots with product P,
 T^(N-d) is (-1)^N P times T^d with every exponent negated; the negation
 reverses the canonical order, so T^(N-d) is T^d's slots walked backwards.
-`json_chunks` streams the indent-2 JSON one coefficient at a time (201,695
-terms, 28.5 MB, in about 0.07 s at degree 64 on a 2-vCPU Xeon), and
-`text_chunks` the `--format text` lines, each coefficient's compact JSON,
-from the same walk.  Within a coefficient, rows with equal terms are
-formatted once, keyed on the e_q of their first nonzero slot and the
-slots from there to the last nonzero one: the Satake parameters are
-defined up to a <-> 1/a and b <-> 1/b, so rows (e_a, e_b) and (-e_a, e_b)
-hold equal terms, at slots the lattice box shifts, and at degree 64 the
-201,695 terms lie in 103,312 terms' worth of distinct rows.  Factored,
-both write the roots in canonical order through one root template each,
-with no per-root dict: each distinct root is formatted once and repeated
-by its multiplicity; `laurent` holds the layouts.  The labels written
-come from the caller.  `numeric_coefficients` expands complex roots; it is
-quadratic and not capped, and refuses a coefficient past double range
-with NumericOverflow.
+`LocalFactor.chunks` is the one writer of a factor: it streams the
+indent-2 JSON one entry at a time (201,695 terms, 28.5 MB, in about
+0.07 s at degree 64 on a 2-vCPU Xeon) or the `--format text` lines, each
+entry's compact JSON, from the same walk.  Within a coefficient, rows
+with equal terms are formatted once, keyed on the e_q of their first
+nonzero slot and the slots from there to the last nonzero one: the Satake
+parameters are defined up to a <-> 1/a and b <-> 1/b, so rows (e_a, e_b)
+and (-e_a, e_b) hold equal terms, at slots the lattice box shifts, and at
+degree 64 the 201,695 terms lie in 103,312 terms' worth of distinct rows.
+Factored, it writes the roots in canonical order through one root
+template, with no per-root dict: each distinct root is formatted once and
+repeated by its multiplicity.  At a prime, the entries are the [re, im]
+of the instantiated roots, sorted, or of `numeric_coefficients`, which
+expands complex roots; it is quadratic and not capped, and refuses a
+coefficient past double range with NumericOverflow.  `laurent` holds the
+layouts, and the labels written come from the caller.
 """
 
 from __future__ import annotations
@@ -227,8 +228,8 @@ class LocalFactor:
     root's multiplicity (never 0), is built once from the parts' counts;
     equal counts, equal polynomials.  `roots`, for the float paths only, is
     listed on first use: the parts in order, each one's shifted roots e
-    times in a row.  A factor carries no name; the serializers take the
-    label to write.  Instances are immutable.
+    times in a row.  A factor carries no name; `chunks` takes the label
+    to write.  Instances are immutable.
     """
 
     __slots__ = ("counts", "degree", "_parts", "_roots")
@@ -335,14 +336,25 @@ class LocalFactor:
 
     # -- comparison and serialization ---------------------------------------
 
-    def json_chunks(self, label: str, factored: bool = False) -> Iterator[str]:
-        """json.dumps({"label": label, "degree": degree, "coeffs": [...]},
-        indent=2), or "roots" in canonical order when factored, one piece per
-        entry; ExpansionTooLarge comes before the first piece."""
-        entries = self._entries(factored, 2)
+    def chunks(self, label: str, factored: bool = False, fmt: str = "json",
+               at: Optional[Tuple[complex, complex, int]] = None) -> Iterator[str]:
+        """The factor as `fmt` "json", json.dumps({"label": label, "degree":
+        degree, "coeffs": [...]}, indent=2), or "text", the lines label,
+        degree and `coeff d: ` with the entry's compact JSON per coefficient;
+        "roots" and `root i: ` when factored.  The entries are exact, the
+        roots in canonical order, or with `at` = (alpha, beta, prime) the
+        [re, im] of the instantiated roots, sorted, or of their expanded
+        coefficients.  One piece per entry; ExpansionTooLarge and
+        NumericOverflow come before the first piece."""
+        key = "roots" if factored else "coeffs"
+        entries = self._entries(factored, 2 if fmt == "json" else None, at)
+        if fmt != "json":
+            lines = map("\n{} {}: {}".format, repeat(key[:-1]), count(), entries)
+            yield f"label:  {label}\ndegree: {self.degree}" + next(lines, "")
+            yield from lines
+            return
         first = next(entries, None)
-        head = _JSON_HEAD % (laurent.dumps(label), self.degree,
-                             "roots" if factored else "coeffs")
+        head = _JSON_HEAD % (laurent.dumps(label), self.degree, key)
         if first is None:
             yield head + "]\n}"
             return
@@ -353,17 +365,14 @@ class LocalFactor:
             yield entry
         yield "\n  ]\n}"
 
-    def text_chunks(self, label: str, factored: bool = False) -> Iterator[str]:
-        """The --format text lines: label, degree, then `coeff d: ` (or
-        `root i: `) and the entry's compact JSON per coefficient (or root)."""
-        name = "root" if factored else "coeff"
-        lines = map("\n{} {}: {}".format, repeat(name), count(), self._entries(factored, None))
-        yield f"label:  {label}\ndegree: {self.degree}" + next(lines, "")
-        yield from lines
-
-    def _entries(self, factored: bool, depth: Optional[int]) -> Iterator[str]:
-        """The JSON of each root, in canonical order, or of each expanded
-        coefficient, at `depth` (None: compact)."""
+    def _entries(self, factored: bool, depth: Optional[int],
+                 at: Optional[Tuple[complex, complex, int]]) -> Iterator[str]:
+        """The JSON of each entry of `chunks` at `depth` (None: compact)."""
+        if at is not None:
+            roots = self.instantiate(*at)
+            values = (sorted(roots, key=lambda r: (r.real, r.imag)) if factored
+                      else numeric_coefficients(roots))
+            return (laurent.dumps([z.real, z.imag], depth) for z in values)
         if factored:
             template = laurent.root_template(depth)
             return chain.from_iterable(repeat(template % root, m)

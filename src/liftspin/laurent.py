@@ -13,12 +13,13 @@ coefficients of any size survive every JSON reader.  This module is the one
 place that writes that layout: expanded coefficients, factored roots,
 witnesses and eigenvalue constants all go through it.
 
-`dumps` writes the bytes of json.dumps(value, indent=2) without json's
-pure-Python encoder, each `json_dict` polynomial from one term template
-per depth.  `coefficient_text` (one expanded coefficient from rows of
-packed slots, each distinct row formatted once) and `root_template` (one
-root) cut the same template; depth None is json.dumps's compact layout,
-for the `--format text` lines.
+`dumps` is the package's one JSON writer: the bytes of json.dumps(value,
+indent=2) from depth 0, or of json.dumps(value) at depth None, the
+compact layout of the `--format text` lines, without json's pure-Python
+encoder, each `json_dict` polynomial from one term template per depth.
+`coefficient_text` (one expanded coefficient from rows of packed slots,
+each distinct row formatted once) and `root_template` (one root) cut the
+same template at the same depths.
 """
 
 from __future__ import annotations
@@ -121,21 +122,20 @@ def coefficient_text(negative: bool, step: int,
 
 # -- values --------------------------------------------------------------------
 
-def dumps(value) -> str:
-    """json.dumps(value, indent=2) of dicts with str keys, lists, tuples,
-    str, int, bool, None and floats; TypeError on anything else, a key that
-    is not a str included, rather than bytes json.dumps would not write."""
-    return _dumps(value, 0)
-
-
-def _dumps(value, depth: int) -> str:
+def dumps(value, depth: Optional[int] = 0) -> str:
+    """json.dumps(value, indent=2) as written at `depth` inside a container,
+    or json.dumps(value) for depth None, of dicts with str keys, lists,
+    tuples, str, int, bool, None and floats; TypeError on anything else, a
+    key that is not a str included, rather than bytes json.dumps would not
+    write."""
     if isinstance(value, str):
         return _string(value)
+    inner = None if depth is None else depth + 1
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         opening, sep, closing = _container(depth)
-        return "[" + opening + sep.join([_dumps(item, depth + 1) for item in value]) + closing + "]"
+        return "[" + opening + sep.join([dumps(item, inner) for item in value]) + closing + "]"
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -143,7 +143,7 @@ def _dumps(value, depth: int) -> str:
             head, sep, tail, term = _layout(depth)
             return head + sep.join([term % (*t["e"], t["c"]) for t in value["terms"]]) + tail
         opening, sep, closing = _container(depth)
-        return "{" + opening + sep.join([_key(key) + ": " + _dumps(item, depth + 1)
+        return "{" + opening + sep.join([_key(key) + ": " + dumps(item, inner)
                                          for key, item in value.items()]) + closing + "}"
     if value is None:
         return "null"

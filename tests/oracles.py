@@ -356,7 +356,7 @@ def frobenius_eigenvalue(params: SatakeParams) -> LaurentPoly:
 # -- subset sums ---------------------------------------------------------------
 
 def alpha_count_bruteforce(r: int, m: int, n: int) -> int:
-    """Literal enumeration over combinations; oracle for alpha_count."""
+    """Literal enumeration over combinations; oracle for BetaTable.alpha."""
     if m < 0 or m > 2 * n:
         return 0
     return sum(1 for c in combinations(symmetric_odd_set(n), m) if sum(c) == r)

@@ -8,7 +8,7 @@ import random
 import time
 from contextlib import contextmanager
 
-from liftspin.beta import alpha_count, beta_value
+from liftspin.beta import beta_value, table
 from liftspin.identities import (
     DEG7_EPS,
     DEG7_EPS_PRIME,
@@ -101,8 +101,8 @@ def test_criterion_6_combinatorics_property_suite():
             for m in range(0, 2 * n + 1):
                 bound = m * (2 * n - m)
                 for r in range(-bound, bound + 1):
-                    a = alpha_count(r, m, n)
-                    assert a == alpha_count(-r, m, n)
+                    a = table(n).alpha(r, m)
+                    assert a == table(n).alpha(-r, m)
                     if (r - m) % 2:
                         assert a == 0
                     if m <= n:
@@ -114,7 +114,7 @@ def test_criterion_6_combinatorics_property_suite():
             for m in range(0, 2 * n + 1):
                 bound = m * (2 * n - m)
                 for r in range(-bound - 1, bound + 2):
-                    assert alpha_count(r, m, n) == alpha_count_bruteforce(r, m, n)
+                    assert table(n).alpha(r, m) == alpha_count_bruteforce(r, m, n)
 
 
 def test_criterion_7_numeric_instantiation():

@@ -1,6 +1,6 @@
 import pytest
 
-from liftspin.beta import BetaTable, alpha_count, beta_value, symmetric_odd_set, table
+from liftspin.beta import BetaTable, beta_value, symmetric_odd_set, table
 from oracles import alpha_count_bruteforce, degree_audit_ikeda, degree_audit_miyawaki
 
 
@@ -11,20 +11,20 @@ def test_symmetric_odd_set():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_alpha_empty_subset(n):
-    assert alpha_count(0, 0, n) == 1
-    assert alpha_count(2, 0, n) == 0
-    assert alpha_count(0, -1, n) == 0
-    assert alpha_count(0, 2 * n + 1, n) == 0
+    assert table(n).alpha(0, 0) == 1
+    assert table(n).alpha(2, 0) == 0
+    assert table(n).alpha(0, -1) == 0
+    assert table(n).alpha(0, 2 * n + 1) == 0
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_alpha_singleton_max(n):
-    assert alpha_count(2 * n - 1, 1, n) == 1
+    assert table(n).alpha(2 * n - 1, 1) == 1
 
 
 def test_alpha_pairs_example():
     # the three pairs {-5,5}, {-3,3}, {-1,1}
-    assert alpha_count(0, 2, 3) == 3
+    assert table(3).alpha(0, 2) == 3
     assert alpha_count_bruteforce(0, 2, 3) == 3
 
 
@@ -43,7 +43,7 @@ def test_dp_matches_bruteforce(n):
     for m in range(0, 2 * n + 1):
         bound = m * (2 * n - m)
         for r in range(-bound - 2, bound + 3):
-            assert alpha_count(r, m, n) == alpha_count_bruteforce(r, m, n)
+            assert table(n).alpha(r, m) == alpha_count_bruteforce(r, m, n)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -51,9 +51,9 @@ def test_symmetry_and_complement(n):
     for m in range(0, 2 * n + 1):
         bound = m * (2 * n - m)
         for r in range(-bound, bound + 1):
-            a = alpha_count(r, m, n)
-            assert a == alpha_count(-r, m, n)
-            assert a == alpha_count(r, 2 * n - m, n)
+            a = table(n).alpha(r, m)
+            assert a == table(n).alpha(-r, m)
+            assert a == table(n).alpha(r, 2 * n - m)
             assert beta_value(r, m, n) == beta_value(-r, m, n)
 
 
@@ -63,7 +63,7 @@ def test_parity_vanishing(n):
         bound = m * (2 * n - m)
         for r in range(-bound, bound + 1):
             if (r - m) % 2:
-                assert alpha_count(r, m, n) == 0
+                assert table(n).alpha(r, m) == 0
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -392,6 +392,22 @@ def test_verify_numeric_n_range_comes_before_eigenforms(capsys, monkeypatch, n, 
     assert (got, out) == (code, "") and message in err
 
 
+@pytest.mark.parametrize("n, k, s, code, message", [
+    (1, 11, "25", 2, "need n >= 2"), (1, 13, "25", 2, "need n >= 2"),
+    (0, 12, "25", 2, "need n >= 2"), (13, 11, "400", 3, "cap is 12")])
+def test_lvalue_side_comes_before_eigenforms(capsys, monkeypatch, n, k, s, code, message):
+    # S_14 is zero-dimensional and S_24 has irrational eigenvalues, so
+    # building g would exit 3 for that; the side's n and genus checks
+    # come first, as in euler
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eigenform was built for a side that cannot be built")
+
+    monkeypatch.setattr(cli, "eigenform", refuse)
+    got, out, err = run(capsys, "lvalue", "--side", "lhs", "--n", str(n), "--k", str(k),
+                        "--s", s, "--prime", "2")
+    assert (got, out) == (code, "") and message in err
+
+
 def test_euler_numeric_ikeda_without_g(capsys):
     # ikeda identities involve only f; here k+n = 8 has no cusp forms at all,
     # which must not matter since g never enters

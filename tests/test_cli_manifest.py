@@ -262,6 +262,13 @@ def _argv_list():
         "euler --identity ikeda_standard --side lhs --n 2 --k 12 --mode numeric --prime 2 "
         "--eigenvalues-file {golden}/five_p2.txt",
     ]
+    # the compact witness of the negative control as text, pinned before
+    # compact JSON moved from json.dumps to laurent.dumps
+    out += [f"verify --negative-control --witness --n {n} --format text" for n in (2, 3)]
+    # lvalue outside the side's n range or genus cap is refused before any
+    # eigenform is built, also where that eigenform does not exist
+    out += [f"lvalue --side lhs --n {n} --k {k} --s {s} --prime 2"
+            for n, k, s in ((1, 11, 25), (1, 13, 25), (0, 12, 25), (13, 11, 400))]
     return out
 
 

@@ -250,7 +250,7 @@ def test_expansion_cap():
     fac = spinor_factor(ikeda_satake(4, 4))  # degree 256
     with pytest.raises(ExpansionTooLarge):
         coefficients(fac)
-    assert json.loads("".join(fac.json_chunks("spin", factored=True)))["degree"] == 256
+    assert json.loads("".join(fac.chunks("spin", factored=True)))["degree"] == 256
 
 
 def test_term_budget_counts_the_terms_written():
@@ -279,7 +279,7 @@ def test_term_budget_refuses_the_largest_registry_expansion():
     # half): 240 MB of JSON before the budget
     side = IDENTITIES["miyawaki_standard"].sides(16, 1)[0]
     assert side.degree <= EXPANSION_DEGREE_CAP and _box(sorted(side.roots), side.degree // 2)
-    chunks = side.json_chunks("m")
+    chunks = side.chunks("m")
     with pytest.raises(ExpansionTooLarge, match=f"1713988 terms, over the term cap {2 ** 18}"):
         next(chunks)
     # the largest expansion the CLI writes stays within it
@@ -298,13 +298,13 @@ def test_packed_low_half_of_degree_64_is_small():
 
 
 def test_streamed_degree_64_output_stays_small():
-    # json_chunks holds the packed low half and one coefficient's text at a
+    # chunks holds the packed low half and one coefficient's text at a
     # time; the tuple-decoding writer it replaced peaked at 17.5 MB here, and
     # the axis-box writer that joined each coefficient's text in steps at 6.06 MB
     side = IDENTITIES["ikeda_spinor"].sides(3, 10)[0]
     tracemalloc.start()
     try:
-        written = sum(map(len, side.json_chunks("ikeda_spinor[n=3,k=10]")))
+        written = sum(map(len, side.chunks("ikeda_spinor[n=3,k=10]")))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -313,13 +313,13 @@ def test_streamed_degree_64_output_stays_small():
 
 
 def test_streamed_degree_64_text_stays_small():
-    # text_chunks writes each `coeff d:` line from the same walk; the text
+    # chunks writes each `coeff d:` line from the same walk; the text
     # path that decoded every term into a tuple and a dict first peaked at
     # 92.7 MB here, and the axis-box writer at 3.66 MB
     side = IDENTITIES["ikeda_spinor"].sides(3, 10)[0]
     tracemalloc.start()
     try:
-        written = sum(map(len, side.text_chunks("ikeda_spinor[n=3,k=10]")))
+        written = sum(map(len, side.chunks("ikeda_spinor[n=3,k=10]", fmt="text")))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -351,7 +351,7 @@ def test_equal_rows_are_formatted_once(monkeypatch, name, most):
         rows, distinct = rows + len(terms), distinct + len(set(map(tuple, terms.values())))
     built = []
     monkeypatch.setattr(laurent, "compress", lambda *args: built.append(args) or compress(*args))
-    text = "".join(side.json_chunks("m"))
+    text = "".join(side.chunks("m"))
     assert len(built) == distinct <= most and distinct < rows
     assert text == json.dumps(to_json_dict(side, "m"), indent=2)
 
@@ -446,9 +446,9 @@ def test_local_factor_rejects_non_triples(bad):
         LocalFactor(((1, 0, 0), bad))
 
 
-def test_json_chunks():
+def test_chunks():
     fac = sym_power_factor(1, 4)
-    data = json.loads("".join(fac.json_chunks("hecke[f]")))
+    data = json.loads("".join(fac.chunks("hecke[f]")))
     assert data["label"] == "hecke[f]" and data["degree"] == 2
     assert len(data["coeffs"]) == 3
     assert data["coeffs"][0] == {"terms": [{"e": [0, 0, 0, 0], "c": "1"}]}

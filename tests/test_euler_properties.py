@@ -7,15 +7,18 @@ degrees 0 to 9, plus explicit degree-32, degree-33 and degree-64
 examples and root sets whose lattice box is smaller than the axis box, or
 not.  The chosen box never has more slots than the axis box, and roots
 whose box is over PACKED_SLOT_CAP must raise ExpansionTooLarge before the
-first piece of output."""
+first piece of output.  The numeric writer, at unit-circle Satake data and
+a few primes, against the dict of [re, im] entries written by json.dumps,
+NumericOverflow before the first piece included."""
 
+import cmath
 import json
 import math
 
 import pytest
 
-from liftspin.errors import ExpansionTooLarge
-from liftspin.euler import PACKED_SLOT_CAP, LocalFactor, _box, _slot_format
+from liftspin.errors import ExpansionTooLarge, NumericOverflow
+from liftspin.euler import PACKED_SLOT_CAP, LocalFactor, _box, _slot_format, numeric_coefficients
 from oracles import coefficients, factored_json_dict, text_lines, to_json_dict
 
 pytest.importorskip("hypothesis")
@@ -100,14 +103,14 @@ def test_packed_expansion_matches_reference(roots):
     factor = LocalFactor(tuple(roots))
     # the root list is written at any degree, in canonical order
     factored = factored_json_dict(factor, label)
-    assert "".join(factor.json_chunks(label, factored=True)) == json.dumps(factored, indent=2)
-    assert "".join(factor.text_chunks(label, factored=True)) == text_lines(factored, "roots")
+    assert "".join(factor.chunks(label, factored=True)) == json.dumps(factored, indent=2)
+    assert "".join(factor.chunks(label, True, "text")) == text_lines(factored, "roots")
     # the chosen box is never wider than the axis box, so no roots the
     # axis box packs are refused
     box = _box(sorted(roots), len(roots) // 2)
     if box is None:
         assert axis_slots(roots) > PACKED_SLOT_CAP
-        for chunks in (factor.json_chunks(label), factor.text_chunks(label)):
+        for chunks in (factor.chunks(label), factor.chunks(label, fmt="text")):
             with pytest.raises(ExpansionTooLarge, match="factored form"):
                 next(chunks)
         with pytest.raises(ExpansionTooLarge, match="factored form"):
@@ -118,8 +121,8 @@ def test_packed_expansion_matches_reference(roots):
     data = {"label": label, "degree": len(roots), "coeffs": [
         {"terms": [{"e": [*key, 0], "c": str(value)} for key, value in sorted(coeff.items())]}
         for coeff in reference]}
-    assert "".join(factor.json_chunks(label)) == json.dumps(data, indent=2)
-    assert "".join(factor.text_chunks(label)) == text_lines(data, "coeffs")
+    assert "".join(factor.chunks(label)) == json.dumps(data, indent=2)
+    assert "".join(factor.chunks(label, fmt="text")) == text_lines(data, "coeffs")
     # only degrees 0 to degree // 2 are expanded; the rest is reflected
     assert len(factor._expand()) == len(roots) // 2 + 1
     assert to_json_dict(factor, label) == data
@@ -155,3 +158,40 @@ def test_examples_take_the_path_they_name():
     assert line.basis[0] == (1, 0, 3) and line.strides == (1, 1, 1)
     # e_a from -4 to 6 at T^3, against 11 e_q as well in the axis box
     assert line.slots == 11 and axis_slots(_LINE) == 121
+
+
+def numeric_data(factor, label, factored, alpha, beta, p):
+    """The numeric factor as a dict of [re, im] entries, built from the
+    instantiated roots: sorted by (re, im), or expanded."""
+    roots = factor.instantiate(alpha, beta, p)
+    key, values = (("roots", sorted(roots, key=lambda r: (r.real, r.imag))) if factored
+                   else ("coeffs", numeric_coefficients(roots)))
+    return key, {"label": label, "degree": len(roots), key: [[z.real, z.imag] for z in values]}
+
+
+# small exponents, and now and then one whose root or coefficients leave
+# double range at the larger primes
+_numeric_exponent = st.one_of(st.integers(-6, 6), st.integers(-400, 400))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_numeric_exponent, _numeric_exponent, _numeric_exponent), max_size=9),
+       st.floats(0, 2 * math.pi), st.floats(0, 2 * math.pi), st.sampled_from([2, 3, 5, 199]),
+       st.booleans())
+@example([], 0.0, 0.0, 2, False)
+@example([], 0.0, 0.0, 2, True)
+@example([(1, -1, 3)] * 4, 1.0, 2.0, 5, False)
+@example([(0, 0, 400)], 0.5, 0.5, 199, True)
+def test_numeric_writer_matches_json_dumps(roots, theta_a, theta_b, p, factored):
+    label = "num[\"x\"]é|p=%d" % p
+    factor = LocalFactor(tuple(roots))
+    at = (cmath.exp(1j * theta_a), cmath.exp(1j * theta_b), p)
+    try:
+        key, data = numeric_data(factor, label, factored, *at)
+    except NumericOverflow:
+        for fmt in ("json", "text"):
+            with pytest.raises(NumericOverflow):
+                next(factor.chunks(label, factored, fmt, at))
+        return
+    assert "".join(factor.chunks(label, factored, "json", at)) == json.dumps(data, indent=2)
+    assert "".join(factor.chunks(label, factored, "text", at)) == text_lines(data, key)

@@ -101,8 +101,8 @@ def test_counted_roots_match_sorted_roots(case):
     assert witness == (None if ok else symbolic_witness(lhs, rhs))
     for side in case:
         factored = factored_json_dict(side, "x")
-        assert "".join(side.json_chunks("x", factored=True)) == json.dumps(factored, indent=2)
-        assert "".join(side.text_chunks("x", factored=True)) == text_lines(factored, "roots")
+        assert "".join(side.chunks("x", factored=True)) == json.dumps(factored, indent=2)
+        assert "".join(side.chunks("x", True, "text")) == text_lines(factored, "roots")
 
 
 # parts (factor, shift, e): factors of up to 3 roots, shift exponents past

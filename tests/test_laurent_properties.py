@@ -1,7 +1,7 @@
 """JSON wire format on random polynomials: 30-digit coefficients and
 negative a, b and q exponents, written by the LaurentPoly oracle and by the
 package's term writers in `liftspin.laurent`; and `laurent.dumps` against
-json.dumps(..., indent=2) on random nested values."""
+json.dumps(..., indent=2) and compact json.dumps on random nested values."""
 
 import json
 from array import array
@@ -128,6 +128,7 @@ _values = st.recursive(
 @example({" \"\n": [-0.0, 1e300, 5e-324, float("nan"), float("inf"), float("-inf")]})
 def test_dumps_writes_the_bytes_of_json_dumps(value):
     assert laurent.dumps(value) == json.dumps(value, indent=2)
+    assert laurent.dumps(value, None) == json.dumps(value)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,7 +1,8 @@
 """A stdlib stand-in for a linter on src/liftspin, read with `ast`: no
 module imports a name it never reads, and every module-level private
 function or class is referenced somewhere in the package.  Both catch code
-that a deletion leaves behind.  Also: what importing the CLI loads."""
+that a deletion leaves behind.  Also: only `laurent` imports json, so
+there is one JSON writer, and what importing the CLI loads."""
 
 import ast
 import subprocess
@@ -58,6 +59,16 @@ def test_every_private_def_is_referenced():
                     and node.name.startswith("_") and not node.name.startswith("__")
                     and node.name not in referenced]
     assert not unreferenced, f"private defs nothing references: {unreferenced}"
+
+
+def test_only_laurent_imports_json():
+    importers = [path.name for path in MODULES if path.name != "laurent.py"
+                 for node in ast.walk(_tree(path))
+                 if (isinstance(node, ast.Import)
+                     and any(alias.name.split(".")[0] == "json" for alias in node.names))
+                 or (isinstance(node, ast.ImportFrom)
+                     and (node.module or "").split(".")[0] == "json")]
+    assert not importers, f"json imported outside laurent: {importers}"
 
 
 # dataclasses and what it pulls in, and fractions with decimal and numbers,
