@@ -262,8 +262,8 @@ def cmd_lvalue(args) -> int:
 
     def as_text(d):
         return "\n".join([
-            f"L({d['s'][0]}+{d['s'][1]}j, {d['identity']}/{d['side']}) "
-            f"~ {d['value'][0]}+{d['value'][1]}j",
+            f"L({d['s'][0]}{d['s'][1]:+}j, {d['identity']}/{d['side']}) "
+            f"~ {d['value'][0]}{d['value'][1]:+}j",
             f"primes used: {d['primes_used']}",
             f"last prime increment: {d['last_prime_increment']}",
             f"note: {d['note']}",

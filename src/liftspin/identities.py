@@ -3,8 +3,8 @@
 `IDENTITIES` holds one `Identity` per checkable statement: its two sides
 (or its check), where in n it applies, whether numeric mode and the second
 form g enter, and its suite grid.  `verify()` gives one verdict and
-`verify_at_primes()` one per prime from sides built once; the CLI and the
-suites read the same table.
+`verify_at_primes()` reports it at each prime; the CLI and the suites read
+the same table.
 
 Symbolic mode is the primary check: both sides of every identity in scope
 are products of linear terms (1 - root T) whose roots are unit monomials,
@@ -24,10 +24,10 @@ The eigenvalue constants of `c1_frobenius` are not factors in T but
 products m prod (1 + u) of unit monomials, compared just as exactly in the
 canonical form of `_factored_form`, at every n up to the CLI cap.
 
-Numeric mode checks the same factor equalities at real eigenvalue data and
-every n symbolic mode covers, comparing sum log(1 - r t) over the roots r
-of both sides at three points t: nothing is expanded, so double precision
-holds up to degree 2048.
+Numeric mode checks the real eigenvalue data at each prime, as numeric
+`euler` and `lvalue` check them, and gives the verdict of the same root
+count comparison: sides with equal counts are equal polynomials in the
+Satake parameters, so they agree at any data, at every degree.
 
 The spinor identities take three mutation hooks (an alternative beta
 function, a shift bump on one factor, and replacement parameters for the
@@ -37,8 +37,6 @@ perturbations are detected.
 
 from __future__ import annotations
 
-import cmath
-import math
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import laurent
@@ -62,8 +60,6 @@ from .satake import (
     mono_inv,
     mono_mul,
 )
-
-NUMERIC_TOL = 1e-9
 
 BetaFn = Callable[[int, int, int], int]
 ShiftBump = Optional[Tuple[Tuple[int, int], int]]
@@ -140,32 +136,6 @@ def compare_factored(lhs: Factored, rhs: Factored) -> Tuple[bool, Optional[Dict]
                "units": [laurent.json_dict([(*unit, 1)]) for unit in units]}
               for monomial, units in (lf, rf))
     return False, {"lhs": lv, "rhs": rv}
-
-
-def _log_sum(scaled: List[complex], rotation: complex) -> complex:
-    """Exactly rounded sum of log(1 - w rotation): equal multisets, equal sums."""
-    logs = [cmath.log(1 - w * rotation) for w in scaled]
-    return complex(math.fsum(z.real for z in logs), math.fsum(z.imag for z in logs))
-
-
-def compare_numeric(lhs: LocalFactor, rhs: LocalFactor, alpha: complex, beta: complex,
-                    prime: int) -> Tuple[bool, Optional[Dict]]:
-    """Both sides at a = alpha, b = beta, q = sqrt(prime), compared through sum
-    log(1 - r t) at t = p^(-c/2) e^(i theta), theta = 1, 2, 3, c the mean
-    q-exponent of the left side's roots (0 for an empty left side)."""
-    c = sum(e_q for _, _, e_q in lhs.roots) / lhs.degree if lhs.degree else 0
-    # r t = a^i b^j p^((e - c)/2) e^(i theta) stays in double range for any q^e
-    scaled = [[alpha ** e_a * beta ** e_b * prime ** ((e_q - c) / 2)
-               for e_a, e_b, e_q in side.roots] for side in (lhs, rhs)]
-    for theta in (1.0, 2.0, 3.0):
-        rotation = cmath.exp(1j * theta)
-        lv, rv = (_log_sum(roots, rotation) for roots in scaled)
-        # written so that a NaN on either side fails
-        if not abs(lv - rv) <= NUMERIC_TOL * max(abs(lv), abs(rv), 1.0):
-            t = prime ** (-c / 2) * rotation
-            return False, {"t": [t.real, t.imag], "lhs": [lv.real, lv.imag],
-                           "rhs": [rv.real, rv.imag]}
-    return True, None
 
 
 # -- numeric instantiation helpers --------------------------------------------
@@ -402,8 +372,8 @@ IDENTITY_IDS = tuple(IDENTITIES)
 def verify(identity_id: str, n: int, k: int, mode: str = "symbolic",
            prime: Optional[int] = None, f: Optional[EigenformData] = None,
            g: Optional[EigenformData] = None, **hooks) -> VerificationReport:
-    """Verdict on one identity at (n, k): exact in symbolic mode, within
-    NUMERIC_TOL at `prime` from the eigenforms f (and g) in numeric mode.
+    """Verdict on one identity at (n, k), exact in both modes; numeric mode
+    first checks the eigenforms f (and g) at `prime` (see `verify_at_primes`).
     The hooks (beta_fn, shift_bump, lhs_params) go to the side builders of
     the spinor identities; any other identity refuses them with ValueError."""
     return verify_at_primes(identity_id, n, k, mode, (prime,), f, g, **hooks)[0]
@@ -429,7 +399,12 @@ def check_scope(identity_id: str, mode: str, n: int) -> None:
 def verify_at_primes(identity_id: str, n: int, k: int, mode: str,
                      primes: Sequence[Optional[int]], f: Optional[EigenformData] = None,
                      g: Optional[EigenformData] = None, **hooks) -> List[VerificationReport]:
-    """verify() at each of `primes` in turn, building the two sides once."""
+    """verify() at each of `primes`: one verdict, shared by every prime.
+
+    Numeric mode reads the Satake parameters of f (and g) at every prime
+    first, so it refuses exactly the data numeric `euler` and `lvalue`
+    refuse; the verdict does not depend on them, as sides with equal root
+    counts are equal at every substitution."""
     identity = IDENTITIES[identity_id]
     refused = sorted(set(hooks) - set(identity.hooks))
     if refused:
@@ -448,23 +423,17 @@ def verify_at_primes(identity_id: str, n: int, k: int, mode: str,
         if None in primes or f is None or (identity.needs_g and g is None):
             needed = "prime, f and g" if identity.needs_g else "prime and f"
             raise ValueError(f"numeric mode needs {needed}")
-    reports, sides = [], None
-    for prime in primes:
-        if mode == "numeric":
-            alpha, beta = satake_values(f, g, n, k, prime)
-        try:
-            if identity.check is not None:
-                ok, witness = identity.check(n, k, **hooks)
-            else:
-                sides = sides or identity.sides(n, k, **hooks)
-                ok, witness = compare_symbolic(*sides) if mode == "symbolic" \
-                    else compare_numeric(*sides, alpha, beta, prime)
-        except NegativeMultiplicity as exc:
-            ok, witness = False, {"reason": str(exc)}
-        parameters = {"n": n, "k": k, "mode": mode, "prime": prime}
-        reports.append(VerificationReport(identity_id, parameters,
-                                          "pass" if ok else "fail", witness))
-    return reports
+        for prime in primes:
+            satake_values(f, g, n, k, prime)
+    try:
+        if identity.check is not None:
+            ok, witness = identity.check(n, k, **hooks)
+        else:
+            ok, witness = compare_symbolic(*identity.sides(n, k, **hooks))
+    except NegativeMultiplicity as exc:
+        ok, witness = False, {"reason": str(exc)}
+    return [VerificationReport(identity_id, {"n": n, "k": k, "mode": mode, "prime": prime},
+                               "pass" if ok else "fail", witness) for prime in primes]
 
 
 # -- suites -----------------------------------------------------------------------

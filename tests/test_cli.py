@@ -261,6 +261,18 @@ def test_lvalue_bad_s_is_usage_error(capsys):
     assert code == 2
 
 
+def test_lvalue_text_signs_negative_imaginary_parts(capsys):
+    code, out, _ = run(capsys, "lvalue", "--side", "lhs", "--n", "2", "--k", "10",
+                       "--s", "25-2j", "--primes-up-to", "10", "--format", "text")
+    assert code == 0
+    first = out.splitlines()[0]
+    assert first.startswith("L(25.0-2.0j, main_theorem/lhs) ~ ") and "+-" not in first
+    code, json_out, _ = run(capsys, "lvalue", "--side", "lhs", "--n", "2", "--k", "10",
+                            "--s", "25-2j", "--primes-up-to", "10")
+    real, imag = json.loads(json_out)["value"]
+    assert imag < 0 and first.endswith(f" ~ {real}{imag}j")
+
+
 def test_numeric_parity_usage_error(capsys):
     code, _, err = run(capsys, "verify", "--identity", "main_theorem", "--n", "3",
                        "--k", "10", "--mode", "numeric", "--prime", "2")

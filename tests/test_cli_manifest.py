@@ -269,6 +269,8 @@ def _argv_list():
     # eigenform is built, also where that eigenform does not exist
     out += [f"lvalue --side lhs --n {n} --k {k} --s {s} --prime 2"
             for n, k, s in ((1, 11, 25), (1, 13, 25), (0, 12, 25), (13, 11, 400))]
+    # a negative imaginary part is written with its own sign in text
+    out.append("lvalue --side lhs --n 2 --k 10 --s 25-2j --primes-up-to 10 --format text")
     return out
 
 

@@ -119,7 +119,7 @@ def test_products_count_their_listed_roots(pair):
     assert compare_symbolic(lhs, rhs)[0] == (Counter(lhs.roots) == Counter(rhs.roots))
 
 
-def test_symbolic_verdicts_list_no_roots(monkeypatch):
+def test_symbolic_verdicts_list_no_roots(monkeypatch, f20, g12):
     listed = []
     roots = LocalFactor.roots.fget
 
@@ -131,6 +131,8 @@ def test_symbolic_verdicts_list_no_roots(monkeypatch):
     assert verify("main_theorem", 6, 10).passed
     assert not any(report.passed for report in negative_control_reports(6, 10))
     assert all(report.passed for report in full_symbolic_suite())
+    # nor do numeric ones: they compare the same counts
+    assert verify("main_theorem", 2, 10, mode="numeric", prime=2, f=f20, g=g12).passed
     assert listed == []
     # the float paths do list them
     LocalFactor(parts=[(sym_power_factor(1, 4), (0, 0, 0), 1)]).instantiate(1j, 1j, 2)
