@@ -14,7 +14,7 @@ one is needed, a prime bound below 2, malformed eigenvalue tables), 3
 unsupported input (a weight whose cusp space is not one-dimensional, also
 for a table, an eigenvalue outside Deligne's bound, off the Eisenstein
 congruence or, in a table, not an integer, genus, expansion,
---n, precision, prime-bound, --prime and table-prime caps, a non-finite or
+--n, --k, precision, prime-bound, --prime and table-prime caps, a non-finite or
 out-of-range --s, numeric roots or expanded coefficients past double range).
 """
 
@@ -47,6 +47,8 @@ EULER_IDENTITIES = tuple(name for name, identity in identities.IDENTITIES.items(
 VERIFY_IDENTITIES = identities.IDENTITY_IDS + ("all",)
 #: largest --n the CLI accepts (verify c1_frobenius grows about as n^4)
 MAX_N = 32
+#: largest --k the CLI accepts: a written exponent keeps about 303 digits
+MAX_K = 10 ** 300
 #: the shared flags that LIFTSPIN_<FLAG> environment variables also set
 ENV_FLAGS = ("n", "k", "mode", "prime", "primes-up-to", "precision", "format", "output")
 
@@ -136,6 +138,7 @@ def _check_size_caps(args):
     """Reject size flags above their caps, whether given as flags or via
     LIFTSPIN_* variables (both land in args)."""
     for flag, value, cap in (("--n", args.n, MAX_N),
+                             ("--k", args.k, MAX_K),
                              ("--precision", args.precision, MAX_PRECISION),
                              ("--primes-up-to", args.primes_up_to, MAX_PRIMES_UP_TO),
                              ("--prime", args.prime, MAX_PRIMES_UP_TO)):
@@ -229,10 +232,12 @@ def cmd_lvalue(args) -> int:
     if not cmath.isfinite(s):
         raise OutOfConvergenceRegion(f"--s {args.s} is not a finite complex number")
     n, k = args.n, args.k
-    threshold = (n - 0.5) * k + 1
-    if s.real <= threshold:
+    # twice (n - 1/2) k + 1, in ints: a float of it can overflow
+    bound = (2 * n - 1) * k + 2
+    if 2 * s.real <= bound:
         raise OutOfConvergenceRegion(
-            f"Re(s) = {s.real} is not inside the half-plane Re(s) > {threshold}")
+            f"Re(s) = {s.real} is not inside the half-plane Re(s) > "
+            f"{'-' * (bound < 0)}{abs(bound) // 2}.{5 * (bound % 2)}")
     _check_numeric_parity(args)
     # the side first, as in euler: its n and genus checks do not depend on
     # whether the eigenforms exist
@@ -517,7 +522,7 @@ def main(argv=None) -> int:
     except UnsupportedInput as exc:
         print(f"liftspin: unsupported input: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, IndexError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"liftspin: error: {exc}", file=sys.stderr)
         return 2
 

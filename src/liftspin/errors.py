@@ -1,8 +1,9 @@
 """Error types shared across the package.
 
-The CLI maps UnsupportedInput (and subclasses) to exit code 3; everything
-else that escapes is a genuine bug.  Plain ValueError / IndexError keep
-their usual meaning for malformed arguments.
+The CLI maps UnsupportedInput (and subclasses) to exit code 3, and a plain
+ValueError (a malformed argument) or an OSError (a file it cannot read or
+write) to exit code 2; everything else that escapes, IndexError included,
+is a genuine bug and keeps its traceback.
 """
 
 

@@ -23,13 +23,14 @@ The box of the widest degree, N/2, sets the radix R_x of each coordinate,
 and a term of degree d sits at slot ((c_a - lo_a(d)) R_b + c_b - lo_b(d))
 R_q + c_q - lo_q(d).  The basis is triangular, so slot order is canonical
 (e_a, e_b, e_q) order, and each row (c_a, c_b) is one (e_a, e_b), its e_q
-in steps of h_q from a start that moves with c_a and c_b.  Of two bases
-the one with the smaller box is used: the axis basis of g_x, the gcd of
-the roots' differences in x, and the Hermite normal form of the
-differences.  Every root of a registry side has e_a + e_q of one parity,
-since the q-exponent carries the odd 2k - 1, so its lattice has h_q = 2,
-and above degree 8 its box has 50 to 60% of the axis box's slots: 1.3 MB
-packed at degree 64, not 2.5 MB.  Multiplying by a root shifts a whole
+in steps of h_q from a start that moves with c_a and c_b.  That basis is
+the differences' Hermite normal form.  Every root of a registry side
+has e_a + e_q of one parity, since the q-exponent carries the odd 2k - 1,
+so its lattice has h_q = 2, and above degree 8 its box has 50 to 60% of
+the slots of a box with one gcd step per exponent: 1.3 MB packed at
+degree 64, not 2.5 MB.  No registry side's box is larger than that one,
+but a skewed root set can have one: 20 roots (j, j mod 2, 0) take 5,151
+slots, against 1,111.  Multiplying by a root shifts a whole
 coefficient by a number of slots.  A slot holds |c| <= C(N, d) < 2^N, so
 W is 32 bits up to degree 32 and 64 bits up to EXPANSION_DEGREE_CAP = 64.
 The same recurrence with 1-bit slots counts the terms first.  More than
@@ -64,10 +65,9 @@ layouts, and the labels written come from the caller.
 from __future__ import annotations
 
 import cmath
-import math
 import sys
 from itertools import accumulate, chain, count, product, repeat
-from operator import add, attrgetter, or_
+from operator import add, or_
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import laurent
@@ -162,25 +162,17 @@ class _Box:
         self.cols, self.strides, self.slots = cols, strides, slots
 
 
-def _fit(differences: Sequence[Monomial], half: int, origin: Monomial, basis) -> _Box:
+def _box(roots: Sequence[Monomial], half: int) -> Optional[_Box]:
+    """The packing of T^0 to T^half in the box of the roots' lattice, or
+    None when it has more than PACKED_SLOT_CAP slots."""
+    origin = roots[0] if roots else (0, 0, 0)
+    differences = [tuple(x - o for x, o in zip(root, origin)) for root in roots]
+    basis = _lattice(differences)
     coords = [_coordinates(basis, v) for v in differences]
     cols = [sorted(v[x] for v in coords) for x in range(3)]
     # the widest span of d-subset sums is the one at d = half
     n_a, n_b, n_q = (sum(col[len(col) - half:]) - sum(col[:half]) + 1 for col in cols)
-    return _Box(origin, basis, coords, cols, (n_b * n_q, n_q, 1), n_a * n_b * n_q)
-
-
-def _box(roots: Sequence[Monomial], half: int) -> Optional[_Box]:
-    """The packing of T^0 to T^half in the smaller of two boxes, the axis
-    one of each component's gcd step or the one of the roots' lattice, or
-    None when it has more than PACKED_SLOT_CAP slots."""
-    origin = roots[0] if roots else (0, 0, 0)
-    differences = [tuple(x - o for x, o in zip(root, origin)) for root in roots]
-    steps = [math.gcd(*(v[x] for v in differences)) or 1 for x in range(3)]
-    axes = [tuple(g * (x == y) for y in range(3)) for x, g in enumerate(steps)]
-    # min keeps the first of equal boxes
-    box = min((_fit(differences, half, origin, basis) for basis in (axes, _lattice(differences))),
-              key=attrgetter("slots"))
+    box = _Box(origin, basis, coords, cols, (n_b * n_q, n_q, 1), n_a * n_b * n_q)
     return box if box.slots <= PACKED_SLOT_CAP else None
 
 
@@ -223,13 +215,13 @@ class LocalFactor:
 
     `LocalFactor(roots)` checks each of a few roots.  `LocalFactor(parts=
     [(factor, shift, e), ...])` is the product of factor(shift T) e times
-    over, `shift` a monomial, and checks nothing: its factors were checked
-    when built, and its shifts are sums of checked ints.  `counts`, each
-    root's multiplicity (never 0), is built once from the parts' counts;
-    equal counts, equal polynomials.  `roots`, for the float paths only, is
-    listed on first use: the parts in order, each one's shifted roots e
-    times in a row.  A factor carries no name; `chunks` takes the label
-    to write.  Instances are immutable.
+    over, `shift` a monomial, and checks only that each e >= 0: its
+    factors were checked when built, and its shifts are sums of checked
+    ints.  `counts`, each root's multiplicity (never 0), is built once from
+    the parts' counts; equal counts, equal polynomials.  `roots`, for the
+    float paths only, is listed on first use: the parts in order, each
+    one's shifted roots e times in a row.  A factor carries no name;
+    `chunks` takes the label to write.  Instances are immutable.
     """
 
     __slots__ = ("counts", "degree", "_parts", "_roots")
@@ -251,6 +243,8 @@ class LocalFactor:
         else:
             parts = tuple(parts)
             for factor, (s_a, s_b, s_q), e in parts:
+                if e < 0:
+                    raise ValueError(f"a part's multiplicity must be nonnegative, got {e}")
                 if e:
                     for (r_a, r_b, r_q), m in factor.counts.items():
                         root = (r_a + s_a, r_b + s_b, r_q + s_q)

@@ -25,7 +25,6 @@ same template at the same depths.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from itertools import compress
 from json.encoder import encode_basestring_ascii as _string
 from typing import Iterable, Optional, Tuple
@@ -47,7 +46,6 @@ def json_dict(terms: Iterable[Term]) -> dict:
 
 # -- layout --------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def _container(depth: Optional[int]) -> Tuple[str, str, str]:
     """What json.dumps writes after the opening bracket of a nonempty
     container at `depth`, between two of its items and before its closing
@@ -58,7 +56,6 @@ def _container(depth: Optional[int]) -> Tuple[str, str, str]:
     return pad + "  ", "," + pad + "  ", pad
 
 
-@lru_cache(maxsize=None)
 def _layout(depth: Optional[int]) -> Tuple[str, str, str, str]:
     """A nonempty json_dict polynomial at `depth`: its text up to the first
     term, between two terms and after the last, and the term template, with
@@ -70,14 +67,12 @@ def _layout(depth: Optional[int]) -> Tuple[str, str, str, str]:
     return '{' + poly[0] + '"terms": [' + terms[0], terms[1], terms[2] + ']' + poly[2] + '}', template
 
 
-@lru_cache(maxsize=None)
 def root_template(depth: Optional[int]) -> str:
     """json_dict([(e_a, e_b, e_q, 1)]) at `depth`, with %s for e_a, e_b, e_q."""
     head, _, tail, term = _layout(depth)
     return head + term % ("%s", "%s", "%s", 0, 1) + tail
 
 
-@lru_cache(maxsize=None)
 def _row_layout(depth: Optional[int]) -> Tuple[str, str, str, str, str, str]:
     """_layout(depth) with the term template cut for rows of one (e_a, e_b):
     the row head with %s for e_a and e_b, the piece of one e_q (%s) up to

@@ -190,16 +190,9 @@ def eisenstein(weight: int, precision: int) -> QExpansion:
     return QExpansion(weight, [1] + [factor * s for s in sigma[1:]])
 
 
-def dim_modular_forms(weight: int) -> int:
-    if weight < 0 or weight % 2:
-        return 0
-    return weight // 12 + (0 if weight % 12 == 2 else 1)
-
-
 def dim_cusp_forms(weight: int) -> int:
-    if weight < 4:
-        return 0
-    return max(dim_modular_forms(weight) - 1, 0)
+    """dim S_weight at level one: dim M_weight - 1, or 0 below 4 and when odd."""
+    return 0 if weight < 4 or weight % 2 else weight // 12 - (weight % 12 == 2)
 
 
 # -- Hecke action and eigenforms -------------------------------------------

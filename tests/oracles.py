@@ -17,6 +17,8 @@ eigenvalues, which the int path must match bit for bit.  `coefficients`,
 tuples and dicts, which the package's streaming writers never build;
 `text_lines` writes their `--format text` lines entry by entry, and
 `symbolic_witness` the T^1 witness from sorted roots, not from counts.
+`axis_slots` sizes the box of one gcd step per exponent, which the
+lattice box that `euler` packs in never exceeds on a registry side.
 `shifted` moves a factor by q^c root by root, the reference for the
 parts constructor that builds every product side.
 `build_parser` is the argparse parser the CLI's flag table replaced, kept
@@ -36,7 +38,7 @@ import cmath
 import json
 from fractions import Fraction
 from itertools import combinations, groupby
-from math import comb
+from math import comb, gcd
 from typing import Iterable, List, Mapping, Sequence, Tuple, Union
 
 from liftspin.beta import symmetric_odd_set, table
@@ -303,6 +305,17 @@ def symbolic_witness(lhs, rhs) -> dict:
         return json_dict((*root, -len(list(run))) for root, run in groupby(sorted(roots)))
 
     return {"t_degree": 1, "lhs": t1(lhs.roots), "rhs": t1(rhs.roots)}
+
+
+def axis_slots(roots) -> int:
+    """The slots, at T^(N // 2), of the box with one gcd step per component
+    of the roots, the reference size for the lattice box of `euler`."""
+    half, slots = len(roots) // 2, 1
+    for col in zip(*roots):
+        col = sorted(col)
+        step = gcd(*(x - col[0] for x in col)) or 1
+        slots *= (sum(col[len(col) - half:]) - sum(col[:half])) // step + 1
+    return slots
 
 
 def shifted(factor, c: int) -> LocalFactor:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from liftspin import cli, identities
-from liftspin.cli import MAX_N, main
+from liftspin.cli import MAX_K, MAX_N, main
 from liftspin.qexp import MAX_PRECISION, MAX_PRIMES_UP_TO, eigenform, primes_up_to
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -658,6 +658,7 @@ def test_numeric_verify_builds_the_sides_once(capsys, tables, monkeypatch):
 
 @pytest.mark.parametrize("flag,env,cap", [
     ("--n", "LIFTSPIN_N", MAX_N),
+    pytest.param("--k", "LIFTSPIN_K", MAX_K, id="--k-LIFTSPIN_K-10^300"),
     ("--precision", "LIFTSPIN_PRECISION", MAX_PRECISION),
     ("--primes-up-to", "LIFTSPIN_PRIMES_UP_TO", MAX_PRIMES_UP_TO),
     ("--prime", "LIFTSPIN_PRIME", MAX_PRIMES_UP_TO),
@@ -675,6 +676,28 @@ def test_size_flag_caps(capsys, monkeypatch, flag, env, cap):
     monkeypatch.setenv(env, str(cap + 1))
     code, _, err = run(capsys, "beta-table")
     assert code == 3 and "exceeds the cap" in err
+
+
+#: each command with its required flags filled
+_REQUIRED = {
+    "eigenvalues": ["--weight", "12"],
+    "euler": ["--identity", "main_theorem", "--side", "lhs"],
+    "beta-table": [],
+    "lvalue": ["--side", "lhs", "--s", "25"],
+    "verify": [],
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, name) for command in cli.COMMANDS
+    for name, (kind, _, _) in cli._flags(command).items() if kind is int])
+@pytest.mark.parametrize("value", [10 ** 400, -(10 ** 400)], ids=["+10^400", "-10^400"])
+def test_huge_int_flags_exit_cleanly(capsys, command, flag, value):
+    # ints past double range, caps or none, end in an exit code the CLI
+    # documents, never a traceback, and a refusal writes nothing first
+    code, out, _ = run(capsys, command, *_REQUIRED[command], f"--{flag}={value}")
+    assert code in (0, 2, 3)
+    assert code == 0 or out == ""
 
 
 def test_precision_at_cap_runs_eigenvalues(capsys, tables):
@@ -779,6 +802,17 @@ def test_cli_runs_load_no_argparse():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n") == ["[0, 0, 0, 0, 0, 0, 2] []", ""]
+
+
+def test_index_error_is_not_a_usage_error(capsys, monkeypatch):
+    # no input error is an IndexError, so one is a defect and keeps its traceback
+    def broken(args):
+        raise IndexError("a defect")
+
+    handler, help_line, flags = cli.COMMANDS["beta-table"]
+    monkeypatch.setitem(cli.COMMANDS, "beta-table", (broken, help_line, flags))
+    with pytest.raises(IndexError, match="a defect"):
+        main(["beta-table"])
 
 
 @pytest.mark.parametrize("flag", ["-h", "--help"])

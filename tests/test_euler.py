@@ -26,6 +26,7 @@ from liftspin.satake import SatakeParams, elliptic_satake, ikeda_satake, miyawak
 from oracles import (
     LaurentPoly,
     as_poly,
+    axis_slots,
     c1_eigenvalue,
     coefficients,
     decode,
@@ -366,10 +367,11 @@ def test_expansion_of_equal_root_multisets_is_equal():
     assert [list(c) for c in low] == [list(c) for c in rhs_low]
 
 
-@pytest.mark.parametrize("k", [1, 10, 10 ** 21])
+@pytest.mark.parametrize("k", [1, 2, 4, 10, 16, 10 ** 21])
 def test_registry_sides_take_the_packed_path(k):
     # every side `euler` can expand, at every --n and these --k, has a packed
-    # box within PACKED_SLOT_CAP; the boxes, axis or lattice, are the same at any k
+    # lattice box within PACKED_SLOT_CAP and no larger than the box of one
+    # gcd step per exponent
     checked = 0
     for name, identity in IDENTITIES.items():
         for n in range(MAX_N + 1):
@@ -381,7 +383,9 @@ def test_registry_sides_take_the_packed_path(k):
                 continue
             for side in sides:
                 if side.degree <= EXPANSION_DEGREE_CAP:
-                    assert _box(sorted(side.roots), side.degree // 2), (name, n, k)
+                    roots = sorted(side.roots)
+                    box = _box(roots, side.degree // 2)
+                    assert box and box.slots <= axis_slots(roots), (name, n, k)
                     checked += 1
     assert checked == 74
 

@@ -4,12 +4,12 @@ against a tuple-keyed reference expansion of every coefficient and
 json.dumps on random unit-monomial
 roots: exponent triples past 2^64 of either sign, repeated roots, and
 degrees 0 to 9, plus explicit degree-32, degree-33 and degree-64
-examples and root sets whose lattice box is smaller than the axis box, or
-not.  The chosen box never has more slots than the axis box, and roots
-whose box is over PACKED_SLOT_CAP must raise ExpansionTooLarge before the
-first piece of output.  The numeric writer, at unit-circle Satake data and
-a few primes, against the dict of [re, im] entries written by json.dumps,
-NumericOverflow before the first piece included."""
+examples and root sets whose lattice box has a step of 2, lies along a
+line or is sheared.  Roots whose lattice box is over PACKED_SLOT_CAP must
+raise ExpansionTooLarge before the first piece of output.  The numeric
+writer, at unit-circle Satake data and a few primes, against the dict of
+[re, im] entries written by json.dumps, NumericOverflow before the first
+piece included."""
 
 import cmath
 import json
@@ -18,8 +18,8 @@ import math
 import pytest
 
 from liftspin.errors import ExpansionTooLarge, NumericOverflow
-from liftspin.euler import PACKED_SLOT_CAP, LocalFactor, _box, _slot_format, numeric_coefficients
-from oracles import coefficients, factored_json_dict, text_lines, to_json_dict
+from liftspin.euler import LocalFactor, _box, _slot_format, numeric_coefficients
+from oracles import axis_slots, coefficients, factored_json_dict, text_lines, to_json_dict
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
@@ -50,22 +50,13 @@ _TOO_WIDE = [(0, 0, 0), (1, 0, 0), (2 ** 21, 0, 0)]
 # e_a + e_q even in every root, as in every registry side: the lattice box
 # has a q step of 2 and half the slots of the axis box
 _PARITY = [(0, 0, 4), (1, 0, 5), (0, 1, 4), (0, 0, 6), (-1, 1, 3), (2, -1, 4), (1, 1, 7)]
-# 20 roots (j, j mod 2, 0): the lattice basis (1, 1, 0), (0, 2, 0) skews
-# e_b against e_a, so its box has 5,151 slots and the axis box 1,111
+# 20 roots (j, j mod 2, 0): the lattice basis (1, 1, 0), (0, 2, 0) shears
+# e_b against e_a, so its box has 5,151 slots, where one gcd step per
+# exponent would give 1,111
 _ZIGZAG = [(j, j % 2, 0) for j in range(20)]
 # a rank-1 line: the lattice box is one row of slots along the line, the
 # axis box a square
 _LINE = [(j, 0, 3 * j - 1) for j in (-3, -1, 0, 0, 2, 4)]
-
-
-def axis_slots(roots):
-    """The slots of the box of one gcd step per component, at T^(N // 2)."""
-    half, slots = len(roots) // 2, 1
-    for col in zip(*sorted(roots)):
-        col = sorted(col)
-        step = math.gcd(*(x - col[0] for x in col)) or 1
-        slots *= (sum(col[len(col) - half:]) - sum(col[:half])) // step + 1
-    return slots
 
 
 def reference_coefficients(roots):
@@ -105,18 +96,14 @@ def test_packed_expansion_matches_reference(roots):
     factored = factored_json_dict(factor, label)
     assert "".join(factor.chunks(label, factored=True)) == json.dumps(factored, indent=2)
     assert "".join(factor.chunks(label, True, "text")) == text_lines(factored, "roots")
-    # the chosen box is never wider than the axis box, so no roots the
-    # axis box packs are refused
-    box = _box(sorted(roots), len(roots) // 2)
-    if box is None:
-        assert axis_slots(roots) > PACKED_SLOT_CAP
+    # roots whose box is over PACKED_SLOT_CAP are refused before any output
+    if _box(sorted(roots), len(roots) // 2) is None:
         for chunks in (factor.chunks(label), factor.chunks(label, fmt="text")):
             with pytest.raises(ExpansionTooLarge, match="factored form"):
                 next(chunks)
         with pytest.raises(ExpansionTooLarge, match="factored form"):
             coefficients(factor)
         return
-    assert box.slots <= axis_slots(roots)
     reference = reference_coefficients(roots)
     data = {"label": label, "degree": len(roots), "coeffs": [
         {"terms": [{"e": [*key, 0], "c": str(value)} for key, value in sorted(coeff.items())]}
@@ -148,12 +135,12 @@ def test_examples_take_the_path_they_name():
     assert _box(_TOO_WIDE, 1) is None
     # exponents near 2^70 that share a step still pack: 2 slots per component
     assert _box(sorted([(_HUGE, -_HUGE, 2 ** 64 + 1), (-_HUGE, _HUGE, -(2 ** 64))]), 1)
-    # the lattice box where it is smaller, the axis box where it is not
+    # the lattice box: a q step of 2, a shear, and a line
     parity = _box(sorted(_PARITY), 3)
     assert parity.basis == [(1, 0, 1), (0, 1, 0), (0, 0, 2)]
     assert 2 * parity.slots <= axis_slots(_PARITY)
     zigzag = _box(_ZIGZAG, 10)
-    assert zigzag.basis == [(1, 0, 0), (0, 1, 0), (0, 0, 1)] and zigzag.slots == 1111
+    assert zigzag.basis == [(1, 1, 0), (0, 2, 0), (0, 0, 1)] and zigzag.slots == 5151
     line = _box(sorted(_LINE), 3)
     assert line.basis[0] == (1, 0, 3) and line.strides == (1, 1, 1)
     # e_a from -4 to 6 at T^3, against 11 e_q as well in the axis box

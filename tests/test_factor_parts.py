@@ -153,3 +153,13 @@ def test_a_factor_is_roots_or_parts():
         LocalFactor()
     with pytest.raises(TypeError, match="either roots or parts"):
         LocalFactor([(0, 0, 0)], parts=[])
+
+
+def test_a_negative_multiplicity_is_refused():
+    # a negative e would give a negative degree, or zero counts with roots listed
+    f, s = sym_power_factor(1, 10), (0, 0, 0)
+    for parts in ([(f, s, -1)], [(f, s, 1), (f, s, -1)]):
+        with pytest.raises(ValueError, match="multiplicity must be nonnegative, got -1"):
+            LocalFactor(parts=parts)
+    # a multiplicity of 0 is still skipped
+    assert LocalFactor(parts=[(f, s, 0), (f, s, 1)]).counts == f.counts
