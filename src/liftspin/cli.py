@@ -109,12 +109,17 @@ def _parse_table_args(args) -> Dict[str, str]:
     return tables
 
 
-def _form_for(role: str, weight: int, precision: int,
-              tables: Dict[str, str]) -> EigenformData:
+def _form_for(role: str, weight: int, args, tables: Dict[str, str],
+              default_bound: int = 2) -> EigenformData:
+    """The role's eigenform; a q-expansion stops at the largest prime the run
+    reads (--prime, else --primes-up-to, else `default_bound`) when that is
+    below --precision, as no coefficient past it is read."""
+    bound = args.prime if args.prime is not None else args.primes_up_to
+    precision = min(args.precision, max(1, default_bound if bound is None else bound))
     return eigenform(weight, precision, tables.get(role, tables.get("untagged")))
 
 
-def _numeric_forms(args, needs_g: bool = True) -> tuple:
+def _numeric_forms(args, needs_g: bool = True, default_bound: int = 2) -> tuple:
     """(f, g) for numeric mode, g None if the identity involves f only; k < 1
     is refused before any form is built, as the side builders refuse it."""
     if args.k < 1:
@@ -123,8 +128,8 @@ def _numeric_forms(args, needs_g: bool = True) -> tuple:
     if needs_g and "untagged" in tables:
         raise ValueError("two eigenforms are in play; tag tables as "
                          "--eigenvalues-file f=PATH / g=PATH")
-    f = _form_for("f", 2 * args.k, args.precision, tables)
-    g = _form_for("g", args.k + args.n, args.precision, tables) if needs_g else None
+    f = _form_for("f", 2 * args.k, args, tables, default_bound)
+    g = _form_for("g", args.k + args.n, args, tables, default_bound) if needs_g else None
     return f, g
 
 
@@ -167,7 +172,7 @@ def cmd_eigenvalues(args) -> int:
     weight = args.weight
     primes = _primes_from(args)
     tables = _parse_table_args(args)
-    form = _form_for("untagged", weight, args.precision, tables)
+    form = _form_for("untagged", weight, args, tables)
     # hecke_eigenvalue checks each value, so none prints that numeric runs reject
     rows = [{"p": p, "lambda": str(hecke_eigenvalue(form, p))} for p in primes]
     data = {"weight": weight, "eigenvalues": rows}
@@ -288,8 +293,9 @@ def _verify_reports(args) -> List[identities.VerificationReport]:
     # numeric: the suite is the main identity at the first five primes
     name = "main_theorem" if suite else args.identity
     identities.check_scope(name, "numeric", n)
-    f, g = _numeric_forms(args, identities.IDENTITIES[name].needs_g)
-    primes = _primes_from(args, [2, 3, 5, 7, 11] if suite else [2])
+    default = [2, 3, 5, 7, 11] if suite else [2]
+    f, g = _numeric_forms(args, identities.IDENTITIES[name].needs_g, default[-1])
+    primes = _primes_from(args, default)
     return identities.verify_at_primes(name, n, k, "numeric", primes, f, g)
 
 

@@ -1,13 +1,13 @@
 """Exact q-expansions of level-one modular forms and Hecke eigenvalue data.
 
 Truncated power series in q = e^(2 pi i tau) with plain int coefficients:
-every series built here (E4, E6, their monomials, Delta, the eigenforms)
-is integral, and any other coefficient is refused.  Eigenvalue data is
+every series built here (the Eisenstein series, Delta, the eigenforms) is
+integral, and any other coefficient is refused.  Eigenvalue data is
 plain ints too: a table value must be an integer, and is refused where the
 table is read if it is not.
 
-Contents: E4 and E6 from the divisor-sum formula, and the normalized
-eigenforms built from them.
+Contents: the integral Eisenstein series E4, E6, E8, E10 and E14 from the
+divisor-sum formula, and the normalized eigenforms built from them.
 
 A product of two series is one big-int multiplication (Kronecker
 substitution): each series is packed into an int with one fixed-width byte
@@ -15,10 +15,11 @@ slot per coefficient, wide enough for every input coefficient and for
 n max|a| max|b|; the low n slots of the product are the truncated product.
 
 Eigenforms exist here only at the one-dimensional cuspidal weights 12, 16,
-18, 20, 22 and 26.  Multiplication by Delta = (E4^3 - E6^2)/1728 = q + ...
-maps M_(w-12) onto S_w, and at those weights M_(w-12) is spanned by the one
-monomial E4^a E6^b with 4a + 6b = w - 12, so the eigenform is
-Delta E4^a E6^b, already normalized.  Every level-one cusp space of
+18, 20, 22 and 26.  Multiplication by Delta = (E4 E8 - E6^2)/1728 = q + ...
+maps M_(w-12) onto S_w, and at those weights M_(w-12) is one-dimensional,
+spanned by E_(w-12), so the eigenform is Delta E_(w-12) (Delta itself at
+w = 12), already normalized: one series product per eigenform, after the
+two that build Delta once per precision.  Every level-one cusp space of
 dimension 2 or more has irrational Hecke eigenvalues (Maeda's conjecture,
 verified up to weight 14,000), so those weights raise IrrationalEigenspace
 before any series is built.
@@ -28,10 +29,9 @@ from __future__ import annotations
 
 import cmath
 import re
-from functools import reduce
+from functools import lru_cache
 from itertools import compress
 from math import isqrt
-from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -46,12 +46,13 @@ from .errors import (
     UnsupportedWeight,
 )
 
-#: weight w -> (a, b) with 4a + 6b = w - 12, for each one-dimensional
-#: cuspidal eigenspace on SL2(Z); its eigenform is Delta E4^a E6^b
-_DELTA_COFACTORS = {12: (0, 0), 16: (1, 0), 18: (0, 1), 20: (2, 0), 22: (1, 1), 26: (2, 1)}
+#: -2k/B_k at each weight k whose Eisenstein series E_k is integral; each
+#: M_k there is one-dimensional, so S_(k+12) = Delta M_k is too
+_EISENSTEIN_FACTORS = {4: 240, 6: -504, 8: 480, 10: -264, 14: -24}
 
-#: weights of the one-dimensional cuspidal eigenspaces on SL2(Z)
-SUPPORTED_WEIGHTS = tuple(_DELTA_COFACTORS)
+#: weights of the one-dimensional cuspidal eigenspaces on SL2(Z): 12, where
+#: the eigenform is Delta, and 12 + k for each integral E_k
+SUPPORTED_WEIGHTS = (12,) + tuple(12 + k for k in _EISENSTEIN_FACTORS)
 
 DEFAULT_PRECISION = 200
 #: largest --precision the CLI accepts
@@ -152,36 +153,18 @@ class QExpansion:
         packed_b = packed_a if other is self else _pack(b, width)
         return QExpansion(self.weight + other.weight, _unpack(packed_a * packed_b, n, width))
 
-    def __pow__(self, exponent: int) -> "QExpansion":
-        if exponent < 0:
-            raise ValueError("negative powers of q-expansions are not supported")
-        if exponent == 0:
-            return QExpansion(0, [1] + [0] * self.precision)
-        result, base = None, self
-        while True:
-            if exponent & 1:
-                result = base if result is None else result * base
-            exponent >>= 1
-            if not exponent:
-                return result
-            base = base * base
-
     def __repr__(self) -> str:
         shown = ", ".join(str(c) for c in self.coeffs[:6])
         return f"QExpansion(weight={self.weight}, coeffs=[{shown}, ...])"
 
 
-#: -2k/B_k at the two weights whose Eisenstein series the eigenforms use
-_EISENSTEIN_FACTORS = {4: 240, 6: -504}
-
-
 def eisenstein(weight: int, precision: int) -> QExpansion:
     """Normalized Eisenstein series E_k = 1 - (2k/B_k) sum sigma_(k-1)(n) q^n
-    at k = 4 and 6, the two the eigenforms are built from."""
+    at the weights k = 4, 6, 8, 10 and 14 where -2k/B_k is an integer."""
     factor = _EISENSTEIN_FACTORS.get(weight)
     if factor is None:
-        raise UnsupportedWeight(f"Eisenstein series are built at weights 4 and 6 only, "
-                                f"got {weight}")
+        raise UnsupportedWeight(f"Eisenstein series are built at the integral weights "
+                                f"{tuple(_EISENSTEIN_FACTORS)} only, got {weight}")
     sigma = [0] * (precision + 1)
     for d in range(1, precision + 1):
         dk = d ** (weight - 1)
@@ -231,14 +214,24 @@ def hecke_eigenvalue(form: EigenformData, p: int) -> int:
     return lam
 
 
+@lru_cache(maxsize=4)
+def _delta(precision: int) -> QExpansion:
+    """Delta = (E4 E8 - E6^2)/1728 by exact integer division, built once per
+    precision for every eigenform of a run."""
+    e6 = eisenstein(6, precision)
+    cusp = (eisenstein(4, precision) * eisenstein(8, precision) - e6 * e6).coeffs
+    assert all(c % 1728 == 0 for c in cusp), "E4 E8 - E6^2 is 1728 Delta"
+    return QExpansion(12, [c // 1728 for c in cusp])
+
+
 def eigenform(weight: int, precision: int = DEFAULT_PRECISION,
               table: Optional[str] = None) -> EigenformData:
     """The normalized eigenform of a one-dimensional cuspidal weight w, its
     eigenvalues read from the file `table` (load_eigenvalue_table) when one
-    is given, and otherwise built as Delta E4^a E6^b with (a, b) from the
-    weight table, where Delta = (E4^3 - E6^2)/1728 by exact integer
-    division.  S_w = Delta M_(w-12), so S_w is one-dimensional exactly when
-    M_(w-12) is, and then the single monomial E4^a E6^b spans M_(w-12)."""
+    is given, and otherwise built as Delta E_(w-12) (Delta itself at
+    w = 12): one series product, with Delta shared through _delta by the
+    forms of one precision.  S_w = Delta M_(w-12), so S_w is
+    one-dimensional exactly when M_(w-12) is, and then E_(w-12) spans it."""
     d = dim_cusp_forms(weight)
     if d == 0:
         raise EmptySpace(f"S_{weight} is zero-dimensional")
@@ -251,11 +244,9 @@ def eigenform(weight: int, precision: int = DEFAULT_PRECISION,
         return EigenformData(weight, None, load_eigenvalue_table(table))
     if precision < d:
         raise ValueError(f"precision {precision} below dimension {d}")
-    e4, e6 = eisenstein(4, precision), eisenstein(6, precision)
-    cusp = (e4 ** 3 - e6 ** 2).coeffs
-    assert all(c % 1728 == 0 for c in cusp), "E4^3 - E6^2 is 1728 Delta"
-    a, b = _DELTA_COFACTORS[weight]
-    form = reduce(mul, [e4] * a + [e6] * b, QExpansion(12, [c // 1728 for c in cusp]))
+    form = _delta(precision)
+    if weight != 12:
+        form = form * eisenstein(weight - 12, precision)
     assert form.weight == weight and form.coeffs[:2] == (0, 1), "normalized, of weight w"
     return EigenformData(weight, form)
 

@@ -485,13 +485,28 @@ def schoolbook(a: QExpansion, b: QExpansion) -> list:
     return out
 
 
+def power(series: QExpansion, exponent: int) -> QExpansion:
+    """series^exponent by repeated squaring of packed products; the 0th
+    power is the weight-0 series 1 at the same precision."""
+    if exponent < 0:
+        raise ValueError("negative powers of q-expansions are not supported")
+    result = QExpansion(0, [1] + [0] * series.precision)
+    while exponent:
+        if exponent & 1:
+            result = result * series
+        exponent >>= 1
+        if exponent:
+            series = series * series
+    return result
+
+
 def victor_miller_full_rows(weight: int, precision: int) -> List[QExpansion]:
     """The echelonized cusp basis of any weight by reduced row echelon form
     of the whole E4^a E6^b monomial rows, reduced as Fraction lists (the
-    package builds only the one-dimensional spaces, as Delta E4^a E6^b).
+    package builds only the one-dimensional spaces, as Delta E_(w-12)).
     The Victor Miller basis is integral, so every reduced row must be."""
     e4, e6 = eisenstein(4, precision), eisenstein(6, precision)
-    rows = [[Fraction(c) for c in (e4 ** ((weight - 6 * b) // 4) * e6 ** b).coeffs]
+    rows = [[Fraction(c) for c in (power(e4, (weight - 6 * b) // 4) * power(e6, b)).coeffs]
             for b in range(weight // 6 + 1) if (weight - 6 * b) % 4 == 0]
     pivot_row = 0
     for col in range(precision + 1):
@@ -519,7 +534,7 @@ def delta(precision: int) -> QExpansion:
         raise ValueError("precision must be at least 1")
     e4 = eisenstein(4, precision)
     e6 = eisenstein(6, precision)
-    cusp = (e4 ** 3 - e6 ** 2).coeffs
+    cusp = (power(e4, 3) - power(e6, 2)).coeffs
     assert all(c % 1728 == 0 for c in cusp), "E4^3 - E6^2 is 1728 Delta"
     return QExpansion(12, [c // 1728 for c in cusp])
 
@@ -541,7 +556,7 @@ def delta_eta_product(precision: int) -> QExpansion:
         if not placed:
             break
         j += 1
-    p24 = QExpansion(0, euler) ** 24
+    p24 = power(QExpansion(0, euler), 24)
     return QExpansion(12, (0,) + p24.coeffs[:precision])
 
 
@@ -570,7 +585,7 @@ def bernoulli(m: int) -> Fraction:
 
 def eisenstein_series(weight: int, precision: int) -> QExpansion:
     """E_k = 1 - (2k/B_k) sum sigma_(k-1)(n) q^n at every weight whose
-    -2k/B_k is an integer: 4, 6, 8, 10 and 14 (the package builds 4 and 6)."""
+    -2k/B_k is an integer: 4, 6, 8, 10 and 14, the weights the package builds."""
     if weight < 4 or weight % 2:
         raise UnsupportedWeight(f"Eisenstein series needs even weight >= 4, got {weight}")
     factor = Fraction(-2 * weight) / bernoulli(weight)

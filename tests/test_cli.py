@@ -707,6 +707,38 @@ def test_precision_at_cap_runs_eigenvalues(capsys, tables):
     assert code == 0 and json.loads(out)["eigenvalues"] == [{"p": 2, "lambda": "-24"}]
 
 
+_NUMERIC = ("--n", "2", "--k", "10", "--mode", "numeric")
+
+
+@pytest.mark.parametrize("argv, code, built", [
+    (("eigenvalues", "--weight", "12", "--prime", "7"), 0, [(12, 7)]),
+    (("eigenvalues", "--weight", "12", "--prime", "1"), 3, [(12, 1)]),
+    (("eigenvalues", "--weight", "12", "--primes-up-to", "30", "--precision", "20"),
+     3, [(12, 20)]),
+    (("lvalue", "--side", "lhs", "--s", "25", "--primes-up-to", "100", "--n", "2", "--k", "10"),
+     0, [(20, 100), (12, 100)]),
+    (("verify", "--identity", "main_theorem") + _NUMERIC, 0, [(20, 2), (12, 2)]),
+    (("verify", "--all") + _NUMERIC, 0, [(20, 11), (12, 11)]),
+    (("verify", "--all", "--precision", "5") + _NUMERIC, 3, [(20, 5), (12, 5)]),
+])
+def test_forms_stop_at_the_largest_prime_read(capsys, monkeypatch, argv, code, built):
+    # --prime, else --primes-up-to, else the verify default (11 for the
+    # suite, 2 otherwise) bounds the q-expansions below --precision; a prime
+    # past --precision is still refused naming --precision
+    calls = []
+    real_eigenform = cli.eigenform
+
+    def recording(weight, precision, table=None):
+        calls.append((weight, precision))
+        return real_eigenform(weight, precision, table)
+
+    monkeypatch.setattr(cli, "eigenform", recording)
+    result, _, err = run(capsys, *argv)
+    assert (result, calls) == (code, built)
+    if "--precision" in argv and code == 3:
+        assert f"q-expansion precision {argv[argv.index('--precision') + 1]}" in err
+
+
 def test_duplicate_table_prime_exit2(capsys, tmp_path):
     table = tmp_path / "t.txt"
     table.write_text("2 -24\n2 456\n")

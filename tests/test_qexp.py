@@ -38,6 +38,7 @@ from oracles import (
     delta_eta_product,
     eisenstein_series,
     hecke_operator,
+    power,
     schoolbook,
     victor_miller_full_rows,
 )
@@ -71,12 +72,15 @@ def test_eisenstein_examples():
     assert e4.coeffs == (1, 240, 2160)
     e6 = eisenstein(6, 1)
     assert e6.coeffs == (1, -504)
-    # the package builds E4 and E6 only, as the oracle's divisor sums do
+    # the package builds E4, E6, E8, E10 and E14, the series that are
+    # integral, and each agrees with the oracle's divisor sums
     for weight in range(4, 28, 2):
-        if weight in (4, 6):
-            assert eisenstein(weight, 30) == eisenstein_series(weight, 30)
+        if weight in (4, 6, 8, 10, 14):
+            for precision in (30, 200):
+                assert eisenstein(weight, precision) == eisenstein_series(weight, precision)
         else:
-            with pytest.raises(UnsupportedWeight, match="weights 4 and 6 only"):
+            with pytest.raises(UnsupportedWeight,
+                               match=r"integral weights \(4, 6, 8, 10, 14\) only"):
                 eisenstein(weight, 3)
     # -2k/B_k is an integer at these weights only; the series stay integral
     for weight in range(4, 28, 2):
@@ -226,12 +230,50 @@ def test_eigenforms_match_eisenstein_delta_products():
     e4 = eisenstein(4, prec)
     e6 = eisenstein(6, prec)
     for weight, (a4, b6) in combos.items():
-        product = (e4 ** a4) * (e6 ** b6) * d
+        product = power(e4, a4) * power(e6, b6) * d
         form = eigenform(weight, prec)
         assert form.qexp.coeffs[:prec + 1] == product.coeffs[:prec + 1], weight
     # first eigenvalues that fall out of the products
     assert [eigenform(w, 10).qexp.coeffs[2] for w in (12, 16, 18, 20, 22, 26)] \
         == [-24, 216, -528, 456, -288, -48]
+
+
+@pytest.mark.parametrize("precision", [1, 2, 3, 13, 200])
+def test_eigenforms_match_the_eta_product_times_the_oracle_eisenstein_series(precision):
+    # Delta from the eta product and E_(w-12) from the oracle's divisor sums,
+    # multiplied term by term: no series of the package's own
+    d = delta_eta_product(precision)
+    assert eigenform(12, precision).qexp == d
+    for weight in SUPPORTED_WEIGHTS[1:]:
+        expected = schoolbook(d, eisenstein_series(weight - 12, precision))
+        assert eigenform(weight, precision).qexp == QExpansion(weight, expected), weight
+
+
+def test_eigenforms_cost_one_series_product_after_a_shared_delta(monkeypatch):
+    from liftspin import qexp
+
+    products = []
+    real_mul = QExpansion.__mul__
+
+    def counting_mul(a, b):
+        products.append((a.weight, b.weight))
+        return real_mul(a, b)
+
+    monkeypatch.setattr(QExpansion, "__mul__", counting_mul)
+    qexp._delta.cache_clear()
+    # E4 E8 and E6^2 build Delta once for both forms, then each form costs
+    # one product with its E_(w-12)
+    eigenform(26, 200)
+    eigenform(16, 200)
+    assert len(products) <= 4, products
+    products.clear()
+    qexp._delta.cache_clear()
+    assert eigenform(12, 200).qexp.coeffs[:3] == (0, 1, -24)
+    assert len(products) == 2, products
+    # each precision has its own Delta, and each series its own length
+    for precision in (60, 200, 60):
+        for weight in SUPPORTED_WEIGHTS:
+            assert len(eigenform(weight, precision).qexp.coeffs) == precision + 1
 
 
 def _plain_ints(series):
@@ -478,13 +520,15 @@ def test_packed_product_edge_cases(case):
 
 def test_powers_and_squares():
     x = QExpansion(6, [1, -7, 3, -(10 ** 30)])
-    assert x ** 0 == QExpansion(0, [1, 0, 0, 0])
-    assert x ** 1 == x
+    assert power(x, 0) == QExpansion(0, [1, 0, 0, 0])
+    assert power(x, 1) == x
     assert list((x * x).coeffs) == schoolbook(x, x)
-    assert x ** 5 == x * x * x * x * x
-    assert (x ** 5).weight == 30
+    assert power(x, 5) == x * x * x * x * x
+    assert power(x, 5).weight == 30
     with pytest.raises(ValueError):
-        x ** -1
+        power(x, -1)
+    with pytest.raises(TypeError):
+        x ** 2
 
 
 @pytest.mark.parametrize("coeff", [Fraction(1, 2), Fraction(6, 3), 0.5, True])
