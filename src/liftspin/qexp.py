@@ -6,8 +6,8 @@ integral, and any other coefficient is refused.  Eigenvalue data is
 plain ints too: a table value must be an integer, and is refused where the
 table is read if it is not.
 
-Contents: the integral Eisenstein series E4, E6, E8, E10 and E14 from the
-divisor-sum formula, and the normalized eigenforms built from them.
+Contents: the integral Eisenstein series E4, E6, E8, E10 and E14 from
+divisor sums, Delta from Jacobi's eta cube, and the normalized eigenforms.
 
 A product of two series is one big-int multiplication (Kronecker
 substitution): each series is packed into an int with one fixed-width byte
@@ -15,14 +15,14 @@ slot per coefficient, wide enough for every input coefficient and for
 n max|a| max|b|; the low n slots of the product are the truncated product.
 
 Eigenforms exist here only at the one-dimensional cuspidal weights 12, 16,
-18, 20, 22 and 26.  Multiplication by Delta = (E4 E8 - E6^2)/1728 = q + ...
+18, 20, 22 and 26.  Multiplication by Delta = q prod (1 - q^n)^24 = q + ...
 maps M_(w-12) onto S_w, and at those weights M_(w-12) is one-dimensional,
 spanned by E_(w-12), so the eigenform is Delta E_(w-12) (Delta itself at
 w = 12), already normalized: one series product per eigenform, after the
-two that build Delta once per precision.  Every level-one cusp space of
-dimension 2 or more has irrational Hecke eigenvalues (Maeda's conjecture,
-verified up to weight 14,000), so those weights raise IrrationalEigenspace
-before any series is built.
+three squarings that build Delta once per precision.  Every level-one cusp
+space of dimension 2 or more has irrational Hecke eigenvalues (Maeda's
+conjecture, verified up to weight 14,000), so those weights raise
+IrrationalEigenspace before any series is built.
 """
 
 from __future__ import annotations
@@ -214,14 +214,23 @@ def hecke_eigenvalue(form: EigenformData, p: int) -> int:
     return lam
 
 
+def _eta_cube(precision: int) -> QExpansion:
+    """prod (1 - q^n)^3 = sum_(k>=0) (-1)^k (2k+1) q^(k(k+1)/2) (Jacobi), held
+    at weight 0: its k(k+1)/2 <= precision, i.e. 2k+1 <= sqrt(8 precision + 1)."""
+    coeffs = [0] * (precision + 1)
+    for k in range((isqrt(8 * precision + 1) + 1) // 2):
+        coeffs[k * (k + 1) // 2] = (-1) ** k * (2 * k + 1)
+    return QExpansion(0, coeffs)
+
+
 @lru_cache(maxsize=4)
 def _delta(precision: int) -> QExpansion:
-    """Delta = (E4 E8 - E6^2)/1728 by exact integer division, built once per
-    precision for every eigenform of a run."""
-    e6 = eisenstein(6, precision)
-    cusp = (eisenstein(4, precision) * eisenstein(8, precision) - e6 * e6).coeffs
-    assert all(c % 1728 == 0 for c in cusp), "E4 E8 - E6^2 is 1728 Delta"
-    return QExpansion(12, [c // 1728 for c in cusp])
+    """Delta = q prod (1 - q^n)^24, the eta cube squared three times, built
+    once per precision for every eigenform of a run."""
+    power = _eta_cube(precision - 1)
+    for _ in range(3):
+        power = power * power
+    return QExpansion(12, (0,) + power.coeffs)
 
 
 def eigenform(weight: int, precision: int = DEFAULT_PRECISION,
@@ -229,8 +238,8 @@ def eigenform(weight: int, precision: int = DEFAULT_PRECISION,
     """The normalized eigenform of a one-dimensional cuspidal weight w, its
     eigenvalues read from the file `table` (load_eigenvalue_table) when one
     is given, and otherwise built as Delta E_(w-12) (Delta itself at
-    w = 12): one series product, with Delta shared through _delta by the
-    forms of one precision.  S_w = Delta M_(w-12), so S_w is
+    w = 12): one series product, with Delta from the eta cube shared through
+    _delta by the forms of one precision.  S_w = Delta M_(w-12), so S_w is
     one-dimensional exactly when M_(w-12) is, and then E_(w-12) spans it."""
     d = dim_cusp_forms(weight)
     if d == 0:

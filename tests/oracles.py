@@ -539,25 +539,31 @@ def delta(precision: int) -> QExpansion:
     return QExpansion(12, [c // 1728 for c in cusp])
 
 
-def delta_eta_product(precision: int) -> QExpansion:
-    """Independent construction of delta: q times the 24th power of
-    prod (1 - q^n), the latter expanded by the pentagonal number theorem."""
-    if precision < 1:
-        raise ValueError("precision must be at least 1")
-    euler = [0] * precision
+def pentagonal_euler(precision: int) -> QExpansion:
+    """prod (1 - q^n) to q^precision at weight 0, expanded by the pentagonal
+    number theorem: (-1)^j at each q^(j(3j-1)/2) and q^(j(3j+1)/2)."""
+    euler = [0] * (precision + 1)
     euler[0] = 1
     j = 1
     while True:
         placed = False
         for e in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2):
-            if e < precision:
+            if e <= precision:
                 euler[e] += (-1) ** j
                 placed = True
         if not placed:
             break
         j += 1
-    p24 = power(QExpansion(0, euler), 24)
-    return QExpansion(12, (0,) + p24.coeffs[:precision])
+    return QExpansion(0, euler)
+
+
+def delta_eta_product(precision: int) -> QExpansion:
+    """Independent construction of delta: q times the 24th power of
+    prod (1 - q^n), the latter expanded by the pentagonal number theorem."""
+    if precision < 1:
+        raise ValueError("precision must be at least 1")
+    p24 = power(pentagonal_euler(precision - 1), 24)
+    return QExpansion(12, (0,) + p24.coeffs)
 
 
 def hecke_operator(form: QExpansion, p: int) -> QExpansion:

@@ -608,6 +608,29 @@ def test_eigenvalues_checks_what_it_prints_exit3(capsys, table, message):
     assert code == 3 and out == "" and message in err
 
 
+def test_a_wrong_delta_stops_at_the_eigenvalue_check_exit3(capsys, monkeypatch):
+    # Delta's coefficients are not checked where they are built; a wrong one
+    # is refused where every eigenvalue is read, by the congruence mod 691
+    from liftspin import qexp
+    from liftspin.errors import EisensteinCongruenceViolation
+
+    real_delta = qexp._delta
+
+    def wrong_delta(precision):
+        coeffs = list(real_delta(precision).coeffs)
+        coeffs[2] += 1  # tau(2) = -23
+        return qexp.QExpansion(12, coeffs)
+
+    monkeypatch.setattr(qexp, "_delta", wrong_delta)
+    form = eigenform(12, 20)
+    assert form.qexp.coeffs[2] == -23
+    with pytest.raises(EisensteinCongruenceViolation, match="lambda\\(2\\) = -23 is not"):
+        qexp.hecke_eigenvalue(form, 2)
+    code, out, err = run(capsys, "eigenvalues", "--weight", "12", "--prime", "2")
+    assert code == 3 and out == ""
+    assert "lambda(2) = -23 is not 1 + 2^11 mod 691" in err
+
+
 def test_roots_past_double_range_exit3(capsys, tmp_path):
     # q^135 at p = 999983 is past double range: exit 3 naming the prime; each
     # table value is the one residue the Eisenstein congruence of its weight

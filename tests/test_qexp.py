@@ -38,6 +38,7 @@ from oracles import (
     delta_eta_product,
     eisenstein_series,
     hecke_operator,
+    pentagonal_euler,
     power,
     schoolbook,
     victor_miller_full_rows,
@@ -252,28 +253,52 @@ def test_eigenforms_match_the_eta_product_times_the_oracle_eisenstein_series(pre
 def test_eigenforms_cost_one_series_product_after_a_shared_delta(monkeypatch):
     from liftspin import qexp
 
-    products = []
-    real_mul = QExpansion.__mul__
+    products, built = [], []
+    real_mul, real_eisenstein = QExpansion.__mul__, qexp.eisenstein
 
     def counting_mul(a, b):
-        products.append((a.weight, b.weight))
+        products.append(a is b)
         return real_mul(a, b)
 
+    def counting_eisenstein(weight, precision):
+        built.append(weight)
+        return real_eisenstein(weight, precision)
+
     monkeypatch.setattr(QExpansion, "__mul__", counting_mul)
-    qexp._delta.cache_clear()
-    # E4 E8 and E6^2 build Delta once for both forms, then each form costs
-    # one product with its E_(w-12)
-    eigenform(26, 200)
-    eigenform(16, 200)
-    assert len(products) <= 4, products
-    products.clear()
+    monkeypatch.setattr(qexp, "eisenstein", counting_eisenstein)
+    # Delta is the eta cube squared three times, with no Eisenstein series
     qexp._delta.cache_clear()
     assert eigenform(12, 200).qexp.coeffs[:3] == (0, 1, -24)
-    assert len(products) == 2, products
+    assert products == [True, True, True] and built == []
+    # the three squarings build Delta once for both forms, then each form
+    # costs one product with its E_(w-12)
+    products.clear()
+    qexp._delta.cache_clear()
+    eigenform(26, 200)
+    eigenform(16, 200)
+    assert products == [True, True, True, False, False], products
+    assert sorted(built) == [4, 14], built
     # each precision has its own Delta, and each series its own length
     for precision in (60, 200, 60):
         for weight in SUPPORTED_WEIGHTS:
             assert len(eigenform(weight, precision).qexp.coeffs) == precision + 1
+
+
+@pytest.mark.parametrize("precision", [1, 2, 3, 13, 200, 2000])
+def test_delta_matches_the_e4_e6_oracle(precision):
+    # (E4^3 - E6^2)/1728 shares no series with the package's eta-cube route
+    from liftspin import qexp
+
+    assert qexp._delta(precision) == delta(precision)
+
+
+@pytest.mark.parametrize("precision", [1, 2, 50, 500])
+def test_jacobi_cube_is_the_cubed_pentagonal_euler_product(precision):
+    # Jacobi's identity, on which Delta rests, against the pentagonal
+    # number theorem of the oracle
+    from liftspin import qexp
+
+    assert qexp._eta_cube(precision) == power(pentagonal_euler(precision), 3)
 
 
 def _plain_ints(series):
