@@ -109,17 +109,17 @@ def _parse_table_args(args) -> Dict[str, str]:
     return tables
 
 
-def _form_for(role: str, weight: int, args, tables: Dict[str, str],
-              default_bound: int = 2) -> EigenformData:
+def _form(role: str, weight: int, args, tables: Dict[str, str],
+          primes: List[int]) -> EigenformData:
     """The role's eigenform; a q-expansion stops at the largest prime the run
-    reads (--prime, else --primes-up-to, else `default_bound`) when that is
-    below --precision, as no coefficient past it is read."""
-    bound = args.prime if args.prime is not None else args.primes_up_to
-    precision = min(args.precision, max(1, default_bound if bound is None else bound))
+    reads (--prime, else --primes-up-to, else the last of the default `primes`)
+    when that is below --precision, as no coefficient past it is read."""
+    bound = args.primes_up_to if args.prime is None and args.primes_up_to else primes[-1]
+    precision = min(args.precision, max(1, bound))
     return eigenform(weight, precision, tables.get(role, tables.get("untagged")))
 
 
-def _numeric_forms(args, needs_g: bool = True, default_bound: int = 2) -> tuple:
+def _numeric_forms(args, primes: List[int], needs_g: bool = True) -> tuple:
     """(f, g) for numeric mode, g None if the identity involves f only; k < 1
     is refused before any form is built, as the side builders refuse it."""
     if args.k < 1:
@@ -128,8 +128,8 @@ def _numeric_forms(args, needs_g: bool = True, default_bound: int = 2) -> tuple:
     if needs_g and "untagged" in tables:
         raise ValueError("two eigenforms are in play; tag tables as "
                          "--eigenvalues-file f=PATH / g=PATH")
-    f = _form_for("f", 2 * args.k, args, tables, default_bound)
-    g = _form_for("g", args.k + args.n, args, tables, default_bound) if needs_g else None
+    f = _form("f", 2 * args.k, args, tables, primes)
+    g = _form("g", args.k + args.n, args, tables, primes) if needs_g else None
     return f, g
 
 
@@ -172,7 +172,7 @@ def cmd_eigenvalues(args) -> int:
     weight = args.weight
     primes = _primes_from(args)
     tables = _parse_table_args(args)
-    form = _form_for("untagged", weight, args, tables)
+    form = _form("untagged", weight, args, tables, primes)
     # hecke_eigenvalue checks each value, so none prints that numeric runs reject
     rows = [{"p": p, "lambda": str(hecke_eigenvalue(form, p))} for p in primes]
     data = {"weight": weight, "eigenvalues": rows}
@@ -207,7 +207,7 @@ def cmd_euler(args) -> int:
         if len(primes) != 1:
             raise ValueError("numeric euler needs exactly one --prime")
         p = primes[0]
-        f, g = _numeric_forms(args, identity.needs_g)
+        f, g = _numeric_forms(args, primes, identity.needs_g)
         at = (*identities.satake_values(f, g, args.n, args.k, p), p)
         label += f"|p={p}"
     _emit(factor.chunks(label, args.factored, args.format, at), args.output)
@@ -237,19 +237,20 @@ def cmd_lvalue(args) -> int:
     if not cmath.isfinite(s):
         raise OutOfConvergenceRegion(f"--s {args.s} is not a finite complex number")
     n, k = args.n, args.k
-    # twice (n - 1/2) k + 1, in ints: a float of it can overflow
-    bound = (2 * n - 1) * k + 2
+    # the side first, as in euler: its n and genus checks do not depend on
+    # whether the eigenforms exist
+    lhs, rhs = identities.IDENTITIES[args.identity].sides(n, k)
+    side = lhs if args.side == "lhs" else rhs
+    # |a^i b^j q^e| = p^(e/2) at unitary a, b, so the product converges for
+    # Re(s) > max e/2 + 1; twice that, in ints, as a float of it can overflow
+    bound = max(e for _, _, e in side.counts) + 2
     if 2 * s.real <= bound:
         raise OutOfConvergenceRegion(
             f"Re(s) = {s.real} is not inside the half-plane Re(s) > "
             f"{'-' * (bound < 0)}{abs(bound) // 2}.{5 * (bound % 2)}")
     _check_numeric_parity(args)
-    # the side first, as in euler: its n and genus checks do not depend on
-    # whether the eigenforms exist
-    lhs, rhs = identities.IDENTITIES[args.identity].sides(n, k)
-    side = lhs if args.side == "lhs" else rhs
     primes = _primes_from(args)
-    f, g = _numeric_forms(args)
+    f, g = _numeric_forms(args, primes)
     value = 1 + 0j
     increment = 0.0
     for p in primes:
@@ -293,9 +294,8 @@ def _verify_reports(args) -> List[identities.VerificationReport]:
     # numeric: the suite is the main identity at the first five primes
     name = "main_theorem" if suite else args.identity
     identities.check_scope(name, "numeric", n)
-    default = [2, 3, 5, 7, 11] if suite else [2]
-    f, g = _numeric_forms(args, identities.IDENTITIES[name].needs_g, default[-1])
-    primes = _primes_from(args, default)
+    primes = _primes_from(args, [2, 3, 5, 7, 11] if suite else [2])
+    f, g = _numeric_forms(args, primes, identities.IDENTITIES[name].needs_g)
     return identities.verify_at_primes(name, n, k, "numeric", primes, f, g)
 
 

@@ -427,7 +427,7 @@ def verify_at_primes(identity_id: str, n: int, k: int, mode: str,
             satake_values(f, g, n, k, prime)
     try:
         if identity.check is not None:
-            ok, witness = identity.check(n, k, **hooks)
+            ok, witness = identity.check(n, k)
         else:
             ok, witness = compare_symbolic(*identity.sides(n, k, **hooks))
     except NegativeMultiplicity as exc:

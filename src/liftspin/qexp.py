@@ -127,19 +127,6 @@ class QExpansion:
     def precision(self) -> int:
         return len(self.coeffs) - 1
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QExpansion):
-            return NotImplemented
-        return self.weight == other.weight and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.weight, self.coeffs))
-
-    def __sub__(self, other: "QExpansion") -> "QExpansion":
-        if self.weight != other.weight:
-            raise ValueError("cannot subtract expansions of different weights")
-        return QExpansion(self.weight, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
     def __mul__(self, other: "QExpansion") -> "QExpansion":
         if not isinstance(other, QExpansion):
             return NotImplemented
@@ -190,10 +177,6 @@ class EigenformData:
         self.weight = weight
         self.qexp = qexp
         self.table = table
-
-    def __repr__(self) -> str:
-        src = "table" if self.qexp is None else f"qexp<= {self.qexp.precision}"
-        return f"EigenformData(weight={self.weight}, {src})"
 
 
 def hecke_eigenvalue(form: EigenformData, p: int) -> int:

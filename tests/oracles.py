@@ -429,6 +429,24 @@ def similitude_holds(params: SatakeParams, exponent: int) -> bool:
     return product == (0, 0, exponent)
 
 
+def archimedean_exponents(params: SatakeParams, k: int, n: int) -> Tuple[int, List[int]]:
+    """The z-exponents of mu0 and of the sorted mus at a = z^(2k-1),
+    b = z^(k+n-1) and q = z: the Hodge types of f (weight 2k) and g
+    (weight k+n) in place of their Satake parameters at p."""
+    def at(mu):
+        return mu[0] * (2 * k - 1) + mu[1] * (k + n - 1) + mu[2]
+
+    return at(params.mu0), sorted(at(mu) for mu in params.mus)
+
+
+def lift_weight_holds(params: SatakeParams, k: int, n: int, weight: int) -> bool:
+    """At the archimedean substitution mu0 goes to z^0 and the mus to
+    z^(2 lambda_i), lambda = (weight-1, ..., weight-genus): the infinitesimal
+    character of a holomorphic Siegel form of that weight and genus."""
+    lam = [2 * (weight - i) for i in range(params.genus, 0, -1)]
+    return archimedean_exponents(params, k, n) == (0, lam)
+
+
 def weyl_sigma(params: SatakeParams, i: int) -> SatakeParams:
     """Generator sigma_i: mu0 -> mu0 mu_i, mu_i -> mu_i^-1, rest fixed."""
     if not 1 <= i <= params.genus:
@@ -485,6 +503,18 @@ def schoolbook(a: QExpansion, b: QExpansion) -> list:
     return out
 
 
+def pair(series: QExpansion) -> tuple:
+    """(weight, coeffs): two expansions are the same series when these are
+    equal, as QExpansion itself defines no equality."""
+    return series.weight, series.coeffs
+
+
+def subtract(a: QExpansion, b: QExpansion) -> QExpansion:
+    """a - b, term by term, for two series of one weight."""
+    assert a.weight == b.weight, "a difference of two weights is no modular form"
+    return QExpansion(a.weight, [x - y for x, y in zip(a.coeffs, b.coeffs)])
+
+
 def power(series: QExpansion, exponent: int) -> QExpansion:
     """series^exponent by repeated squaring of packed products; the 0th
     power is the weight-0 series 1 at the same precision."""
@@ -534,7 +564,7 @@ def delta(precision: int) -> QExpansion:
         raise ValueError("precision must be at least 1")
     e4 = eisenstein(4, precision)
     e6 = eisenstein(6, precision)
-    cusp = (power(e4, 3) - power(e6, 2)).coeffs
+    cusp = subtract(power(e4, 3), power(e6, 2)).coeffs
     assert all(c % 1728 == 0 for c in cusp), "E4^3 - E6^2 is 1728 Delta"
     return QExpansion(12, [c // 1728 for c in cusp])
 

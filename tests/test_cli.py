@@ -255,6 +255,20 @@ def test_lvalue_convergence_region(capsys):
     assert code == 3 and "half-plane" in err
 
 
+@pytest.mark.parametrize("n, k, s, bound", [
+    (2, 10, "16.2", "16.5"), (3, 10, "28", "28.0"), (4, 8, "33.5", "33.5")])
+def test_lvalue_half_plane_is_the_sides_own(capsys, monkeypatch, n, k, s, bound):
+    # the lift is not tempered: its largest root has |root| = p^(max e/2), so
+    # Re(s) must exceed max e/2 + 1 over the side's roots, past the tempered
+    # (n - 1/2) k + 1; refused before any eigenform is built
+    monkeypatch.setattr(cli, "eigenform", lambda *args: pytest.fail("built a form"))
+    for side in ("lhs", "rhs"):
+        code, out, err = run(capsys, "lvalue", "--side", side, "--n", str(n), "--k", str(k),
+                             "--s", s, "--primes-up-to", "100")
+        assert code == 3 and out == ""
+        assert f"half-plane Re(s) > {bound}" in err
+
+
 def test_lvalue_bad_s_is_usage_error(capsys):
     code, _, err = run(capsys, "lvalue", "--side", "lhs", "--n", "2", "--k", "10",
                        "--s", "banana", "--primes-up-to", "10")

@@ -271,6 +271,9 @@ def _argv_list():
             for n, k, s in ((1, 11, 25), (1, 13, 25), (0, 12, 25), (13, 11, 400))]
     # a negative imaginary part is written with its own sign in text
     out.append("lvalue --side lhs --n 2 --k 10 --s 25-2j --primes-up-to 10 --format text")
+    # past the tempered bound 10.5 at (2, 10) but not past the side's own
+    # half-plane Re(s) > 16.5, where the product does not converge (exit 3)
+    out.append("lvalue --side lhs --n 2 --k 10 --s 16.2 --primes-up-to 10")
     return out
 
 

@@ -13,6 +13,8 @@ from liftspin.satake import (
 )
 from oracles import (
     LaurentPoly,
+    archimedean_exponents,
+    lift_weight_holds,
     miyawaki_inverse_mu_check,
     similitude_exponent,
     similitude_holds,
@@ -68,6 +70,27 @@ def test_elliptic_satake():
     assert p.mu0 == mono(e_b=-1, e_q=11)
     assert p.mus == (mono(e_b=2),)
     assert similitude_holds(p, 2 * (12 - 1))
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 10, 16])
+def test_parameter_sets_carry_the_lift_weight_at_the_archimedean_place(k):
+    # the genus-2n and genus-(2n-1) lifts have weight k + n, and g has
+    # weight k + n itself: each constructor lands on that infinitesimal
+    # character, and one with mu0 moved by q does not
+    sets = [(ikeda_satake(n, k), n) for n in range(1, 9)]
+    sets += [(miyawaki_satake(n, k), n) for n in range(2, 9)]
+    sets += [(elliptic_satake(k + n), n) for n in range(1, 9)]
+    for params, n in sets:
+        assert lift_weight_holds(params, k, n, k + n), (params, n)
+        for shift in (1, -1):
+            moved = params._replace(mu0=mono_mul(params.mu0, mono(e_q=shift)))
+            assert not lift_weight_holds(moved, k, n, k + n), (params, n, shift)
+
+
+def test_archimedean_exponents_example():
+    # Miyawaki (2, 10): lambda = (11, 10, 9), as a q^-1, a q and b^2 give
+    assert archimedean_exponents(miyawaki_satake(2, 10), 10, 2) == (0, [18, 20, 22])
+    assert archimedean_exponents(elliptic_satake(12), 10, 2) == (0, [22])
 
 
 def test_constructor_validation():

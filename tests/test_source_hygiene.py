@@ -1,6 +1,7 @@
 """A stdlib stand-in for a linter on src/liftspin, read with `ast`: no
 module imports a name it never reads, and every module-level private
-function or class is referenced somewhere in the package.  Both catch code
+function or class, and every private method, is referenced somewhere in
+the package.  Both catch code
 that a deletion leaves behind.  Also: only `laurent` imports json, so
 there is one JSON writer, and what importing the CLI loads."""
 
@@ -54,7 +55,12 @@ def test_every_private_def_is_referenced():
                 referenced.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 referenced.update(alias.name for alias in node.names)
-    unreferenced = [f"{path.name}:{node.name}" for path, tree in trees for node in tree.body
+    # module-level defs and classes, and the methods of every class
+    scopes = [(path, "", tree) for path, tree in trees]
+    scopes += [(path, f"{cls.name}.", cls) for path, tree in trees
+               for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)]
+    unreferenced = [f"{path.name}:{owner}{node.name}" for path, owner, scope in scopes
+                    for node in scope.body
                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                     and node.name.startswith("_") and not node.name.startswith("__")
                     and node.name not in referenced]
