@@ -111,11 +111,9 @@ def _parse_table_args(args) -> Dict[str, str]:
 
 def _form(role: str, weight: int, args, tables: Dict[str, str],
           primes: List[int]) -> EigenformData:
-    """The role's eigenform; a q-expansion stops at the largest prime the run
-    reads (--prime, else --primes-up-to, else the last of the default `primes`)
-    when that is below --precision, as no coefficient past it is read."""
-    bound = args.primes_up_to if args.prime is None and args.primes_up_to else primes[-1]
-    precision = min(args.precision, max(1, bound))
+    """The role's eigenform, its q-expansion cut below --precision at the
+    largest prime read, primes[-1]: no coefficient past it is read."""
+    precision = min(args.precision, max(1, primes[-1]))
     return eigenform(weight, precision, tables.get(role, tables.get("untagged")))
 
 
@@ -215,14 +213,12 @@ def cmd_euler(args) -> int:
 
 
 def cmd_beta_table(args) -> int:
-    rows = [{"m": m, "r": r, "alpha": a, "beta": b}
-            for (m, r, a, b) in beta_table(args.n).entries()]
-    data = {"n": args.n, "entries": rows}
+    entries = list(beta_table(args.n).entries())
+    data = {"n": args.n, "entries": laurent.Records((("m", "r", "alpha", "beta"), entries))}
 
     def as_text(d):
         lines = [f"# n = {d['n']}", f"{'m':>3} {'r':>5} {'alpha':>8} {'beta':>8}"]
-        lines += [f"{r['m']:>3} {r['r']:>5} {r['alpha']:>8} {r['beta']:>8}"
-                  for r in d["entries"]]
+        lines += [f"{m:>3} {r:>5} {a:>8} {b:>8}" for m, r, a, b in entries]
         return "\n".join(lines)
 
     _emit(_dump(data, args.format, as_text), args.output)
@@ -242,8 +238,8 @@ def cmd_lvalue(args) -> int:
     lhs, rhs = identities.IDENTITIES[args.identity].sides(n, k)
     side = lhs if args.side == "lhs" else rhs
     # |a^i b^j q^e| = p^(e/2) at unitary a, b, so the product converges for
-    # Re(s) > max e/2 + 1; twice that, in ints, as a float of it can overflow
-    bound = max(e for _, _, e in side.counts) + 2
+    # Re(s) > max e/2 + 1, e the top slot of a row; twice that, in ints
+    bound = max(e_q + len(laurent.slots(run)) for e_q, run in side.rows.values()) + 1
     if 2 * s.real <= bound:
         raise OutOfConvergenceRegion(
             f"Re(s) = {s.real} is not inside the half-plane Re(s) > "

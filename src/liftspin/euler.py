@@ -9,6 +9,12 @@ their root counts agree, so no identity check needs the expanded
 coefficients, and the symbolic ones list no roots.  Numeric work takes the
 roots, in order, at given Satake data (`LocalFactor.instantiate`).
 
+The counts are packed q-rows: per (e_a, e_b) and window of 2^12 q-steps,
+the lowest e_q and an int of 64-bit slots of multiplicities, slot 0 never
+0, so sides compare as dicts.  Parts of one factor and (e_a, e_b) shift
+fold into an int of multiplicities in q, one product per row of the
+factor.  Windows keep roots 10^300 apart in two short rows.
+
 Expanded coefficient lists (index = T-degree) exist for output only.
 Every term of the T^d coefficient has the sign (-1)^d, so no term ever
 cancels.  Each of T^0 to T^(N/2) of a degree-N factor is expanded as one
@@ -68,7 +74,7 @@ import cmath
 import sys
 from itertools import accumulate, chain, count, product, repeat
 from operator import add, or_
-from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import laurent
 from .errors import ExpansionTooLarge, GenusTooLarge, NumericOverflow
@@ -209,6 +215,30 @@ def _rows(slots: memoryview, base: Monomial, basis, rows: int,
                slots[i:i + width])
 
 
+#: bits of a count's slot and of a row's window, w holding e_q from w 2^12 - 2^11
+_SLOT_BITS, _WINDOW_BITS, _HALF_WINDOW = 64, 12, 2 ** 11
+
+
+def _add_run(rows, e_a, e_b, e_q: int, value: int) -> None:
+    """Add the counts `value`, slot 0 nonzero and slot i that of e_q + i,
+    to the rows of (e_a, e_b), split where it crosses a window edge."""
+    at = e_q + _HALF_WINDOW
+    window = at >> _WINDOW_BITS
+    if value >> _SLOT_BITS and (
+            at + (value.bit_length() - 1) // _SLOT_BITS) >> _WINDOW_BITS != window:
+        # the slots past the edge go on from their first nonzero one
+        bits = _SLOT_BITS * (((window + 1) << _WINDOW_BITS) - at)
+        rest = value >> bits
+        skip = ((rest & -rest).bit_length() - 1) // _SLOT_BITS
+        _add_run(rows, e_a, e_b, e_q + bits // _SLOT_BITS + skip, rest >> _SLOT_BITS * skip)
+        value ^= rest << bits
+    key = e_a, e_b, window
+    low, counts = rows.get(key, (e_q, 0))
+    if low > e_q:
+        low, counts, e_q, value = e_q, value, low, counts
+    rows[key] = low, counts + (value << _SLOT_BITS * (e_q - low))
+
+
 class LocalFactor:
     """One Euler factor at one prime: prod over its roots of (1 - root T),
     each root a unit monomial given by its exponent triple.
@@ -217,14 +247,16 @@ class LocalFactor:
     [(factor, shift, e), ...])` is the product of factor(shift T) e times
     over, `shift` a monomial, and checks only that each e >= 0: its
     factors were checked when built, and its shifts are sums of checked
-    ints.  `counts`, each root's multiplicity (never 0), is built once from
-    the parts' counts; equal counts, equal polynomials.  `roots`, for the
+    ints.  `rows` counts the roots, {(e_a, e_b, (e_q + 2^11) >> 12): (e_q,
+    value)}, slot i of `value` the multiplicity of e_q + i; a degree of
+    2^64 or more is refused with ValueError.  `counts` decodes them in
+    canonical order, for tests.  `roots`, for the
     float paths only, is listed on first use: the parts in order, each
     one's shifted roots e times in a row.  A factor carries no name;
     `chunks` takes the label to write.  Instances are immutable.
     """
 
-    __slots__ = ("counts", "degree", "_parts", "_roots")
+    __slots__ = ("rows", "degree", "_parts", "_roots")
 
     #: read by perfbench's tracer, which counts the factors built
     mode = "symbolic"
@@ -233,24 +265,43 @@ class LocalFactor:
                  parts: Optional[Iterable[Tuple[LocalFactor, Monomial, int]]] = None):
         if (roots is None) == (parts is None):
             raise TypeError("LocalFactor takes either roots or parts")
-        counts = {}
+        rows = {}
         if parts is None:
             # a tuple first: checking must not use up an iterator
             roots = tuple(roots)
             check_units(roots, "roots")
-            for root in roots:
-                counts[root] = counts.get(root, 0) + 1
+            degree = len(roots)
+            for e_a, e_b, e_q in roots:
+                _add_run(rows, e_a, e_b, e_q, 1)
         else:
-            parts = tuple(parts)
+            # the multiplicities of each factor and (e_a, e_b) shift, as rows
+            parts, degree, folded = tuple(parts), 0, {}
             for factor, (s_a, s_b, s_q), e in parts:
                 if e < 0:
                     raise ValueError(f"a part's multiplicity must be nonnegative, got {e}")
-                if e:
-                    for (r_a, r_b, r_q), m in factor.counts.items():
-                        root = (r_a + s_a, r_b + s_b, r_q + s_q)
-                        counts[root] = counts.get(root, 0) + m * e
-        self.counts, self.degree = counts, sum(counts.values())
+                if e and factor.degree:
+                    degree += e * factor.degree
+                    _add_run(folded, factor, (s_a, s_b), s_q, e)
+            if degree >> _SLOT_BITS:
+                raise ValueError(f"degree {degree} is not below 2^64, the bound of a root count")
+            for (factor, (s_a, s_b), _), (low, times) in folded.items():
+                if not rows and (s_a, s_b, low, times) == (0, 0, 0, 1):
+                    rows = dict(factor.rows)  # the factor itself, first: its rows as they are
+                    continue
+                for (r_a, r_b, _), (r_q, value) in factor.rows.items():
+                    _add_run(rows, r_a + s_a, r_b + s_b, r_q + low, value * times)
+        self.rows, self.degree = rows, degree
         self._parts, self._roots = parts, roots
+
+    @property
+    def counts(self) -> Dict[Monomial, int]:
+        """{root: multiplicity} in canonical order, decoded from the rows."""
+        return dict(self._counted())
+
+    def _counted(self) -> Iterator[Tuple[Monomial, int]]:
+        """(root, multiplicity) in canonical order, from the rows."""
+        return (((e_a, e_b, e_q + i), m) for (e_a, e_b, _), (e_q, value) in sorted(self.rows.items())
+                for i, m in enumerate(laurent.slots(value)) if m)
 
     @property
     def roots(self) -> Tuple[Monomial, ...]:
@@ -369,8 +420,7 @@ class LocalFactor:
             return (laurent.dumps([z.real, z.imag], depth) for z in values)
         if factored:
             template = laurent.root_template(depth)
-            return chain.from_iterable(repeat(template % root, m)
-                                       for root, m in sorted(self.counts.items()))
+            return chain.from_iterable(repeat(template % root, m) for root, m in self._counted())
         return (laurent.coefficient_text(negative, step, rows, depth)
                 for negative, step, rows in self._walk())
 

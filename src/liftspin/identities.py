@@ -13,12 +13,14 @@ polynomials exactly when every root has the same multiplicity on both.
 That comparison is exact at every degree that occurs (8 up to 2048) and by
 unique factorization it is equivalent to expanding and comparing the
 coefficient lists, which stops being tractable around degree 128.  It
-reads the root counts each side keeps, and lists no root.
+reads the root counts each side keeps, packed q-rows (see `euler`), as one
+dict comparison, and lists no root.
 
 When a symbolic comparison fails, the witness is the T^1 coefficient of
-both sides.  Every root has the implicit coefficient +1, so that
-coefficient (minus the root sum) already determines the root multiset and
-therefore differs whenever the multisets do.
+both sides, which `laurent` writes from the same rows.  Every root has the
+implicit coefficient +1, so that coefficient (minus the root sum) already
+determines the root multiset and therefore differs whenever the
+multisets do.
 
 The eigenvalue constants of `c1_frobenius` are not factors in T but
 products m prod (1 + u) of unit monomials, compared just as exactly in the
@@ -96,12 +98,11 @@ class VerificationReport:
 # -- comparison ---------------------------------------------------------------
 
 def compare_symbolic(lhs: LocalFactor, rhs: LocalFactor) -> Tuple[bool, Optional[Dict]]:
-    if lhs.counts == rhs.counts:
+    if lhs.rows == rhs.rows:
         return True, None
     # the T^1 coefficient, minus the root sum, tells any two multisets apart
-    lv, rv = (laurent.json_dict((*root, -m) for root, m in sorted(side.counts.items()))
-              for side in (lhs, rhs))
-    return False, {"t_degree": 1, "lhs": lv, "rhs": rv}
+    return False, {"t_degree": 1, "lhs": laurent.Rows((True, lhs.rows)),
+                   "rhs": laurent.Rows((True, rhs.rows))}
 
 
 def _factored_form(monomial: Monomial,
@@ -132,8 +133,8 @@ def compare_factored(lhs: Factored, rhs: Factored) -> Tuple[bool, Optional[Dict]
     lf, rf = _factored_form(*lhs), _factored_form(*rhs)
     if lf == rf:
         return True, None
-    lv, rv = ({"monomial": laurent.json_dict([(*monomial, 1)]),
-               "units": [laurent.json_dict([(*unit, 1)]) for unit in units]}
+    lv, rv = ({"monomial": laurent.Rows((False, LocalFactor((monomial,)).rows)),
+               "units": [laurent.Rows((False, LocalFactor((unit,)).rows)) for unit in units]}
               for monomial, units in (lf, rf))
     return False, {"lhs": lv, "rhs": rv}
 

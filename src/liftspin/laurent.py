@@ -16,32 +16,37 @@ witnesses and eigenvalue constants all go through it.
 `dumps` is the package's one JSON writer: the bytes of json.dumps(value,
 indent=2) from depth 0, or of json.dumps(value) at depth None, the
 compact layout of the `--format text` lines, without json's pure-Python
-encoder, each `json_dict` polynomial from one term template per depth.
-`coefficient_text` (one expanded coefficient from rows of packed slots,
-each distinct row formatted once) and `root_template` (one root) cut the
-same template at the same depths.
+encoder.  `coefficient_text` writes a polynomial of one sign from rows of
+packed slots, each distinct row formatted once: an expanded coefficient,
+or a witness given to `dumps` as `Rows`, the root counts of `euler`.  It
+and `root_template` (one root) cut one term template at the same depths;
+a `Records` list of dicts (the beta table) goes through one template too.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from functools import lru_cache
 from itertools import compress
 from json.encoder import encode_basestring_ascii as _string
 from typing import Iterable, Optional, Tuple
 
-Term = Tuple[int, int, int, int]
+
+def slots(value: int) -> memoryview:
+    """The 64-bit slots of a nonnegative int, slot 0 the lowest."""
+    return memoryview(value.to_bytes(-(-value.bit_length() // 64) * 8, sys.byteorder)).cast("Q")
 
 
-class _Poly(dict):
-    """{"terms": [...]} as json_dict makes it: ints and decimal strings only,
-    so its templates write it exactly."""
-
+class Rows(tuple):
+    """(negative, rows): a polynomial of one sign as LocalFactor rows,
+    {(e_a, e_b, *): (e_q, value)}, |c| of e_q + i in slot i of `value`."""
     __slots__ = ()
 
 
-def json_dict(terms: Iterable[Term]) -> dict:
-    """{"terms": [...]} of terms (e_a, e_b, e_q, c) in canonical order."""
-    return _Poly(terms=[{"e": [e_a, e_b, e_q, 0], "c": str(c)} for e_a, e_b, e_q, c in terms])
+class Records(tuple):
+    """(keys, values): a list of dicts of int values, a tuple per dict."""
+    __slots__ = ()
 
 
 # -- layout --------------------------------------------------------------------
@@ -57,7 +62,7 @@ def _container(depth: Optional[int]) -> Tuple[str, str, str]:
 
 
 def _layout(depth: Optional[int]) -> Tuple[str, str, str, str]:
-    """A nonempty json_dict polynomial at `depth`: its text up to the first
+    """A nonempty polynomial at `depth`: its text up to the first
     term, between two terms and after the last, and the term template, with
     %s for e_a, e_b, e_q, e_T and c."""
     poly, terms, term, exps = (_container(None if depth is None else depth + i)
@@ -68,11 +73,12 @@ def _layout(depth: Optional[int]) -> Tuple[str, str, str, str]:
 
 
 def root_template(depth: Optional[int]) -> str:
-    """json_dict([(e_a, e_b, e_q, 1)]) at `depth`, with %s for e_a, e_b, e_q."""
+    """The polynomial 1 a^e_a b^e_b q^e_q at `depth`, with %s for e_a, e_b, e_q."""
     head, _, tail, term = _layout(depth)
     return head + term % ("%s", "%s", "%s", 0, 1) + tail
 
 
+@lru_cache(maxsize=None)
 def _row_layout(depth: Optional[int]) -> Tuple[str, str, str, str, str, str]:
     """_layout(depth) with the term template cut for rows of one (e_a, e_b):
     the row head with %s for e_a and e_b, the piece of one e_q (%s) up to
@@ -85,8 +91,8 @@ def _row_layout(depth: Optional[int]) -> Tuple[str, str, str, str, str, str]:
 def coefficient_text(negative: bool, step: int,
                      rows: Iterable[Tuple[int, int, int, memoryview]],
                      depth: Optional[int]) -> str:
-    """json_dict(terms) at `depth` as dumps writes it, for nonempty terms of
-    one sign given in canonical order as rows (e_a, e_b, e_q, cs), cs[i] the
+    """A polynomial at `depth` as dumps writes it, for nonempty terms of one
+    sign given in canonical order as rows (e_a, e_b, e_q, cs), cs[i] the
     |c| of the term of e_q + i step or 0 for none.  Rows with equal terms,
     keyed from their first nonzero slot, share one list of term strings,
     each written under its own row head, and the text is joined once."""
@@ -120,12 +126,22 @@ def coefficient_text(negative: bool, step: int,
 def dumps(value, depth: Optional[int] = 0) -> str:
     """json.dumps(value, indent=2) as written at `depth` inside a container,
     or json.dumps(value) for depth None, of dicts with str keys, lists,
-    tuples, str, int, bool, None and floats; TypeError on anything else, a
-    key that is not a str included, rather than bytes json.dumps would not
-    write."""
+    tuples, str, int, bool, None and floats, a Rows as its polynomial and a
+    Records as its list of dicts; TypeError on anything else, a key that is
+    not a str included, rather than bytes json.dumps would not write."""
     if isinstance(value, str):
         return _string(value)
     inner = None if depth is None else depth + 1
+    if isinstance(value, Rows):
+        negative, rows = value
+        rows = [(e_a, e_b, e_q, slots(run)) for (e_a, e_b, _), (e_q, run) in sorted(rows.items())]
+        return coefficient_text(negative, 1, rows, depth) if rows else dumps({"terms": []}, depth)
+    if isinstance(value, Records):
+        keys, values = value
+        (opening, sep, closing), (record, between, end) = _container(depth), _container(inner)
+        fields = between.join(_key(key).replace("%", "%%") + ": %d" for key in keys)
+        entries = sep.join(map(("{" + record + fields + end + "}").__mod__, values))
+        return "[" + opening + entries + closing + "]" if values else "[]"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
@@ -134,9 +150,6 @@ def dumps(value, depth: Optional[int] = 0) -> str:
     if isinstance(value, dict):
         if not value:
             return "{}"
-        if isinstance(value, _Poly) and value["terms"]:
-            head, sep, tail, term = _layout(depth)
-            return head + sep.join([term % (*t["e"], t["c"]) for t in value["terms"]]) + tail
         opening, sep, closing = _container(depth)
         return "{" + opening + sep.join([_key(key) + ": " + dumps(item, inner)
                                          for key, item in value.items()]) + closing + "}"

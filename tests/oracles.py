@@ -45,7 +45,6 @@ from liftspin.beta import symmetric_odd_set, table
 from liftspin.cli import EULER_IDENTITIES, VERIFY_IDENTITIES
 from liftspin.errors import NonPrime, UnsupportedWeight
 from liftspin.euler import LocalFactor
-from liftspin.laurent import json_dict
 from liftspin.qexp import (DEFAULT_PRECISION, QExpansion, dim_cusp_forms, eisenstein,
                            is_prime)
 from liftspin.satake import SatakeParams, miyawaki_satake, mono_inv, mono_mul
@@ -276,6 +275,12 @@ def decode(walk) -> Tuple:
     return tuple([(e_a, e_b, e_q + i * step, -c if negative else c)
                   for e_a, e_b, e_q, row in rows for i, c in enumerate(row) if c]
                  for negative, step, rows in walk)
+
+
+def json_dict(terms) -> dict:
+    """{"terms": [...]} of terms (e_a, e_b, e_q, c) in canonical order, the
+    wire format of a polynomial that the package writes without building it."""
+    return {"terms": [{"e": [e_a, e_b, e_q, 0], "c": str(c)} for e_a, e_b, e_q, c in terms]}
 
 
 def to_json_dict(factor, label: str) -> dict:

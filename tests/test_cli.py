@@ -753,15 +753,16 @@ _NUMERIC = ("--n", "2", "--k", "10", "--mode", "numeric")
     (("eigenvalues", "--weight", "12", "--primes-up-to", "30", "--precision", "20"),
      3, [(12, 20)]),
     (("lvalue", "--side", "lhs", "--s", "25", "--primes-up-to", "100", "--n", "2", "--k", "10"),
-     0, [(20, 100), (12, 100)]),
+     0, [(20, 97), (12, 97)]),
     (("verify", "--identity", "main_theorem") + _NUMERIC, 0, [(20, 2), (12, 2)]),
     (("verify", "--all") + _NUMERIC, 0, [(20, 11), (12, 11)]),
     (("verify", "--all", "--precision", "5") + _NUMERIC, 3, [(20, 5), (12, 5)]),
 ])
 def test_forms_stop_at_the_largest_prime_read(capsys, monkeypatch, argv, code, built):
-    # --prime, else --primes-up-to, else the verify default (11 for the
-    # suite, 2 otherwise) bounds the q-expansions below --precision; a prime
-    # past --precision is still refused naming --precision
+    # the largest prime read (--prime, the last prime up to --primes-up-to,
+    # or the last verify default: 11 for the suite, 2 otherwise) bounds the
+    # q-expansions below --precision; a prime past --precision is still
+    # refused naming --precision
     calls = []
     real_eigenform = cli.eigenform
 

@@ -274,6 +274,14 @@ def _argv_list():
     # past the tempered bound 10.5 at (2, 10) but not past the side's own
     # half-plane Re(s) > 16.5, where the product does not converge (exit 3)
     out.append("lvalue --side lhs --n 2 --k 10 --s 16.2 --primes-up-to 10")
+    # the T^1 witness and the factored roots, pinned before both were
+    # written from packed root-count rows
+    out += [
+        "verify --negative-control --witness --n 6 --format text",
+        "verify --negative-control --witness --n 4 --k 1000000000000000000001",
+        "euler --identity ikeda_spinor --side lhs --n 4 --k 1000000000000000000001 --factored",
+        "euler --identity miyawaki_standard --side rhs --n 6 --k 10 --factored --format text",
+    ]
     return out
 
 

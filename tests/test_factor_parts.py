@@ -1,13 +1,16 @@
 """A LocalFactor keeps the parts it was built from and counts its roots from
-theirs; it lists its roots only when a float path asks for them.
+theirs in packed q-rows; it lists its roots only when a float path asks
+for them.
 
-The counts must be the listed roots counted, with no zero count, so that
-`compare_symbolic`'s dict equality is multiset equality.  The listed order
-is a byte contract of every float output (numeric `euler`, `lvalue`), so
-the roots of every side are pinned by one digest.
+The rows, decoded, must be the listed roots counted, with no zero count,
+and canonical, so that `compare_symbolic`'s dict equality is multiset
+equality.  The listed order is a byte contract of every float output
+(numeric `euler`, `lvalue`), so the roots of every side are pinned by one
+digest.
 """
 
 import hashlib
+import time
 from collections import Counter
 
 import pytest
@@ -24,7 +27,7 @@ from liftspin.identities import (
 from liftspin.satake import mono_mul
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 SIDE_IDENTITIES = [name for name, identity in IDENTITIES.items() if identity.sides]
@@ -120,23 +123,29 @@ def test_products_count_their_listed_roots(pair):
 
 
 def test_symbolic_verdicts_list_no_roots(monkeypatch, f20, g12):
-    listed = []
-    roots = LocalFactor.roots.fget
+    listed, decoded = [], []
+    roots, counts = LocalFactor.roots.fget, LocalFactor.counts.fget
 
     def listing(factor):
         listed.append(factor.degree)
         return roots(factor)
 
+    def decoding(factor):
+        decoded.append(factor.degree)
+        return counts(factor)
+
     monkeypatch.setattr(LocalFactor, "roots", property(listing))
+    # nor do they decode the root counts: the rows are compared as they are
+    monkeypatch.setattr(LocalFactor, "counts", property(decoding))
     assert verify("main_theorem", 6, 10).passed
     assert not any(report.passed for report in negative_control_reports(6, 10))
     assert all(report.passed for report in full_symbolic_suite())
     # nor do numeric ones: they compare the same counts
     assert verify("main_theorem", 2, 10, mode="numeric", prime=2, f=f20, g=g12).passed
-    assert listed == []
+    assert listed == decoded == []
     # the float paths do list them
     LocalFactor(parts=[(sym_power_factor(1, 4), (0, 0, 0), 1)]).instantiate(1j, 1j, 2)
-    assert listed == [2, 2]
+    assert listed == [2, 2] and decoded == []
 
 
 def test_roots_may_come_from_a_generator():
@@ -163,3 +172,77 @@ def test_a_negative_multiplicity_is_refused():
             LocalFactor(parts=parts)
     # a multiplicity of 0 is still skipped
     assert LocalFactor(parts=[(f, s, 0), (f, s, 1)]).counts == f.counts
+
+
+# exponents of both parities near 0, at the window edges e_q = -2^11 and
+# 2^11, and up to 2^70: shifts that share a factor and (e_a, e_b) fold, and
+# runs that cross a window edge split there
+_HUGE = 2 ** 70
+_exponent = st.one_of(st.integers(-3, 3), st.integers(2 ** 11 - 4, 2 ** 11 + 3),
+                      st.integers(-2 ** 11 - 4, -2 ** 11 + 3), st.integers(-_HUGE, _HUGE))
+_huge_small = st.lists(st.tuples(*[_exponent] * 3), max_size=4).map(LocalFactor)
+
+
+def _huge_products(factors):
+    return st.lists(st.tuples(factors, st.tuples(*[_exponent] * 3), st.integers(0, 3)),
+                    max_size=4)
+
+
+_huge_factors = st.recursive(_huge_small, lambda factors: _huge_products(factors).map(
+    lambda parts: LocalFactor(parts=parts)), max_leaves=8)
+
+
+@st.composite
+def _huge_pairs(draw):
+    parts = draw(_huge_products(_huge_factors))
+    other = draw(st.one_of(st.permutations(parts), _huge_products(_huge_factors)))
+    return LocalFactor(parts=parts), LocalFactor(parts=other)
+
+
+def assert_canonical(factor):
+    # each row's first and last slot are nonzero and lie in its window
+    for (_, _, window), (e_q, value) in factor.rows.items():
+        top = e_q + (value.bit_length() - 1) // 64
+        assert value % 2 ** 64 and (e_q + 2 ** 11) >> 12 == (top + 2 ** 11) >> 12 == window
+
+
+# a two-slot row shifted across the edge at 2^11, where the slots after the
+# edge start with two zeros; and two shifts of one factor that fold into a
+# run across it
+_EDGE = LocalFactor(((0, 0, 2 ** 11 - 8), (0, 0, 2 ** 11 - 4)))
+_BELOW_EDGE = LocalFactor(((1, -1, 2 ** 11 - 2),))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_huge_pairs())
+@example((LocalFactor(parts=[(_EDGE, (0, 0, 6), 1)]),
+          LocalFactor(((0, 0, 2 ** 11 - 2), (0, 0, 2 ** 11 + 2)))))
+@example((LocalFactor(parts=[(_BELOW_EDGE, (0, 0, 0), 1), (_BELOW_EDGE, (0, 0, 2), 2)]),
+          LocalFactor([(1, -1, 2 ** 11 - 2)] + [(1, -1, 2 ** 11)] * 2)))
+def test_rows_count_roots_far_apart(pair):
+    lhs, rhs = pair
+    for side in pair:
+        assert_counted(side)
+        assert_canonical(side)
+        assert list(side.counts) == sorted(side.counts)
+    assert compare_symbolic(lhs, rhs)[0] == (Counter(lhs.roots) == Counter(rhs.roots))
+
+
+def test_roots_far_apart_take_two_short_rows():
+    # one run from 0 to 10^300 would not fit in memory
+    started = time.perf_counter()
+    factor = LocalFactor(((0, 0, 0), (0, 0, 10 ** 300)))
+    assert time.perf_counter() - started < 1e-3
+    assert factor.rows == {(0, 0, 0): (0, 1), (0, 0, (10 ** 300 + 2 ** 11) >> 12): (10 ** 300, 1)}
+    assert_counted(factor)
+
+
+def test_a_degree_of_2_to_the_64_is_refused():
+    # a count is at most the degree and must fit its 64-bit slot
+    f, s = sym_power_factor(1, 10), (0, 0, 0)
+    biggest = LocalFactor(parts=[(f, s, 2 ** 62), (f, s, 2 ** 63 - 1 - 2 ** 62)])
+    assert biggest.degree == 2 ** 64 - 2
+    assert biggest.counts == dict.fromkeys(sorted(f.counts), 2 ** 63 - 1)
+    for parts in ([(f, s, 2 ** 63)], [(f, s, 2 ** 62), (f, (0, 0, 1), 2 ** 62)]):
+        with pytest.raises(ValueError, match="is not below 2\\^64"):
+            LocalFactor(parts=parts)

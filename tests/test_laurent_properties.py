@@ -9,7 +9,7 @@ from array import array
 import pytest
 
 from liftspin import laurent
-from oracles import LaurentPoly, poly
+from oracles import LaurentPoly, json_dict, poly
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
@@ -64,7 +64,7 @@ def test_package_wire_format_matches_the_oracle(coeffs, negative, depth, step, s
     # given row by row with one sign for every term, as the text json.dumps
     # writes nested `depth` lists deep, and compact
     terms = [(e_a, e_b, e_q * step, c) for (e_a, e_b, e_q), c in sorted(coeffs.items())]
-    data = laurent.json_dict(terms)
+    data = json_dict(terms)
     assert data == poly(terms).to_json_dict()
     # a row slot holds at most 2^64 - 1, so a larger |c| is clamped to it
     slots = [(e_a, e_b, e_q, min(abs(c), _SLOT_MAX)) for e_a, e_b, e_q, c in terms]
@@ -84,7 +84,7 @@ def test_package_wire_format_matches_the_oracle(coeffs, negative, depth, step, s
     empty = memoryview(array("Q", bytes(8 * size)))
     rows = [row for (e_a, e_b), (start, cs) in rows.items()
             for row in ((e_a, e_b - 1, start, empty), (e_a, e_b, start, memoryview(cs)))]
-    expected = laurent.json_dict([(*e, -c if negative else c) for *e, c in slots])
+    expected = json_dict([(*e, -c if negative else c) for *e, c in slots])
     assert laurent.coefficient_text(negative, step, rows, None) == json.dumps(expected)
     text = laurent.coefficient_text(negative, step, rows, depth)
     assert _nested("@", depth).replace('"@"', text) == _nested(expected, depth)
@@ -105,7 +105,7 @@ _floats = st.one_of(st.sampled_from([-0.0, 0.0, 1e300, -1e300, 5e-324, float("na
                     st.floats(allow_nan=True, allow_infinity=True))
 _strings = st.one_of(st.sampled_from(_TRICKY_STRINGS), st.text(max_size=8))
 _polys = st.lists(st.tuples(_triples, _coeff), max_size=6).map(
-    lambda items: laurent.json_dict((*e, c) for e, c in sorted(dict(items).items())))
+    lambda items: json_dict((*e, c) for e, c in sorted(dict(items).items())))
 _leaves = st.one_of(st.none(), st.booleans(), st.integers(),
                     st.integers(-(_BIG ** 3), -_BIG), _floats, _strings, _polys)
 _values = st.recursive(
@@ -123,23 +123,54 @@ _values = st.recursive(
 @example(({}, [], ()))
 @example([True, 1, False, 0, None, -(2 ** 100)])
 @example({"terms": []})
-@example(laurent.json_dict([]))
-@example([laurent.json_dict([]), {"w": laurent.json_dict([(1, -2, 3, -(10 ** 40))])}])
+@example(json_dict([]))
+@example([json_dict([]), {"w": json_dict([(1, -2, 3, -(10 ** 40))])}])
 @example({" \"\n": [-0.0, 1e300, 5e-324, float("nan"), float("inf"), float("-inf")]})
 def test_dumps_writes_the_bytes_of_json_dumps(value):
     assert laurent.dumps(value) == json.dumps(value, indent=2)
     assert laurent.dumps(value, None) == json.dumps(value)
 
 
+def _rows(terms):
+    """{(e_a, e_b, 0): (lowest e_q, value)} of {(e_a, e_b, e_q): |c|}, slot
+    i of value, 64 bits wide, the |c| of the lowest e_q + i."""
+    rows = {}
+    for (e_a, e_b, e_q), c in sorted(terms.items()):
+        low, value = rows.setdefault((e_a, e_b, 0), (e_q, 0))
+        rows[e_a, e_b, 0] = low, value | c << 64 * (e_q - low)
+    return rows
+
+
 @settings(max_examples=100, deadline=None)
-@given(_polys, st.lists(st.one_of(st.none(), _strings), max_size=5))
-def test_dumps_writes_polynomials_at_every_depth(poly_dict, wrappers):
-    # a json_dict result nested 0 to 5 levels deep, each level a list (None)
-    # or a dict with the drawn key, beside a plain value
-    value = poly_dict
+@given(st.dictionaries(_triples, st.integers(1, _SLOT_MAX), max_size=6), st.booleans(),
+       st.lists(st.one_of(st.none(), _strings), max_size=5))
+@example({}, False, [])
+@example({(1, -2, 3): _SLOT_MAX, (-1, -2, 3): _SLOT_MAX, (1, -2, 5): 1}, True, [None, "w"])
+def test_dumps_writes_polynomials_at_every_depth(terms, negative, wrappers):
+    # a polynomial of one sign, given as rows, nested 0 to 5 levels deep,
+    # each level a list (None) or a dict with the drawn key, beside a plain
+    # value: the bytes of its json_dict in the same place
+    value = laurent.Rows((negative, _rows(terms)))
+    expected = json_dict((*e, -c if negative else c) for e, c in sorted(terms.items()))
     for key in wrappers:
-        value = [value, 1] if key is None else {key: value, "x": [1]}
-    assert laurent.dumps(value) == json.dumps(value, indent=2)
+        value, expected = ([value, 1], [expected, 1]) if key is None else (
+            {key: value, "x": [1]}, {key: expected, "x": [1]})
+    assert laurent.dumps(value) == json.dumps(expected, indent=2)
+    assert laurent.dumps(value, None) == json.dumps(expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(-(_BIG ** 3), _BIG ** 3)] * 3), max_size=5),
+       st.lists(st.one_of(st.none(), _strings), max_size=3))
+@example([], [])
+def test_dumps_writes_records_through_one_template(values, wrappers):
+    keys = ("m", "%s", "\"é")
+    value, expected = laurent.Records((keys, values)), [dict(zip(keys, v)) for v in values]
+    for key in wrappers:
+        value, expected = ([value, 1], [expected, 1]) if key is None else (
+            {key: value}, {key: expected})
+    assert laurent.dumps(value) == json.dumps(expected, indent=2)
+    assert laurent.dumps(value, None) == json.dumps(expected)
 
 
 @settings(max_examples=100, deadline=None)
