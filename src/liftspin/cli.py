@@ -39,6 +39,7 @@ from .qexp import (
     EigenformData,
     eigenform,
     hecke_eigenvalue,
+    numeric_satake,
     primes_up_to,
 )
 
@@ -131,6 +132,14 @@ def _numeric_forms(args, primes: List[int], needs_g: bool = True) -> tuple:
     return f, g
 
 
+def _satake_roots(f: EigenformData, g: Optional[EigenformData], args, p: int) -> tuple:
+    """(alpha, beta) at p, beta 0j without g: the Satake roots of the
+    eigenvalues identities.satake_values reads and checks."""
+    lam_f, lam_g = identities.satake_values(f, g, args.n, args.k, p)
+    return (numeric_satake(lam_f, f.weight, p)[0],
+            0j if g is None else numeric_satake(lam_g, g.weight, p)[0])
+
+
 def _check_numeric_parity(args):
     """g has weight k+n, so numeric runs of every identity need k+n even."""
     if (args.k + args.n) % 2:
@@ -172,14 +181,12 @@ def cmd_eigenvalues(args) -> int:
     tables = _parse_table_args(args)
     form = _form("untagged", weight, args, tables, primes)
     # hecke_eigenvalue checks each value, so none prints that numeric runs reject
-    rows = [{"p": p, "lambda": str(hecke_eigenvalue(form, p))} for p in primes]
-    data = {"weight": weight, "eigenvalues": rows}
+    rows = [(p, str(hecke_eigenvalue(form, p))) for p in primes]
+    data = {"weight": weight, "eigenvalues": laurent.Records((("p", "lambda"), rows))}
 
-    def as_text(d):
-        width = max(len(str(r["p"])) for r in d["eigenvalues"])
-        lines = [f"# weight {d['weight']}"]
-        lines += [f"{r['p']:>{width}} {r['lambda']}" for r in d["eigenvalues"]]
-        return "\n".join(lines)
+    def as_text(_):
+        width = len(str(primes[-1]))
+        return "\n".join([f"# weight {weight}"] + [f"{p:>{width}} {lam}" for p, lam in rows])
 
     _emit(_dump(data, args.format, as_text), args.output)
     return 0
@@ -206,7 +213,7 @@ def cmd_euler(args) -> int:
             raise ValueError("numeric euler needs exactly one --prime")
         p = primes[0]
         f, g = _numeric_forms(args, primes, identity.needs_g)
-        at = (*identities.satake_values(f, g, args.n, args.k, p), p)
+        at = (*_satake_roots(f, g, args, p), p)
         label += f"|p={p}"
     _emit(factor.chunks(label, args.factored, args.format, at), args.output)
     return 0
@@ -250,8 +257,7 @@ def cmd_lvalue(args) -> int:
     value = 1 + 0j
     increment = 0.0
     for p in primes:
-        alpha, beta = identities.satake_values(f, g, n, k, p)
-        roots = side.instantiate(alpha, beta, p)
+        roots = side.instantiate(*_satake_roots(f, g, args, p), p)
         t = p ** (-s)
         before = value
         value /= math.prod((1 - r * t for r in roots), start=1 + 0j)
@@ -300,21 +306,20 @@ def cmd_verify(args) -> int:
     if args.mode == "numeric":
         _check_numeric_parity(args)
     reports = _verify_reports(args)
-    payload = []
-    for rep in reports:
-        entry = rep.to_json_dict()
-        if not args.witness:
-            entry.pop("witness", None)
-        payload.append(entry)
+    # one template for the list: every report has the parameters of the first
+    keys = ("identity", ("parameters", tuple(reports[0].parameters)), "verdict", "witness")
+    rows = [(r.identity_id, *r.parameters.values(), r.verdict, r.witness) for r in reports]
+    if not args.witness:
+        keys, rows = keys[:-1], [row[:-1] for row in rows]
+    payload = laurent.Records((keys, rows))
 
-    def as_text(entries):
+    def as_text(_):
         lines = []
-        for e in entries:
-            ps = " ".join(f"{key}={val}" for key, val in e["parameters"].items()
-                          if val is not None)
-            lines.append(f"{e['verdict'].upper():4} {e['identity']} {ps}")
-            if args.witness and e.get("witness"):
-                lines.append(f"     witness: {laurent.dumps(e['witness'], None)}")
+        for r in reports:
+            ps = " ".join(f"{key}={val}" for key, val in r.parameters.items() if val is not None)
+            lines.append(f"{r.verdict.upper():4} {r.identity_id} {ps}")
+            if args.witness and r.witness:
+                lines.append(f"     witness: {laurent.dumps(r.witness, None)}")
         return "\n".join(lines)
 
     _emit(_dump(payload, args.format, as_text), args.output)

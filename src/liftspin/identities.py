@@ -51,7 +51,7 @@ from .euler import (
     sym_power_factor,
     tensor_factor,
 )
-from .qexp import EigenformData, hecke_eigenvalue, numeric_satake
+from .qexp import EigenformData, hecke_eigenvalue
 from .satake import (
     Monomial,
     SatakeParams,
@@ -85,14 +85,6 @@ class VerificationReport:
     @property
     def passed(self) -> bool:
         return self.verdict == "pass"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "identity": self.identity_id,
-            "parameters": dict(self.parameters),
-            "verdict": self.verdict,
-            "witness": self.witness,
-        }
 
 
 # -- comparison ---------------------------------------------------------------
@@ -139,28 +131,24 @@ def compare_factored(lhs: Factored, rhs: Factored) -> Tuple[bool, Optional[Dict]
     return False, {"lhs": lv, "rhs": rv}
 
 
-# -- numeric instantiation helpers --------------------------------------------
-
-def _satake_root(form: EigenformData, p: int) -> complex:
-    return numeric_satake(hecke_eigenvalue(form, p), form.weight, p)[0]
-
+# -- the eigenvalue data at a prime -------------------------------------------
 
 def satake_values(f: EigenformData, g: Optional[EigenformData],
-                  n: int, k: int, p: int) -> Tuple[complex, complex]:
-    """(alpha, beta) at p from eigenvalue data; beta is 0j when g is absent.
-
-    hecke_eigenvalue checks each eigenvalue it reads (Deligne's bound, the
-    Eisenstein congruence), so data of the wrong weight is rejected instead
-    of yielding off-circle roots."""
+                  n: int, k: int, p: int) -> Tuple[int, Optional[int]]:
+    """(lambda_f(p), lambda_g(p)) as checked ints, lambda_g None without g:
+    the one per-prime read of every numeric path.  hecke_eigenvalue checks
+    each value (a prime, Deligne's bound, the Eisenstein congruence), so data
+    of the wrong weight is refused.  Numeric `euler` and `lvalue` take roots
+    from qexp.numeric_satake, which refuses nothing that passes here: the
+    weights are even, and |lambda| <= 2 p^((w-1)/2)."""
     if f.weight != 2 * k:
         raise ValueError(f"f has weight {f.weight}, expected {2 * k}")
-    alpha = _satake_root(f, p)
-    beta = 0j
-    if g is not None:
-        if g.weight != k + n:
-            raise ValueError(f"g has weight {g.weight}, expected {k + n}")
-        beta = _satake_root(g, p)
-    return alpha, beta
+    lam_f = hecke_eigenvalue(f, p)
+    if g is None:
+        return lam_f, None
+    if g.weight != k + n:
+        raise ValueError(f"g has weight {g.weight}, expected {k + n}")
+    return lam_f, hecke_eigenvalue(g, p)
 
 
 # -- the product sides ---------------------------------------------------------------
@@ -402,10 +390,11 @@ def verify_at_primes(identity_id: str, n: int, k: int, mode: str,
                      g: Optional[EigenformData] = None, **hooks) -> List[VerificationReport]:
     """verify() at each of `primes`: one verdict, shared by every prime.
 
-    Numeric mode reads the Satake parameters of f (and g) at every prime
-    first, so it refuses exactly the data numeric `euler` and `lvalue`
-    refuse; the verdict does not depend on them, as sides with equal root
-    counts are equal at every substitution."""
+    Numeric mode first reads the eigenvalues of f (and g) at every prime
+    through satake_values, the read numeric `euler` and `lvalue` make, so it
+    refuses exactly the data they refuse.  It computes no roots: the verdict
+    does not depend on them, as sides with equal root counts are equal at
+    every substitution."""
     identity = IDENTITIES[identity_id]
     refused = sorted(set(hooks) - set(identity.hooks))
     if refused:

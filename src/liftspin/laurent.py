@@ -20,7 +20,8 @@ encoder.  `coefficient_text` writes a polynomial of one sign from rows of
 packed slots, each distinct row formatted once: an expanded coefficient,
 or a witness given to `dumps` as `Rows`, the root counts of `euler`.  It
 and `root_template` (one root) cut one term template at the same depths;
-a `Records` list of dicts (the beta table) goes through one template too.
+a `Records` list of same-shaped dicts (the beta table, verify's reports,
+the eigenvalue rows) goes through one template too.
 """
 
 from __future__ import annotations
@@ -29,8 +30,12 @@ import math
 import sys
 from functools import lru_cache
 from itertools import compress
-from json.encoder import encode_basestring_ascii as _string
 from typing import Iterable, Optional, Tuple
+
+try:  # json's C accelerator: json.encoder would also load json's decoder
+    from _json import encode_basestring_ascii as _string
+except ImportError:  # an interpreter without it
+    from json.encoder import encode_basestring_ascii as _string
 
 
 def slots(value: int) -> memoryview:
@@ -45,7 +50,8 @@ class Rows(tuple):
 
 
 class Records(tuple):
-    """(keys, values): a list of dicts of int values, a tuple per dict."""
+    """(keys, rows): same-keyed dicts as flat tuples of values; a key
+    (name, subkeys) holds a dict of scalars, its values in its place."""
     __slots__ = ()
 
 
@@ -131,28 +137,6 @@ def dumps(value, depth: Optional[int] = 0) -> str:
     not a str included, rather than bytes json.dumps would not write."""
     if isinstance(value, str):
         return _string(value)
-    inner = None if depth is None else depth + 1
-    if isinstance(value, Rows):
-        negative, rows = value
-        rows = [(e_a, e_b, e_q, slots(run)) for (e_a, e_b, _), (e_q, run) in sorted(rows.items())]
-        return coefficient_text(negative, 1, rows, depth) if rows else dumps({"terms": []}, depth)
-    if isinstance(value, Records):
-        keys, values = value
-        (opening, sep, closing), (record, between, end) = _container(depth), _container(inner)
-        fields = between.join(_key(key).replace("%", "%%") + ": %d" for key in keys)
-        entries = sep.join(map(("{" + record + fields + end + "}").__mod__, values))
-        return "[" + opening + entries + closing + "]" if values else "[]"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        opening, sep, closing = _container(depth)
-        return "[" + opening + sep.join([dumps(item, inner) for item in value]) + closing + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        opening, sep, closing = _container(depth)
-        return "{" + opening + sep.join([_key(key) + ": " + dumps(item, inner)
-                                         for key, item in value.items()]) + closing + "}"
     if value is None:
         return "null"
     if value is True:
@@ -165,7 +149,42 @@ def dumps(value, depth: Optional[int] = 0) -> str:
         if math.isfinite(value):
             return float.__repr__(value)
         return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    inner = None if depth is None else depth + 1
+    if isinstance(value, Rows):
+        negative, rows = value
+        rows = [(e_a, e_b, e_q, slots(run)) for (e_a, e_b, _), (e_q, run) in sorted(rows.items())]
+        return coefficient_text(negative, 1, rows, depth) if rows else dumps({"terms": []}, depth)
+    if isinstance(value, Records):
+        keys, rows = value
+        if not rows:
+            return "[]"
+        (opening, sep, closing), template = _container(depth), _record(keys, inner)
+        deeper = None if inner is None else inner + 1
+        # %s writes an int as dumps does, so rows of ints alone are formatted as they are
+        ints = all(set(map(type, column)) == {int} for column in zip(*rows))
+        return "[" + opening + sep.join(map(template.__mod__, rows) if ints else [
+            template % tuple([item if type(item) is int else dumps(item, deeper) for item in row])
+            for row in rows]) + closing + "]"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        opening, sep, closing = _container(depth)
+        return "[" + opening + sep.join([dumps(item, inner) for item in value]) + closing + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        opening, sep, closing = _container(depth)
+        return "{" + opening + sep.join([_key(key) + ": " + dumps(item, inner)
+                                         for key, item in value.items()]) + closing + "}"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _record(keys, depth: Optional[int]) -> str:
+    """The dict of `keys` (see Records) at `depth`, with %s for each value."""
+    (opening, sep, closing), inner = _container(depth), None if depth is None else depth + 1
+    fields = [_key(name).replace("%", "%%") + ": " + ("%s" if sub is None else _record(sub, inner))
+              for name, sub in ((key, None) if isinstance(key, str) else key for key in keys)]
+    return "{" + opening + sep.join(fields) + closing + "}" if fields else "{}"
 
 
 def _key(key) -> str:

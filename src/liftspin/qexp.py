@@ -28,7 +28,6 @@ IrrationalEigenspace before any series is built.
 from __future__ import annotations
 
 import cmath
-import re
 from functools import lru_cache
 from itertools import compress
 from math import isqrt
@@ -291,6 +290,12 @@ def numeric_satake(lam: int, weight: int, p: int) -> Tuple[complex, complex]:
 
 # -- external eigenvalue tables ---------------------------------------------
 
+def _is_decimal(text: str, signed: bool = True) -> bool:
+    """text is ASCII decimal digits, after one optional sign when `signed`."""
+    digits = text[1:] if signed and text[:1] in ("+", "-") else text
+    return digits.isascii() and digits.isdigit()
+
+
 def load_eigenvalue_table(path: str) -> Dict[int, int]:
     """Parse a '<p> <numerator>[/<denominator>]' file, one prime per line,
     into prime -> int eigenvalue.
@@ -300,7 +305,8 @@ def load_eigenvalue_table(path: str) -> Dict[int, int]:
     a nonzero denominator), primes above MAX_PRIMES_UP_TO (checked before
     primality) and repeated primes are errors, and a quotient that is not an
     integer raises NonIntegralEigenvalue: no level-one eigenform with
-    rational eigenvalues has one.
+    rational eigenvalues has one.  Each field passes _is_decimal before
+    int() reads it, as int() alone also reads '_' and other Unicode digits.
     """
     table: Dict[int, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -311,14 +317,15 @@ def load_eigenvalue_table(path: str) -> Dict[int, int]:
             fields = line.split()
             if len(fields) != 2:
                 raise ValueError(f"{path}:{lineno}: expected '<p> <value>', got {line!r}")
-            value = re.fullmatch(r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?", fields[1])
+            num, slash, den = fields[1].partition("/")
             try:
-                if not re.fullmatch(r"[+-]?[0-9]+", fields[0]):
+                if not _is_decimal(fields[0]):
                     raise ValueError(f"expected the prime in ASCII decimal digits, got {fields[0]!r}")
-                if value is None:
+                if not (_is_decimal(num) and (not slash or _is_decimal(den, False)
+                                              and den.strip("0"))):
                     raise ValueError(f"expected '<num>[/<den>]' in integers, den nonzero, "
                                      f"got {fields[1]!r}")
-                p, num, den = int(fields[0]), int(value[1]), int(value[2] or 1)
+                p, num, den = int(fields[0]), int(num), int(den or 1)
             except ValueError as exc:  # also too many digits for int()
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
             if p > MAX_PRIMES_UP_TO:

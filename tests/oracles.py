@@ -22,7 +22,10 @@ lattice box that `euler` packs in never exceeds on a registry side.
 `shifted` moves a factor by q^c root by root, the reference for the
 parts constructor that builds every product side.
 `build_parser` is the argparse parser the CLI's flag table replaced, kept
-as the reference that `cli.parse_args` is tested against.
+as the reference that `cli.parse_args` is tested against, and
+`regex_eigenvalue_table` the table reader with the two patterns that
+`qexp.load_eigenvalue_table` matched fields with before it read them with
+str methods.
 
 A polynomial is a finite map from exponent vectors (e_a, e_b, e_q, e_T) to
 nonzero integer coefficients.  a, b and q are Laurent variables; T (for
@@ -36,6 +39,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import re
 from fractions import Fraction
 from itertools import combinations, groupby
 from math import comb, gcd
@@ -43,10 +47,10 @@ from typing import Iterable, List, Mapping, Sequence, Tuple, Union
 
 from liftspin.beta import symmetric_odd_set, table
 from liftspin.cli import EULER_IDENTITIES, VERIFY_IDENTITIES
-from liftspin.errors import NonPrime, UnsupportedWeight
+from liftspin.errors import InputTooLarge, NonIntegralEigenvalue, NonPrime, UnsupportedWeight
 from liftspin.euler import LocalFactor
-from liftspin.qexp import (DEFAULT_PRECISION, QExpansion, dim_cusp_forms, eisenstein,
-                           is_prime)
+from liftspin.qexp import (DEFAULT_PRECISION, MAX_PRIMES_UP_TO, QExpansion, dim_cusp_forms,
+                           eisenstein, is_prime)
 from liftspin.satake import SatakeParams, miyawaki_satake, mono_inv, mono_mul
 
 Exponents = Tuple[int, int, int, int]
@@ -653,6 +657,49 @@ def fraction_satake(lam, weight: int, p: int) -> Tuple[complex, complex]:
     r2 = (normalized - disc) / 2
     first = max(r1, r2, key=lambda z: (z.imag, z.real))
     return first, 1 / first
+
+
+#: a table's prime, and its value as an integer or a quotient with a nonzero
+#: denominator, both in ASCII decimal digits
+TABLE_PRIME = r"[+-]?[0-9]+"
+TABLE_VALUE = r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?"
+
+
+def regex_eigenvalue_table(path: str) -> dict:
+    """`qexp.load_eigenvalue_table` as it read fields through TABLE_PRIME and
+    TABLE_VALUE: the same table, or the same exception and message."""
+    out = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            fields = line.split()
+            if len(fields) != 2:
+                raise ValueError(f"{path}:{lineno}: expected '<p> <value>', got {line!r}")
+            value = re.fullmatch(TABLE_VALUE, fields[1])
+            try:
+                if not re.fullmatch(TABLE_PRIME, fields[0]):
+                    raise ValueError(f"expected the prime in ASCII decimal digits, got {fields[0]!r}")
+                if value is None:
+                    raise ValueError(f"expected '<num>[/<den>]' in integers, den nonzero, "
+                                     f"got {fields[1]!r}")
+                p, num, den = int(fields[0]), int(value[1]), int(value[2] or 1)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if p > MAX_PRIMES_UP_TO:
+                raise InputTooLarge(
+                    f"{path}:{lineno}: prime {p} exceeds the cap {MAX_PRIMES_UP_TO}")
+            if p in out:
+                raise ValueError(f"{path}:{lineno}: duplicate prime {p}")
+            if not is_prime(p):
+                raise NonPrime(f"{path}:{lineno}: {p} is not prime")
+            if num % den:
+                raise NonIntegralEigenvalue(
+                    f"{path}:{lineno}: lambda({p}) = {num}/{den} is not an integer; level-one "
+                    f"eigenforms with rational eigenvalues have integer ones")
+            out[p] = num // den
+    return out
 
 
 def build_parser() -> argparse.ArgumentParser:

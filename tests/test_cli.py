@@ -898,3 +898,68 @@ def test_help_names_every_command_and_flag(capsys, command, flag):
         assert set(cli.COMMANDS) <= words
     else:
         assert {f"--{name}" for name in cli._flags(command)} <= words
+
+
+# -- numeric verify refuses what numeric euler and lvalue refuse -----------------
+
+def _tables(f=None, g=None):
+    """Genuine weight-20 (f) and weight-12 (g) tables at the primes up to 13,
+    with the entries of `f` and `g` replaced (a value of None drops the line)."""
+    out = {}
+    for role, weight, changes in (("f", 20, f or {}), ("g", 12, g or {})):
+        coeffs = eigenform(weight, 20).qexp.coeffs
+        lines = {p: str(coeffs[p]) for p in primes_up_to(13)}
+        lines.update(changes)
+        out[role] = "".join(f"{p} {lam}\n" for p, lam in lines.items() if lam is not None)
+    return out
+
+
+_BAD_DATA = {
+    # 10^6 at p = 3 is far outside 2 3^(11/2), about 842, at weight 12
+    "deligne_bound": (_tables(g={3: "1000000"}), "violates Deligne's bound"),
+    # tau(7) + 1 lies inside the bound and breaks Ramanujan's congruence
+    "eisenstein_congruence": (_tables(g={7: str(-16744 + 1)}), "is not 1 + 7^11 mod 691"),
+    "missing_prime": (_tables(f={5: None}), "no entry for p=5"),
+    "non_prime_entry": (_tables(g={9: "5"}), "9 is not prime"),
+    "non_integral_value": (_tables(f={3: "1/2"}), "lambda(3) = 1/2 is not an integer"),
+}
+
+
+@pytest.mark.parametrize("case", [*_BAD_DATA, "swapped_tables", "g_of_the_wrong_weight"])
+def test_numeric_verify_refuses_what_euler_and_lvalue_refuse(capsys, tmp_path, case):
+    # verify reads the data at each prime as euler and lvalue do, and computes
+    # no roots: each bad table is refused by all three with the same exit
+    # code and the same message
+    if case == "swapped_tables":
+        tables, message = _tables(), "mod 174611"
+        tables = {"f": tables["g"], "g": tables["f"]}
+    elif case == "g_of_the_wrong_weight":
+        coeffs = eigenform(16, 20).qexp.coeffs
+        tables = {**_tables(), "g": "".join(f"{p} {coeffs[p]}\n" for p in primes_up_to(13))}
+        message = "lambda(2) = 216 violates Deligne's bound"
+    else:
+        tables, message = _BAD_DATA[case]
+    flags = ["--n", "2", "--k", "10", "--mode", "numeric"]
+    for role, text in tables.items():
+        (tmp_path / f"{role}.txt").write_text(text)
+        flags += ["--eigenvalues-file", f"{role}={tmp_path / role}.txt"]
+    prime = {"deligne_bound": "3", "eisenstein_congruence": "7", "missing_prime": "5"}
+    runs = [
+        ["verify", "--identity", "main_theorem", "--primes-up-to", "13"],
+        ["euler", "--identity", "main_theorem", "--side", "lhs", "--prime",
+         prime.get(case, "2")],
+        ["lvalue", "--side", "rhs", "--s", "25", "--primes-up-to", "13"],
+    ]
+    results = {run(capsys, *argv, *flags)[::2] for argv in runs}
+    assert len(results) == 1, results
+    ((code, err),) = results
+    assert code == 3 and message in err, err
+
+
+def test_satake_values_refuses_g_of_the_wrong_weight(f20):
+    # what the CLI cannot pass: g built at another weight than k + n
+    g16 = eigenform(16)
+    with pytest.raises(ValueError, match="g has weight 16, expected 12"):
+        identities.satake_values(f20, g16, 2, 10, 2)
+    with pytest.raises(ValueError, match="g has weight 16, expected 12"):
+        identities.verify("main_theorem", 2, 10, mode="numeric", prime=2, f=f20, g=g16)

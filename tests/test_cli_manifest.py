@@ -282,6 +282,17 @@ def _argv_list():
         "euler --identity ikeda_spinor --side lhs --n 4 --k 1000000000000000000001 --factored",
         "euler --identity miyawaki_standard --side rhs --n 6 --k 10 --factored --format text",
     ]
+    # multi-prime report lists, table-fed or not, and eigenvalue rows, pinned
+    # before both were written through one record template
+    table_fed = ("verify --identity ikeda_standard --n 2 --k 6 --mode numeric "
+                 "--primes-up-to 19 --eigenvalues-file {golden}/eigenvalues_w12_text.txt")
+    out += [
+        table_fed,
+        table_fed + " --witness",
+        table_fed + " --format text",
+        "verify --identity main_theorem --n 2 --k 10 --mode numeric --primes-up-to 13 --witness",
+        "eigenvalues --weight 16 --primes-up-to 50",
+    ]
     return out
 
 

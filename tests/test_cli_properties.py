@@ -1,9 +1,12 @@
 """The CLI's flag table parses every argv as the argparse parser it
 replaced (`oracles.build_parser`) does: the same namespace, or the same
-SystemExit code."""
+SystemExit code.  And `verify` writes any list of reports, with or without
+witnesses, as json.dumps writes the list of their dicts."""
 
 import io
+import json
 from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
 
@@ -12,6 +15,7 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from liftspin import cli  # noqa: E402
+from liftspin.identities import VerificationReport  # noqa: E402
 from oracles import build_parser  # noqa: E402
 
 _ORACLE = build_parser()
@@ -118,3 +122,35 @@ def _outcome(parse, argv):
 @example([])
 def test_parse_args_matches_argparse(argv):
     assert _outcome(cli.parse_args, argv) == _outcome(_ORACLE.parse_args, argv)
+
+
+# -- verify's report list through one template ----------------------------------
+
+_text = st.one_of(st.sampled_from(["", "main_theorem", "\"", "\n", "é", "%s"]),
+                  st.text(max_size=6))
+_json = st.recursive(st.one_of(st.none(), st.booleans(), st.integers(), _text),
+                     lambda inner: st.one_of(st.lists(inner, max_size=3),
+                                             st.dictionaries(_text, inner, max_size=3)),
+                     max_leaves=8)
+# the parameters in the one order verify_at_primes writes them
+_parameters = st.tuples(st.integers(-3, 40), st.one_of(st.none(), st.integers()),
+                        st.sampled_from(["symbolic", "numeric"]),
+                        st.one_of(st.none(), st.integers(2, 10 ** 6)))
+_reports = st.builds(
+    VerificationReport, _text,
+    _parameters.map(lambda values: dict(zip(("n", "k", "mode", "prime"), values))),
+    st.sampled_from(["pass", "fail"]),
+    st.one_of(st.none(), st.dictionaries(_text, _json, min_size=1, max_size=3)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_reports, min_size=1, max_size=6), st.booleans())
+def test_verify_writes_report_lists_as_json_dumps(reports, witness):
+    # each report as the dict the list holds, its witness key only with --witness
+    expected = [{"identity": r.identity_id, "parameters": r.parameters, "verdict": r.verdict,
+                 **({"witness": r.witness} if witness else {})} for r in reports]
+    out = io.StringIO()
+    with mock.patch.object(cli, "_verify_reports", lambda args: reports), redirect_stdout(out):
+        code = cli.main(["verify"] + ["--witness"] * witness)
+    assert out.getvalue() == json.dumps(expected, indent=2) + "\n"
+    assert code == (0 if all(r.verdict == "pass" for r in reports) else 1)

@@ -32,7 +32,7 @@ from oracles import c1_eigenvalue, coefficients, frobenius_eigenvalue, shifted, 
 def test_main_theorem_symbolic(n):
     report = verify("main_theorem", n, 10)
     assert report.passed and report.witness is None
-    assert report.to_json_dict()["identity"] == "main_theorem"
+    assert report.identity_id == "main_theorem"
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -183,9 +183,11 @@ def test_numeric_invariant_under_root_swap(f20, g12):
     # swapping either Satake pair (alpha <-> 1/alpha, beta <-> 1/beta) must
     # leave the compared factors unchanged
     from liftspin.identities import satake_values
+    from liftspin.qexp import numeric_satake
 
     p = 5
-    alpha, beta = satake_values(f20, g12, 2, 10, p)
+    lam_f, lam_g = satake_values(f20, g12, 2, 10, p)
+    alpha, beta = numeric_satake(lam_f, 20, p)[0], numeric_satake(lam_g, 12, p)[0]
     base = shifted(miyawaki_spinor_lhs(2, 10), -30)
     reference = numeric_coefficients(base.instantiate(alpha, beta, p))
     for a, b in ((1 / alpha, beta), (alpha, 1 / beta), (1 / alpha, 1 / beta)):
@@ -331,8 +333,11 @@ def test_ikeda_spinor_mutations():
     assert not report.passed
 
 
-def test_report_json_shape():
-    data = verify("main_theorem", 2, 10).to_json_dict()
+def test_report_json_shape(capsys):
+    from liftspin.cli import main
+
+    assert main(["verify", "--identity", "main_theorem", "--n", "2", "--witness"]) == 0
+    (data,) = json.loads(capsys.readouterr().out)
     assert set(data) == {"identity", "parameters", "verdict", "witness"}
     assert data["verdict"] == "pass"
     assert data["parameters"]["n"] == 2

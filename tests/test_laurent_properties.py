@@ -173,6 +173,68 @@ def test_dumps_writes_records_through_one_template(values, wrappers):
     assert laurent.dumps(value, None) == json.dumps(expected)
 
 
+_scalars = st.one_of(st.none(), st.integers(), st.integers(-(_BIG ** 3), _BIG ** 3), _strings)
+
+
+@st.composite
+def _record_lists(draw):
+    """(keys, rows, dicts): keys with at most one nested dict of scalars,
+    flat rows of values for them, and the same records as dicts; a value of
+    a top-level key may be any JSON value."""
+    names = draw(st.lists(_strings, unique=True, max_size=4))
+    nested = draw(st.lists(_strings, unique=True, max_size=3))
+    at = draw(st.integers(0, len(names)))
+    keys = list(names)
+    if draw(st.booleans()):
+        keys.insert(at, (draw(_strings.filter(lambda name: name not in names)), tuple(nested)))
+    rows, dicts = [], []
+    for _ in range(draw(st.integers(0, 4))):
+        row, record = [], {}
+        for key in keys:
+            if isinstance(key, str):
+                row.append(draw(st.one_of(_scalars, _values)))
+                record[key] = row[-1]
+            else:
+                values = [draw(_scalars) for _ in key[1]]
+                row += values
+                record[key[0]] = dict(zip(key[1], values))
+        rows.append(tuple(row))
+        dicts.append(record)
+    return tuple(keys), rows, dicts
+
+
+@settings(max_examples=200, deadline=None)
+@given(_record_lists(), st.lists(st.one_of(st.none(), _strings), max_size=3))
+@example(((), [()], [{}]), [])
+@example((("p", "lambda"), [(2, "-24"), (3, "252")], [{"p": 2, "lambda": "-24"},
+                                                     {"p": 3, "lambda": "252"}]), ["x"])
+def test_dumps_writes_nested_records_through_one_template(records, wrappers):
+    keys, rows, expected = records
+    value = laurent.Records((keys, rows))
+    for key in wrappers:
+        value, expected = ([value, 1], [expected, 1]) if key is None else (
+            {key: value}, {key: expected})
+    assert laurent.dumps(value) == json.dumps(expected, indent=2)
+    assert laurent.dumps(value, None) == json.dumps(expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 40), st.lists(st.tuples(st.integers(2, 10 ** 6), st.integers()),
+                                    max_size=6),
+       st.lists(st.tuples(*[st.integers(-(10 ** 6), 10 ** 6)] * 4), max_size=6))
+def test_dumps_writes_eigenvalue_rows_and_beta_entries(weight, eigenvalues, entries):
+    # the two CLI payloads that hold a Records, as cmd_eigenvalues and
+    # cmd_beta_table build them
+    rows = [(p, str(lam)) for p, lam in eigenvalues]
+    value = {"weight": weight, "eigenvalues": laurent.Records((("p", "lambda"), rows))}
+    expected = {"weight": weight, "eigenvalues": [{"p": p, "lambda": lam} for p, lam in rows]}
+    assert laurent.dumps(value) == json.dumps(expected, indent=2)
+    keys = ("m", "r", "alpha", "beta")
+    value = {"n": weight, "entries": laurent.Records((keys, entries))}
+    expected = {"n": weight, "entries": [dict(zip(keys, entry)) for entry in entries]}
+    assert laurent.dumps(value) == json.dumps(expected, indent=2)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(st.integers(), _floats, st.booleans(), st.none(),
                  st.tuples(st.integers())), st.integers(0, 3))

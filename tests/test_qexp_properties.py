@@ -1,7 +1,8 @@
 """Ring laws of truncated q-expansion multiplication, on random int
 coefficients; genuine eigenvalue tables with one entry moved, which the CLI
-refuses with exit 3; and numeric Satake roots from int eigenvalues, which
-match the ones computed from Fractions bit for bit."""
+refuses with exit 3; numeric Satake roots from int eigenvalues, which
+match the ones computed from Fractions bit for bit; and table fields, read
+as the patterns of `oracles.regex_eigenvalue_table` read them."""
 
 import io
 import json
@@ -14,8 +15,8 @@ import pytest
 
 from liftspin import cli
 from liftspin.qexp import (MAX_PRIMES_UP_TO, SUPPORTED_WEIGHTS, QExpansion, check_eigenvalue,
-                           numeric_satake, primes_up_to)
-from oracles import bernoulli, fraction_satake, pair, schoolbook, subtract
+                           load_eigenvalue_table, numeric_satake, primes_up_to)
+from oracles import bernoulli, fraction_satake, pair, regex_eigenvalue_table, schoolbook, subtract
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings  # noqa: E402
@@ -128,3 +129,42 @@ def test_int_satake_roots_match_the_fraction_formula_at_the_bound(weight, p):
     bound = isqrt(4 * p ** (weight - 1))
     for lam in (bound, -bound, 0):
         assert _bits(numeric_satake(lam, weight, p)) == _bits(fraction_satake(lam, weight, p))
+
+
+# -- table fields read with str methods, as the old patterns read them -----------
+
+#: signs, ASCII digits with leading zeros, other Unicode digits (Arabic-Indic,
+#: superscript, fullwidth, NKo), and what int() or float() would also read
+_FIELD_PIECES = ["+", "-", "0", "00", "1", "2", "3", "5", "7", "9", "19", "١",
+                 "²", "１", "߀", "_", "/", ".", "e", "e5"]
+_fields = st.lists(st.sampled_from(_FIELD_PIECES), max_size=5).map("".join)
+
+
+def _outcome(read, path):
+    try:
+        return read(str(path))
+    except ValueError as exc:  # every refusal of a table is one
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(_fields, _fields), min_size=1, max_size=3))
+@example([("١٩", "5")])
+@example([("1_9", "5")])
+@example([("2", "²")])
+@example([("2", "1e10000000")])
+@example([("2", "0.5")])
+@example([("2", "1/0"), ("3", "5/00"), ("5", "5/+1"), ("7", "5/"), ("11", "5/1/2")])
+@example([("3", "5/00")])
+@example([("3", "5/+1")])
+@example([("3", "5/")])
+@example([("3", "5/1/2")])
+@example([("+0019", "-0010/005"), ("1000003", "1")])
+@example([("2", "1" * 5000)])
+def test_table_fields_are_read_as_the_patterns_read_them(lines):
+    # the same table from the same lines, or the same refusal with the same
+    # message, the prime cap checked before primality
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "lam.txt"
+        path.write_text("".join(f"{p} {value}\n" for p, value in lines), encoding="utf-8")
+        assert _outcome(load_eigenvalue_table, path) == _outcome(regex_eigenvalue_table, path)

@@ -77,10 +77,10 @@ def test_only_laurent_imports_json():
     assert not importers, f"json imported outside laurent: {importers}"
 
 
-# dataclasses and what it pulls in, and fractions with decimal and numbers,
-# which every CLI run would import first
+# dataclasses and what it pulls in, fractions with decimal and numbers, and
+# json's decoder, which every CLI run would import first
 HEAVY_IMPORTS = {"dataclasses", "inspect", "ast", "dis", "tokenize",
-                 "fractions", "decimal", "numbers"}
+                 "fractions", "decimal", "numbers", "json.decoder"}
 
 IMPORT_SCRIPT = """
 import sys
