@@ -94,28 +94,29 @@ def _dump(data, fmt: str, as_text) -> Iterator[str]:
 
 # -- eigenform data ------------------------------------------------------------
 
-def _parse_table_args(args) -> Dict[str, str]:
-    """Table path per role: "f", "g" or "untagged"; a role given twice, or a
-    tagged table for eigenvalues, is a usage error."""
+def _forms(args, weights: Dict[str, int], primes: List[int]) -> Dict[str, EigenformData]:
+    """The eigenform of each role of `weights`, {role: weight}: "f" and "g",
+    or "untagged" for the one form of a command that takes no tags.  A table
+    tagged f= or g= serves its role, an untagged one every role; a tag where
+    no role is named, a role given twice and an untagged table while two
+    forms are in play are usage errors.  Each q-expansion is cut below
+    --precision at the largest prime read, primes[-1]."""
     tables: Dict[str, str] = {}
     for entry in args.eigenvalues_file or ():
         role, sep, path = entry.partition("=")
         if not (sep and role in ("f", "g")):
             role, path = "untagged", entry
-        elif args.command == "eigenvalues":
-            raise ValueError("eigenvalues reads one form; give its table untagged")
+        elif "untagged" in weights:
+            raise ValueError(f"{args.command} reads one form; give its table untagged")
         if role in tables:
             raise ValueError(f"more than one {role} eigenvalue table")
         tables[role] = path
-    return tables
-
-
-def _form(role: str, weight: int, args, tables: Dict[str, str],
-          primes: List[int]) -> EigenformData:
-    """The role's eigenform, its q-expansion cut below --precision at the
-    largest prime read, primes[-1]: no coefficient past it is read."""
+    if len(weights) > 1 and "untagged" in tables:
+        raise ValueError("two eigenforms are in play; tag tables as "
+                         "--eigenvalues-file f=PATH / g=PATH")
     precision = min(args.precision, max(1, primes[-1]))
-    return eigenform(weight, precision, tables.get(role, tables.get("untagged")))
+    return {role: eigenform(weight, precision, tables.get(role, tables.get("untagged")))
+            for role, weight in weights.items()}
 
 
 def _numeric_forms(args, primes: List[int], needs_g: bool = True) -> tuple:
@@ -123,13 +124,9 @@ def _numeric_forms(args, primes: List[int], needs_g: bool = True) -> tuple:
     is refused before any form is built, as the side builders refuse it."""
     if args.k < 1:
         raise ValueError(f"need k >= 1, got k={args.k}")
-    tables = _parse_table_args(args)
-    if needs_g and "untagged" in tables:
-        raise ValueError("two eigenforms are in play; tag tables as "
-                         "--eigenvalues-file f=PATH / g=PATH")
-    f = _form("f", 2 * args.k, args, tables, primes)
-    g = _form("g", args.k + args.n, args, tables, primes) if needs_g else None
-    return f, g
+    forms = _forms(args, {"f": 2 * args.k, "g": args.k + args.n} if needs_g
+                   else {"f": 2 * args.k}, primes)
+    return forms["f"], forms.get("g")
 
 
 def _satake_roots(f: EigenformData, g: Optional[EigenformData], args, p: int) -> tuple:
@@ -178,8 +175,7 @@ def _primes_from(args, default: Optional[List[int]] = None) -> List[int]:
 def cmd_eigenvalues(args) -> int:
     weight = args.weight
     primes = _primes_from(args)
-    tables = _parse_table_args(args)
-    form = _form("untagged", weight, args, tables, primes)
+    form = _forms(args, {"untagged": weight}, primes)["untagged"]
     # hecke_eigenvalue checks each value, so none prints that numeric runs reject
     rows = [(p, str(hecke_eigenvalue(form, p))) for p in primes]
     data = {"weight": weight, "eigenvalues": laurent.Records((("p", "lambda"), rows))}
@@ -246,7 +242,7 @@ def cmd_lvalue(args) -> int:
     side = lhs if args.side == "lhs" else rhs
     # |a^i b^j q^e| = p^(e/2) at unitary a, b, so the product converges for
     # Re(s) > max e/2 + 1, e the top slot of a row; twice that, in ints
-    bound = max(e_q + len(laurent.slots(run)) for e_q, run in side.rows.values()) + 1
+    bound = max(e_q + len(cs) for _, _, e_q, cs in side.runs()) + 1
     if 2 * s.real <= bound:
         raise OutOfConvergenceRegion(
             f"Re(s) = {s.real} is not inside the half-plane Re(s) > "
@@ -306,9 +302,11 @@ def cmd_verify(args) -> int:
     if args.mode == "numeric":
         _check_numeric_parity(args)
     reports = _verify_reports(args)
-    # one template for the list: every report has the parameters of the first
-    keys = ("identity", ("parameters", tuple(reports[0].parameters)), "verdict", "witness")
-    rows = [(r.identity_id, *r.parameters.values(), r.verdict, r.witness) for r in reports]
+    # one template for the list: each report's parameters by the names of the first's
+    names = tuple(reports[0].parameters)
+    keys = ("identity", ("parameters", names), "verdict", "witness")
+    rows = [(r.identity_id, *[r.parameters[name] for name in names], r.verdict, r.witness)
+            for r in reports]
     if not args.witness:
         keys, rows = keys[:-1], [row[:-1] for row in rows]
     payload = laurent.Records((keys, rows))

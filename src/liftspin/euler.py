@@ -13,7 +13,8 @@ The counts are packed q-rows: per (e_a, e_b) and window of 2^12 q-steps,
 the lowest e_q and an int of 64-bit slots of multiplicities, slot 0 never
 0, so sides compare as dicts.  Parts of one factor and (e_a, e_b) shift
 fold into an int of multiplicities in q, one product per row of the
-factor.  Windows keep roots 10^300 apart in two short rows.
+factor.  Windows keep roots 10^300 apart in two short rows.  Built,
+they are compared as they are and read decoded from `LocalFactor.runs`.
 
 Expanded coefficient lists (index = T-degree) exist for output only.
 Every term of the T^d coefficient has the sign (-1)^d, so no term ever
@@ -91,10 +92,6 @@ PACKED_SLOT_CAP = 2 ** 20
 
 #: spinor factors above this genus (degree 2^12) are refused outright
 SPINOR_GENUS_CAP = 12
-
-# the indent-2 JSON of a factor up to its first entry; the entries sit at
-# depth 2, each after "\n    " or ",\n    ", and "\n  ]\n}" closes
-_JSON_HEAD = '{\n  "label": %s,\n  "degree": %d,\n  "%s": ['
 
 
 class _Packed(NamedTuple):
@@ -249,8 +246,8 @@ class LocalFactor:
     factors were checked when built, and its shifts are sums of checked
     ints.  `rows` counts the roots, {(e_a, e_b, (e_q + 2^11) >> 12): (e_q,
     value)}, slot i of `value` the multiplicity of e_q + i; a degree of
-    2^64 or more is refused with ValueError.  `counts` decodes them in
-    canonical order, for tests.  `roots`, for the
+    2^64 or more is refused with ValueError.  `runs()` decodes them in
+    canonical order, `counts` as {root: multiplicity}.  `roots`, for the
     float paths only, is listed on first use: the parts in order, each
     one's shifted roots e times in a row.  A factor carries no name;
     `chunks` takes the label to write.  Instances are immutable.
@@ -293,15 +290,18 @@ class LocalFactor:
         self.rows, self.degree = rows, degree
         self._parts, self._roots = parts, roots
 
+    def runs(self) -> List[Tuple[int, int, int, memoryview]]:
+        """The rows decoded, in canonical order: (e_a, e_b, e_q, cs), cs[i]
+        the multiplicity of e_q + i in a memoryview of 64-bit slots."""
+        return [(e_a, e_b, e_q, memoryview(value.to_bytes(
+                    -(-value.bit_length() // _SLOT_BITS) * 8, sys.byteorder)).cast("Q"))
+                for (e_a, e_b, _), (e_q, value) in sorted(self.rows.items())]
+
     @property
     def counts(self) -> Dict[Monomial, int]:
-        """{root: multiplicity} in canonical order, decoded from the rows."""
-        return dict(self._counted())
-
-    def _counted(self) -> Iterator[Tuple[Monomial, int]]:
-        """(root, multiplicity) in canonical order, from the rows."""
-        return (((e_a, e_b, e_q + i), m) for (e_a, e_b, _), (e_q, value) in sorted(self.rows.items())
-                for i, m in enumerate(laurent.slots(value)) if m)
+        """{root: multiplicity} in canonical order."""
+        return {(e_a, e_b, e_q + i): m for e_a, e_b, e_q, cs in self.runs()
+                for i, m in enumerate(cs) if m}
 
     @property
     def roots(self) -> Tuple[Monomial, ...]:
@@ -319,8 +319,8 @@ class LocalFactor:
             raise ExpansionTooLarge(
                 f"degree {self.degree} exceeds the symbolic expansion cap "
                 f"{EXPANSION_DEGREE_CAP}; use the factored form instead")
-        # sorted: equal root multisets do equal work
-        roots, half = sorted(self.roots), self.degree // 2
+        # in canonical order: equal root multisets do equal work
+        roots, half = [root for root, m in self.counts.items() for _ in range(m)], self.degree // 2
         box = _box(roots, half)
         if box is None:
             raise ExpansionTooLarge(
@@ -347,23 +347,22 @@ class LocalFactor:
         rows = block // width
         fmt, size = _slot_format(self.degree)
         lows = list(zip(*(accumulate(col[:half], initial=0) for col in box.cols)))
-        total = [sum(root[x] for root in self.roots) for x in range(3)]
+        sums = [sum(col) for col in box.cols]
         for t in range(self.degree + 1):
             d = min(t, self.degree - t)
             value = packed[d].value
             # whole c_a blocks of slots, so that a reversed walk splits alike
             blocks = -(-value.bit_length() // (8 * size * block))
             slots = memoryview(value.to_bytes(blocks * block * size, sys.byteorder)).cast(fmt)
-            corner, flip = lows[d], t > half
-            if flip:
-                # T^(N-d) walks T^d backwards from its last slot: e -> P - e
+            corner = lows[d]
+            if t > half:
+                # T^(N-d) walks T^d backwards from its last slot c: e -> P - e,
+                # P the product of all N roots, so c -> sums - c
                 slots = slots[::-1]
-                corner = [lo + n - 1 for lo, n in zip(corner, (blocks, rows, width))]
-            # the exponents at `corner`, slot 0 of the walk
-            base = [d * o + sum(c * row[x] for c, row in zip(corner, box.basis))
+                corner = [s - lo - n + 1 for s, lo, n in zip(sums, corner, (blocks, rows, width))]
+            # the exponents at `corner`, slot 0 of the walk, of a product of t roots
+            base = [t * o + sum(c * row[x] for c, row in zip(corner, box.basis))
                     for x, o in enumerate(box.origin)]
-            if flip:
-                base = [p - e for p, e in zip(total, base)]
             yield t % 2 == 1, box.basis[2][2], _rows(slots, base, box.basis, rows, width)
 
     # -- transformations ---------------------------------------------------
@@ -399,16 +398,18 @@ class LocalFactor:
             yield from lines
             return
         first = next(entries, None)
-        head = _JSON_HEAD % (laurent.dumps(label), self.degree, key)
+        empty = laurent.dumps({"label": label, "degree": self.degree, key: []})
         if first is None:
-            yield head + "]\n}"
+            yield empty
             return
-        yield head + "\n    "
-        yield first
+        # the entries go in the place of the last "[]", one level in
+        head, _, tail = empty.rpartition("[]")
+        opening, sep, closing = laurent.container(1)
+        yield head + "[" + opening + first
         for entry in entries:
-            yield ",\n    "
+            yield sep
             yield entry
-        yield "\n  ]\n}"
+        yield closing + "]" + tail
 
     def _entries(self, factored: bool, depth: Optional[int],
                  at: Optional[Tuple[complex, complex, int]]) -> Iterator[str]:
@@ -420,7 +421,7 @@ class LocalFactor:
             return (laurent.dumps([z.real, z.imag], depth) for z in values)
         if factored:
             template = laurent.root_template(depth)
-            return chain.from_iterable(repeat(template % root, m) for root, m in self._counted())
+            return chain.from_iterable(repeat(template % r, m) for r, m in self.counts.items())
         return (laurent.coefficient_text(negative, step, rows, depth)
                 for negative, step, rows in self._walk())
 

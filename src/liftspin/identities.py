@@ -93,8 +93,8 @@ def compare_symbolic(lhs: LocalFactor, rhs: LocalFactor) -> Tuple[bool, Optional
     if lhs.rows == rhs.rows:
         return True, None
     # the T^1 coefficient, minus the root sum, tells any two multisets apart
-    return False, {"t_degree": 1, "lhs": laurent.Rows((True, lhs.rows)),
-                   "rhs": laurent.Rows((True, rhs.rows))}
+    return False, {"t_degree": 1, "lhs": laurent.Rows((True, lhs.runs())),
+                   "rhs": laurent.Rows((True, rhs.runs()))}
 
 
 def _factored_form(monomial: Monomial,
@@ -125,8 +125,8 @@ def compare_factored(lhs: Factored, rhs: Factored) -> Tuple[bool, Optional[Dict]
     lf, rf = _factored_form(*lhs), _factored_form(*rhs)
     if lf == rf:
         return True, None
-    lv, rv = ({"monomial": laurent.Rows((False, LocalFactor((monomial,)).rows)),
-               "units": [laurent.Rows((False, LocalFactor((unit,)).rows)) for unit in units]}
+    lv, rv = ({"monomial": laurent.Rows((False, LocalFactor((monomial,)).runs())),
+               "units": [laurent.Rows((False, LocalFactor((unit,)).runs())) for unit in units]}
               for monomial, units in (lf, rf))
     return False, {"lhs": lv, "rhs": rv}
 

@@ -16,18 +16,18 @@ witnesses and eigenvalue constants all go through it.
 `dumps` is the package's one JSON writer: the bytes of json.dumps(value,
 indent=2) from depth 0, or of json.dumps(value) at depth None, the
 compact layout of the `--format text` lines, without json's pure-Python
-encoder.  `coefficient_text` writes a polynomial of one sign from rows of
-packed slots, each distinct row formatted once: an expanded coefficient,
-or a witness given to `dumps` as `Rows`, the root counts of `euler`.  It
-and `root_template` (one root) cut one term template at the same depths;
-a `Records` list of same-shaped dicts (the beta table, verify's reports,
-the eigenvalue rows) goes through one template too.
+encoder; `euler` streams a factor cut from `dumps` with `container`.
+`coefficient_text` writes a polynomial of one sign from rows of packed
+slots, each distinct row formatted once: an expanded coefficient, or a
+witness given to `dumps` as `Rows`, the runs `LocalFactor.runs` decodes.
+It and `root_template` (one root) cut one term template at the same
+depths; a `Records` list of same-shaped dicts (the beta table, verify's
+reports, the eigenvalue rows) goes through one template too.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from functools import lru_cache
 from itertools import compress
 from typing import Iterable, Optional, Tuple
@@ -38,14 +38,9 @@ except ImportError:  # an interpreter without it
     from json.encoder import encode_basestring_ascii as _string
 
 
-def slots(value: int) -> memoryview:
-    """The 64-bit slots of a nonnegative int, slot 0 the lowest."""
-    return memoryview(value.to_bytes(-(-value.bit_length() // 64) * 8, sys.byteorder)).cast("Q")
-
-
 class Rows(tuple):
-    """(negative, rows): a polynomial of one sign as LocalFactor rows,
-    {(e_a, e_b, *): (e_q, value)}, |c| of e_q + i in slot i of `value`."""
+    """(negative, runs): a polynomial of one sign as the decoded rows of a
+    LocalFactor, `coefficient_text`'s runs (e_a, e_b, e_q, cs) with step 1."""
     __slots__ = ()
 
 
@@ -57,7 +52,7 @@ class Records(tuple):
 
 # -- layout --------------------------------------------------------------------
 
-def _container(depth: Optional[int]) -> Tuple[str, str, str]:
+def container(depth: Optional[int]) -> Tuple[str, str, str]:
     """What json.dumps writes after the opening bracket of a nonempty
     container at `depth`, between two of its items and before its closing
     bracket: with indent=2, or without indent for None."""
@@ -71,7 +66,7 @@ def _layout(depth: Optional[int]) -> Tuple[str, str, str, str]:
     """A nonempty polynomial at `depth`: its text up to the first
     term, between two terms and after the last, and the term template, with
     %s for e_a, e_b, e_q, e_T and c."""
-    poly, terms, term, exps = (_container(None if depth is None else depth + i)
+    poly, terms, term, exps = (container(None if depth is None else depth + i)
                                for i in range(4))
     template = ('{' + term[0] + '"e": [' + exps[0] + exps[1].join(["%s"] * 4) + exps[2]
                 + ']' + term[1] + '"c": "%s"' + term[2] + '}')
@@ -151,14 +146,13 @@ def dumps(value, depth: Optional[int] = 0) -> str:
         return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
     inner = None if depth is None else depth + 1
     if isinstance(value, Rows):
-        negative, rows = value
-        rows = [(e_a, e_b, e_q, slots(run)) for (e_a, e_b, _), (e_q, run) in sorted(rows.items())]
-        return coefficient_text(negative, 1, rows, depth) if rows else dumps({"terms": []}, depth)
+        negative, runs = value
+        return coefficient_text(negative, 1, runs, depth) if runs else dumps({"terms": []}, depth)
     if isinstance(value, Records):
         keys, rows = value
         if not rows:
             return "[]"
-        (opening, sep, closing), template = _container(depth), _record(keys, inner)
+        (opening, sep, closing), template = container(depth), _record(keys, inner)
         deeper = None if inner is None else inner + 1
         # %s writes an int as dumps does, so rows of ints alone are formatted as they are
         ints = all(set(map(type, column)) == {int} for column in zip(*rows))
@@ -168,12 +162,12 @@ def dumps(value, depth: Optional[int] = 0) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        opening, sep, closing = _container(depth)
+        opening, sep, closing = container(depth)
         return "[" + opening + sep.join([dumps(item, inner) for item in value]) + closing + "]"
     if isinstance(value, dict):
         if not value:
             return "{}"
-        opening, sep, closing = _container(depth)
+        opening, sep, closing = container(depth)
         return "{" + opening + sep.join([_key(key) + ": " + dumps(item, inner)
                                          for key, item in value.items()]) + closing + "}"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
@@ -181,7 +175,7 @@ def dumps(value, depth: Optional[int] = 0) -> str:
 
 def _record(keys, depth: Optional[int]) -> str:
     """The dict of `keys` (see Records) at `depth`, with %s for each value."""
-    (opening, sep, closing), inner = _container(depth), None if depth is None else depth + 1
+    (opening, sep, closing), inner = container(depth), None if depth is None else depth + 1
     fields = [_key(name).replace("%", "%%") + ": " + ("%s" if sub is None else _record(sub, inner))
               for name, sub in ((key, None) if isinstance(key, str) else key for key in keys)]
     return "{" + opening + sep.join(fields) + closing + "}" if fields else "{}"

@@ -293,6 +293,19 @@ def _argv_list():
         "verify --identity main_theorem --n 2 --k 10 --mode numeric --primes-up-to 13 --witness",
         "eigenvalues --weight 16 --primes-up-to 50",
     ]
+    # the order of the eigenvalue-table refusals, pinned before one function
+    # read every table role: numeric euler's one-prime check before a table
+    # is loaded, a tagged table for eigenvalues before its prime is checked,
+    # an untagged table while two forms are in play, one given twice
+    out += [
+        "euler --identity main_theorem --side lhs --n 2 --k 10 --mode numeric --primes-up-to 30 "
+        "--eigenvalues-file f={golden}/half_p3.txt --eigenvalues-file g={golden}/half_p3.txt",
+        "eigenvalues --weight 12 --prime 4 --eigenvalues-file f={golden}/half_p3.txt",
+        "verify --identity main_theorem --n 2 --k 10 --numeric --prime 3 "
+        "--eigenvalues-file {golden}/half_p3.txt",
+        "verify --identity ikeda_standard --n 2 --k 10 --numeric --prime 3 "
+        "--eigenvalues-file {golden}/half_p3.txt --eigenvalues-file {golden}/half_p3.txt",
+    ]
     return out
 
 

@@ -154,3 +154,26 @@ def test_verify_writes_report_lists_as_json_dumps(reports, witness):
         code = cli.main(["verify"] + ["--witness"] * witness)
     assert out.getvalue() == json.dumps(expected, indent=2) + "\n"
     assert code == (0 if all(r.verdict == "pass" for r in reports) else 1)
+
+
+_PARAMETER_NAMES = ("n", "k", "mode", "prime")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_reports, st.permutations(_PARAMETER_NAMES)), min_size=1, max_size=6))
+@example([(VerificationReport("x", {"n": 2, "k": 10, "mode": "symbolic", "prime": None}, "pass"),
+           _PARAMETER_NAMES),
+          (VerificationReport("y", {"n": 3, "k": 4, "mode": "numeric", "prime": 5}, "fail"),
+           _PARAMETER_NAMES[::-1])])
+def test_verify_reads_report_parameters_by_name(drawn):
+    # each report's parameters in a key order of its own: every report is
+    # written under the first report's keys, each value under its own name
+    reports = [VerificationReport(r.identity_id, {key: r.parameters[key] for key in order},
+                                  r.verdict, r.witness) for r, order in drawn]
+    keys = list(reports[0].parameters)
+    expected = [{"identity": r.identity_id, "parameters": {key: r.parameters[key] for key in keys},
+                 "verdict": r.verdict} for r in reports]
+    out = io.StringIO()
+    with mock.patch.object(cli, "_verify_reports", lambda args: reports), redirect_stdout(out):
+        cli.main(["verify"])
+    assert out.getvalue() == json.dumps(expected, indent=2) + "\n"

@@ -10,11 +10,14 @@ digest.
 """
 
 import hashlib
+import io
 import time
 from collections import Counter
+from contextlib import redirect_stdout
 
 import pytest
 
+from liftspin.cli import main
 from liftspin.euler import LocalFactor, sym_power_factor, tensor_factor
 from liftspin.identities import (
     IDENTITIES,
@@ -146,6 +149,40 @@ def test_symbolic_verdicts_list_no_roots(monkeypatch, f20, g12):
     # the float paths do list them
     LocalFactor(parts=[(sym_power_factor(1, 4), (0, 0, 0), 1)]).instantiate(1j, 1j, 2)
     assert listed == [2, 2] and decoded == []
+
+
+def test_output_and_verdicts_read_only_what_they_need(monkeypatch, f20, g12):
+    listed, decoded = [], []
+    roots = LocalFactor.roots.fget
+
+    def listing(factor):
+        listed.append(factor.degree)
+        return roots(factor)
+
+    monkeypatch.setattr(LocalFactor, "roots", property(listing))
+    # exact euler output, expanded and factored, in JSON and in text, is
+    # written from the root counts and lists no root
+    for flags in ([], ["--factored"], ["--format", "text"], ["--factored", "--format", "text"]):
+        with redirect_stdout(io.StringIO()) as out:
+            assert main(["euler", "--identity", "main_theorem", "--side", "lhs",
+                         "--n", "3", "--k", "10"] + flags) == 0
+        assert out.getvalue()
+    assert listed == []
+    # passing verdicts decode no rows, symbolic or numeric
+    runs = LocalFactor.runs
+
+    def decoding(factor):
+        decoded.append(factor.degree)
+        return runs(factor)
+
+    monkeypatch.setattr(LocalFactor, "runs", decoding)
+    assert all(report.passed for report in full_symbolic_suite())
+    assert verify("main_theorem", 2, 10, mode="numeric", prime=2, f=f20, g=g12).passed
+    assert decoded == []
+    # a failed one decodes its two sides once, for its witness
+    failed = negative_control_reports(2, 10)
+    assert not any(report.passed for report in failed)
+    assert len(decoded) == 2 * len(failed) and listed == []
 
 
 def test_roots_may_come_from_a_generator():

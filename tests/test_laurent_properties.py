@@ -132,13 +132,14 @@ def test_dumps_writes_the_bytes_of_json_dumps(value):
 
 
 def _rows(terms):
-    """{(e_a, e_b, 0): (lowest e_q, value)} of {(e_a, e_b, e_q): |c|}, slot
-    i of value, 64 bits wide, the |c| of the lowest e_q + i."""
+    """The runs (e_a, e_b, e_q, cs) of {(e_a, e_b, e_q): |c|} in canonical
+    order, one per (e_a, e_b) from its lowest e_q, cs[i] the |c| of e_q + i
+    in 64-bit slots, as LocalFactor.runs decodes its rows."""
     rows = {}
     for (e_a, e_b, e_q), c in sorted(terms.items()):
-        low, value = rows.setdefault((e_a, e_b, 0), (e_q, 0))
-        rows[e_a, e_b, 0] = low, value | c << 64 * (e_q - low)
-    return rows
+        low, cs = rows.setdefault((e_a, e_b), (e_q, array("Q")))
+        cs.extend([0] * (e_q - low - len(cs)) + [c])
+    return [(e_a, e_b, low, memoryview(cs)) for (e_a, e_b), (low, cs) in rows.items()]
 
 
 @settings(max_examples=100, deadline=None)

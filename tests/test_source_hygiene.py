@@ -2,8 +2,10 @@
 module imports a name it never reads, and every module-level private
 function or class, and every private method, is referenced somewhere in
 the package.  Both catch code
-that a deletion leaves behind.  Also: only `laurent` imports json, so
-there is one JSON writer, and what importing the CLI loads."""
+that a deletion leaves behind.  Also: outside `euler` the packed root
+counts are only compared, no module reads another's private names, only
+`laurent` imports json, so there is one JSON writer, and what importing the
+CLI loads."""
 
 import ast
 import subprocess
@@ -65,6 +67,46 @@ def test_every_private_def_is_referenced():
                     and node.name.startswith("_") and not node.name.startswith("__")
                     and node.name not in referenced]
     assert not unreferenced, f"private defs nothing references: {unreferenced}"
+
+
+def test_rows_are_only_compared_outside_euler():
+    # euler owns the packed root counts and `LocalFactor.runs` decodes
+    # them; every other module may only compare them
+    uses = []
+    for path in MODULES:
+        if path.name == "euler.py":
+            continue
+        tree = _tree(path)
+        compared = {id(operand) for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                    and all(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
+                    for operand in (node.left, *node.comparators)}
+        uses += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr == "rows"
+                 and id(node) not in compared]
+    assert not uses, f".rows read other than by == or != outside euler: {uses}"
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_no_module_reads_another_modules_private_names():
+    reads = []
+    for path in MODULES:
+        tree = _tree(path)
+        imports = [node for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))]
+        # modules bound by `import x` and `from . import x`
+        modules = {alias.asname or alias.name for node in imports
+                   if isinstance(node, ast.Import) or node.module is None for alias in node.names}
+        reads += [f"{path.name}:{node.lineno} {alias.name}" for node in imports
+                  if isinstance(node, ast.ImportFrom) for alias in node.names
+                  if _private(alias.name)]
+        reads += [f"{path.name}:{node.lineno} {node.value.id}.{node.attr}"
+                  for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name) and node.value.id in modules
+                  and _private(node.attr)]
+    assert not reads, f"private names read from another module: {reads}"
 
 
 def test_only_laurent_imports_json():
