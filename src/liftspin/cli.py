@@ -31,7 +31,7 @@ from typing import Dict, Iterator, List, Optional
 
 from . import identities, laurent
 from .beta import table as beta_table
-from .errors import InputTooLarge, OutOfConvergenceRegion, UnsupportedInput
+from .errors import UnsupportedInput
 from .qexp import (
     DEFAULT_PRECISION,
     MAX_PRECISION,
@@ -152,7 +152,7 @@ def _check_size_caps(args):
                              ("--primes-up-to", args.primes_up_to, MAX_PRIMES_UP_TO),
                              ("--prime", args.prime, MAX_PRIMES_UP_TO)):
         if value is not None and value > cap:
-            raise InputTooLarge(f"{flag} {value} exceeds the cap {cap}")
+            raise UnsupportedInput(f"{flag} {value} exceeds the cap {cap}")
 
 
 def _primes_from(args, default: Optional[List[int]] = None) -> List[int]:
@@ -234,7 +234,7 @@ def cmd_lvalue(args) -> int:
     except ValueError:
         raise ValueError(f"cannot parse --s {args.s!r} as a complex number")
     if not cmath.isfinite(s):
-        raise OutOfConvergenceRegion(f"--s {args.s} is not a finite complex number")
+        raise UnsupportedInput(f"--s {args.s} is not a finite complex number")
     n, k = args.n, args.k
     # the side first, as in euler: its n and genus checks do not depend on
     # whether the eigenforms exist
@@ -244,9 +244,9 @@ def cmd_lvalue(args) -> int:
     # Re(s) > max e/2 + 1, e the top slot of a row; twice that, in ints
     bound = max(e_q + len(cs) for _, _, e_q, cs in side.runs()) + 1
     if 2 * s.real <= bound:
-        raise OutOfConvergenceRegion(
+        raise UnsupportedInput(
             f"Re(s) = {s.real} is not inside the half-plane Re(s) > "
-            f"{'-' * (bound < 0)}{abs(bound) // 2}.{5 * (bound % 2)}")
+            f"{bound // 2}.{5 * (bound % 2)}")
     _check_numeric_parity(args)
     primes = _primes_from(args)
     f, g = _numeric_forms(args, primes)

@@ -42,7 +42,7 @@ coefficient by a number of slots.  A slot holds |c| <= C(N, d) < 2^N, so
 W is 32 bits up to degree 32 and 64 bits up to EXPANSION_DEGREE_CAP = 64.
 The same recurrence with 1-bit slots counts the terms first.  More than
 EXPANSION_TERM_CAP terms, or a box over PACKED_SLOT_CAP slots (exponents
-far apart with no common step), raises ExpansionTooLarge, exit 3 in the
+far apart with no common step), raises UnsupportedInput, exit 3 in the
 CLI, before any output: the degree-63 miyawaki_standard side at n = 16
 has 1,713,988 terms (240 MB).
 
@@ -65,7 +65,7 @@ template, with no per-root dict: each distinct root is formatted once and
 repeated by its multiplicity.  At a prime, the entries are the [re, im]
 of the instantiated roots, sorted, or of `numeric_coefficients`, which
 expands complex roots; it is quadratic and not capped, and refuses a
-coefficient past double range with NumericOverflow.  `laurent` holds the
+coefficient past double range as UnsupportedInput.  `laurent` holds the
 layouts, and the labels written come from the caller.
 """
 
@@ -78,7 +78,7 @@ from operator import add, or_
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import laurent
-from .errors import ExpansionTooLarge, GenusTooLarge, NumericOverflow
+from .errors import UnsupportedInput
 from .satake import Monomial, SatakeParams, check_units, mono_inv
 
 #: largest degree expanded symbolically, the widest whose slots fit 64 bits
@@ -314,23 +314,23 @@ class LocalFactor:
     # -- expansion --------------------------------------------------------
 
     def _expand(self) -> _Expansion:
-        """T^0 to T^(degree // 2), packed; ExpansionTooLarge past a cap."""
+        """T^0 to T^(degree // 2), packed; UnsupportedInput past a cap."""
         if self.degree > EXPANSION_DEGREE_CAP:
-            raise ExpansionTooLarge(
+            raise UnsupportedInput(
                 f"degree {self.degree} exceeds the symbolic expansion cap "
                 f"{EXPANSION_DEGREE_CAP}; use the factored form instead")
         # in canonical order: equal root multisets do equal work
         roots, half = [root for root, m in self.counts.items() for _ in range(m)], self.degree // 2
         box = _box(roots, half)
         if box is None:
-            raise ExpansionTooLarge(
+            raise UnsupportedInput(
                 f"the expansion of this degree-{self.degree} factor needs more than "
                 f"{PACKED_SLOT_CAP} slots per coefficient; use the factored form instead")
         # 1-bit slots mark the terms; T^(N-d) mirrors T^d for d < N - half
         counts = [value.bit_count() for value in _pack(box, half, 1, or_)]
         total = sum(counts) + sum(counts[:self.degree - half])
         if total > EXPANSION_TERM_CAP:
-            raise ExpansionTooLarge(
+            raise UnsupportedInput(
                 f"the expansion of this degree-{self.degree} factor has {total} terms, "
                 f"over the term cap {EXPANSION_TERM_CAP}; use the factored form instead")
         width = 8 * _slot_format(self.degree)[1]
@@ -369,12 +369,12 @@ class LocalFactor:
 
     def instantiate(self, alpha: complex, beta: complex, prime: int) -> Tuple[complex, ...]:
         """The roots at a = alpha, b = beta, q = sqrt(prime), as complex
-        numbers in root order; NumericOverflow if one leaves double range."""
+        numbers in root order; UnsupportedInput if one leaves double range."""
         a, b, q = complex(alpha), complex(beta), complex(prime ** 0.5)
         try:
             return tuple(a ** e_a * b ** e_b * q ** e_q for e_a, e_b, e_q in self.roots)
         except OverflowError:
-            raise NumericOverflow(
+            raise UnsupportedInput(
                 f"a root of a degree-{self.degree} factor leaves double range "
                 f"at p = {prime}") from None
 
@@ -388,8 +388,8 @@ class LocalFactor:
         "roots" and `root i: ` when factored.  The entries are exact, the
         roots in canonical order, or with `at` = (alpha, beta, prime) the
         [re, im] of the instantiated roots, sorted, or of their expanded
-        coefficients.  One piece per entry; ExpansionTooLarge and
-        NumericOverflow come before the first piece."""
+        coefficients.  One piece per entry; an expansion past a cap or past
+        double range is refused before the first piece."""
         key = "roots" if factored else "coeffs"
         entries = self._entries(factored, 2 if fmt == "json" else None, at)
         if fmt != "json":
@@ -430,14 +430,14 @@ def numeric_coefficients(roots: Sequence[complex]) -> List[complex]:
     """Coefficients of T^0 to T^len(roots) of prod (1 - root T) at complex
     roots, one root at a time; quadratic, so not capped.  Complex products
     overflow to inf or nan silently, and coefficient d stays non-finite once
-    it is, so one check at the end raises NumericOverflow."""
+    it is, so one check at the end refuses it as UnsupportedInput."""
     coeffs = [1 + 0j]
     for root in roots:
         # new coefficient d is old d minus root times old d-1
         coeffs = coeffs[:1] + [upper - root * lower
                                for upper, lower in zip(coeffs[1:] + [0j], coeffs)]
     if not all(map(cmath.isfinite, coeffs)):
-        raise NumericOverflow(
+        raise UnsupportedInput(
             f"a coefficient of a degree-{len(roots)} factor leaves double range; "
             f"use the factored form instead")
     return coeffs
@@ -471,7 +471,7 @@ def spinor_factor(params: SatakeParams) -> LocalFactor:
     """Degree-2^genus factor: one linear term per subset of {mu_1..mu_g},
     root mu0 times the subset product; S_i(T) = S_(i-1)(T) S_(i-1)(mu_i T)."""
     if params.genus > SPINOR_GENUS_CAP:
-        raise GenusTooLarge(
+        raise UnsupportedInput(
             f"genus {params.genus} spinor factor has degree 2^{params.genus}; "
             f"cap is {SPINOR_GENUS_CAP}")
     factor = LocalFactor(parts=[(_UNIT, params.mu0, 1)])

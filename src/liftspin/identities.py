@@ -43,7 +43,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import laurent
 from .beta import beta_value
-from .errors import GenusTooLarge
+from .errors import UnsupportedInput
 from .euler import (
     LocalFactor,
     spinor_factor,
@@ -370,7 +370,7 @@ def verify(identity_id: str, n: int, k: int, mode: str = "symbolic",
 
 def check_scope(identity_id: str, mode: str, n: int) -> None:
     """ValueError unless `identity_id` has verdicts in `mode` (see `Identity`)
-    and n, or its fixed n, is not below its n_range; GenusTooLarge above it."""
+    and n, or its fixed n, is not below its n_range; UnsupportedInput above it."""
     identity = IDENTITIES[identity_id]
     if mode not in ("symbolic", "numeric"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -382,7 +382,7 @@ def check_scope(identity_id: str, mode: str, n: int) -> None:
     if n < low:
         raise ValueError(f"need n >= {low}, got {n}")
     if cap is not None and n > cap:
-        raise GenusTooLarge(f"{mode} {identity_id} check capped at n = {cap}")
+        raise UnsupportedInput(f"{mode} {identity_id} check capped at n = {cap}")
 
 
 def verify_at_primes(identity_id: str, n: int, k: int, mode: str,

@@ -21,8 +21,8 @@ spanned by E_(w-12), so the eigenform is Delta E_(w-12) (Delta itself at
 w = 12), already normalized: one series product per eigenform, after the
 three squarings that build Delta once per precision.  Every level-one cusp
 space of dimension 2 or more has irrational Hecke eigenvalues (Maeda's
-conjecture, verified up to weight 14,000), so those weights raise
-IrrationalEigenspace before any series is built.
+conjecture, verified up to weight 14,000), so those weights are refused as
+UnsupportedInput before any series is built.
 """
 
 from __future__ import annotations
@@ -33,17 +33,7 @@ from itertools import compress
 from math import isqrt
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import (
-    DeligneBoundViolation,
-    EisensteinCongruenceViolation,
-    EmptySpace,
-    InputTooLarge,
-    InsufficientPrecision,
-    IrrationalEigenspace,
-    NonIntegralEigenvalue,
-    NonPrime,
-    UnsupportedWeight,
-)
+from .errors import UnsupportedInput
 
 #: -2k/B_k at each weight k whose Eisenstein series E_k is integral; each
 #: M_k there is one-dimensional, so S_(k+12) = Delta M_k is too
@@ -149,8 +139,8 @@ def eisenstein(weight: int, precision: int) -> QExpansion:
     at the weights k = 4, 6, 8, 10 and 14 where -2k/B_k is an integer."""
     factor = _EISENSTEIN_FACTORS.get(weight)
     if factor is None:
-        raise UnsupportedWeight(f"Eisenstein series are built at the integral weights "
-                                f"{tuple(_EISENSTEIN_FACTORS)} only, got {weight}")
+        raise UnsupportedInput(f"Eisenstein series are built at the integral weights "
+                               f"{tuple(_EISENSTEIN_FACTORS)} only, got {weight}")
     sigma = [0] * (precision + 1)
     for d in range(1, precision + 1):
         dk = d ** (weight - 1)
@@ -180,17 +170,18 @@ class EigenformData:
 
 def hecke_eigenvalue(form: EigenformData, p: int) -> int:
     """lambda(p): the p-th q-coefficient of the normalized eigenform, or the
-    table's entry for p, checked by check_eigenvalue before it is returned."""
-    if not is_prime(p):
-        raise NonPrime(f"{p} is not prime")
-    if form.qexp is None:
-        lam = form.table.get(p)
-        if lam is None:
-            raise InsufficientPrecision(f"eigenvalue table has no entry for p={p}")
-    elif p > form.qexp.precision:
-        raise InsufficientPrecision(
-            f"p={p} exceeds q-expansion precision {form.qexp.precision}")
-    else:
+    table's entry for p, checked by check_eigenvalue before it is returned.
+    load_eigenvalue_table proved every key of a table prime, so p is tested
+    for primality only where a table has no entry for it."""
+    lam = form.table.get(p) if form.qexp is None else None
+    if lam is None:
+        if not is_prime(p):
+            raise UnsupportedInput(f"{p} is not prime")
+        if form.qexp is None:
+            raise UnsupportedInput(f"eigenvalue table has no entry for p={p}")
+        if p > form.qexp.precision:
+            raise UnsupportedInput(
+                f"p={p} exceeds q-expansion precision {form.qexp.precision}")
         lam = form.qexp.coeffs[p]
     check_eigenvalue(lam, form.weight, p)
     return lam
@@ -225,9 +216,9 @@ def eigenform(weight: int, precision: int = DEFAULT_PRECISION,
     one-dimensional exactly when M_(w-12) is, and then E_(w-12) spans it."""
     d = dim_cusp_forms(weight)
     if d == 0:
-        raise EmptySpace(f"S_{weight} is zero-dimensional")
+        raise UnsupportedInput(f"S_{weight} is zero-dimensional")
     if d > 1:
-        raise IrrationalEigenspace(
+        raise UnsupportedInput(
             f"S_{weight} has dimension {d} and irrational Hecke eigenvalues; "
             f"eigenforms are built only for the one-dimensional weights "
             f"{SUPPORTED_WEIGHTS}")
@@ -255,12 +246,12 @@ def check_eigenvalue(lam: int, weight: int, p: int) -> None:
     weight w one that breaks the Eisenstein congruence
     lam = 1 + p^(w-1) mod N_w, as a wrong integer inside the bound may."""
     if lam * lam > 4 * p ** (weight - 1):
-        raise DeligneBoundViolation(
+        raise UnsupportedInput(
             f"lambda({p}) = {lam} violates Deligne's bound "
             f"|lambda(p)| <= 2 p^(({weight}-1)/2) for weight {weight}")
     modulus = _EISENSTEIN_MODULI.get(weight)
     if modulus and (lam - 1 - pow(p, weight - 1, modulus)) % modulus:
-        raise EisensteinCongruenceViolation(
+        raise UnsupportedInput(
             f"lambda({p}) = {lam} is not 1 + {p}^{weight - 1} mod {modulus}, as every "
             f"eigenvalue of the weight-{weight} eigenform is")
 
@@ -273,9 +264,9 @@ def numeric_satake(lam: int, weight: int, p: int) -> Tuple[complex, complex]:
     to 1 by construction.
     """
     if weight % 2:
-        raise UnsupportedWeight(f"weight must be even, got {weight}")
+        raise UnsupportedInput(f"weight must be even, got {weight}")
     if not is_prime(p):
-        raise NonPrime(f"{p} is not prime")
+        raise UnsupportedInput(f"{p} is not prime")
     # int / int rounds correctly, so this is the float nearest lam / p^((w-2)/2)
     normalized = lam / p ** ((weight - 2) // 2) / p ** 0.5
     disc = cmath.sqrt(complex(normalized * normalized - 4))
@@ -304,8 +295,8 @@ def load_eigenvalue_table(path: str) -> Dict[int, int]:
     not written in ASCII decimal digits (values as integers or quotients with
     a nonzero denominator), primes above MAX_PRIMES_UP_TO (checked before
     primality) and repeated primes are errors, and a quotient that is not an
-    integer raises NonIntegralEigenvalue: no level-one eigenform with
-    rational eigenvalues has one.  Each field passes _is_decimal before
+    integer is unsupported input: no level-one eigenform with rational
+    eigenvalues has one.  Each field passes _is_decimal before
     int() reads it, as int() alone also reads '_' and other Unicode digits.
     """
     table: Dict[int, int] = {}
@@ -329,14 +320,14 @@ def load_eigenvalue_table(path: str) -> Dict[int, int]:
             except ValueError as exc:  # also too many digits for int()
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
             if p > MAX_PRIMES_UP_TO:
-                raise InputTooLarge(
+                raise UnsupportedInput(
                     f"{path}:{lineno}: prime {p} exceeds the cap {MAX_PRIMES_UP_TO}")
             if p in table:
                 raise ValueError(f"{path}:{lineno}: duplicate prime {p}")
             if not is_prime(p):
-                raise NonPrime(f"{path}:{lineno}: {p} is not prime")
+                raise UnsupportedInput(f"{path}:{lineno}: {p} is not prime")
             if num % den:
-                raise NonIntegralEigenvalue(
+                raise UnsupportedInput(
                     f"{path}:{lineno}: lambda({p}) = {num}/{den} is not an integer; level-one "
                     f"eigenforms with rational eigenvalues have integer ones")
             table[p] = num // den

@@ -47,7 +47,7 @@ from typing import Iterable, List, Mapping, Sequence, Tuple, Union
 
 from liftspin.beta import symmetric_odd_set, table
 from liftspin.cli import EULER_IDENTITIES, VERIFY_IDENTITIES
-from liftspin.errors import InputTooLarge, NonIntegralEigenvalue, NonPrime, UnsupportedWeight
+from liftspin.errors import UnsupportedInput
 from liftspin.euler import LocalFactor
 from liftspin.qexp import (DEFAULT_PRECISION, MAX_PRIMES_UP_TO, QExpansion, dim_cusp_forms,
                            eisenstein, is_prime)
@@ -608,7 +608,7 @@ def delta_eta_product(precision: int) -> QExpansion:
 def hecke_operator(form: QExpansion, p: int) -> QExpansion:
     """T_p on a level-one form of weight k: b(n) = a(np) + p^(k-1) a(n/p)."""
     if not is_prime(p):
-        raise NonPrime(f"{p} is not prime")
+        raise UnsupportedInput(f"{p} is not prime")
     a, pk = form.coeffs, p ** (form.weight - 1)
     return QExpansion(form.weight, [a[n * p] + (0 if n % p else pk * a[n // p])
                                     for n in range(form.precision // p + 1)])
@@ -632,10 +632,10 @@ def eisenstein_series(weight: int, precision: int) -> QExpansion:
     """E_k = 1 - (2k/B_k) sum sigma_(k-1)(n) q^n at every weight whose
     -2k/B_k is an integer: 4, 6, 8, 10 and 14, the weights the package builds."""
     if weight < 4 or weight % 2:
-        raise UnsupportedWeight(f"Eisenstein series needs even weight >= 4, got {weight}")
+        raise UnsupportedInput(f"Eisenstein series needs even weight >= 4, got {weight}")
     factor = Fraction(-2 * weight) / bernoulli(weight)
     if factor.denominator != 1:
-        raise UnsupportedWeight(f"E_{weight} has the non-integral factor -2k/B_k = {factor}")
+        raise UnsupportedInput(f"E_{weight} has the non-integral factor -2k/B_k = {factor}")
     sigma = [0] * (precision + 1)
     for d in range(1, precision + 1):
         for n in range(d, precision + 1, d):
@@ -688,14 +688,14 @@ def regex_eigenvalue_table(path: str) -> dict:
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
             if p > MAX_PRIMES_UP_TO:
-                raise InputTooLarge(
+                raise UnsupportedInput(
                     f"{path}:{lineno}: prime {p} exceeds the cap {MAX_PRIMES_UP_TO}")
             if p in out:
                 raise ValueError(f"{path}:{lineno}: duplicate prime {p}")
             if not is_prime(p):
-                raise NonPrime(f"{path}:{lineno}: {p} is not prime")
+                raise UnsupportedInput(f"{path}:{lineno}: {p} is not prime")
             if num % den:
-                raise NonIntegralEigenvalue(
+                raise UnsupportedInput(
                     f"{path}:{lineno}: lambda({p}) = {num}/{den} is not an integer; level-one "
                     f"eigenforms with rational eigenvalues have integer ones")
             out[p] = num // den

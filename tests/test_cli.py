@@ -626,7 +626,7 @@ def test_a_wrong_delta_stops_at_the_eigenvalue_check_exit3(capsys, monkeypatch):
     # Delta's coefficients are not checked where they are built; a wrong one
     # is refused where every eigenvalue is read, by the congruence mod 691
     from liftspin import qexp
-    from liftspin.errors import EisensteinCongruenceViolation
+    from liftspin.errors import UnsupportedInput
 
     real_delta = qexp._delta
 
@@ -638,7 +638,7 @@ def test_a_wrong_delta_stops_at_the_eigenvalue_check_exit3(capsys, monkeypatch):
     monkeypatch.setattr(qexp, "_delta", wrong_delta)
     form = eigenform(12, 20)
     assert form.qexp.coeffs[2] == -23
-    with pytest.raises(EisensteinCongruenceViolation, match="lambda\\(2\\) = -23 is not"):
+    with pytest.raises(UnsupportedInput, match="lambda\\(2\\) = -23 is not"):
         qexp.hecke_eigenvalue(form, 2)
     code, out, err = run(capsys, "eigenvalues", "--weight", "12", "--prime", "2")
     assert code == 3 and out == ""
@@ -689,6 +689,28 @@ def test_numeric_verify_builds_the_sides_once(capsys, tables, monkeypatch):
     assert code == 0
     assert [e["parameters"]["prime"] for e in json.loads(out)] == primes_up_to(30)
     assert built == [(2, 10)]
+
+
+def test_table_primes_are_tested_for_primality_only_where_read(capsys, tables, monkeypatch):
+    # the loader tests each line's prime once; a table's keys are then known
+    # prime, so reading the eigenvalue at a prime divides nothing
+    from liftspin import qexp
+
+    callers = []
+    real_is_prime = qexp.is_prime
+
+    def counting_is_prime(n):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real_is_prime(n)
+
+    monkeypatch.setattr(qexp, "is_prime", counting_is_prime)
+    code, out, _ = run(capsys, "verify", "--identity", "main_theorem", "--n", "2",
+                       "--k", "10", "--mode", "numeric", "--primes-up-to", "13",
+                       "--eigenvalues-file", f"f={tables[20]}",
+                       "--eigenvalues-file", f"g={tables[12]}")
+    assert code == 0 and len(json.loads(out)) == len(primes_up_to(13))
+    lines = sum(len(tables[weight].read_text().splitlines()) for weight in (12, 20))
+    assert callers == ["load_eigenvalue_table"] * lines
 
 
 # -- caps on the size flags ------------------------------------------------------------

@@ -1,14 +1,18 @@
-"""Byte-exact CLI contract: exit code, stdout size and stdout sha256 per argv.
+"""Byte-exact CLI contract: exit code, stdout size and stdout sha256 per argv,
+and the exact stderr of every argv that exits 2 or 3.
 
 `golden/cli_sha256.json` was captured before the identity registry replaced
 the per-identity dispatch, so any change in what a command prints (or how it
-exits) shows up here.
+exits) shows up here.  `golden/cli_stderr.json` holds the refusal message of
+each argv the manifest pins at exit 2 (usage error) or 3 (unsupported input),
+with the golden directory written as `{golden}`: the message, not the exit
+code, tells one refusal from another.
 
 New argvs are pinned from the current code with
 
     PYTHONPATH=src python tests/test_cli_manifest.py
 
-which writes entries only for argvs missing from the manifest and never
+which writes entries only for argvs missing from either file and never
 touches an existing one.  To re-pin an entry on purpose (an intended output
 change), delete it from the JSON by hand first.
 """
@@ -24,6 +28,9 @@ import pytest
 
 GOLDEN = Path(__file__).parent / "golden"
 MANIFEST = GOLDEN / "cli_sha256.json"
+STDERR = GOLDEN / "cli_stderr.json"
+#: the exit codes of a refusal
+REFUSED = (2, 3)
 
 _EULER_EXPANDED = [
     ("main_theorem", 2, 10), ("main_theorem", 2, 4), ("main_theorem", 4, 10),
@@ -313,8 +320,9 @@ ARGVS = _argv_list()
 
 
 def run_argv(argv: str):
-    """(exit code, stdout bytes) of one in-process CLI run; `{golden}` in
-    an argv stands for the directory of the golden files."""
+    """(exit code, stdout bytes, stderr text) of one in-process CLI run;
+    `{golden}` in an argv stands for the directory of the golden files, and
+    stands for it again in stderr."""
     from liftspin.cli import main
 
     out, err = io.StringIO(), io.StringIO()
@@ -323,16 +331,29 @@ def run_argv(argv: str):
             code = main([arg.replace("{golden}", str(GOLDEN)) for arg in argv.split()])
         except SystemExit as exc:  # usage errors
             code = exc.code
-    return code, out.getvalue().encode("utf-8")
+    return code, out.getvalue().encode("utf-8"), err.getvalue().replace(str(GOLDEN), "{golden}")
 
 
 def _entry(code, data):
     return {"exit": code, "bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
 
 
+def _load(path: Path) -> dict:
+    return json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
+
+
+#: the argvs the manifest pins at a refusal's exit code, in manifest order
+REFUSALS = [argv for argv, entry in _load(MANIFEST).items() if entry["exit"] in REFUSED]
+
+
 @pytest.fixture(scope="module")
 def manifest():
-    return json.loads(MANIFEST.read_text(encoding="utf-8"))
+    return _load(MANIFEST)
+
+
+@pytest.fixture(scope="module")
+def stderr_pins():
+    return _load(STDERR)
 
 
 def test_manifest_covers_every_argv(manifest):
@@ -341,7 +362,19 @@ def test_manifest_covers_every_argv(manifest):
 
 @pytest.mark.parametrize("argv", ARGVS)
 def test_cli_output_matches_manifest(manifest, argv):
-    assert _entry(*run_argv(argv)) == manifest[argv]
+    code, out, _ = run_argv(argv)
+    assert _entry(code, out) == manifest[argv]
+
+
+def test_stderr_pins_cover_every_refusal(stderr_pins):
+    assert list(stderr_pins) == REFUSALS
+
+
+@pytest.mark.parametrize("argv", REFUSALS)
+def test_refusal_message_matches_pin(stderr_pins, argv):
+    code, _, err = run_argv(argv)
+    assert code in REFUSED
+    assert err == stderr_pins[argv]
 
 
 # one --format json argv per path that prints a dict or list, each pinned above
@@ -378,13 +411,22 @@ def test_json_output_bypasses_the_pure_python_encoder(manifest, monkeypatch, tmp
     # tables with the q-expansion's values give the q-expansion's report
     runs.append((" ".join([_TABLE_FED] + tables), _TABLE_FED))
     for argv, pinned in runs:
-        assert _entry(*run_argv(argv)) == manifest[pinned], argv
+        code, out, _ = run_argv(argv)
+        assert _entry(code, out) == manifest[pinned], argv
 
 
 if __name__ == "__main__":
-    pinned = json.loads(MANIFEST.read_text(encoding="utf-8")) if MANIFEST.exists() else {}
+    pinned, messages = _load(MANIFEST), _load(STDERR)
     missing = [argv for argv in ARGVS if argv not in pinned]
-    pinned.update((argv, _entry(*run_argv(argv))) for argv in missing)
+    for argv in missing:
+        code, out, _ = run_argv(argv)
+        pinned[argv] = _entry(code, out)
     data = {argv: pinned[argv] for argv in ARGVS}
     MANIFEST.write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
-    print(f"pinned {len(missing)} new of {len(data)} entries in {MANIFEST}", file=sys.stderr)
+    refusals = [argv for argv in ARGVS if data[argv]["exit"] in REFUSED]
+    unpinned = [argv for argv in refusals if argv not in messages]
+    messages.update((argv, run_argv(argv)[2]) for argv in unpinned)
+    STDERR.write_text(json.dumps({argv: messages[argv] for argv in refusals}, indent=1) + "\n",
+                      encoding="utf-8")
+    print(f"pinned {len(missing)} new of {len(data)} entries in {MANIFEST} and "
+          f"{len(unpinned)} new of {len(refusals)} in {STDERR}", file=sys.stderr)

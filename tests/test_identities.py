@@ -5,7 +5,7 @@ import pytest
 
 from liftspin import euler, identities, laurent, satake
 from liftspin.beta import beta_value
-from liftspin.errors import GenusTooLarge
+from liftspin.errors import UnsupportedInput
 from liftspin.euler import LocalFactor, numeric_coefficients
 from liftspin.identities import (
     IDENTITIES,
@@ -78,11 +78,11 @@ def test_ikeda_spinor_larger(n):
 
 
 def test_genus_caps():
-    with pytest.raises(GenusTooLarge):
+    with pytest.raises(UnsupportedInput, match="symbolic main_theorem check capped at n = 6"):
         verify("main_theorem", 7, 4)
-    with pytest.raises(GenusTooLarge):
+    with pytest.raises(UnsupportedInput, match="symbolic ikeda_spinor check capped at n = 4"):
         verify("ikeda_spinor", 5, 4)
-    with pytest.raises(GenusTooLarge):
+    with pytest.raises(UnsupportedInput, match="symbolic ikeda_standard check capped at n = 6"):
         verify("ikeda_standard", 7, 4)
 
 

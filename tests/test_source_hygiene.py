@@ -4,10 +4,11 @@ function or class, and every private method, is referenced somewhere in
 the package.  Both catch code
 that a deletion leaves behind.  Also: outside `euler` the packed root
 counts are only compared, no module reads another's private names, only
-`laurent` imports json, so there is one JSON writer, and what importing the
-CLI loads."""
+`laurent` imports json, so there is one JSON writer, every exception class
+is caught somewhere in the package, and what importing the CLI loads."""
 
 import ast
+import builtins
 import subprocess
 import sys
 from pathlib import Path
@@ -117,6 +118,32 @@ def test_only_laurent_imports_json():
                  or (isinstance(node, ast.ImportFrom)
                      and (node.module or "").split(".")[0] == "json")]
     assert not importers, f"json imported outside laurent: {importers}"
+
+
+def _handled(handler: ast.ExceptHandler) -> set:
+    """The class names an `except` clause names, alone or in a tuple."""
+    types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return {node.id if isinstance(node, ast.Name) else node.attr for node in types
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def test_every_exception_class_is_caught_somewhere():
+    # an exception class no `except` names only tells tests apart: the CLI's
+    # exit code reads the base class, and the message names the condition
+    trees = [_tree(path) for path in MODULES]
+    bases = {node.name: [base.id for base in node.bases if isinstance(base, ast.Name)]
+             for tree in trees for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+
+    def is_exception(name: str) -> bool:
+        if name in bases:
+            return any(map(is_exception, bases[name]))
+        builtin = getattr(builtins, name, None)
+        return isinstance(builtin, type) and issubclass(builtin, BaseException)
+
+    caught = set().union(*(_handled(node) for tree in trees for node in ast.walk(tree)
+                           if isinstance(node, ast.ExceptHandler) and node.type is not None))
+    uncaught = sorted(name for name in bases if is_exception(name) and name not in caught)
+    assert not uncaught, f"exception classes no except clause names: {uncaught}"
 
 
 # dataclasses and what it pulls in, fractions with decimal and numbers, and
