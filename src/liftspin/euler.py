@@ -13,8 +13,10 @@ The counts are packed q-rows: per (e_a, e_b) and window of 2^12 q-steps,
 the lowest e_q and an int of 64-bit slots of multiplicities, slot 0 never
 0, so sides compare as dicts.  Parts of one factor and (e_a, e_b) shift
 fold into an int of multiplicities in q, one product per row of the
-factor.  Windows keep roots 10^300 apart in two short rows.  Built,
-they are compared as they are and read decoded from `LocalFactor.runs`.
+factor; a part that is a run of multiplicities q^2 apart, as a row of
+beta values is, goes in as one int, every other slot 0.  Windows keep
+roots 10^300 apart in two short rows.  Built, they are compared as they
+are and read decoded from `LocalFactor.runs`.
 
 Expanded coefficient lists (index = T-degree) exist for output only.
 Every term of the T^d coefficient has the sign (-1)^d, so no term ever
@@ -72,10 +74,11 @@ layouts, and the labels written come from the caller.
 from __future__ import annotations
 
 import cmath
+import struct
 import sys
 from itertools import accumulate, chain, count, product, repeat
 from operator import add, or_
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import laurent
 from .errors import UnsupportedInput
@@ -244,13 +247,15 @@ class LocalFactor:
     [(factor, shift, e), ...])` is the product of factor(shift T) e times
     over, `shift` a monomial, and checks only that each e >= 0: its
     factors were checked when built, and its shifts are sums of checked
-    ints.  `rows` counts the roots, {(e_a, e_b, (e_q + 2^11) >> 12): (e_q,
-    value)}, slot i of `value` the multiplicity of e_q + i; a degree of
-    2^64 or more is refused with ValueError.  `runs()` decodes them in
-    canonical order, `counts` as {root: multiplicity}.  `roots`, for the
-    float paths only, is listed on first use: the parts in order, each
-    one's shifted roots e times in a row.  A factor carries no name;
-    `chunks` takes the label to write.  Instances are immutable.
+    ints.  An e may also be a run, a sequence (e_0, e_1, ...): factor(shift
+    q^(2i) T) e_i times over for each i, folded as one part.  `rows` counts
+    the roots, {(e_a, e_b, (e_q + 2^11) >> 12): (e_q, value)}, slot i of
+    `value` the multiplicity of e_q + i; a degree of 2^64 or more is
+    refused with ValueError.  `runs()` decodes them in canonical order,
+    `counts` as {root: multiplicity}.  `roots`, for the float paths only,
+    is listed on first use: the parts in order, each one's shifted roots e
+    times in a row, a run's from its highest shift down.  A factor carries
+    no name; `chunks` takes the label to write.  Instances are immutable.
     """
 
     __slots__ = ("rows", "degree", "_parts", "_roots")
@@ -259,7 +264,8 @@ class LocalFactor:
     mode = "symbolic"
 
     def __init__(self, roots: Optional[Iterable[Monomial]] = None, *,
-                 parts: Optional[Iterable[Tuple[LocalFactor, Monomial, int]]] = None):
+                 parts: Optional[Iterable[Tuple[LocalFactor, Monomial,
+                                             Union[int, Sequence[int]]]]] = None):
         if (roots is None) == (parts is None):
             raise TypeError("LocalFactor takes either roots or parts")
         rows = {}
@@ -269,18 +275,30 @@ class LocalFactor:
             check_units(roots, "roots")
             degree = len(roots)
             for e_a, e_b, e_q in roots:
-                _add_run(rows, e_a, e_b, e_q, 1)
+                key = e_a, e_b, (e_q + _HALF_WINDOW) >> _WINDOW_BITS
+                if key in rows:
+                    _add_run(rows, e_a, e_b, e_q, 1)
+                else:
+                    rows[key] = e_q, 1
         else:
             # the multiplicities of each factor and (e_a, e_b) shift, as rows
             parts, degree, folded = tuple(parts), 0, {}
             for factor, (s_a, s_b, s_q), e in parts:
-                if e < 0:
-                    raise ValueError(f"a part's multiplicity must be nonnegative, got {e}")
-                if e and factor.degree:
-                    degree += e * factor.degree
+                run = not isinstance(e, int)
+                low, total = (min(e, default=0), sum(e)) if run else (e, e)
+                if low < 0:
+                    raise ValueError(f"a part's multiplicity must be nonnegative, got {low}")
+                degree += total * factor.degree
+                if degree >> _SLOT_BITS:
+                    raise ValueError(
+                        f"degree {degree} is not below 2^64, the bound of a root count")
+                if total and factor.degree:
+                    if run:
+                        # slot 2i for shift q^(2i), from the first nonzero one
+                        e = int.from_bytes(struct.pack("<" + "Q8x" * len(e), *e), "little")
+                        skip = ((e & -e).bit_length() - 1) // _SLOT_BITS
+                        s_q, e = s_q + skip, e >> _SLOT_BITS * skip
                     _add_run(folded, factor, (s_a, s_b), s_q, e)
-            if degree >> _SLOT_BITS:
-                raise ValueError(f"degree {degree} is not below 2^64, the bound of a root count")
             for (factor, (s_a, s_b), _), (low, times) in folded.items():
                 if not rows and (s_a, s_b, low, times) == (0, 0, 0, 1):
                     rows = dict(factor.rows)  # the factor itself, first: its rows as they are
@@ -307,8 +325,10 @@ class LocalFactor:
     def roots(self) -> Tuple[Monomial, ...]:
         if self._roots is None:
             self._roots = tuple(chain.from_iterable(
-                [(r_a + s_a, r_b + s_b, r_q + s_q) for r_a, r_b, r_q in factor.roots] * e
-                for factor, (s_a, s_b, s_q), e in self._parts))
+                [(r_a + s_a, r_b + s_b, r_q + s_q + 2 * i) for r_a, r_b, r_q in factor.roots]
+                * times for factor, (s_a, s_b, s_q), e in self._parts
+                for i, times in (((0, e),) if isinstance(e, int)
+                                 else zip(range(len(e) - 1, -1, -1), reversed(e)))))
         return self._roots
 
     # -- expansion --------------------------------------------------------

@@ -42,7 +42,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import laurent
-from .beta import beta_value
+from .beta import NegativeMultiplicity, beta_value, table
 from .errors import UnsupportedInput
 from .euler import (
     LocalFactor,
@@ -68,10 +68,6 @@ ShiftBump = Optional[Tuple[Tuple[int, int], int]]
 Sides = Tuple[LocalFactor, LocalFactor]
 #: monomial times prod (1 + u) over the unit monomials u
 Factored = Tuple[Monomial, Sequence[Monomial]]
-
-
-class NegativeMultiplicity(ValueError):
-    """A beta exponent went negative: the factored side is not a polynomial."""
 
 
 class VerificationReport:
@@ -154,29 +150,48 @@ def satake_values(f: EigenformData, g: Optional[EigenformData],
 # -- the product sides ---------------------------------------------------------------
 
 def _shifted_product(N: int, k: int, factor: Callable[[int], LocalFactor],
-                     beta_fn: BetaFn, shift_bump: ShiftBump) -> LocalFactor:
+                     beta_fn: Optional[BetaFn], shift_bump: ShiftBump) -> LocalFactor:
     """prod over m = 0..N and r = -m(2N-m)..m(2N-m) (step 2) of factor(m)
-    shifted by q^(m(2k-1)-r), with multiplicity beta(r, m, N).  Each factor(m)
-    is built once, where some multiplicity at m is positive; a shift bump is
-    checked where it lands, as factor(m) checks k."""
+    shifted by q^(m(2k-1)-r), with multiplicity beta(r, m, N).
+
+    Without hooks each m is one part: the table's beta row, checked when
+    the table was built, as a run from the shift at r = m(2N-m) up.  With
+    one, each row is read per (r, m) from beta_fn (beta_value by default)
+    and checked there, and a bumped (r, m) is a part of its own between
+    the runs of the row before and after it, so the roots keep the order
+    of one part per (r, m).  Each factor(m) is built once, where some
+    multiplicity at m is positive; a shift bump is checked where it lands,
+    as factor(m) checks k."""
+    tab = table(N) if beta_fn is None and shift_bump is None else None
     parts = []
     for m in range(N + 1):
-        bound = m * (2 * N - m)
-        row = []
-        for r in range(-bound, bound + 1, 2):
-            e = beta_fn(r, m, N)
-            if e < 0:
-                raise NegativeMultiplicity(
-                    f"beta({r},{m},{N}) = {e} < 0: product side undefined")
-            c = m * (2 * k - 1) - r
-            if shift_bump is not None and shift_bump[0] == (m, r):
-                c += shift_bump[1]
-                check_units(((0, 0, c),), "roots")
-            row.append(((0, 0, c), e))
-        if any(e for _, e in row):
+        # (shift at the lowest r, multiplicities from there up in r)
+        segments = ([(m * (2 * k - 1) + m * (2 * N - m), tab.beta_row(m))] if tab is not None
+                    else _hooked_segments(N, m, k, beta_fn or beta_value, shift_bump))
+        if any(any(row) for _, row in segments):
             base = factor(m)
-            parts += [(base, shift, e) for shift, e in row]
+            parts += [(base, (0, 0, c - 2 * len(row) + 2), row[::-1])
+                      for c, row in segments if row]
     return LocalFactor(parts=parts)
+
+
+def _hooked_segments(N: int, m: int, k: int, beta_fn: BetaFn,
+                     shift_bump: ShiftBump) -> List[Tuple[int, List[int]]]:
+    """_shifted_product's segments of row m, from per-(r, m) calls."""
+    bound, centre = m * (2 * N - m), m * (2 * k - 1)
+    segments = [(centre + bound, [])]
+    for r in range(-bound, bound + 1, 2):
+        e = beta_fn(r, m, N)
+        if e < 0:
+            raise NegativeMultiplicity(
+                f"beta({r},{m},{N}) = {e} < 0: product side undefined")
+        if shift_bump is not None and shift_bump[0] == (m, r):
+            c = centre - r + shift_bump[1]
+            check_units(((0, 0, c),), "roots")
+            segments += [(c, [e]), (centre - r - 2, [])]
+        else:
+            segments[-1][1].append(e)
+    return segments
 
 
 def miyawaki_spinor_lhs(n: int, k: int,
@@ -185,7 +200,7 @@ def miyawaki_spinor_lhs(n: int, k: int,
     return spinor_factor(params)
 
 
-def main_theorem_rhs(n: int, k: int, beta_fn: BetaFn = beta_value,
+def main_theorem_rhs(n: int, k: int, beta_fn: Optional[BetaFn] = None,
                      shift_bump: ShiftBump = None) -> LocalFactor:
     """Tensor-factor product side: the g x sym_(n-m-1) f factors with
     exponents beta(r, m, n-1); the m = 0 term is the leading unshifted one."""
@@ -193,7 +208,7 @@ def main_theorem_rhs(n: int, k: int, beta_fn: BetaFn = beta_value,
                             beta_fn, shift_bump)
 
 
-def ikeda_spinor_sides(n: int, k: int, beta_fn: BetaFn = beta_value,
+def ikeda_spinor_sides(n: int, k: int, beta_fn: Optional[BetaFn] = None,
                        shift_bump: ShiftBump = None,
                        lhs_params: Optional[SatakeParams] = None) -> Sides:
     """Spinor factor of the genus-2n lift and its shifted symmetric powers."""

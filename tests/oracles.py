@@ -5,11 +5,13 @@ Laurent polynomial in a, b, q and T with its own JSON encoder; the package
 itself only ever writes sorted term lists (`liftspin.laurent`).  With it
 come the eigenvalue constants of the pair lift as expanded polynomials,
 which the factored `c1_frobenius` check is tested against, and the literal
-subset enumeration, degree audits, similitude exponent, Weyl group action
-and the two constructions of the discriminant form that the acceptance
-criteria use, and the schoolbook product and the full-row echelonized
-Victor Miller basis that the packed q-expansion product and the
-Delta E4^a E6^b eigenforms are tested against; the Bernoulli numbers and
+subset enumeration over `symmetric_odd_set`, the dict DP of `BetaOracle`
+and the one-part-per-(r, m) product side it feeds, degree audits,
+similitude exponent, Weyl group action and the two constructions of the
+discriminant form that the acceptance criteria use, and the schoolbook
+product and the full-row echelonized Victor Miller basis that the packed
+q-expansion product and the Delta E4^a E6^b eigenforms are tested
+against; the Bernoulli numbers and
 the Eisenstein series of every integral weight, which the package does not
 need, and `fraction_satake`, the Satake roots computed from Fraction
 eigenvalues, which the int path must match bit for bit.  `coefficients`,
@@ -43,9 +45,9 @@ import re
 from fractions import Fraction
 from itertools import combinations, groupby
 from math import comb, gcd
-from typing import Iterable, List, Mapping, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
 
-from liftspin.beta import symmetric_odd_set, table
+from liftspin.beta import table
 from liftspin.cli import EULER_IDENTITIES, VERIFY_IDENTITIES
 from liftspin.errors import UnsupportedInput
 from liftspin.euler import LocalFactor
@@ -377,11 +379,61 @@ def frobenius_eigenvalue(params: SatakeParams) -> LaurentPoly:
 
 # -- subset sums ---------------------------------------------------------------
 
+def symmetric_odd_set(n: int) -> Tuple[int, ...]:
+    """The 2n odd numbers 1-2n, 3-2n, ..., 2n-1, whose subsets alpha counts."""
+    return tuple(range(1 - 2 * n, 2 * n, 2))
+
+
 def alpha_count_bruteforce(r: int, m: int, n: int) -> int:
     """Literal enumeration over combinations; oracle for BetaTable.alpha."""
     if m < 0 or m > 2 * n:
         return 0
     return sum(1 for c in combinations(symmetric_odd_set(n), m) if sum(c) == r)
+
+
+class BetaOracle:
+    """alpha and beta of one n from a dict DP over the 2n elements, row m
+    mapping each sum r to its count: the oracle for BetaTable's alpha, beta
+    and entries, whose rows are packed ints."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self._alpha = [dict() for _ in range(2 * n + 1)]
+        self._alpha[0][0] = 1
+        for x in symmetric_odd_set(n):
+            for m in range(2 * n, 0, -1):
+                target = self._alpha[m]
+                for s, cnt in self._alpha[m - 1].items():
+                    target[s + x] = target.get(s + x, 0) + cnt
+
+    def alpha(self, r: int, m: int) -> int:
+        if m < 0 or m > 2 * self.n:
+            return 0
+        return self._alpha[m].get(r, 0)
+
+    def beta(self, r: int, m: int) -> int:
+        return self.alpha(r, m) - self.alpha(r, m - 2)
+
+    def entries(self) -> Iterator[Tuple[int, int, int, int]]:
+        n = self.n
+        for m in range(0, 2 * n + 1):
+            bound = m * (2 * n - m)
+            for r in range(-bound, bound + 1, 2):
+                yield (m, r, self.alpha(r, m), self.beta(r, m))
+
+
+def per_pair_product(N: int, k: int, factor) -> LocalFactor:
+    """A product side as one part per (r, m), factor(m) shifted by
+    q^(m(2k-1)-r) beta(r, m, N) times, with beta from BetaOracle, in the
+    order of m, then r: the reference for the packed rows of
+    `identities._shifted_product` and for the order of its roots."""
+    oracle, parts = BetaOracle(N), []
+    for m in range(N + 1):
+        bound = m * (2 * N - m)
+        base = factor(m)
+        parts += [(base, (0, 0, m * (2 * k - 1) - r), oracle.beta(r, m))
+                  for r in range(-bound, bound + 1, 2)]
+    return LocalFactor(parts=parts)
 
 
 def degree_audit_ikeda(n: int) -> bool:

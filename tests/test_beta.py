@@ -1,7 +1,11 @@
+from math import comb
+
 import pytest
 
-from liftspin.beta import BetaTable, beta_value, symmetric_odd_set, table
-from oracles import alpha_count_bruteforce, degree_audit_ikeda, degree_audit_miyawaki
+from liftspin.beta import BetaTable, beta_value, table
+from liftspin.cli import MAX_N
+from oracles import (BetaOracle, alpha_count_bruteforce, degree_audit_ikeda,
+                     degree_audit_miyawaki, symmetric_odd_set)
 
 
 def test_symmetric_odd_set():
@@ -72,6 +76,43 @@ def test_beta_nonnegative_in_range(n):
         bound = m * (2 * n - m)
         for r in range(-bound, bound + 1):
             assert beta_value(r, m, n) >= 0
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_packed_table_matches_the_dict_dp(n):
+    # every (r, m), m and r past the support included
+    packed, oracle = BetaTable(n), BetaOracle(n)
+    for m in range(-2, 2 * n + 3):
+        for r in range(-n * n - 3, n * n + 4):
+            assert packed.alpha(r, m) == oracle.alpha(r, m), (r, m)
+            assert packed.beta(r, m) == oracle.beta(r, m), (r, m)
+    assert list(packed.entries()) == list(oracle.entries())
+
+
+def test_wide_slots_follow_the_recurrence_in_n():
+    # n = 34 needs 128-bit slots: C(68, 34) > 2^64.  The set of n is that of
+    # n - 1 and +-(2n - 1), so alpha_n(r, m) sums four alpha_(n-1) values
+    n, x = 34, 67
+    wide, narrow = table(n), table(n - 1)
+    for m in range(2 * n + 1):
+        bound = m * (2 * n - m)
+        for r in range(-bound, bound + 1, 2):
+            assert wide.alpha(r, m) == (narrow.alpha(r, m) + narrow.alpha(r - x, m - 1)
+                                        + narrow.alpha(r + x, m - 1)
+                                        + narrow.alpha(r, m - 2)), (r, m)
+    assert [sum(wide.beta_row(m)) for m in range(n + 1)] == [
+        comb(2 * n, m) - comb(2 * n, m - 2) if m >= 2 else comb(2 * n, m) for m in range(n + 1)]
+
+
+def test_beta_rows_are_nonnegative_up_to_the_cli_cap():
+    # what the table checks once when built, so that no reader checks a value
+    for n in range(1, MAX_N + 1):
+        tab = table(n)
+        for m in range(n + 1):
+            bound = m * (2 * n - m)
+            row = tab.beta_row(m)
+            assert min(row) >= 0 and row[0] == row[-1] == 1, (n, m)
+            assert row == tuple(tab.beta(r, m) for r in range(-bound, bound + 1, 2)), (n, m)
 
 
 def test_degree_audits():

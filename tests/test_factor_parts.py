@@ -17,17 +17,22 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from liftspin import beta, identities
+from liftspin.beta import beta_value
 from liftspin.cli import main
 from liftspin.euler import LocalFactor, sym_power_factor, tensor_factor
 from liftspin.identities import (
     IDENTITIES,
     compare_symbolic,
     full_symbolic_suite,
+    ikeda_spinor_sides,
+    main_theorem_rhs,
     negative_control_hooks,
     negative_control_reports,
     verify,
 )
 from liftspin.satake import mono_mul
+from oracles import per_pair_product
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
@@ -59,6 +64,55 @@ def test_root_order_is_pinned():
         digest.update(record.encode() + b"\n")
     assert len(SIDE_IDENTITIES) == 7 and len(cases) == 267
     assert digest.hexdigest() == ROOT_ORDER_SHA256
+
+
+# (product side, N of beta(r, m, N), factor(m)) of both spinor identities
+_PRODUCT_SIDES = (
+    [(main_theorem_rhs, n, n - 1, lambda m, k, n=n: tensor_factor(n - m, k, n))
+     for n in range(2, 7)]
+    + [(lambda n, k, **hooks: ikeda_spinor_sides(n, k, **hooks)[1], n, n,
+        lambda m, k, n=n: sym_power_factor(n - m, k)) for n in range(1, 5)])
+
+
+@pytest.mark.parametrize("k", [1, 10, 10 ** 21])
+@pytest.mark.parametrize("side, n, N, factor", _PRODUCT_SIDES)
+def test_beta_rows_build_the_per_pair_product(side, n, N, factor, k):
+    # the table's rows, and rows packed from per-(r, m) calls, give the
+    # product of one part per (r, m), and list its roots in its order
+    plain, hooked = side(n, k), side(n, k, beta_fn=beta_value)
+    oracle = per_pair_product(N, k, lambda m: factor(m, k))
+    assert plain.rows == hooked.rows == oracle.rows
+    assert plain.roots == hooked.roots == oracle.roots
+
+
+def test_a_side_without_hooks_folds_one_part_per_m(monkeypatch):
+    folded, looked_up = [], []
+
+    class Folding(LocalFactor):
+        __slots__ = ()
+
+        def __init__(self, roots=None, *, parts=None):
+            if parts is not None:
+                parts = list(parts)
+                folded.append(len(parts))
+            super().__init__(roots, parts=parts)
+
+    def counting(name, fn):
+        def counted(*args):
+            looked_up.append(name)
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(identities, "LocalFactor", Folding)
+    monkeypatch.setattr(identities, "beta_value", counting("beta_value", beta_value))
+    for method in ("alpha", "beta"):
+        monkeypatch.setattr(beta.BetaTable, method,
+                            counting(method, getattr(beta.BetaTable, method)))
+    side = main_theorem_rhs(6, 10)
+    # N + 1 = 6 parts for N = 5, and no beta value read one (r, m) at a time
+    assert folded == [6] and looked_up == []
+    assert side.rows == main_theorem_rhs(6, 10, beta_fn=beta_value).rows
+    assert len(looked_up) > 6
 
 
 def assert_counted(factor):
